@@ -10,9 +10,18 @@ Run:  python examples/performance_prediction.py
 """
 
 import repro
+from repro.machine.costs import DEFAULT_COSTS
+from repro.predict import predict_outcome, sequential_time_ns, uniform_stats
 from repro.report import format_table
+from repro.sorts.radix import default_machine
 
 MODELS = ["ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem"]
+
+
+def predict_time(model: str, n: int, p: int, radix: int) -> float:
+    """Closed-form radix-sort time (ns) for n uniform keys on p procs."""
+    stats = uniform_stats("radix", n, p, radix)
+    return predict_outcome(stats, model, machine=default_machine(p)).time_ns
 
 
 def main() -> None:
@@ -22,7 +31,7 @@ def main() -> None:
         for p in (16, 64):
             row = [f"{label}/{p}p"]
             for m in MODELS:
-                t = repro.predict_time("radix", m, n, p, 8)
+                t = predict_time(m, n, p, 8)
                 row.append(f"{t / 1e6:,.0f}")
             rows.append(row)
     print(
@@ -34,7 +43,7 @@ def main() -> None:
 
     print("\nExtrapolating beyond the paper's grid:")
     for n_log, label in ((28, "256M"), (30, "1G"), (32, "4G")):
-        t = repro.predict_time("radix", "shmem", 1 << n_log, 64, 12)
+        t = predict_time("shmem", 1 << n_log, 64, 12)
         print(f"  {label:>4} keys, radix 12, 64p:  {t / 1e9:6.1f} s")
     print("\nThe paper measured 30 s for 1G keys at radix 12 (Section 4.2.3);")
     print("the calibrated formula predicts ~38 s.")
@@ -42,7 +51,8 @@ def main() -> None:
     print("\n128-processor what-if (the machine the paper's reference [8]")
     print("studied):")
     for m in ("ccsas", "shmem"):
-        s = repro.predict_speedup("radix", m, repro.SIZES["256M"], 128, 12)
+        n = repro.SIZES["256M"]
+        s = sequential_time_ns(n, 8, DEFAULT_COSTS) / predict_time(m, n, 128, 12)
         print(f"  radix/{m:<6} 256M keys on 128p: predicted speedup {s:6.1f}x")
 
 

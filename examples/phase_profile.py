@@ -19,10 +19,10 @@ SAMPLE = 1 << 17
 def main() -> None:
     keys = repro.data.generate("gauss", SAMPLE, N_PROCS)
     for model in ("ccsas", "shmem"):
-        out = repro.simulate_sort(
+        out = repro.sort(
             keys, algorithm="radix", model=model, n_procs=N_PROCS,
             radix=8, n_labeled=N_LABELED,
-        )
+        ).outcome
         print()
         print(format_profile(out, min_ns=1e6))  # phases above 1 ms
         steps = profile_by_step(out)

@@ -13,6 +13,7 @@ import repro
 from repro.report import bar_chart, breakdown_panel
 
 N_PROCS = 64
+MODELS = ("ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem")
 SMALL, LARGE = repro.SIZES["1M"], repro.SIZES["64M"]
 SAMPLE = 1 << 17  # functional sample size; the model sees labeled sizes
 
@@ -20,9 +21,11 @@ SAMPLE = 1 << 17  # functional sample size; the model sees labeled sizes
 def study(n_labeled: int, label: str) -> None:
     keys = repro.data.generate("gauss", SAMPLE, N_PROCS)
     seq = repro.sequential_baseline(keys, n_labeled=n_labeled)
-    outcomes = repro.compare_models(
-        keys, "radix", n_procs=N_PROCS, radix=8, n_labeled=n_labeled
-    )
+    outcomes = {
+        model: repro.sort(keys, "radix", model=model, n_procs=N_PROCS,
+                          radix=8, n_labeled=n_labeled)
+        for model in MODELS
+    }
     speedups = {m: o.speedup_vs(seq.time_ns) for m, o in outcomes.items()}
     print()
     print(bar_chart(speedups, title=f"radix sort speedups, {label} keys",

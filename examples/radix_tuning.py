@@ -24,7 +24,7 @@ def best_radix(algorithm: str, model: str, n_labeled: int) -> tuple[int, dict]:
     times = {}
     for r in RADIXES:
         keys = repro.data.generate("gauss", SAMPLE, N_PROCS, radix=r)
-        out = repro.simulate_sort(
+        out = repro.sort(
             keys, algorithm=algorithm, model=model, n_procs=N_PROCS,
             radix=r, n_labeled=n_labeled,
         )

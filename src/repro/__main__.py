@@ -49,8 +49,7 @@ Usage::
     # pool, and the load/latency harness that drives it (docs/SERVE.md):
     python -m repro serve --port 7453
     python -m repro loadgen --port 7453 --clients 8 --duration 30
-    python -m repro loadgen --spawn-server --clients 8 --duration 30 \\
-        --json benchmarks/BENCH_2.json
+    python -m repro loadgen --spawn-server --clients 8 --duration 30
 """
 
 from __future__ import annotations
@@ -61,32 +60,6 @@ import sys
 from .core.experiment import ExperimentRunner
 from .report.experiments import EXPERIMENTS
 from .trace import MemoryRecorder, write_chrome_trace
-
-SMALL_GRID = {
-    "table1": dict(sizes=["1M", "16M"]),
-    "fig1": dict(sizes=["1M", "64M"], procs=[16, 64]),
-    "fig2": dict(sizes=["1M", "64M"], procs=[16, 64]),
-    "fig3": dict(sizes=["1M", "64M"], procs=[16, 64]),
-    "fig4": dict(),
-    "fig5": dict(sizes=["1M", "256M"]),
-    "fig6": dict(sizes=["1M", "256M"]),
-    "fig7": dict(sizes=["1M", "64M"], procs=[16, 64]),
-    "fig8": dict(),
-    "fig9": dict(sizes=["1M", "256M"]),
-    "fig10": dict(sizes=["1M", "256M"]),
-    "tables2_and_3": dict(
-        sizes=["1M", "64M"], procs=[16, 64], radix_choices=[8, 11]
-    ),
-    "summary": dict(sizes=["1M", "64M"], procs=[16, 64]),
-    "predict_compare": dict(sizes=["1M"], procs=[16]),
-    "native_path": dict(
-        sizes=[1 << 18], distributions=["random", "zero"], repeats=2
-    ),
-    "stream_path": dict(
-        sizes=[1 << 18], distributions=["random", "zero"], n_workers=2
-    ),
-    "machine_zoo": dict(n=16 * 128, p=16),
-}
 
 
 def _trace_main(argv: list[str]) -> int:
@@ -562,10 +535,6 @@ def _loadgen_main(argv: list[str]) -> int:
         "--queue-depth", type=int, default=8,
         help="spawned server's admission cap (with --spawn-server)",
     )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the metrics as a BENCH_2.json-style document",
-    )
     args = parser.parse_args(argv)
 
     if args.port is None and not args.spawn_server:
@@ -573,7 +542,7 @@ def _loadgen_main(argv: list[str]) -> int:
 
     from contextlib import nullcontext
 
-    from .serve import loadgen_ok, loadgen_results, run_loadgen, server_in_thread
+    from .serve import loadgen_ok, run_loadgen, server_in_thread
 
     ctx = (
         server_in_thread(
@@ -612,15 +581,6 @@ def _loadgen_main(argv: list[str]) -> int:
     )
     for sample in jobs["error_samples"]:
         print(f"  ERROR {sample}", file=sys.stderr)
-    if args.json:
-        from .report.emit import write_results_json
-
-        write_results_json(
-            args.json, loadgen_results(metrics),
-            meta={"clients": args.clients, "duration_s": args.duration,
-                  "seed": args.seed},
-        )
-        print(f"metrics -> {args.json}", file=sys.stderr)
     return 0 if loadgen_ok(metrics) else 1
 
 
@@ -777,27 +737,26 @@ def _stream_main(argv: list[str]) -> int:
     return 0
 
 
+#: The one dispatch table: subcommand -> (entry point, ``list`` line).
+#: Anything else on the command line is an experiment id, ``list`` or ``all``.
+SUBCOMMANDS = {
+    "trace": (_trace_main, "run one sort on a backend and export its trace"),
+    "predict": (_predict_main, "analytic performance prediction (no simulation)"),
+    "calibrate": (_calibrate_main, "fit the analytic predictor against the simulator"),
+    "check": (_check_main, "sanitized differential verification of every backend"),
+    "cache": (_cache_main, "stats / clear / gc for the persistent result cache"),
+    "chaos": (_chaos_main, "seeded fault-injection matrix over both backends"),
+    "serve": (_serve_main, "TCP sort-job server on the resilient native pool"),
+    "loadgen": (_loadgen_main, "load/latency harness for a repro.serve endpoint"),
+    "stream": (_stream_main, "out-of-core sort / top-k over a key stream"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "stream":
-        return _stream_main(argv[1:])
-    if argv and argv[0] == "check":
-        return _check_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        return _loadgen_main(argv[1:])
-    if argv and argv[0] == "predict":
-        return _predict_main(argv[1:])
-    if argv and argv[0] == "calibrate":
-        return _calibrate_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]][0](argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -855,17 +814,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiments == ["list"]:
-        for exp_id, fn in EXPERIMENTS.items():
-            doc = (fn.__doc__ or "").strip().splitlines()[0]
+        for exp_id, exp in EXPERIMENTS.items():
+            doc = (exp.run.__doc__ or "").strip().splitlines()[0]
             print(f"{exp_id:<14} {doc}")
-        print("trace          run one sort on a backend and export its trace")
-        print("predict        analytic performance prediction (no simulation)")
-        print("calibrate      fit the analytic predictor against the simulator")
-        print("cache          stats / clear / gc for the persistent result cache")
-        print("chaos          seeded fault-injection matrix over both backends")
-        print("serve          TCP sort-job server on the resilient native pool")
-        print("loadgen        load/latency harness for a repro.serve endpoint")
-        print("stream         out-of-core sort / top-k over a key stream")
+        for name, (_, summary) in SUBCOMMANDS.items():
+            print(f"{name:<14} {summary}")
         return 0
 
     wanted = (
@@ -888,8 +841,8 @@ def main(argv: list[str] | None = None) -> int:
     collected = []
     with use_recorder(recorder):
         for exp_id in wanted:
-            kwargs = SMALL_GRID.get(exp_id, {}) if args.small else {}
-            result = EXPERIMENTS[exp_id](runner, **kwargs)
+            exp = EXPERIMENTS[exp_id]
+            result = exp.run(runner, **(exp.small if args.small else {}))
             results = result if isinstance(result, tuple) else (result,)
             for r in results:
                 collected.append(r)

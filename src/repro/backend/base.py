@@ -219,7 +219,7 @@ def finish_workload(
     outcome = result.outcome
     if outcome is not None:
         # Keep the embedded simulation outcome consistent with the
-        # caller-visible keys (the deprecated shims return it directly).
+        # caller-visible keys.
         outcome = replace(outcome, sorted_keys=keys)
     return replace(result, sorted_keys=keys, payload=payload, outcome=outcome)
 

@@ -10,16 +10,15 @@ Python rendition of the algorithms the simulation studies.
 
 The per-element hot path (validation scan, per-pass histogram, stable
 blocked placement) lives in :mod:`repro.native.kernels`; set the
-``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` / ``numba`` /
-``naive`` / ``auto``) or pass ``kernel=`` to pick an implementation --
-see docs/PERF.md.
+``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` / ``numba``) or
+pass ``kernel=`` to pick an implementation -- see docs/PERF.md.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KERNEL_ENV, numba_available
+from .kernels import KERNEL_ENV
 from .kernels import resolve as resolve_kernel
 from .pool import PhaseTiming, WorkerPool, default_workers
 from .radix import parallel_radix_sort
@@ -52,7 +51,6 @@ __all__ = [
     "SharedArray",
     "WorkerPool",
     "default_workers",
-    "numba_available",
     "parallel_radix_sort",
     "parallel_sample_sort",
     "parallel_sort",

@@ -3,7 +3,7 @@
 The paper's core claim is that sorting speed on CC-SAS machines is won
 or lost on memory traffic per pass.  The native sorts therefore route
 every per-element loop -- validation min/max, per-pass digit histograms,
-and the stable counting-sort placement -- through one of three
+and the stable counting-sort placement -- through one of two
 interchangeable kernel implementations:
 
 ``numpy`` (the engineered default)
@@ -11,11 +11,10 @@ interchangeable kernel implementations:
     slice in L2-resident blocks (:data:`BLOCK_ELEMS` elements), groups a
     block's keys by digit with NumPy's C counting sort, and stores each
     digit's keys as one contiguous run at the bucket cursor -- contiguous
-    per-bucket block writes instead of the seed's per-element scattered
-    stores, and a bincount/cumsum placement instead of its
-    argsort-plus-rank reconstruction (which cost ~six extra full passes
-    per permute).  Validation fuses min and max into a single pass over
-    memory.
+    per-bucket block writes instead of per-element scattered stores, and
+    a bincount/cumsum placement instead of an argsort-plus-rank
+    reconstruction (which cost ~six extra full passes per permute).
+    Validation fuses min and max into a single pass over memory.
 
 ``numba`` (opt-in via ``REPRO_NATIVE_KERNEL=numba``)
     The same operations as single fused JIT loops: the textbook
@@ -24,20 +23,12 @@ interchangeable kernel implementations:
     when it is missing the resolver warns once and falls back to the
     pure-NumPy kernel, so the flag is always safe to set.
 
-``naive`` (the seed-equivalent baseline)
-    A faithful re-expression of the pre-kernel implementation -- the
-    defensive ``chunk.copy()``, the stable ``argsort``, the rank
-    reconstruction, the element-scattered store, and the separate
-    ``min()``/``max()`` validation scans.  Kept so benchmarks
-    (``benchmarks/BENCH_3.json``, ``compare.py --native``) and parity
-    tests can hold the engineered kernels against the exact seed
-    behavior.
-
 Selection: :func:`resolve` with an explicit name wins; otherwise the
-``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` | ``numba`` |
-``naive`` | ``auto``); otherwise ``numpy``.  ``auto`` picks ``numba``
-when importable.  Pool tasks ship the *parent's* resolved kernel name so
-every worker runs the same implementation regardless of when it forked.
+``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` | ``numba``);
+otherwise ``numpy``.  Pool tasks ship the *parent's* resolved kernel name
+so every worker runs the same implementation regardless of when it
+forked.  Parity against a textbook stable-``argsort`` placement is held
+by ``tests/native/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -52,8 +43,8 @@ import numpy as np
 #: Environment variable selecting the kernel implementation.
 KERNEL_ENV = "REPRO_NATIVE_KERNEL"
 
-#: Kernel names accepted by :func:`resolve` (besides ``auto``).
-KERNEL_NAMES = ("numpy", "numba", "naive")
+#: Kernel names accepted by :func:`resolve`.
+KERNEL_NAMES = ("numpy", "numba")
 
 #: Elements per cache block for the blocked NumPy kernels: 32Ki int64
 #: keys = 256 KiB, sized to keep a block plus its digit/permutation
@@ -99,8 +90,8 @@ def _np_minmax(a: np.ndarray) -> tuple[int, int]:
     """Fused validation scan: one pass over memory for both extrema.
 
     Each block is reduced twice while L2-resident, so the array itself is
-    streamed from memory exactly once (the seed's separate ``a.min()``
-    and ``a.max()`` streamed it twice).
+    streamed from memory exactly once (separate ``a.min()`` and
+    ``a.max()`` calls would stream it twice).
     """
     lo = a[0]
     hi = a[0]
@@ -163,62 +154,11 @@ NUMPY_KERNEL = Kernel("numpy", _np_minmax, _np_histogram, _np_scatter)
 
 
 # ----------------------------------------------------------------------
-# Seed-equivalent baseline kernels
-# ----------------------------------------------------------------------
-def _stable_ranks(digits: np.ndarray) -> np.ndarray:
-    """Rank of each key among equal digits, in original order (the
-    within-slice component of the seed's stable placement)."""
-    m = len(digits)
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(digits, kind="stable")
-    sorted_digits = digits[order]
-    run_start = np.zeros(m, dtype=np.int64)
-    change = np.flatnonzero(np.diff(sorted_digits)) + 1
-    run_start[change] = change
-    run_start = np.maximum.accumulate(run_start)
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.arange(m, dtype=np.int64) - run_start
-    return ranks
-
-
-def _naive_minmax(a: np.ndarray) -> tuple[int, int]:
-    # Two full passes over memory, exactly as the seed validated.
-    return int(a.min()), int(a.max())
-
-
-def _naive_histogram(a: np.ndarray, shift: int, mask: int) -> np.ndarray:
-    digits = (a >> shift) & mask
-    return np.bincount(digits, minlength=mask + 1).astype(np.int64)
-
-
-def _naive_scatter(
-    src: np.ndarray,
-    dst: np.ndarray,
-    cursor: np.ndarray,
-    shift: int,
-    mask: int,
-) -> None:
-    chunk = src.copy()  # the seed's defensive copy, kept for honest A/B
-    digits = ((chunk >> shift) & mask).astype(np.int64)
-    dst[cursor[digits] + _stable_ranks(digits)] = chunk
-    cursor += np.bincount(digits, minlength=mask + 1)
-
-
-NAIVE_KERNEL = Kernel("naive", _naive_minmax, _naive_histogram, _naive_scatter)
-
-
-# ----------------------------------------------------------------------
 # Optional numba kernels (JIT single-loop counting placement)
 # ----------------------------------------------------------------------
 _numba_cache: Kernel | None = None
 _numba_failed = False
 _warned_fallback = False
-
-
-def numba_available() -> bool:
-    """True iff the optional numba kernel can be built in this process."""
-    return _build_numba() is not None
 
 
 def _build_numba() -> Kernel | None:
@@ -289,9 +229,6 @@ def resolve(name: str | None = None) -> Kernel:
     process and falls back to the engineered NumPy kernel.
     """
     requested = (name or os.environ.get(KERNEL_ENV, "") or "numpy").strip().lower()
-    if requested == "auto":
-        built = _build_numba()
-        return built if built is not None else NUMPY_KERNEL
     if requested == "numba":
         built = _build_numba()
         if built is not None:
@@ -308,11 +245,8 @@ def resolve(name: str | None = None) -> Kernel:
         return NUMPY_KERNEL
     if requested == "numpy":
         return NUMPY_KERNEL
-    if requested == "naive":
-        return NAIVE_KERNEL
     raise ValueError(
-        f"unknown native kernel {requested!r}; choose from "
-        f"{KERNEL_NAMES + ('auto',)}"
+        f"unknown native kernel {requested!r}; choose from {KERNEL_NAMES}"
     )
 
 

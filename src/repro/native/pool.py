@@ -120,6 +120,17 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def sort_width(n: int, pool: WorkerPool | None, n_workers: int | None) -> int:
+    """Workers a sort of ``n`` keys will use: the pool's (or requested, or
+    default) width, capped so every worker holds at least four keys.  A
+    result of 1 means "sort sequentially; build no pool, no segment"."""
+    if pool is not None:
+        n_workers = pool.n_workers
+    elif n_workers is None:
+        n_workers = default_workers()
+    return max(1, min(n_workers, n // 4))
+
+
 def default_start_method() -> str:
     """``fork`` where available (cheap, shares the imported modules),
     else ``spawn`` (macOS/Windows-style platforms)."""

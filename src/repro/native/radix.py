@@ -32,7 +32,7 @@ import numpy as np
 from ..sorts.common import n_passes
 from .kernels import resolve as resolve_kernel
 from .kernels import slice_bounds
-from .pool import WorkerPool, default_workers
+from .pool import WorkerPool, sort_width
 from .shm import SharedArray, SortBuffers
 
 
@@ -111,12 +111,7 @@ def parallel_radix_sort(
     dtype_str = keys.dtype.str
 
     own_pool = pool is None
-    width = (
-        pool.n_workers
-        if pool is not None
-        else (n_workers if n_workers is not None else default_workers())
-    )
-    p = max(1, min(width, n // 4))
+    p = sort_width(n, pool, n_workers)
     if p == 1:
         # Tiny inputs (or a one-worker pool) skip shared memory and the
         # pool entirely, mirroring sample sort's early return: the keys

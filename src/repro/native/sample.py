@@ -19,8 +19,9 @@ so unlike radix it needs no blocked kernel -- what it *does* need is
 protection against duplicate-heavy inputs.  When heavy key duplication
 produces runs of equal splitters, the count phase funnels the entire
 duplicated mass to one destination; the parent rebalances such runs
-(:func:`rebalance_duplicate_splitters`) and, if the destination ranges
-are still skewed beyond :data:`SPLITTER_SKEW_LIMIT`, falls back to a
+(:func:`repro.sorts.common.spread_duplicate_splitters`) and, if the
+destination ranges are still skewed beyond
+:data:`SPLITTER_SKEW_LIMIT`, falls back to a
 sequential ``np.sort`` rather than letting one worker sort nearly
 everything behind a barrier the rest idle at.
 """
@@ -31,9 +32,14 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from ..sorts.common import SAMPLES_PER_PROC, choose_splitters
+from ..sorts.common import (
+    SAMPLES_PER_PROC,
+    choose_splitters,
+    select_samples,
+    spread_duplicate_splitters,
+)
 from .kernels import slice_bounds
-from .pool import WorkerPool
+from .pool import WorkerPool, sort_width
 from .shm import SharedArray, SortBuffers
 
 #: Fall back to sequential ``np.sort`` when, even after duplicate-splitter
@@ -49,7 +55,7 @@ def _local_sort_task(args) -> None:
         dt = np.dtype(dtype_str)
         src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
         dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        lo, hi = _slice(n, p, w)
+        lo, hi = slice_bounds(n, p, w)
         dst.array[lo:hi] = np.sort(src.array[lo:hi])
 
 
@@ -62,7 +68,7 @@ def _count_task(args) -> None:
         counts = stack.enter_context(
             SharedArray.attach(counts_name, (p, p), np.int64)
         )
-        lo, hi = _slice(n, p, w)
+        lo, hi = slice_bounds(n, p, w)
         part = src.array[lo:hi]
         edges = np.searchsorted(part, spl.array, side="right")
         bounds = np.concatenate(([0], edges, [len(part)]))
@@ -81,7 +87,7 @@ def _scatter_task(args) -> None:
         place = stack.enter_context(
             SharedArray.attach(place_name, (p, p), np.int64)
         )
-        lo, _ = _slice(n, p, w)
+        lo, _ = slice_bounds(n, p, w)
         start = lo
         for dest in range(p):
             c = int(counts.array[w, dest])
@@ -98,63 +104,6 @@ def _final_sort_task(args) -> None:
         src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
         dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
         dst.array[bounds_lo:bounds_hi] = np.sort(src.array[bounds_lo:bounds_hi])
-
-
-# Equal contiguous slices, shared with the radix sort's kernel layer.
-_slice = slice_bounds
-
-
-def rebalance_duplicate_splitters(
-    counts: np.ndarray,
-    splitters: np.ndarray,
-    sorted_runs: np.ndarray,
-    n: int,
-    p: int,
-) -> int:
-    """Spread keys equal to a repeated splitter over its destinations.
-
-    With ``searchsorted(..., side="right")`` counting, a run of equal
-    splitters ``splitters[j..k]`` sends *every* key equal to that value to
-    destination ``j`` and leaves ``j+1..k`` empty -- on duplicate-heavy
-    inputs one worker ends up final-sorting nearly the whole array.  This
-    mirrors :func:`repro.sorts.common.partition_counts`: for each run, the
-    keys equal to the shared value are re-spread evenly across the
-    ``k - j + 2`` destinations that may hold it.  ``counts`` (the shared
-    ``(p, p)`` count matrix) is mutated in place; ``sorted_runs`` is the
-    buffer holding the locally sorted slices.  The sequential way scatter
-    tasks consume their count row keeps every destination range contiguous
-    and the global order sorted: the duplicates form one contiguous run in
-    each sorted slice, so handing consecutive chunks of it to consecutive
-    destinations preserves ``dest d's keys <= dest d+1's keys``.
-
-    Returns the number of duplicate-splitter runs rebalanced.
-    """
-    runs = 0
-    j = 0
-    while j < len(splitters):
-        k = j
-        while k + 1 < len(splitters) and splitters[k + 1] == splitters[j]:
-            k += 1
-        if k > j:
-            runs += 1
-            value = splitters[j]
-            dests = range(j, k + 2)  # destinations that may hold value
-            for w in range(p):
-                lo, hi = slice_bounds(n, p, w)
-                part = sorted_runs[lo:hi]
-                a = int(np.searchsorted(part, value, side="left"))
-                b = int(np.searchsorted(part, value, side="right"))
-                dup = b - a
-                if dup == 0:
-                    continue
-                counts[w, j] -= dup
-                share, rem = divmod(dup, len(dests))
-                for idx, d in enumerate(dests):
-                    counts[w, d] += share + (1 if idx < rem else 0)
-        j = k + 1
-    if runs and (counts < 0).any():
-        raise AssertionError("duplicate-splitter rebalancing went negative")
-    return runs
 
 
 def parallel_sample_sort(
@@ -177,14 +126,14 @@ def parallel_sample_sort(
     n = len(keys)
     dtype_str = keys.dtype.str
     own_pool = pool is None
-    pool = pool or WorkerPool(n_workers)
-    p = max(1, min(pool.n_workers, n // 4))
+    p = sort_width(n, pool, n_workers)
     if p == 1:
-        if own_pool:
-            pool.close()
+        # Tiny inputs (or a one-worker pool) skip shared memory and the
+        # pool entirely, as radix sort's fast path does.
         if buffers is not None:
             buffers.release_all()
         return np.sort(keys)
+    pool = pool or WorkerPool(n_workers)
 
     # Buffer roles per phase (double-buffering, see module docstring):
     # raw keys live in ``src``; locally-sorted runs in ``dst``; the
@@ -203,15 +152,10 @@ def parallel_sample_sort(
         )
         # Phases 2-3: samples and splitters (tiny; done in the parent, the
         # "group leader" of the paper's CC-SAS scheme) from the sorted runs.
-        samples = []
-        for w in range(p):
-            lo, hi = _slice(n, p, w)
-            part = dst.array[lo:hi]
-            k = min(samples_per_worker, len(part))
-            if k:
-                idx = (np.arange(k) * len(part)) // k
-                samples.append(part[idx])
-        splitters = choose_splitters(np.concatenate(samples), p)
+        parts = [dst.array[slice(*slice_bounds(n, p, w))] for w in range(p)]
+        splitters = choose_splitters(
+            select_samples(parts, samples_per_worker), p
+        )
         spl = bufs.from_array(splitters.astype(keys.dtype))
         # Phase 4a: destination counts over the sorted runs in dst.
         pool.run_phase(
@@ -224,7 +168,7 @@ def parallel_sample_sort(
         # splitter over the destinations sharing it, and bail out to a
         # sequential sort if the ranges are still pathologically skewed.
         c = counts.array
-        rebalance_duplicate_splitters(c, spl.array, dst.array, n, p)
+        spread_duplicate_splitters(c, spl.array, parts)
         dest_totals = c.sum(axis=0)
         if int(dest_totals.max()) > SPLITTER_SKEW_LIMIT * (n / p):
             return np.sort(keys)  # finally still releases buffers/pool

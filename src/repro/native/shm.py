@@ -26,12 +26,11 @@ job.  :class:`SortBuffers` is the per-sort buffer-provider seam: the
 default implementation allocates and unlinks per sort, while the serve
 arena substitutes leased slab views so a sort touches no new segments.
 
-The kernel-engineered sorts (:mod:`repro.native.kernels`) kept the seed
-buffer shapes -- radix still leases two data arrays plus the ``(p, nb)``
-histogram/offset pair, sample sort two data arrays plus splitter/counts/
-place metadata -- so arena slabs sized for the seed layout serve the
-blocked kernels unchanged; the per-block cursor state lives in ordinary
-worker-local memory, never in a shared segment.
+Buffer shapes do not depend on the kernel (:mod:`repro.native.kernels`):
+radix leases two data arrays plus the ``(p, nb)`` histogram/offset pair,
+sample sort two data arrays plus splitter/counts/place metadata, and the
+blocked kernels' per-block cursor state lives in ordinary worker-local
+memory, never in a shared segment.
 """
 
 from __future__ import annotations

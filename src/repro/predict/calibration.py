@@ -40,6 +40,7 @@ import numpy as np
 from ..core.experiment import ExperimentRunner, RunSpec
 from ..core.gridcache import default_cache_dir
 from ..smp.perf import PerfReport
+from ..verify.differential import RADIX_MODELS, SAMPLE_MODELS
 from .analytic import measured_stats
 from .driver import CATEGORIES, PredictTeam, drive
 
@@ -92,9 +93,6 @@ def check_machine_calibrated(machine) -> None:
 #: loader looks before falling back to the packaged artifact.
 USER_CALIBRATION = "calibration.json"
 PACKAGED_DEFAULT = Path(__file__).with_name("calibration_default.json")
-
-RADIX_MODELS = ("ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem")
-SAMPLE_MODELS = ("ccsas", "mpi-new", "mpi-sgi", "shmem")
 
 FACTOR_MIN, FACTOR_MAX = 0.1, 10.0
 

@@ -1,55 +1,32 @@
-"""Reproduction harnesses and rendering for the paper's tables/figures."""
+"""Reproduction harnesses (reached through the :data:`EXPERIMENTS`
+registry) and rendering for the paper's tables/figures."""
 
 from .experiments import (
     EXPERIMENTS,
     PAPER_TABLE1_US,
     PAPER_TABLE2_US,
     PAPER_TABLE3,
+    Experiment,
     ExperimentResult,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    table1,
-    tables2_and_3,
 )
-from .experiments import summary
 from .figures import bar_chart, breakdown_panel, grouped_series, per_proc_strip
 from .profile import PhaseProfile, format_profile, profile_by_step, profile_outcome
 from .tables import format_table
 
 __all__ = [
     "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
     "PAPER_TABLE1_US",
     "PAPER_TABLE2_US",
     "PAPER_TABLE3",
+    "PhaseProfile",
     "bar_chart",
     "breakdown_panel",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
+    "format_profile",
     "format_table",
     "grouped_series",
-    "PhaseProfile",
-    "format_profile",
     "per_proc_strip",
     "profile_by_step",
     "profile_outcome",
-    "summary",
-    "table1",
-    "tables2_and_3",
 ]

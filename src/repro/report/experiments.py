@@ -4,8 +4,13 @@ Every function takes an :class:`~repro.core.experiment.ExperimentRunner`
 (results are memoized across harnesses) plus optional grid restrictions,
 and returns an :class:`ExperimentResult` whose ``data`` holds the numbers
 and whose ``text`` renders them the way the paper presents them.  The
-benchmark scripts print ``text``; the integration tests assert shapes on
-``data``.
+CLI prints ``text``; ``tests/integration/test_paper_shapes.py`` asserts
+the paper's shapes on the same grid cells.
+
+:data:`EXPERIMENTS` is the one registry (see :class:`Experiment`).
+Everything here is deterministic simulator/predictor output, drift-diffed
+against a checked-in baseline by ``benchmarks/compare.py``; wall-clock
+numbers live in ``benchmarks/ledger`` only.
 
 Each harness first enumerates every grid cell it will read and hands the
 whole batch to :meth:`~repro.core.experiment.ExperimentRunner.run_many`,
@@ -32,6 +37,14 @@ from ..core.experiment import (
     RunSpec,
 )
 from ..data.distributions import PAPER_ORDER
+from ..machine.zoo import MACHINES, get_machine
+from ..verify.differential import (
+    ALL_WORKLOADS,
+    PREDICT_ERROR_GATE,
+    RADIX_MODELS,
+    SAMPLE_MODELS,
+    machine_model,
+)
 from .figures import bar_chart, breakdown_panel, grouped_series, per_proc_strip
 from .tables import format_table
 
@@ -81,8 +94,10 @@ PAPER_TABLE3 = {
     },
 }
 
-RADIX_MODELS = ["ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem"]
-SAMPLE_MODELS = ["ccsas", "mpi-new", "mpi-sgi", "shmem"]
+#: Wall-clock ceiling for the analytic sweep of a ``predict_compare``
+#: grid: the predictor exists to make sweeps interactive, so a run that
+#: takes this long has lost its reason to exist (docs/PREDICT.md).
+PREDICT_SWEEP_BUDGET_S = 20.0
 
 
 @dataclass
@@ -128,31 +143,27 @@ def table1(
 # ----------------------------------------------------------------------
 # Speedup figures (1, 2, 3, 7)
 # ----------------------------------------------------------------------
-def _speedup_grid(
-    runner: ExperimentRunner,
-    algorithm: str,
-    models: list[str],
-    radix: int,
-    sizes: list[str],
-    procs: list[int],
-) -> dict[str, dict[str, float]]:
-    runner.run_many(
-        [
-            RunSpec(algorithm, m, SIZES[label], p, radix)
-            for label in sizes
-            for p in procs
-            for m in models
-        ]
+def _speedup_figure(
+    runner, exp_id, description, algorithm, models, radix, sizes, procs,
+    title, claim,
+) -> ExperimentResult:
+    sizes = sizes or SIZE_ORDER
+    procs = procs or PROC_COUNTS
+    cells = {
+        f"{label}/{p}p": {
+            m: RunSpec(algorithm, m, SIZES[label], p, radix) for m in models
+        }
+        for label in sizes
+        for p in procs
+    }
+    runner.run_many([spec for row in cells.values() for spec in row.values()])
+    grid = {
+        key: {m: runner.speedup(spec) for m, spec in row.items()}
+        for key, row in cells.items()
+    }
+    return ExperimentResult(
+        exp_id, description, grid, grouped_series(grid, title), {"claim": claim}
     )
-    grid: dict[str, dict[str, float]] = {}
-    for label in sizes:
-        for p in procs:
-            key = f"{label}/{p}p"
-            grid[key] = {}
-            for m in models:
-                spec = RunSpec(algorithm, m, SIZES[label], p, radix)
-                grid[key][m] = runner.speedup(spec)
-    return grid
 
 
 def figure1(
@@ -161,14 +172,11 @@ def figure1(
     procs: list[int] | None = None,
 ) -> ExperimentResult:
     """Radix speedups under the two MPI implementations (paper Figure 1)."""
-    grid = _speedup_grid(
-        runner, "radix", ["mpi-sgi", "mpi-new"], 8,
-        sizes or SIZE_ORDER, procs or PROC_COUNTS,
-    )
-    text = grouped_series(grid, "Figure 1: radix sort, MPI SGI vs NEW (speedup)")
-    return ExperimentResult(
-        "fig1", "radix MPI SGI vs NEW", grid, text,
-        {"claim": "NEW outperforms SGI, increasingly so at higher p"},
+    return _speedup_figure(
+        runner, "fig1", "radix MPI SGI vs NEW", "radix",
+        ["mpi-sgi", "mpi-new"], 8, sizes, procs,
+        "Figure 1: radix sort, MPI SGI vs NEW (speedup)",
+        "NEW outperforms SGI, increasingly so at higher p",
     )
 
 
@@ -178,14 +186,11 @@ def figure2(
     procs: list[int] | None = None,
 ) -> ExperimentResult:
     """Sample-sort speedups under the two MPI implementations (Figure 2)."""
-    grid = _speedup_grid(
-        runner, "sample", ["mpi-sgi", "mpi-new"], 11,
-        sizes or SIZE_ORDER, procs or PROC_COUNTS,
-    )
-    text = grouped_series(grid, "Figure 2: sample sort, MPI SGI vs NEW (speedup)")
-    return ExperimentResult(
-        "fig2", "sample MPI SGI vs NEW", grid, text,
-        {"claim": "gap smaller than radix (fewer messages, more compute)"},
+    return _speedup_figure(
+        runner, "fig2", "sample MPI SGI vs NEW", "sample",
+        ["mpi-sgi", "mpi-new"], 11, sizes, procs,
+        "Figure 2: sample sort, MPI SGI vs NEW (speedup)",
+        "gap smaller than radix (fewer messages, more compute)",
     )
 
 
@@ -195,15 +200,12 @@ def figure3(
     procs: list[int] | None = None,
 ) -> ExperimentResult:
     """Radix speedups: SHMEM / CC-SAS / MPI / CC-SAS-NEW (Figure 3)."""
-    grid = _speedup_grid(
-        runner, "radix", ["shmem", "ccsas", "mpi-new", "ccsas-new"], 8,
-        sizes or SIZE_ORDER, procs or PROC_COUNTS,
-    )
-    text = grouped_series(grid, "Figure 3: radix sort speedups by model")
-    return ExperimentResult(
-        "fig3", "radix speedups by model", grid, text,
-        {"claim": "SHMEM best except 1M at high p where CC-SAS wins; "
-                  "original CC-SAS collapses at large sizes; superlinear >=16M"},
+    return _speedup_figure(
+        runner, "fig3", "radix speedups by model", "radix",
+        ["shmem", "ccsas", "mpi-new", "ccsas-new"], 8, sizes, procs,
+        "Figure 3: radix sort speedups by model",
+        "SHMEM best except 1M at high p where CC-SAS wins; "
+        "original CC-SAS collapses at large sizes; superlinear >=16M",
     )
 
 
@@ -213,14 +215,11 @@ def figure7(
     procs: list[int] | None = None,
 ) -> ExperimentResult:
     """Sample-sort speedups: SHMEM / CC-SAS / MPI (Figure 7)."""
-    grid = _speedup_grid(
-        runner, "sample", ["shmem", "ccsas", "mpi-new"], 11,
-        sizes or SIZE_ORDER, procs or PROC_COUNTS,
-    )
-    text = grouped_series(grid, "Figure 7: sample sort speedups by model")
-    return ExperimentResult(
-        "fig7", "sample speedups by model", grid, text,
-        {"claim": "CC-SAS best small; CC-SAS ~ SHMEM large; MPI behind"},
+    return _speedup_figure(
+        runner, "fig7", "sample speedups by model", "sample",
+        ["shmem", "ccsas", "mpi-new"], 11, sizes, procs,
+        "Figure 7: sample sort speedups by model",
+        "CC-SAS best small; CC-SAS ~ SHMEM large; MPI behind",
     )
 
 
@@ -233,25 +232,9 @@ def figure4(
     n_procs: int = 64,
 ) -> ExperimentResult:
     """Per-processor time breakdown for radix sort (Figure 4)."""
-    models = ["ccsas", "ccsas-new", "mpi-new", "shmem"]
-    runner.run_many([RunSpec("radix", m, SIZES[size], n_procs, 8) for m in models])
-    panels = {}
-    text_parts = [f"Figure 4: radix sort ({size}) breakdown on {n_procs} processors"]
-    for m in models:
-        rep = runner.run(RunSpec("radix", m, SIZES[size], n_procs, 8)).report
-        means = rep.category_means_ns()
-        panels[m] = {
-            "means_ns": means,
-            "total_ns": rep.total_time_ns,
-            "per_proc_total_ns": [c.total_ns for c in rep.counters],
-        }
-        text_parts.append(breakdown_panel(m, means, rep.total_time_ns))
-        text_parts.append(
-            per_proc_strip(panels[m]["per_proc_total_ns"], "  per-proc ")
-        )
-    return ExperimentResult(
-        "fig4", "radix breakdown", panels, "\n".join(text_parts),
-        {"claim": "CC-SAS dominated by MEM; MPI SYNC > SHMEM SYNC"},
+    return _breakdown_figure(
+        runner, 4, "radix", ["ccsas", "ccsas-new", "mpi-new", "shmem"], 8,
+        size, n_procs, "CC-SAS dominated by MEM; MPI SYNC > SHMEM SYNC",
     )
 
 
@@ -261,26 +244,36 @@ def figure8(
     n_procs: int = 64,
 ) -> ExperimentResult:
     """Per-processor time breakdown for sample sort (Figure 8)."""
-    models = ["ccsas", "mpi-new", "shmem"]
-    runner.run_many([RunSpec("sample", m, SIZES[size], n_procs, 11) for m in models])
+    return _breakdown_figure(
+        runner, 8, "sample", ["ccsas", "mpi-new", "shmem"], 11, size, n_procs,
+        "BUSY much larger than radix (two local sorts); models closer together",
+    )
+
+
+def _breakdown_figure(
+    runner, number, algorithm, models, radix, size, n_procs, claim
+) -> ExperimentResult:
+    specs = {m: RunSpec(algorithm, m, SIZES[size], n_procs, radix) for m in models}
+    runner.run_many(list(specs.values()))
     panels = {}
-    text_parts = [f"Figure 8: sample sort ({size}) breakdown on {n_procs} processors"]
-    for m in models:
-        rep = runner.run(RunSpec("sample", m, SIZES[size], n_procs, 11)).report
+    text_parts = [
+        f"Figure {number}: {algorithm} sort ({size}) breakdown on "
+        f"{n_procs} processors"
+    ]
+    for m, spec in specs.items():
+        rep = runner.run(spec).report
         means = rep.category_means_ns()
+        per_proc = [c.total_ns for c in rep.counters]
         panels[m] = {
             "means_ns": means,
             "total_ns": rep.total_time_ns,
-            "per_proc_total_ns": [c.total_ns for c in rep.counters],
+            "per_proc_total_ns": per_proc,
         }
         text_parts.append(breakdown_panel(m, means, rep.total_time_ns))
-        text_parts.append(
-            per_proc_strip(panels[m]["per_proc_total_ns"], "  per-proc ")
-        )
+        text_parts.append(per_proc_strip(per_proc, "  per-proc "))
     return ExperimentResult(
-        "fig8", "sample breakdown", panels, "\n".join(text_parts),
-        {"claim": "BUSY much larger than radix (two local sorts); "
-                  "models closer together"},
+        f"fig{number}", f"{algorithm} breakdown", panels,
+        "\n".join(text_parts), {"claim": claim},
     )
 
 
@@ -557,8 +550,9 @@ def predict_compare(
     simulated backend (via ``runner``, so cells come from the shared
     cache/memo) and the analytic ``predict`` backend, and reports the
     per-cell relative error band alongside the wall-clock cost of each
-    sweep.  ``benchmarks/BENCH_1.json`` pins this result; CI's predict
-    job regenerates and diffs it.
+    sweep.  ``benchmarks/BENCH_1.json`` pins this result; CI regenerates
+    it, drift-diffs the simulated/predicted times and runs
+    :func:`gate_predict_compare`.
     """
     import time
 
@@ -635,230 +629,36 @@ def predict_compare(
         "predicted vs simulated sweep",
         data,
         text,
-        {"gate": "median abs rel error <= 0.15 (repro check --backend predict)"},
+        {"gate": f"median abs rel error <= {PREDICT_ERROR_GATE} and "
+                 f"predicted sweep <= {PREDICT_SWEEP_BUDGET_S:.0f}s"},
     )
 
 
-def native_path(
-    runner: ExperimentRunner,
-    sizes: list[int] | None = None,
-    distributions: list[str] | None = None,
-    repeats: int = 3,
-    n_workers: int | None = None,
-) -> ExperimentResult:
-    """Measured native hot-path timings vs ``np.sort`` (BENCH_3).
-
-    Times four sorts per (distribution, size) cell on the host machine:
-    ``np.sort`` (the sequential reference every output is verified
-    against), the seed-equivalent ``naive`` radix kernel (the pre-kernel
-    implementation kept for A/B), the engineered radix path on the active
-    kernel, and sample sort.  Each timing is the best of ``repeats`` runs
-    on a pool reused across cells (fork cost amortized, as in serving).
-    ``benchmarks/BENCH_3.json`` pins this result; ``compare.py --native``
-    gates it absolutely -- every cell verified, and the engineered radix
-    faster than the seed kernel at n >= 2**22 -- rather than diffing the
-    machine-dependent timings.
-    """
-    import time
-
-    import numpy as np
-
-    from ..data.distributions import generate
-    from ..native.kernels import resolve as resolve_kernel
-    from ..native.pool import WorkerPool, default_workers
-    from ..native.radix import parallel_radix_sort
-    from ..native.sample import parallel_sample_sort
-
-    sizes = sizes or [1 << 20, 1 << 22]
-    distributions = distributions or ["random", "gauss", "zero"]
-    workers = n_workers if n_workers is not None else max(2, default_workers())
-    kern = resolve_kernel()
-
-    def best_of(fn) -> tuple[float, np.ndarray]:
-        walls, out = [], None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            out = fn()
-            walls.append(time.perf_counter() - t0)
-        return min(walls), out
-
-    cells: dict[str, dict[str, float | int]] = {}
-    rows = []
-    with WorkerPool(workers) as pool:
-        for dist in distributions:
-            for n in sizes:
-                keys = generate(dist, n, 4, seed=1234)
-                np_wall, ref = best_of(lambda: np.sort(keys))
-                seed_wall, seed_out = best_of(
-                    lambda: parallel_radix_sort(keys, pool=pool, kernel="naive")
-                )
-                radix_wall, radix_out = best_of(
-                    lambda: parallel_radix_sort(keys, pool=pool)
-                )
-                sample_wall, sample_out = best_of(
-                    lambda: parallel_sample_sort(keys, pool=pool)
-                )
-                verified = int(
-                    np.array_equal(seed_out, ref)
-                    and np.array_equal(radix_out, ref)
-                    and np.array_equal(sample_out, ref)
-                )
-                speedup = seed_wall / radix_wall if radix_wall > 0 else 0.0
-                cells[f"{dist}/{n}"] = {
-                    "n": n,
-                    "np_sort_wall_s": np_wall,
-                    "seed_radix_wall_s": seed_wall,
-                    "radix_wall_s": radix_wall,
-                    "sample_wall_s": sample_wall,
-                    "radix_speedup_vs_seed": speedup,
-                    "verified": verified,
-                }
-                rows.append(
-                    [f"{dist}/{n}", f"{np_wall * 1e3:,.1f}",
-                     f"{seed_wall * 1e3:,.1f}", f"{radix_wall * 1e3:,.1f}",
-                     f"{sample_wall * 1e3:,.1f}", f"{speedup:.2f}x",
-                     "yes" if verified else "NO"]
-                )
-    gate_min_n = 1 << 22
-    gated = [c for c in cells.values() if c["n"] >= gate_min_n]
-    summary = {
-        "n_cells": len(cells),
-        "all_verified": int(all(c["verified"] for c in cells.values())),
-        "gated_cells": len(gated),
-        "min_speedup_at_gate": (
-            min(c["radix_speedup_vs_seed"] for c in gated) if gated else 0.0
-        ),
-    }
-    data = {
-        "kernel": kern.name,
-        "workers": workers,
-        "gate_min_n": gate_min_n,
-        "cells": cells,
-        "summary": summary,
-    }
-    text = format_table(
-        ["cell", "np.sort (ms)", "seed radix (ms)", "radix (ms)",
-         "sample (ms)", "radix vs seed", "verified"],
-        rows,
-        title=f"Native hot path ({workers} workers, kernel={kern.name})",
-    ) + (
-        f"\nengineered radix vs seed kernel at n >= 2^22: "
-        f"{summary['min_speedup_at_gate']:.2f}x minimum over "
-        f"{summary['gated_cells']} cell(s)"
-    )
-    return ExperimentResult(
-        "native_path",
-        "native hot-path timings vs np.sort",
-        data,
-        text,
-        {"gate": "compare.py --native: verified cells, speedup > 1 at n >= 2^22"},
-    )
-
-
-def stream_path(
-    runner: ExperimentRunner,
-    sizes: list[int] | None = None,
-    distributions: list[str] | None = None,
-    n_workers: int | None = None,
-    chunk_divisor: int = 8,
-    fan_in: int = 4,
-) -> ExperimentResult:
-    """Measured out-of-core sort throughput (BENCH_4).
-
-    Every cell externally sorts an input ``chunk_divisor`` times larger
-    than its chunk budget (so spill runs and a multi-pass merge are
-    exercised, not an in-memory shortcut) on a pool reused across cells,
-    and verifies the streamed output block-by-block against ``np.sort``
-    of the input.  ``benchmarks/BENCH_4.json`` pins this result;
-    ``compare.py --stream`` gates it absolutely -- zero incorrect cells,
-    every cell verified, throughput at or above a conservative floor --
-    rather than diffing the machine-dependent MB/s.
-    """
-    import numpy as np
-
-    from ..data.distributions import generate
-    from ..native.pool import WorkerPool, default_workers
-    from ..stream import external_sort
-
-    sizes = sizes or [1 << 20, 1 << 22]
-    distributions = distributions or ["random", "gauss", "zero"]
-    workers = n_workers if n_workers is not None else max(2, default_workers())
-
-    cells: dict[str, dict[str, float | int]] = {}
-    rows = []
-    with WorkerPool(workers, supervise=True, phase_timeout_s=60.0) as pool:
-        for dist in distributions:
-            for n in sizes:
-                keys = generate(dist, n, 4, seed=1234)
-                expect = np.sort(keys)
-                chunk_keys = max(4, n // chunk_divisor)
-                cursor = 0
-                incorrect = 0
-
-                def check_block(block: np.ndarray) -> None:
-                    nonlocal cursor, incorrect
-                    ref = expect[cursor : cursor + len(block)]
-                    incorrect += int(np.count_nonzero(block != ref))
-                    cursor += len(block)
-
-                result = external_sort(
-                    keys,
-                    chunk_keys=chunk_keys,
-                    fan_in=fan_in,
-                    pool=pool,
-                    on_block=check_block,
-                )
-                incorrect += abs(cursor - n)
-                cells[f"{dist}/{n}"] = {
-                    "n": n,
-                    "chunk_keys": chunk_keys,
-                    "runs": result.runs,
-                    "merge_passes": result.merge_passes,
-                    "bytes_spilled": result.bytes_spilled,
-                    "wall_s": result.elapsed_s,
-                    "throughput_mb_s": result.throughput_mb_s,
-                    "verified": int(result.verified and incorrect == 0),
-                    "incorrect": incorrect,
-                }
-                rows.append(
-                    [f"{dist}/{n}", f"{chunk_keys}", f"{result.runs}",
-                     f"{result.merge_passes}",
-                     f"{result.elapsed_s * 1e3:,.1f}",
-                     f"{result.throughput_mb_s:.1f}",
-                     "yes" if incorrect == 0 else "NO"]
-                )
-    summary = {
-        "n_cells": len(cells),
-        "all_verified": int(all(c["verified"] for c in cells.values())),
-        "total_incorrect": int(sum(c["incorrect"] for c in cells.values())),
-        "min_throughput_mb_s": (
-            min(c["throughput_mb_s"] for c in cells.values()) if cells else 0.0
-        ),
-    }
-    data = {
-        "workers": workers,
-        "fan_in": fan_in,
-        "chunk_divisor": chunk_divisor,
-        "cells": cells,
-        "summary": summary,
-    }
-    text = format_table(
-        ["cell", "chunk", "runs", "passes", "wall (ms)", "MB/s", "verified"],
-        rows,
-        title=f"Out-of-core stream path ({workers} workers, "
-        f"fan-in {fan_in}, input {chunk_divisor}x chunk)",
-    ) + (
-        f"\nmin throughput {summary['min_throughput_mb_s']:.1f} MB/s over "
-        f"{summary['n_cells']} cell(s), "
-        f"{summary['total_incorrect']} incorrect key(s)"
-    )
-    return ExperimentResult(
-        "stream_path",
-        "out-of-core sort throughput (ingest/spill/merge)",
-        data,
-        text,
-        {"gate": "compare.py --stream: 0 incorrect, throughput >= floor"},
-    )
+def gate_predict_compare(data: dict) -> list[str]:
+    """The predictor's absolute gate: median error band within
+    :data:`~repro.verify.differential.PREDICT_ERROR_GATE` (the bound
+    ``repro check --backend predict`` enforces) and the analytic sweep
+    within :data:`PREDICT_SWEEP_BUDGET_S`."""
+    failures = []
+    median = data.get("band", {}).get("median_abs_rel")
+    if median is None:
+        failures.append("predict_compare has no error band")
+    elif median > PREDICT_ERROR_GATE:
+        failures.append(
+            f"predictor median |rel error| {median:.2%} exceeds the "
+            f"{PREDICT_ERROR_GATE:.0%} gate"
+        )
+    latency = data.get("latency", {})
+    wall = latency.get("predict_wall_s")
+    if wall is None:
+        failures.append("predict_compare has no predicted sweep latency")
+    elif wall > PREDICT_SWEEP_BUDGET_S:
+        failures.append(
+            f"predicted sweep took {wall:.2f}s for "
+            f"{latency.get('n_cells', '?')} cells, over the "
+            f"{PREDICT_SWEEP_BUDGET_S:.1f}s budget"
+        )
+    return failures
 
 
 def machine_zoo(
@@ -875,7 +675,7 @@ def machine_zoo(
     verifying each cell's output against ``np.sort``/``np.argsort`` and
     recording the simulated total time and the BUSY/LMEM/RMEM/SYNC
     split.  ``benchmarks/BENCH_5.json`` pins this result;
-    ``compare.py --zoo`` gates it absolutely -- full machine and
+    :func:`gate_machine_zoo` gates it absolutely -- full machine and
     workload coverage with every cell verified -- rather than diffing
     the cost-parameter-dependent simulated times.
     """
@@ -884,9 +684,6 @@ def machine_zoo(
     from ..data.workloads import (
         Workload, make_workload, reference_sort, workloads_equal,
     )
-    from ..machine.zoo import MACHINES, get_machine
-    from ..verify.differential import ALL_WORKLOADS, machine_model
-
     machines = machines or list(MACHINES)
     workloads = workloads or list(ALL_WORKLOADS)
 
@@ -954,27 +751,85 @@ def machine_zoo(
         "machine-zoo x workload matrix on the simulator",
         data,
         text,
-        {"gate": "compare.py --zoo: full coverage, every cell verified"},
+        {"gate": "full zoo x workload coverage, every cell verified"},
     )
 
 
-#: Registry: experiment id -> harness.
-EXPERIMENTS: dict[str, Callable[..., object]] = {
-    "summary": summary,
-    "table1": table1,
-    "fig1": figure1,
-    "fig2": figure2,
-    "fig3": figure3,
-    "fig4": figure4,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9,
-    "fig10": figure10,
-    "tables2_and_3": tables2_and_3,
-    "predict_compare": predict_compare,
-    "native_path": native_path,
-    "stream_path": stream_path,
-    "machine_zoo": machine_zoo,
+def gate_machine_zoo(data: dict) -> list[str]:
+    """The zoo sweep's absolute gate: every cell verified against NumPy
+    with simulated time accumulated, and every zoo machine, every
+    workload kind and both algorithms covered."""
+    cells = data.get("cells", {})
+    if not cells:
+        return ["machine_zoo has no cells"]
+    failures = []
+    for label, cell in sorted(cells.items()):
+        if cell.get("verified") != 1:
+            failures.append(
+                f"machine_zoo: cell {label} output did not match "
+                "np.sort/np.argsort"
+            )
+        if cell.get("time_ns", 0) <= 0:
+            failures.append(
+                f"machine_zoo: cell {label} accumulated no simulated time"
+            )
+    for axis, required in (
+        ("machine", MACHINES),
+        ("workload", ALL_WORKLOADS),
+        ("algorithm", ("radix", "sample")),
+    ):
+        missing = set(required) - {c.get(axis) for c in cells.values()}
+        if missing:
+            failures.append(
+                f"machine_zoo: {axis}(s) not covered: "
+                f"{', '.join(sorted(missing))}"
+            )
+    return failures
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registry record.
+
+    ``run(runner, **kwargs)`` is the harness; ``small`` its ``--small``
+    keyword arguments; ``gate(data)`` returns the failure messages of the
+    result's absolute invariants (``None`` for results that are only
+    drift-diffed); ``diff=False`` exempts the result's numbers from the
+    drift diff because they move with tunable cost parameters.
+    """
+
+    run: Callable[..., object]
+    small: dict = field(default_factory=dict)
+    gate: Callable[[dict], list[str]] | None = None
+    diff: bool = True
+
+
+_SMALL_CORNERS = dict(sizes=["1M", "64M"], procs=[16, 64])
+_SMALL_EXTREMES = dict(sizes=["1M", "256M"])
+
+#: Registry: experiment id -> :class:`Experiment`.
+EXPERIMENTS: dict[str, Experiment] = {
+    "summary": Experiment(summary, _SMALL_CORNERS),
+    "table1": Experiment(table1, dict(sizes=["1M", "16M"])),
+    "fig1": Experiment(figure1, _SMALL_CORNERS),
+    "fig2": Experiment(figure2, _SMALL_CORNERS),
+    "fig3": Experiment(figure3, _SMALL_CORNERS),
+    "fig4": Experiment(figure4),
+    "fig5": Experiment(figure5, _SMALL_EXTREMES),
+    "fig6": Experiment(figure6, _SMALL_EXTREMES),
+    "fig7": Experiment(figure7, _SMALL_CORNERS),
+    "fig8": Experiment(figure8),
+    "fig9": Experiment(figure9, _SMALL_EXTREMES),
+    "fig10": Experiment(figure10, _SMALL_EXTREMES),
+    "tables2_and_3": Experiment(
+        tables2_and_3, dict(_SMALL_CORNERS, radix_choices=[8, 11])
+    ),
+    "predict_compare": Experiment(
+        predict_compare, dict(sizes=["1M"], procs=[16]),
+        gate=gate_predict_compare,
+    ),
+    "machine_zoo": Experiment(
+        machine_zoo, dict(n=16 * 128, p=16),
+        gate=gate_machine_zoo, diff=False,
+    ),
 }

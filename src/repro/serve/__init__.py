@@ -22,7 +22,7 @@ from .admission import AdmissionController, Rejection
 from .arena import Arena, ArenaBuffers, ArenaExhausted, JobTooLarge, SlabView
 from .client import ServeClient, ServeError, ServeRejected
 from .engine import EngineOutcome, SortEngine
-from .loadgen import loadgen_ok, loadgen_results, run_loadgen
+from .loadgen import loadgen_ok, run_loadgen
 from .protocol import (
     MAX_FRAME,
     BadMagic,
@@ -63,7 +63,6 @@ __all__ = [
     "decode_keys",
     "encode_keys",
     "loadgen_ok",
-    "loadgen_results",
     "pack_frame",
     "run_loadgen",
     "server_in_thread",

@@ -9,12 +9,12 @@ are first-class: a ``busy`` reply makes the client sleep the server's
 ``retry_after_s`` hint and resubmit, and the rejection is counted, not
 treated as an error.
 
-Output mirrors the benchmark files the repo already diffs: a
-``BENCH_2.json``-style document (via :func:`repro.report.emit.
-write_results_json`) holding jobs/sec, p50/p99 latency (submit-to-result
-wall time seen by the client), the rejection tally, and the server's
+The metrics dict holds jobs/sec, p50/p99 latency (submit-to-result wall
+time seen by the client), the rejection tally, and the server's
 steady-state shared-memory counters -- the pair of numbers that must be
-zero for the arena to be doing its job.
+zero for the arena to be doing its job (:func:`loadgen_ok` is the gate).
+Wall-clock trends are tracked by the ledger benchmark's ``serve_*``
+workloads (``benchmarks/ledger``), not by this harness.
 """
 
 from __future__ import annotations
@@ -50,16 +50,6 @@ class ClientTally:
             self.rejected[code] = self.rejected.get(code, 0) + n
         self.errors.extend(other.errors)
         self.latencies_s.extend(other.latencies_s)
-
-
-@dataclass
-class LoadgenResult:
-    """Duck-types ExperimentResult for the JSON emitter."""
-
-    exp_id: str
-    description: str
-    data: dict[str, Any]
-    paper_reference: str | None = None
 
 
 def _client_loop(
@@ -135,20 +125,13 @@ def run_loadgen(
     percentile = (
         (lambda q: float(np.percentile(lat, q))) if lat.size else (lambda q: None)
     )
-    server_stats: dict[str, Any] | None = None
+    steady: dict[str, Any] = {}
     try:
         with ServeClient(host, port) as client:
-            server_stats = client.stats()
+            steady = client.stats().get("engine") or {}
     except OSError:
         pass
-    steady = (server_stats or {}).get("engine") or {}
     return {
-        "config": {
-            "clients": clients,
-            "duration_s": duration_s,
-            "seed": seed,
-            "size_choices": list(SIZE_CHOICES),
-        },
         "jobs": {
             "completed": total.completed,
             "incorrect": total.incorrect,
@@ -163,39 +146,14 @@ def run_loadgen(
         "latency": {
             "p50_s": percentile(50),
             "p99_s": percentile(99),
-            "mean_s": float(lat.mean()) if lat.size else None,
-            "max_s": float(lat.max()) if lat.size else None,
-            "samples": int(lat.size),
+            "max_s": percentile(100),
         },
         "steady_state": {
             "shm_creates": steady.get("steady_shm_creates"),
             "shm_attaches": steady.get("steady_shm_attaches"),
             "warmup_rounds": steady.get("warmup_rounds"),
-            "phase_failures": steady.get("phase_failures"),
         },
-        "server": server_stats,
     }
-
-
-def loadgen_results(metrics: dict[str, Any]) -> list[LoadgenResult]:
-    """Wrap the metrics for :func:`~repro.report.emit.write_results_json`
-    (the BENCH_2.json document body)."""
-    return [
-        LoadgenResult(
-            exp_id="serve_loadgen",
-            description=(
-                "Concurrent sort jobs against repro.serve: throughput, "
-                "client-observed latency, and steady-state shared-memory "
-                "counters (must be zero: the arena removes per-job "
-                "create/attach traffic)"
-            ),
-            data=metrics,
-            paper_reference=(
-                "Service-style extension; the paper benchmarks single sorts "
-                "on a dedicated machine (Figs. 5-7)"
-            ),
-        )
-    ]
 
 
 def loadgen_ok(metrics: dict[str, Any]) -> bool:

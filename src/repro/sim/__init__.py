@@ -2,7 +2,6 @@
 
 from .engine import AllOf, Event, Process, SimError, Simulator, Timeout
 from .resources import Channel, Resource
-from .trace import Trace, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -13,6 +12,4 @@ __all__ = [
     "SimError",
     "Simulator",
     "Timeout",
-    "Trace",
-    "TraceRecord",
 ]

@@ -297,34 +297,51 @@ def partition_counts(
         # searchsorted boundaries: dest j gets keys in (split[j-1], split[j]]
         edges = np.searchsorted(part, splitters, side="right")
         bounds = np.concatenate(([0], edges, [len(part)]))
-        row = np.diff(bounds)
-        counts[i] = row
-    if len(splitters) == 0:
-        return counts
-    # Rebalance runs of equal splitters.
+        counts[i] = np.diff(bounds)
+    spread_duplicate_splitters(counts, splitters, sorted_parts)
+    return counts
+
+
+def spread_duplicate_splitters(
+    counts: np.ndarray,
+    splitters: np.ndarray,
+    sorted_parts: list[np.ndarray],
+) -> int:
+    """Spread keys equal to a repeated splitter over its destinations.
+
+    ``counts`` is the ``(p, p)`` matrix of ``searchsorted(side="right")``
+    counts over ``sorted_parts`` and is mutated in place.  With that
+    counting, a run of equal splitters ``splitters[j..k]`` sends *every*
+    key equal to the value to destination ``j`` and leaves ``j+1..k``
+    empty; this re-spreads each part's duplicates evenly across the
+    ``k - j + 2`` destinations that may hold the value.  The result stays
+    globally sorted: the duplicates form one contiguous run in each
+    sorted part, so handing consecutive chunks of it to consecutive
+    destinations keeps every destination's range contiguous.  Shared by
+    the simulated sorts (:func:`partition_counts`) and the native sample
+    sort.  Returns the number of duplicate-splitter runs spread.
+    """
+    runs = 0
     j = 0
     while j < len(splitters):
         k = j
         while k + 1 < len(splitters) and splitters[k + 1] == splitters[j]:
             k += 1
         if k > j:
+            runs += 1
             value = splitters[j]
-            dests = list(range(j, k + 2))  # destinations that may hold value
+            dests = range(j, k + 2)  # destinations that may hold value
             for i, part in enumerate(sorted_parts):
                 lo = int(np.searchsorted(part, value, side="left"))
                 hi = int(np.searchsorted(part, value, side="right"))
                 dup = hi - lo
                 if dup == 0:
                     continue
-                # With side="right", every key == value was counted at
-                # destination j (the first splitter equal to it); spread
-                # them evenly instead.  Result stays globally sorted:
-                # each destination's slice remains contiguous.
                 counts[i, j] -= dup
                 share, rem = divmod(dup, len(dests))
                 for idx, d in enumerate(dests):
                     counts[i, d] += share + (1 if idx < rem else 0)
         j = k + 1
-    if (counts < 0).any():
+    if runs and (counts < 0).any():
         raise AssertionError("duplicate-splitter rebalancing went negative")
-    return counts
+    return runs

@@ -1,23 +1,12 @@
-"""Public API tests: the backend-aware ``sort`` plus the legacy shims."""
-
-import warnings
+"""Public API tests: the backend-aware ``sort`` and the baseline."""
 
 import numpy as np
 import pytest
 
-from repro import (
-    MemoryRecorder,
-    SortResult,
-    compare_models,
-    sequential_baseline,
-    simulate_sort,
-    sort,
-)
+import repro
+from repro import MemoryRecorder, SortResult, sequential_baseline, sort
 from repro.data import generate
-
-# The legacy entry points still work, but they warn; the dedicated
-# TestDeprecationShims class asserts the warning itself.
-legacy = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.verify.differential import RADIX_MODELS, SAMPLE_MODELS
 
 
 class TestSort:
@@ -55,55 +44,57 @@ class TestSort:
             sort(np.arange(16), backend="fpga", n_procs=16)
 
 
-@legacy
 class TestSimulateSort:
+    """``sort(..., backend="sim")``: defaults, validation and the
+    simulation outcome it carries."""
+
     def test_radix_default(self):
         keys = generate("gauss", 16 * 256, 16)
-        out = simulate_sort(keys, n_procs=16)
+        out = sort(keys, backend="sim", n_procs=16).outcome
         assert np.array_equal(out.sorted_keys, np.sort(keys))
         assert out.algorithm == "radix"
         assert out.radix == 8
 
     def test_sample_default_radix(self):
         keys = generate("gauss", 16 * 256, 16)
-        out = simulate_sort(keys, algorithm="sample", n_procs=16)
+        out = sort(keys, algorithm="sample", backend="sim", n_procs=16)
         assert out.radix == 11
         assert np.array_equal(out.sorted_keys, np.sort(keys))
 
     @pytest.mark.parametrize("model", ["ccsas", "mpi", "mpi-sgi", "shmem"])
     def test_models_accepted(self, model):
         keys = generate("random", 16 * 64, 16)
-        out = simulate_sort(keys, model=model, n_procs=16)
+        out = sort(keys, backend="sim", model=model, n_procs=16)
         assert np.array_equal(out.sorted_keys, np.sort(keys))
 
     def test_small_key_range_fewer_passes(self):
         """key_bits follows the actual maximum key (the paper: 'the maximum
         key value determines how many iterations will actually be needed')."""
         keys = np.tile(np.arange(256, dtype=np.int64), 16)
-        out = simulate_sort(keys, n_procs=16, radix=8)
+        out = sort(keys, backend="sim", n_procs=16, radix=8).outcome
         assert out.passes == 1
 
     def test_rejects_negative_keys(self):
         with pytest.raises(ValueError):
-            simulate_sort(np.array([-1] * 16), n_procs=16)
+            sort(np.array([-1] * 16), backend="sim", n_procs=16)
 
     def test_rejects_floats(self):
         # Floats are handled by the order-preserving transform at the
         # backend seam; dtypes without such a mapping still raise.
-        out = simulate_sort(np.ones(16) * 2.5, n_procs=16)
+        out = sort(np.ones(16) * 2.5, backend="sim", n_procs=16)
         assert np.array_equal(out.sorted_keys, np.full(16, 2.5))
         with pytest.raises(TypeError):
-            simulate_sort(np.ones(16, dtype=complex), n_procs=16)
+            sort(np.ones(16, dtype=complex), backend="sim", n_procs=16)
 
     def test_rejects_empty_and_2d(self):
         with pytest.raises(ValueError):
-            simulate_sort(np.empty(0, dtype=np.int64))
+            sort(np.empty(0, dtype=np.int64), backend="sim")
         with pytest.raises(ValueError):
-            simulate_sort(np.zeros((4, 4), dtype=np.int64))
+            sort(np.zeros((4, 4), dtype=np.int64), backend="sim")
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            simulate_sort(np.arange(16), algorithm="merge", n_procs=16)
+            sort(np.arange(16), algorithm="merge", backend="sim", n_procs=16)
 
 
 class TestSequentialBaseline:
@@ -114,36 +105,31 @@ class TestSequentialBaseline:
         assert np.array_equal(res.sorted_keys, np.sort(keys))
 
 
-@legacy
 class TestCompareModels:
+    """Comparing programming models is a loop over ``sort(model=...)``."""
+
     def test_default_model_sets(self):
         keys = generate("gauss", 16 * 128, 16)
-        radix = compare_models(keys, "radix", n_procs=16)
-        sample = compare_models(keys, "sample", n_procs=16)
-        assert set(radix) == {"ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem"}
-        assert set(sample) == {"ccsas", "mpi-new", "mpi-sgi", "shmem"}
-        for out in radix.values():
-            assert np.array_equal(out.sorted_keys, np.sort(keys))
+        for algorithm, models in (
+            ("radix", RADIX_MODELS), ("sample", SAMPLE_MODELS)
+        ):
+            for model in models:
+                out = sort(keys, algorithm, model=model, n_procs=16)
+                assert out.model_name == model
+                assert np.array_equal(out.sorted_keys, np.sort(keys))
 
     def test_subset(self):
+        """Two models on the same keys give comparable, distinct times:
+        the paper's Figure 1 ordering (NEW MPI beats SGI MPI) already
+        shows on a tiny radix sort."""
         keys = generate("gauss", 16 * 128, 16)
-        res = compare_models(keys, "radix", models=["shmem"], n_procs=16)
-        assert list(res) == ["shmem"]
+        t = {
+            m: sort(keys, model=m, n_procs=16).time_ns
+            for m in ("mpi-new", "mpi-sgi")
+        }
+        assert 0 < t["mpi-new"] < t["mpi-sgi"]
 
-
-class TestDeprecationShims:
-    def test_simulate_sort_warns(self):
-        keys = generate("gauss", 16 * 64, 16)
-        with pytest.warns(DeprecationWarning, match="simulate_sort"):
-            out = simulate_sort(keys, n_procs=16)
-        assert np.array_equal(out.sorted_keys, np.sort(keys))
-
-    def test_compare_models_warns_once(self):
-        keys = generate("gauss", 16 * 64, 16)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            compare_models(keys, "radix", models=["shmem"], n_procs=16)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1  # no per-model warning spam
+    def test_shims_are_gone(self):
+        for name in ("simulate_sort", "compare_models", "predict_time",
+                     "predict_speedup"):
+            assert not hasattr(repro, name), name

@@ -3,7 +3,18 @@
 import pytest
 
 from repro.core.experiment import ExperimentRunner, RunSpec
-from repro.core.predict import predict_speedup, predict_time
+from repro.machine.costs import DEFAULT_COSTS
+from repro.predict import predict_outcome, sequential_time_ns, uniform_stats
+from repro.sorts.radix import default_machine
+
+
+def predict_time(algorithm, model, n, n_procs, radix=None):
+    """Uncalibrated closed-form time (ns) for uniform random keys."""
+    r = radix if radix is not None else (8 if algorithm == "radix" else 11)
+    stats = uniform_stats(algorithm, n, n_procs, r)
+    return predict_outcome(
+        stats, model, machine=default_machine(n_procs)
+    ).time_ns
 
 
 class TestPredictValidation:
@@ -55,7 +66,8 @@ class TestPredictShapes:
         assert t["shmem"] < t["ccsas-new"] < t["mpi-new"] < t["mpi-sgi"] < t["ccsas"]
 
     def test_speedup_superlinear_at_64m(self):
-        assert predict_speedup("radix", "shmem", 1 << 26, 64, 8) > 64
+        seq_ns = sequential_time_ns(1 << 26, 8, DEFAULT_COSTS)
+        assert seq_ns / predict_time("radix", "shmem", 1 << 26, 64, 8) > 64
 
     def test_time_increases_with_n(self):
         t1 = predict_time("radix", "shmem", 1 << 20, 16, 8)

@@ -10,20 +10,46 @@ from repro.data.distributions import PAPER_ORDER, generate
 from repro.native import kernels, shm
 from repro.native.kernels import (
     KERNEL_ENV,
-    NAIVE_KERNEL,
     NUMPY_KERNEL,
+    Kernel,
     resolve,
     slice_bounds,
     warm,
 )
 from repro.native.pool import WorkerPool
 from repro.native.radix import parallel_radix_sort
-from repro.native.sample import (
-    SPLITTER_SKEW_LIMIT,
-    parallel_sample_sort,
-    rebalance_duplicate_splitters,
+from repro.native.sample import SPLITTER_SKEW_LIMIT, parallel_sample_sort
+from repro.sorts.common import (
+    n_passes,
+    partition_counts,
+    spread_duplicate_splitters,
 )
-from repro.sorts.common import n_passes, partition_counts
+
+
+def _oracle_scatter(src, dst, cursor, shift, mask):
+    """Textbook stable counting placement via a stable argsort: the
+    k-th key with digit d (in arrival order) lands at ``cursor[d] + k``."""
+    digits = (src >> shift) & mask
+    order = np.argsort(digits, kind="stable")
+    counts = np.bincount(digits, minlength=mask + 1)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    rank = np.arange(len(src)) - np.repeat(starts, counts)
+    dst[np.repeat(cursor, counts) + rank] = src[order]
+    cursor += counts
+
+
+#: The reference the shipped kernels are held against: unblocked,
+#: first-principles NumPy.  It runs through the same primitive tests as
+#: the shipped kernels (param id ``naive``), so the oracle is itself
+#: checked.
+ORACLE_KERNEL = Kernel(
+    "oracle",
+    lambda a: (int(a.min()), int(a.max())),
+    lambda a, shift, mask: np.bincount(
+        (a >> shift) & mask, minlength=mask + 1
+    ),
+    _oracle_scatter,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,16 +64,21 @@ class TestResolve:
         assert resolve().name == "numpy"
 
     def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "naive")
-        assert resolve().name == "naive"
+        monkeypatch.setenv(KERNEL_ENV, "NumPy ")  # case/space-insensitive
+        assert resolve().name == "numpy"
+        monkeypatch.setenv(KERNEL_ENV, "vectorwidth9000")
+        with pytest.raises(ValueError, match="unknown native kernel"):
+            resolve()
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "naive")
+        monkeypatch.setenv(KERNEL_ENV, "vectorwidth9000")
         assert resolve("numpy").name == "numpy"
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown native kernel"):
-            resolve("vectorwidth9000")
+        # "naive" and "auto" were selectable once; they must stay gone.
+        for name in ("vectorwidth9000", "naive", "auto"):
+            with pytest.raises(ValueError, match="unknown native kernel"):
+                resolve(name)
 
     def test_numba_falls_back_with_one_warning(self, monkeypatch):
         """Without numba installed, requesting it must warn (once) and
@@ -66,24 +97,17 @@ class TestResolve:
             warnings.simplefilter("error", RuntimeWarning)
             assert resolve("numba").name == "numpy"  # second time: silent
 
-    def test_auto_without_numba_is_numpy(self, monkeypatch):
-        import sys
-
-        monkeypatch.setattr(kernels, "_numba_cache", None)
-        monkeypatch.setattr(kernels, "_numba_failed", False)
-        monkeypatch.setitem(sys.modules, "numba", None)
-        assert resolve("auto").name == "numpy"
-
     def test_warm_reports_kernel(self):
         assert warm(NUMPY_KERNEL) == "numpy"
-        assert warm(NAIVE_KERNEL) == "naive"
 
 
 class TestPrimitiveParity:
-    """The engineered kernels must be bit-identical to the seed ones."""
+    """The engineered kernels must be bit-identical to the oracle."""
 
     @pytest.fixture(params=["numpy", "naive"])
     def kern(self, request):
+        if request.param == "naive":
+            return ORACLE_KERNEL
         return resolve(request.param)
 
     def test_minmax(self, kern):
@@ -132,7 +156,7 @@ class TestPrimitiveParity:
         counts = np.bincount(src & mask, minlength=mask + 1)
         base = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(np.int64)
         want = np.empty_like(src)
-        NAIVE_KERNEL.scatter(src, want, base.copy(), 0, mask)
+        ORACLE_KERNEL.scatter(src, want, base.copy(), 0, mask)
         got = np.empty_like(src)
         kern.scatter(src, got, base.copy(), 0, mask)
         assert np.array_equal(got, want)
@@ -140,11 +164,12 @@ class TestPrimitiveParity:
 
 class TestEngineeredRadix:
     def test_all_paper_distributions_parity(self, pool):
-        """Blocked vs naive kernels vs np.sort on every paper input."""
+        """Every selectable kernel vs np.sort on every paper input
+        (``numba`` is the JIT kernel where installed, else the fallback)."""
         for dist in PAPER_ORDER:
             keys = generate(dist, 1 << 13, 4, seed=11)
             ref = np.sort(keys)
-            for kern in ("numpy", "naive"):
+            for kern in kernels.KERNEL_NAMES:
                 out = parallel_radix_sort(keys, pool=pool, kernel=kern)
                 assert np.array_equal(out, ref), (dist, kern)
 
@@ -157,7 +182,7 @@ class TestEngineeredRadix:
         sawtooth = (np.arange(n, dtype=np.int64) % 7) << 40
         for keys in (heavy, sawtooth):
             ref = np.sort(keys)
-            for kern in ("numpy", "naive"):
+            for kern in kernels.KERNEL_NAMES:
                 out = parallel_radix_sort(keys, pool=pool, kernel=kern)
                 assert np.array_equal(out, ref)
 
@@ -175,7 +200,7 @@ class TestEngineeredRadix:
     def test_env_flag_parity(self, pool, monkeypatch):
         keys = generate("random", 1 << 12, 4, seed=14)
         ref = np.sort(keys)
-        for flag in ("numpy", "naive"):
+        for flag in kernels.KERNEL_NAMES:
             monkeypatch.setenv(KERNEL_ENV, flag)
             assert np.array_equal(parallel_radix_sort(keys, pool=pool), ref)
 
@@ -205,7 +230,8 @@ class TestEngineeredRadix:
 
 class TestSampleRebalance:
     def test_matches_simulated_partition_counts(self):
-        """The native rebalance must produce exactly the count matrix the
+        """Spreading raw ``searchsorted`` counts in place, as the native
+        sample sort does, must produce exactly the count matrix the
         simulated sorts' partition_counts computes."""
         rng = np.random.default_rng(15)
         n, p = 4096, 4
@@ -224,19 +250,16 @@ class TestSampleRebalance:
         for w, part in enumerate(parts):
             edges = np.searchsorted(part, splitters, side="right")
             counts[w] = np.diff(np.concatenate(([0], edges, [len(part)])))
-        rebalanced = rebalance_duplicate_splitters(
-            counts, splitters, runs, n, p
-        )
-        assert rebalanced == 1
+        assert spread_duplicate_splitters(counts, splitters, parts) == 1
         assert np.array_equal(counts, want)
 
     def test_distinct_splitters_untouched(self):
         n, p = 64, 4
-        runs = np.sort(np.arange(n, dtype=np.int64))
+        parts = np.split(np.arange(n, dtype=np.int64), p)
         splitters = np.array([15, 31, 47], dtype=np.int64)
         counts = np.full((p, p), 4, dtype=np.int64)
         before = counts.copy()
-        assert rebalance_duplicate_splitters(counts, splitters, runs, n, p) == 0
+        assert spread_duplicate_splitters(counts, splitters, parts) == 0
         assert np.array_equal(counts, before)
 
     def test_duplicate_heavy_sample_sort(self, pool):
@@ -263,6 +286,21 @@ class TestSampleRebalance:
         keys = generate("random", 1 << 12, 4, seed=17)
         out = parallel_sample_sort(keys, pool=pool)
         assert np.array_equal(out, np.sort(keys))
+
+    def test_p1_fast_path_builds_no_pool_and_no_segment(self, monkeypatch):
+        """n < 8 (one worker's worth) must not construct a WorkerPool or
+        a shared segment, as radix sort's fast path guarantees."""
+        from repro.native import sample
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("tiny input constructed a WorkerPool")
+
+        monkeypatch.setattr(sample, "WorkerPool", no_pool)
+        before = shm.create_count()
+        out = parallel_sample_sort(np.array([9, 3, 7, 1], dtype=np.int64),
+                                   n_workers=8)
+        assert out.tolist() == [1, 3, 7, 9]
+        assert shm.create_count() == before
 
     def test_skew_limit_is_sane(self):
         assert SPLITTER_SKEW_LIMIT >= 1.0

@@ -1,0 +1,120 @@
+"""``benchmarks/compare.py``: the drift diff and the registry's gates,
+each fed one passing and one failing document."""
+
+import copy
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+from repro.report.experiments import (
+    PREDICT_SWEEP_BUDGET_S,
+    gate_machine_zoo,
+    gate_predict_compare,
+)
+from repro.verify.differential import PREDICT_ERROR_GATE
+
+BENCH_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_compare", BENCH_DIR / "compare.py"
+)
+compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare)
+
+
+def _baseline(n: int) -> dict:
+    return json.loads((BENCH_DIR / f"BENCH_{n}.json").read_text())
+
+
+def _data(doc: dict, exp_id: str) -> dict:
+    (result,) = [r for r in doc["results"] if r["exp_id"] == exp_id]
+    return result["data"]
+
+
+def _run(tmp_path, baseline: dict, current: dict, *extra: str) -> int:
+    base, cur = tmp_path / "base.json", tmp_path / "cur.json"
+    base.write_text(json.dumps(baseline))
+    cur.write_text(json.dumps(current))
+    return compare.main([str(base), str(cur), *extra])
+
+
+class TestPredictCompareGate:
+    def test_checked_in_baseline_passes(self):
+        assert gate_predict_compare(_data(_baseline(1), "predict_compare")) == []
+
+    def test_error_band_and_budget_fail(self):
+        data = copy.deepcopy(_data(_baseline(1), "predict_compare"))
+        data["band"]["median_abs_rel"] = PREDICT_ERROR_GATE + 0.01
+        data["latency"]["predict_wall_s"] = PREDICT_SWEEP_BUDGET_S + 1.0
+        failures = gate_predict_compare(data)
+        assert len(failures) == 2
+        assert "median" in failures[0] and "budget" in failures[1]
+
+    def test_missing_measurements_fail(self):
+        assert len(gate_predict_compare({})) == 2
+
+
+class TestMachineZooGate:
+    def test_checked_in_baseline_passes(self):
+        assert gate_machine_zoo(_data(_baseline(5), "machine_zoo")) == []
+
+    def test_unverified_cell_and_lost_coverage_fail(self):
+        data = copy.deepcopy(_data(_baseline(5), "machine_zoo"))
+        data["cells"] = {
+            label: cell for label, cell in data["cells"].items()
+            if cell["machine"] != "bsp" and cell["workload"] != "f64"
+        }
+        next(iter(data["cells"].values()))["verified"] = 0
+        failures = "\n".join(gate_machine_zoo(data))
+        assert "did not match" in failures
+        assert "machine(s) not covered: bsp" in failures
+        assert "workload(s) not covered: f64" in failures
+
+    def test_empty_fails(self):
+        assert gate_machine_zoo({"cells": {}}) == ["machine_zoo has no cells"]
+
+
+class TestDriftDiff:
+    def test_identical_documents_pass(self, tmp_path, capsys):
+        doc = _baseline(0)
+        assert _run(tmp_path, doc, doc) == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_drift_beyond_rtol_fails(self, tmp_path, capsys):
+        doc = _baseline(0)
+        cur = copy.deepcopy(doc)
+        _data(cur, "table1")["1M"] *= 1.2
+        assert _run(tmp_path, doc, cur) == 1
+        assert "DRIFT table1:1M" in capsys.readouterr().out
+        assert _run(tmp_path, doc, cur, "--rtol", "0.25") == 0
+
+    def test_wall_clocks_are_never_diffed(self, tmp_path):
+        doc = _baseline(1)
+        cur = copy.deepcopy(doc)
+        _data(cur, "predict_compare")["latency"]["sim_wall_s"] *= 50
+        assert _run(tmp_path, doc, cur) == 0
+
+    def test_gate_failure_fails_the_run(self, tmp_path, capsys):
+        doc = _baseline(5)
+        cur = copy.deepcopy(doc)
+        cells = _data(cur, "machine_zoo")["cells"]
+        cells[next(iter(cells))]["verified"] = 0
+        assert _run(tmp_path, doc, cur) == 1
+        assert "FAIL machine_zoo" in capsys.readouterr().out
+
+    def test_undiffed_result_ignores_cost_parameter_drift(self, tmp_path):
+        doc = _baseline(5)
+        cur = copy.deepcopy(doc)
+        for cell in _data(cur, "machine_zoo")["cells"].values():
+            cell["time_ns"] *= 3
+        assert _run(tmp_path, doc, cur) == 0
+
+    @pytest.mark.parametrize("current", [
+        {"results": []},  # empty document
+        {"results": [{"exp_id": "fig3", "data": {"x": 1.0}}]},  # wrong file
+    ])
+    def test_nothing_compared_is_a_failure(self, tmp_path, capsys, current):
+        assert _run(tmp_path, _baseline(0), current) == 1
+        assert "nothing to compare" in capsys.readouterr().out

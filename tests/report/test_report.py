@@ -7,14 +7,16 @@ from repro.report import (
     EXPERIMENTS,
     bar_chart,
     breakdown_panel,
+    format_table,
+    grouped_series,
+    per_proc_strip,
+)
+from repro.report.experiments import (
     figure1,
     figure3,
     figure4,
     figure5,
     figure6,
-    format_table,
-    grouped_series,
-    per_proc_strip,
     table1,
     tables2_and_3,
 )
@@ -70,9 +72,12 @@ class TestHarnesses:
     def test_registry_complete(self):
         expected = {f"fig{i}" for i in range(1, 11)} | {
             "table1", "tables2_and_3", "summary", "predict_compare",
-            "native_path", "stream_path", "machine_zoo",
+            "machine_zoo",
         }
         assert set(EXPERIMENTS) == expected
+        assert {e for e, rec in EXPERIMENTS.items() if rec.gate} == {
+            "predict_compare", "machine_zoo",
+        }
 
     def test_table1(self, runner):
         res = table1(runner, sizes=["1M"])
@@ -154,7 +159,7 @@ class TestProfile:
 
 class TestSummaryExperiment:
     def test_summary_small(self, runner):
-        from repro.report import summary
+        from repro.report.experiments import summary
 
         res = summary(runner, sizes=["1M"], procs=[16])
         cell = res.data["1M/16p"]

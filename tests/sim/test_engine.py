@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Channel, Resource, SimError, Simulator, Trace
+from repro.sim import Channel, Resource, SimError, Simulator
+from repro.trace import MemoryRecorder, to_chrome_trace, use_recorder
 
 
 class TestEventsAndTimeouts:
@@ -282,27 +283,42 @@ class TestChannel:
 
 
 class TestTrace:
-    def test_causality(self):
-        sim = Simulator()
-        trace = Trace(sim)
+    """The bare simulator's emissions into the ambient ``repro.trace``
+    recorder (the one tracing layer)."""
 
-        def p(name):
-            trace.log(name, "start")
-            yield 5.0
-            trace.log(name, "end")
+    @staticmethod
+    def _run_two_processes(recorder):
+        with use_recorder(recorder):
+            sim = Simulator()  # captures the ambient recorder
 
-        sim.process(p("a"))
-        sim.process(p("b"))
+        def p(delay):
+            yield delay
+
+        sim.process(p(5.0), name="a", tid=1)
+        sim.process(p(7.0), name="b", tid=2)
         sim.run()
-        assert trace.is_causal()
-        assert len(trace.by_actor("a")) == 2
-        assert len(trace.by_action("start")) == 2
+        return sim
+
+    def test_causality(self):
+        rec = MemoryRecorder(verbose=True)
+        sim = self._run_two_processes(rec)
+        spans = rec.by_cat("sim.process")
+        assert [e.name for e in spans] == ["a", "b"]  # completion order
+        assert [e.dur_us for e in spans] == [5.0 / 1e3, 7.0 / 1e3]
+        for e in spans:
+            assert e.ts_us == 0.0
+            assert (e.ts_us + e.dur_us) * 1e3 <= sim.now
+        assert len(rec.by_name("a")) == 1
 
     def test_format_and_disable(self):
-        sim = Simulator()
-        trace = Trace(sim, enabled=False)
-        trace.log("x", "y")
-        assert trace.records == []
-        trace.enabled = True
-        trace.log("x", "y", 1)
-        assert "x" in trace.format()
+        # No recorder installed: the simulator holds the disabled null one.
+        assert not self._run_two_processes(None).recorder.enabled
+        # Phase-granularity recorder: per-process spans stay off.
+        quiet = MemoryRecorder()
+        self._run_two_processes(quiet)
+        assert quiet.events == []
+        # Verbose: recorded, and the Chrome export carries them.
+        rec = MemoryRecorder(verbose=True)
+        self._run_two_processes(rec)
+        doc = to_chrome_trace(rec)
+        assert {"a", "b"} <= {e["name"] for e in doc["traceEvents"]}

@@ -1,26 +1,32 @@
 """CLI (`python -m repro`) tests."""
 
+import inspect
 import json
 
 import pytest
 
-from repro.__main__ import SMALL_GRID, main
+from repro.__main__ import SUBCOMMANDS, main
 from repro.report.experiments import EXPERIMENTS
 
 
 class TestCLI:
     def test_list(self, capsys):
+        """Every experiment id and every subcommand is listed, once."""
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for exp_id in EXPERIMENTS:
-            assert exp_id in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [*EXPERIMENTS, *SUBCOMMANDS]
+        assert {"check", "serve", "loadgen", "stream"} <= set(SUBCOMMANDS)
 
     def test_unknown_experiment(self, capsys):
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_small_grid_covers_all_experiments(self):
-        assert set(SMALL_GRID) == set(EXPERIMENTS)
+        """Every record's ``--small`` kwargs are parameters of its harness."""
+        for exp_id, exp in EXPERIMENTS.items():
+            params = inspect.signature(exp.run).parameters
+            assert set(exp.small) <= set(params), exp_id
 
     def test_run_table1_small(self, capsys):
         assert main(["table1", "--small"]) == 0
