@@ -54,6 +54,17 @@ def check_keys(keys: np.ndarray, algorithm: str) -> np.ndarray:
     return keys
 
 
+def check_integer_keys(keys: np.ndarray, algorithm: str) -> np.ndarray:
+    """:func:`check_keys` plus what the modeled (simulated and predicted)
+    sorts require on top: non-negative integer keys."""
+    keys = check_keys(keys, algorithm)
+    if np.issubdtype(keys.dtype, np.signedinteger) and keys.min() < 0:
+        raise ValueError("keys must be non-negative")
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise TypeError("radix/sample sorting requires integer keys")
+    return keys
+
+
 @dataclass(frozen=True)
 class SortJob:
     """One sort request, understood by every backend.

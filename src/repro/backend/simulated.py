@@ -11,18 +11,16 @@ exchange phases) while the job runs under the given recorder.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..faults.context import current_fault_plan
-from ..sorts.radix import ParallelRadixSort, default_machine
-from ..sorts.sample import ParallelSampleSort
+from ..sorts.program import ParallelRadixSort, ParallelSampleSort
+from ..sorts.radix import default_machine
 from ..trace import TraceRecorder, use_recorder
 from ..verify.context import current_sanitizer
 from .base import (
     Backend,
     SortJob,
     SortResult,
-    check_keys,
+    check_integer_keys,
     finish_workload,
     infer_key_bits,
     prepare_workload,
@@ -43,12 +41,8 @@ class SimulatedBackend(Backend):
         self, job: SortJob, recorder: TraceRecorder | None = None
     ) -> SortResult:
         job, workload_plan = prepare_workload(job)
-        keys = check_keys(job.keys, job.algorithm)
+        keys = check_integer_keys(job.keys, job.algorithm)
         warn_ignored_fields(job, self.name, ("distribution",))
-        if np.issubdtype(keys.dtype, np.signedinteger) and keys.min() < 0:
-            raise ValueError("keys must be non-negative")
-        if not np.issubdtype(keys.dtype, np.integer):
-            raise TypeError("radix/sample sorting requires integer keys")
 
         radix = job.radix if job.radix is not None else DEFAULT_RADIX[job.algorithm]
         sorter_cls = (

@@ -40,7 +40,11 @@ from ..machine.config import MachineConfig
 from ..machine.costs import CostModel, DEFAULT_COSTS
 from ..machine.zoo import MACHINES, get_machine
 from ..sorts.radix import SortOutcome
-from ..sorts.sequential import SequentialResult, sequential_radix_sort
+from ..sorts.sequential import (
+    SequentialResult,
+    default_sequential_machine,
+    sequential_radix_sort,
+)
 from ..trace import PID_GRID, current_recorder
 from .gridcache import GridCache
 
@@ -142,12 +146,6 @@ def _spec_machine(spec: RunSpec) -> MachineConfig:
         n_procs=spec.n_procs,
         page_bytes=paper_page_bytes(spec.n_labeled),
     )
-
-
-def _sequential_machine() -> MachineConfig:
-    # The uniprocessor baseline runs at the default 16 KB page size
-    # (see repro.sorts.sequential.default_sequential_machine).
-    return MachineConfig.origin2000(n_processors=2, scale=1, page_bytes=16 * 1024)
 
 
 def _compute_outcome(
@@ -284,7 +282,7 @@ class ExperimentRunner:
             "seed": seed,
             "max_actual": max_actual,
             "floor": floor,
-            "machine": _sequential_machine(),
+            "machine": default_sequential_machine(),
             "costs": self.costs,
         }
         if self.cache is not None:
@@ -296,7 +294,7 @@ class ExperimentRunner:
         keys = generate(distribution, n_actual, 1, radix=radix, seed=seed)
         result = sequential_radix_sort(
             keys, radix=radix, n_labeled=n_labeled,
-            machine=_sequential_machine(), costs=self.costs,
+            machine=default_sequential_machine(), costs=self.costs,
         )
         self._seq[key] = result
         if self.cache is not None:

@@ -6,11 +6,12 @@ that formula, promoted to a first-class backend:
 
 - :mod:`~repro.predict.analytic` -- workload statistics (histograms,
   traffic matrices, localities) in closed form for uniform keys, or
-  measured from real/model-drawn key arrays for any distribution family;
+  from a model draw of any distribution family (given a key array,
+  :func:`repro.sorts.measure` is the statistics source);
 - :mod:`~repro.predict.exchange` -- a closed-form stand-in for the
   discrete-event MPI/SHMEM exchange (the simulator's only slow part);
-- :mod:`~repro.predict.driver` -- replays the simulated sorters' exact
-  phase sequence through the shared emission helpers;
+- :mod:`~repro.predict.driver` -- :class:`PredictTeam`, the team the
+  sorters' one phase program (:func:`repro.sorts.drive`) runs on here;
 - :mod:`~repro.predict.calibration` -- fits per-(algorithm, model)
   exchange overhead factors against simulated grid cells and states the
   resulting error bands;
@@ -21,14 +22,7 @@ in well under a second; the DES stays available for spot checks via
 ``backend="sim"``.
 """
 
-from .analytic import (
-    LocalSortStats,
-    RadixPassStats,
-    WorkloadStats,
-    family_stats,
-    measured_stats,
-    uniform_stats,
-)
+from .analytic import family_stats, uniform_stats
 from .backend import PredictedBackend
 from .calibration import (
     Calibration,
@@ -37,24 +31,19 @@ from .calibration import (
     fit_calibration,
     load_calibration,
 )
-from .driver import PredictTeam, drive, predict_outcome, sequential_time_ns
+from .driver import PredictTeam, predict_outcome, sequential_time_ns
 from .exchange import PredictExecutor
 
 __all__ = [
     "Calibration",
-    "LocalSortStats",
     "PredictExecutor",
     "PredictTeam",
     "PredictedBackend",
-    "RadixPassStats",
-    "WorkloadStats",
     "calibration_grid",
     "default_calibration_path",
-    "drive",
     "family_stats",
     "fit_calibration",
     "load_calibration",
-    "measured_stats",
     "predict_outcome",
     "sequential_time_ns",
     "uniform_stats",

@@ -1,12 +1,14 @@
 """Workload statistics for the analytic predictor.
 
-The predictor charges exactly the per-phase costs the simulator charges
-(the phase emission is shared code, see :mod:`repro.predict.driver`); what
-it needs from the *workload* is the small set of statistics those phases
-consume: per-pass expected histograms and communication matrices, write-
-stream locality, active bucket counts, and -- for sample sort -- the
-splitter-induced distribution matrix.  This module derives them three
-ways:
+The predictor runs the simulated sorters' own phase program
+(:func:`repro.sorts.drive`); what it needs from the *workload* is the
+small set of statistics those phases consume
+(:class:`~repro.sorts.common.WorkloadStats`): per-pass expected
+histograms and communication matrices, write-stream locality, active
+bucket counts, and -- for sample sort -- the splitter-induced
+distribution matrix.  Given a key array, :func:`repro.sorts.measure` --
+the simulator's own data-plane walk -- measures them exactly; this
+module derives them without one:
 
 - :func:`uniform_stats`: closed form for uniform random keys.  Every
   per-process histogram is ~``n/(p * 2^r)`` per bucket, the permutation
@@ -14,11 +16,6 @@ ways:
   Poisson occupancy ``cells * (1 - exp(-lambda))``, and destination
   locality is ``2^-r``.  No key array is ever materialized, so this path
   is O(p^2) per pass regardless of ``n``.
-- :func:`measured_stats`: exact statistics measured from a given key
-  array (what the backend seam uses -- predictions are then conditioned
-  on the same sampled workload the simulator would see), extrapolated to
-  the labeled size through the same support-estimation machinery the
-  simulator uses (``repro.sorts.common.radix_comm_matrices``).
 - :func:`family_stats`: statistics of a *distribution family* by name:
   a small deterministic model draw (the grid runner's ``actual_size``
   cap) is generated and measured.  This is how a paper-scale prediction
@@ -29,7 +26,6 @@ ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,67 +34,18 @@ from ..data.distributions import KEY_BITS
 from ..params import ELEM_BYTES, elem_bytes_for
 from ..sorts.common import (
     CommMatrices,
-    apply_radix_pass,
-    choose_splitters,
-    digits_for_pass,
-    measure_locality,
+    LocalSortStats,
+    RadixPassStats,
+    WorkloadStats,
+    check_workload,
     n_passes,
-    partition_counts,
-    proc_histograms,
-    radix_comm_matrices,
-    select_samples,
 )
-from ..sorts.local_sort import local_pass_stats
+from ..sorts.program import measure
 from ..verify.context import current_sanitizer
 
 #: Functional model-draw cap for family statistics -- the experiment
 #: grid's default ``max_actual``.
 DEFAULT_MAX_ACTUAL = 1 << 18
-
-
-@dataclass(frozen=True)
-class RadixPassStats:
-    """Statistics of one parallel radix-sort pass."""
-
-    comm: CommMatrices
-    locality: float
-    active_buckets: int
-
-
-@dataclass(frozen=True)
-class LocalSortStats:
-    """Statistics of one complete local radix sort (all passes)."""
-
-    counts: np.ndarray  # (p,) labeled per-processor key counts
-    actives: np.ndarray  # (passes, p) active write streams
-    localities: np.ndarray  # (passes, p) destination locality
-
-
-@dataclass(frozen=True)
-class WorkloadStats:
-    """Everything the phase driver needs to know about a workload."""
-
-    algorithm: str
-    n: int  # labeled key count
-    p: int
-    radix: int
-    key_bits: int
-    passes: int
-    # Parallel radix sort:
-    radix_passes: tuple[RadixPassStats, ...] = ()
-    # Sample sort:
-    local1: LocalSortStats | None = None
-    local2: LocalSortStats | None = None
-    distribute: CommMatrices | None = None
-
-
-def _validate(algorithm: str, n: int, p: int, radix: int) -> None:
-    if algorithm not in ("radix", "sample"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if n <= 0 or p <= 0 or n % p != 0:
-        raise ValueError("n must be a positive multiple of n_procs")
-    if not 1 <= radix <= 16:
-        raise ValueError("radix must be in [1, 16]")
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +82,7 @@ def uniform_stats(
     key_bits: int = KEY_BITS,
 ) -> WorkloadStats:
     """Closed-form statistics for uniform random keys (no key array)."""
-    _validate(algorithm, n, p, radix)
+    check_workload(algorithm, n, p, radix)
     nb = 1 << radix
     passes = n_passes(radix, key_bits)
     elem_bytes = elem_bytes_for(key_bits)
@@ -185,129 +132,6 @@ def uniform_stats(
 
 
 # ----------------------------------------------------------------------
-# Measured statistics (exact data-plane walk, no cost simulation)
-# ----------------------------------------------------------------------
-def _local_sort_walk(
-    parts: list[np.ndarray],
-    labeled_counts: np.ndarray,
-    radix: int,
-    passes: int,
-) -> tuple[LocalSortStats, list[np.ndarray]]:
-    """Per-pass statistics of per-processor local radix sorts, evolving
-    the partitions functionally exactly as the simulator does."""
-    p = len(parts)
-    actives = np.ones((passes, p))
-    localities = np.zeros((passes, p))
-    cur = [np.asarray(part) for part in parts]
-    for k in range(passes):
-        for i in range(p):
-            if float(labeled_counts[i]) <= 0:
-                continue
-            actives[k, i], localities[k, i] = local_pass_stats(cur[i], k, radix)
-        for i in range(p):
-            if len(cur[i]):
-                digits = digits_for_pass(cur[i], k, radix)
-                cur[i] = cur[i][np.argsort(digits, kind="stable")]
-    return (
-        LocalSortStats(
-            counts=np.asarray(labeled_counts, dtype=np.float64),
-            actives=actives,
-            localities=localities,
-        ),
-        cur,
-    )
-
-
-def measured_stats(
-    keys: np.ndarray,
-    algorithm: str,
-    p: int,
-    radix: int,
-    n_labeled: int | None = None,
-    key_bits: int = KEY_BITS,
-) -> WorkloadStats:
-    """Exact workload statistics measured from ``keys``, extrapolated to
-    ``n_labeled`` (chunk support estimation included) -- the same
-    labeled-vs-actual sizing discipline the simulator uses."""
-    keys = np.ascontiguousarray(keys)
-    n_actual = len(keys)
-    n = n_labeled if n_labeled is not None else n_actual
-    _validate(algorithm, n_actual, p, radix)
-    if n % n_actual != 0 or n < n_actual:
-        raise ValueError(
-            f"n_labeled={n} must be a multiple of the actual key count "
-            f"{n_actual}"
-        )
-    scale = n // n_actual
-    passes = n_passes(radix, key_bits)
-    elem_bytes = elem_bytes_for(key_bits)
-    nb = 1 << radix
-    n_per = n // p
-    n_actual_per = n_actual // p
-
-    if algorithm == "radix":
-        cur = keys
-        pass_stats = []
-        for k in range(passes):
-            digits = digits_for_pass(cur, k, radix)
-            hist = proc_histograms(digits, p, radix)
-            locality = measure_locality(digits, p)
-            active = int(np.count_nonzero(hist.sum(axis=0))) or 1
-            comm = radix_comm_matrices(
-                hist, n_actual_per, scale, elem_bytes=elem_bytes
-            )
-            pass_stats.append(RadixPassStats(comm, locality, active))
-            cur = apply_radix_pass(cur, digits)
-        return WorkloadStats(
-            algorithm, n, p, radix, key_bits, passes,
-            radix_passes=tuple(pass_stats),
-        )
-
-    # Sample sort: mirror the five-phase data plane.
-    parts = [
-        keys[i * n_actual_per : (i + 1) * n_actual_per] for i in range(p)
-    ]
-    local1, sorted_parts = _local_sort_walk(
-        parts, np.full(p, n_per, dtype=np.int64), radix, passes
-    )
-    samples = select_samples(sorted_parts)
-    splitters = choose_splitters(samples, p)
-    counts = partition_counts(sorted_parts, splitters)
-    distribute = CommMatrices(
-        bytes_matrix=counts.astype(np.float64) * elem_bytes * scale,
-        chunks_matrix=(counts > 0).astype(np.float64),
-    )
-    san = current_sanitizer()
-    if san is not None:
-        san.on_comm(
-            distribute.bytes_matrix,
-            distribute.chunks_matrix,
-            row_bytes=float(n_per * elem_bytes),
-            col_bytes=None,
-            where="predict.distribute",
-        )
-    received = [
-        np.concatenate(
-            [
-                sorted_parts[src][
-                    int(counts[src, :dst].sum()) : int(counts[src, : dst + 1].sum())
-                ]
-                for src in range(p)
-            ]
-        )
-        if counts[:, dst].sum()
-        else np.empty(0, dtype=keys.dtype)
-        for dst in range(p)
-    ]
-    labeled_recv = counts.sum(axis=0).astype(np.int64) * scale
-    local2, _ = _local_sort_walk(received, labeled_recv, radix, passes)
-    return WorkloadStats(
-        algorithm, n, p, radix, key_bits, passes,
-        local1=local1, local2=local2, distribute=distribute,
-    )
-
-
-# ----------------------------------------------------------------------
 # Family statistics (model draw of a named distribution)
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=64)
@@ -334,9 +158,7 @@ def family_stats(
     from ..core.experiment import actual_size
     from ..data import generate
 
-    _validate(algorithm, n, p, radix)
+    check_workload(algorithm, n, p, radix)
     n_model = actual_size(n, max_actual, floor=p * p)
     keys = generate(distribution, n_model, p, radix=radix, seed=seed)
-    return measured_stats(
-        keys, algorithm, p, radix, n_labeled=n, key_bits=key_bits
-    )
+    return measure(keys, algorithm, p, radix, n_labeled=n, key_bits=key_bits)[0]

@@ -9,9 +9,9 @@ discrete-event component is replaced by closed forms.
 
 Two input modes:
 
-- ``keys`` given: workload statistics are measured from the actual array
-  (conditioned on the exact workload the simulator would see) and the
-  keys are functionally sorted with ``np.sort``.
+- ``keys`` given: :func:`repro.sorts.measure` -- the simulator's own
+  data-plane walk -- sorts the array and measures its workload
+  statistics (the exact workload the simulator would see).
 - ``keys`` empty and ``distribution``+``n_labeled`` set: statistics come
   from a deterministic model draw of the named family -- a paper-scale
   sweep needs no 256M-key array at all.
@@ -29,15 +29,16 @@ from ..backend.base import (
     Backend,
     SortJob,
     SortResult,
-    check_keys,
+    check_integer_keys,
     finish_workload,
     infer_key_bits,
     prepare_workload,
 )
+from ..sorts.program import measure
 from ..sorts.radix import default_machine
 from ..trace import TraceRecorder, use_recorder
 from ..verify.context import current_sanitizer
-from .analytic import family_stats, measured_stats
+from .analytic import family_stats
 from .calibration import (
     Calibration,
     check_machine_calibrated,
@@ -50,7 +51,7 @@ DEFAULT_RADIX = {"radix": 8, "sample": 11}
 
 
 class PredictedBackend(Backend):
-    """Predicts sort performance analytically; sorts via ``np.sort``."""
+    """Predicts sort performance analytically."""
 
     name = "predict"
 
@@ -94,19 +95,14 @@ class PredictedBackend(Backend):
             )
             sorted_keys = np.asarray(job.keys)
         else:
-            keys = check_keys(job.keys, job.algorithm)
-            if np.issubdtype(keys.dtype, np.signedinteger) and keys.min() < 0:
-                raise ValueError("keys must be non-negative")
-            if not np.issubdtype(keys.dtype, np.integer):
-                raise TypeError("radix/sample sorting requires integer keys")
+            keys = check_integer_keys(job.keys, job.algorithm)
             key_bits = (
                 job.key_bits if job.key_bits is not None else infer_key_bits(keys)
             )
-            stats = measured_stats(
+            stats, sorted_keys = measure(
                 keys, job.algorithm, n_procs, radix,
                 n_labeled=job.n_labeled, key_bits=key_bits,
             )
-            sorted_keys = np.sort(keys)
 
         factors = (
             self.calibration.factors_for(job.algorithm, job.model)

@@ -41,8 +41,8 @@ from ..core.experiment import ExperimentRunner, RunSpec
 from ..core.gridcache import default_cache_dir
 from ..smp.perf import PerfReport
 from ..verify.differential import RADIX_MODELS, SAMPLE_MODELS
-from .analytic import measured_stats
-from .driver import CATEGORIES, PredictTeam, drive
+from ..sorts.program import drive, measure
+from .driver import CATEGORIES, PredictTeam
 
 CALIBRATION_VERSION = 1
 
@@ -226,7 +226,7 @@ def _predict_cell(
     from ..core.experiment import _spec_machine
     from ..data.distributions import KEY_BITS
 
-    stats = measured_stats(
+    stats, _ = measure(
         keys, spec.algorithm, spec.n_procs, spec.radix,
         n_labeled=spec.n_labeled, key_bits=KEY_BITS,
     )

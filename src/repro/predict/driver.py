@@ -1,14 +1,12 @@
-"""Phase driver: turns :class:`WorkloadStats` into a `PerfReport`.
+"""The predictor's team: turns :class:`WorkloadStats` into a `PerfReport`.
 
-The driver replays exactly the phase sequence the simulated sorters emit
--- through the *same* emission helpers (``radix_histogram_phase``,
-``radix_permute_phase``, ``local_sort_pass_phase``) -- onto a
-:class:`PredictTeam`, whose executor replaces only the discrete-event
-exchange with the closed form of :mod:`repro.predict.exchange`.  Every
-other phase (compute, collectives, prefix trees, CC-SAS exchanges,
-barriers) is therefore bit-identical to the simulation; the prediction
-differs from a simulated run only where the workload statistics are
-approximate and inside MPI/SHMEM exchanges.
+A prediction runs the simulated sorters' own phase program
+(:func:`repro.sorts.drive`) on a :class:`PredictTeam`, whose executor
+replaces only the discrete-event exchange with the closed form of
+:mod:`repro.predict.exchange`.  Every other phase (compute, collectives,
+prefix trees, CC-SAS exchanges, barriers) is the simulation's, so the
+prediction differs from a simulated run only where the workload
+statistics are approximate and inside MPI/SHMEM exchanges.
 """
 
 from __future__ import annotations
@@ -22,19 +20,12 @@ from ..machine.config import MachineConfig
 from ..machine.costs import CostModel, DEFAULT_COSTS
 from ..machine.memory import MemorySystem
 from ..models import ProgrammingModel, get_model
-from ..params import SAMPLES_PER_PROC, elem_bytes_for
-from ..smp.phases import ExchangePhase, Transport, uniform_compute
+from ..smp.phases import ExchangePhase
 from ..smp.team import Team
-from ..sorts.local_sort import local_sort_pass_phase
-from ..sorts.radix import (
-    SortOutcome,
-    default_machine,
-    radix_histogram_phase,
-    radix_permute_phase,
-)
+from ..sorts.common import WorkloadStats, n_passes
+from ..sorts.program import run_on
+from ..sorts.radix import SortOutcome, default_machine
 from ..sorts.sequential import default_sequential_machine, sequential_pass_ns
-from ..sorts.common import n_passes
-from .analytic import WorkloadStats
 from .exchange import PredictExecutor
 
 CATEGORIES = ("BUSY", "LMEM", "RMEM", "SYNC")
@@ -86,73 +77,6 @@ class PredictTeam(Team):
         self._apply(phase.name, outcome)
 
 
-# ----------------------------------------------------------------------
-# Algorithm drivers (mirror ParallelRadixSort.run / ParallelSampleSort.run)
-# ----------------------------------------------------------------------
-def _drive_radix(team: Team, model: ProgrammingModel, stats: WorkloadStats) -> None:
-    p = team.n_procs
-    n_per = stats.n // p
-    nb = 1 << stats.radix
-    elem_bytes = elem_bytes_for(stats.key_bits)
-    l2 = team.machine.l2.size_bytes
-    fits = n_per * elem_bytes <= l2
-    shmem_cached = model.exchange_transport is Transport.SHMEM_GET
-    for k, ps in enumerate(stats.radix_passes):
-        tag = f"pass{k}"
-        warm_in = fits and k > 0 and shmem_cached
-        radix_histogram_phase(team, tag, n_per, warm_in, elem_bytes)
-        model.accumulate_histograms(team, nb, tag)
-        radix_permute_phase(
-            team, model, tag, n_per, stats.n,
-            ps.active_buckets, ps.locality, ps.comm, fits, elem_bytes,
-        )
-        team.barrier(f"{tag}.barrier")
-
-
-def _drive_sample(team: Team, model: ProgrammingModel, stats: WorkloadStats) -> None:
-    p = team.n_procs
-    c = team.costs
-    n_per = stats.n // p
-    elem_bytes = elem_bytes_for(stats.key_bits)
-    ls1, ls2 = stats.local1, stats.local2
-
-    for k in range(stats.passes):
-        local_sort_pass_phase(
-            team, "localsort1", k, ls1.counts, ls1.actives[k], ls1.localities[k],
-            elem_bytes=elem_bytes,
-        )
-    team.compute(
-        uniform_compute(
-            "sample-select",
-            np.full(p, SAMPLES_PER_PROC * c.splitter_busy_ns_per_key),
-        )
-    )
-    model.gather_samples(team, float(SAMPLES_PER_PROC * elem_bytes), "splitters")
-    team.compute(
-        uniform_compute(
-            "decide", np.full(p, np.log2(max(2, n_per)) * (p - 1) * 30.0)
-        )
-    )
-    model.exchange_for_sample(team, "distribute", stats.distribute, locality=1.0)
-    sample_tp = model.sample_transport or model.exchange_transport
-    got_cached = sample_tp in (Transport.SHMEM_GET, Transport.CCSAS_READ)
-    for k in range(stats.passes):
-        local_sort_pass_phase(
-            team, "localsort2", k, ls2.counts, ls2.actives[k], ls2.localities[k],
-            received_cached=got_cached, elem_bytes=elem_bytes,
-        )
-    team.barrier("final")
-
-
-def drive(team: Team, model: ProgrammingModel | str, stats: WorkloadStats) -> None:
-    """Emit the full phase sequence of ``stats`` onto ``team``."""
-    mdl = get_model(model) if isinstance(model, str) else model
-    if stats.algorithm == "radix":
-        _drive_radix(team, mdl, stats)
-    else:
-        _drive_sample(team, mdl, stats)
-
-
 def predict_outcome(
     stats: WorkloadStats,
     model: ProgrammingModel | str,
@@ -168,19 +92,9 @@ def predict_outcome(
         machine, stats.p, costs,
         label=f"{stats.algorithm}/{mdl.name}", factors=factors,
     )
-    drive(team, mdl, stats)
-    return SortOutcome(
-        sorted_keys=(
-            sorted_keys if sorted_keys is not None else np.empty(0, dtype=np.int64)
-        ),
-        report=team.report(),
-        algorithm=stats.algorithm,
-        model_name=mdl.name,
-        radix=stats.radix,
-        n_labeled=stats.n,
-        n_procs=stats.p,
-        passes=stats.passes,
-    )
+    if sorted_keys is None:
+        sorted_keys = np.empty(0, dtype=np.int64)
+    return run_on(team, mdl, stats, sorted_keys)
 
 
 # ----------------------------------------------------------------------

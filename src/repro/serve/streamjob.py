@@ -143,8 +143,12 @@ class StreamSession:
         t0 = time.perf_counter()
         with rec_ctx, plan_ctx:
             bufs = self.engine.arena.buffers()
-            sorted_chunk = _sort_chunk(chunk, self.engine.pool, 11, None)
-            bufs.release_all()
+            try:
+                sorted_chunk = _sort_chunk(
+                    chunk, self.engine.pool, 11, None, buffers=bufs
+                )
+            finally:
+                bufs.release_all()  # idempotent: the sort releases too
             path = os.path.join(
                 self.workdir, f"repro_run_{self.runs:04d}.run"
             )

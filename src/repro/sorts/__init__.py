@@ -3,7 +3,10 @@
 from .common import (
     CommMatrices,
     ELEM_BYTES,
+    LocalSortStats,
+    RadixPassStats,
     SAMPLES_PER_PROC,
+    WorkloadStats,
     apply_radix_pass,
     choose_splitters,
     digits_for_pass,
@@ -15,9 +18,8 @@ from .common import (
     radix_comm_matrices,
     select_samples,
 )
-from .local_sort import local_radix_sort_phases
-from .radix import ParallelRadixSort, SortOutcome, default_machine
-from .sample import ParallelSampleSort
+from .program import ParallelRadixSort, ParallelSampleSort, drive, measure
+from .radix import SortOutcome, default_machine
 from .sequential import (
     SequentialResult,
     default_sequential_machine,
@@ -33,18 +35,22 @@ __all__ = [
     "ALGORITHMS",
     "CommMatrices",
     "ELEM_BYTES",
+    "LocalSortStats",
     "ParallelRadixSort",
     "ParallelSampleSort",
+    "RadixPassStats",
     "SAMPLES_PER_PROC",
     "SequentialResult",
     "SortOutcome",
+    "WorkloadStats",
     "apply_radix_pass",
     "choose_splitters",
     "default_machine",
     "default_sequential_machine",
     "digits_for_pass",
+    "drive",
     "estimate_support",
-    "local_radix_sort_phases",
+    "measure",
     "measure_locality",
     "n_passes",
     "partition_counts",

@@ -116,6 +116,52 @@ class CommMatrices:
         return float(1.0 - np.trace(self.bytes_matrix) / total)
 
 
+@dataclass(frozen=True)
+class RadixPassStats:
+    """Statistics of one parallel radix-sort pass."""
+
+    comm: CommMatrices
+    locality: float
+    active_buckets: int
+
+
+@dataclass(frozen=True)
+class LocalSortStats:
+    """Statistics of one complete local radix sort (all passes)."""
+
+    counts: np.ndarray  # (p,) labeled per-processor key counts
+    actives: np.ndarray  # (passes, p) active write streams
+    localities: np.ndarray  # (passes, p) destination locality
+
+
+@dataclass(frozen=True)
+class WorkloadStats:
+    """Everything the phase driver needs to know about a workload."""
+
+    algorithm: str
+    n: int  # labeled key count
+    p: int
+    radix: int
+    key_bits: int
+    passes: int
+    # Parallel radix sort:
+    radix_passes: tuple[RadixPassStats, ...] = ()
+    # Sample sort:
+    local1: LocalSortStats | None = None
+    local2: LocalSortStats | None = None
+    distribute: CommMatrices | None = None
+
+
+def check_workload(algorithm: str, n: int, p: int, radix: int) -> None:
+    """Reject a workload shape no sorter (or predictor) can run."""
+    if algorithm not in ("radix", "sample"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if n <= 0 or p <= 0 or n % p != 0:
+        raise ValueError("n must be a positive multiple of n_procs")
+    if not 1 <= radix <= 16:
+        raise ValueError("radix must be in [1, 16]")
+
+
 def estimate_support(observed_distinct: float, observed_keys: float, cap: float) -> float:
     """Invert ``D = S * (1 - exp(-m/S))`` for S given observed distinct
     cell count D and key count m, capped at the block's cell count."""

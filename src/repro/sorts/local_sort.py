@@ -1,10 +1,10 @@
-"""Local radix-sort phase emission shared by the parallel sorts.
+"""Local radix sorts: the functional walk and its phase emission.
 
 Sample sort runs two complete local radix sorts (phases 1 and 5); parallel
 radix sort's histogram/permutation passes reuse the same access-pattern
-shapes.  This module simulates the local passes functionally (per
-partition) while emitting one compute phase per pass with per-processor
-busy time and cache/TLB access patterns.
+shapes.  This module walks the local passes functionally (per partition),
+measuring each pass's statistics, and emits one compute phase per pass
+with per-processor busy time and cache/TLB access patterns.
 
 Residency matters here: when a processor's partition fits in its L2 cache,
 passes after the first run out of cache -- this is precisely the
@@ -16,31 +16,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.distributions import KEY_BITS
 from ..machine.access import BucketedAppend, SequentialScan
 from ..smp.phases import uniform_compute
 from ..smp.team import Team
 from ..machine.placement import partition_home
 from .common import (
     ELEM_BYTES,
+    LocalSortStats,
+    apply_radix_pass,
     digits_for_pass,
-    elem_bytes_for,
     measure_locality,
-    n_passes,
 )
 
 
-def local_pass_stats(part: np.ndarray, k: int, radix: int) -> tuple[int, float]:
+def local_pass_stats(digits: np.ndarray, radix: int) -> tuple[int, float]:
     """Measured (active write streams, destination locality) of one local
-    radix pass over ``part`` -- the workload statistics that drive the
-    pass's cache/TLB cost."""
-    nb = 1 << radix
-    digits = digits_for_pass(part, k, radix)
+    radix pass whose keys carry ``digits`` -- the workload statistics
+    that drive the pass's cache/TLB cost."""
     locality = measure_locality(digits, 1)
     # Only the digit values that actually occur form write streams
     # (the 'half' distribution activates half the buckets).
     active = int(
-        np.count_nonzero(np.bincount(digits.astype(np.int64), minlength=nb))
+        np.count_nonzero(
+            np.bincount(digits.astype(np.int64), minlength=1 << radix)
+        )
     ) or 1
     return active, locality
 
@@ -60,10 +59,12 @@ def local_sort_pass_phase(
     ``labeled_counts[i]`` is processor ``i``'s labeled key count,
     ``actives[i]``/``localities[i]`` its measured (or analytically
     derived) write-stream count and destination locality for this pass.
-    Shared by :func:`local_radix_sort_phases` and the analytic predictor
-    (:mod:`repro.predict`) so both charge identical costs.
+    ``received_cached`` marks the input as cache-resident at the start
+    (true after a SHMEM ``get``, which deposits data in the cache).
     """
     p = team.n_procs
+    if len(labeled_counts) != p:
+        raise ValueError("labeled_counts must match team size")
     costs = team.costs
     l2_bytes = team.machine.l2.size_bytes
     per_key = costs.hist_busy_ns_per_key + costs.permute_busy_ns_per_key
@@ -99,47 +100,35 @@ def local_sort_pass_phase(
     team.compute(uniform_compute(f"{name}.pass{k}", busy, patterns))
 
 
-def local_radix_sort_phases(
-    team: Team,
-    name: str,
+def local_sort_walk(
     parts: list[np.ndarray],
     labeled_counts: np.ndarray,
     radix: int,
-    received_cached: bool = False,
-    key_bits: int = KEY_BITS,
-) -> list[np.ndarray]:
-    """Emit the cost phases of per-processor local radix sorts and return
-    the functionally sorted partitions.
+    passes: int,
+) -> tuple[LocalSortStats, list[np.ndarray]]:
+    """Walk per-processor local radix sorts: measure every pass's
+    statistics and return them with the functionally sorted partitions.
 
     ``parts[i]`` is processor ``i``'s actual (sample-size) data;
     ``labeled_counts[i]`` its labeled key count for the cost model.
-    ``received_cached`` marks the input as cache-resident at the start
-    (true after a SHMEM ``get``, which deposits data in the cache).
+    :func:`local_sort_pass_phase` prices one pass of the result.
     """
-    p = team.n_procs
-    if len(parts) != p or len(labeled_counts) != p:
-        raise ValueError("parts and labeled_counts must match team size")
-    passes = n_passes(radix, key_bits)
-    elem_bytes = elem_bytes_for(key_bits)
-
+    p = len(parts)
+    if len(labeled_counts) != p:
+        raise ValueError("parts and labeled_counts must match in length")
+    actives = np.ones((passes, p))
+    localities = np.zeros((passes, p))
     cur = [np.asarray(part) for part in parts]
     for k in range(passes):
-        actives = np.ones(p)
-        localities = np.zeros(p)
         for i in range(p):
-            if float(labeled_counts[i]) <= 0:
-                continue
-            actives[i], localities[i] = local_pass_stats(cur[i], k, radix)
-        local_sort_pass_phase(
-            team, name, k, np.asarray(labeled_counts, dtype=np.float64),
-            actives, localities, received_cached=received_cached,
-            elem_bytes=elem_bytes,
-        )
-        # Functional pass, partition-local and stable.
-        for i in range(p):
-            if len(cur[i]):
-                digits = digits_for_pass(cur[i], k, radix)
-                cur[i] = cur[i][np.argsort(digits, kind="stable")]
-    return cur
-
-
+            digits = digits_for_pass(cur[i], k, radix)
+            if float(labeled_counts[i]) > 0:
+                actives[k, i], localities[k, i] = local_pass_stats(digits, radix)
+            # Functional pass, partition-local and stable.
+            cur[i] = apply_radix_pass(cur[i], digits)
+    stats = LocalSortStats(
+        counts=np.asarray(labeled_counts, dtype=np.float64),
+        actives=actives,
+        localities=localities,
+    )
+    return stats, cur

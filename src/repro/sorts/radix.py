@@ -14,28 +14,26 @@ difference between the models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.distributions import KEY_BITS
 from ..machine.access import BucketedAppend, SequentialScan
 from ..machine.config import MachineConfig
-from ..machine.costs import CostModel, DEFAULT_COSTS
-from ..machine.memory import HomeLocation
 from ..machine.placement import partition_home
-from ..models import ProgrammingModel, get_model
+from ..models import ProgrammingModel
 from ..smp.perf import PerfReport
 from ..smp.phases import Transport, uniform_compute
 from ..smp.team import Team
 from .common import (
     ELEM_BYTES,
     CommMatrices,
+    RadixPassStats,
+    WorkloadStats,
     apply_radix_pass,
     digits_for_pass,
     elem_bytes_for,
     measure_locality,
-    n_passes,
     proc_histograms,
     radix_comm_matrices,
 )
@@ -53,7 +51,6 @@ class SortOutcome:
     n_labeled: int
     n_procs: int
     passes: int
-    comm: tuple[CommMatrices, ...] = field(default=())
 
     @property
     def time_ns(self) -> float:
@@ -75,24 +72,12 @@ def default_machine(n_procs: int = 64, page_bytes: int = 64 * 1024) -> MachineCo
     )
 
 
-def _resolve_scale(n_actual: int, n_labeled: int | None, p: int) -> tuple[int, int]:
-    if n_actual <= 0 or n_actual % p != 0:
-        raise ValueError(f"key count {n_actual} must be a positive multiple of p={p}")
-    n = n_labeled if n_labeled is not None else n_actual
-    if n % n_actual != 0:
-        raise ValueError(
-            f"n_labeled={n} must be a multiple of the actual key count {n_actual}"
-        )
-    return n, n // n_actual
-
-
 def radix_histogram_phase(
     team: Team, tag: str, n_per: int, resident: bool,
     elem_bytes: int = ELEM_BYTES,
 ) -> None:
     """Emit one pass's histogram phase: every processor scans its
-    partition once.  Shared by the simulated sorter and the analytic
-    predictor (:mod:`repro.predict`) so both charge identical costs."""
+    partition once."""
     p = team.n_procs
     busy = np.full(p, team.costs.hist_busy_ns_per_key * n_per)
     home = partition_home(team.machine)
@@ -115,8 +100,7 @@ def radix_permute_phase(
     elem_bytes: int = ELEM_BYTES,
 ) -> None:
     """Emit one pass's permutation compute phase plus the model's
-    all-to-all exchange.  Shared by the simulated sorter and the analytic
-    predictor."""
+    all-to-all exchange."""
     p = team.n_procs
     c = team.costs
     nb = active_buckets
@@ -173,103 +157,50 @@ def radix_permute_phase(
         )
 
 
-class ParallelRadixSort:
-    """Radix sort on the simulated machine under one programming model."""
-
-    algorithm = "radix"
-
-    def __init__(self, model: ProgrammingModel | str, radix: int = 8):
-        self.model = get_model(model) if isinstance(model, str) else model
-        if not 1 <= radix <= 16:
-            raise ValueError("radix must be in [1, 16]")
-        self.radix = radix
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        keys: np.ndarray,
-        n_procs: int | None = None,
-        machine: MachineConfig | None = None,
-        costs: CostModel = DEFAULT_COSTS,
-        n_labeled: int | None = None,
-        key_bits: int = KEY_BITS,
-        keep_comm: bool = False,
-    ) -> SortOutcome:
-        keys = np.ascontiguousarray(keys)
-        if machine is None:
-            machine = default_machine(n_procs or 64)
-        p = n_procs if n_procs is not None else machine.n_processors
-        n, scale = _resolve_scale(len(keys), n_labeled, p)
-        team = Team(machine, p, costs, label=f"radix/{self.model.name}")
-        n_per = n // p
-        n_actual_per = len(keys) // p
-        nb = 1 << self.radix
-        passes = n_passes(self.radix, key_bits)
-        elem_bytes = elem_bytes_for(key_bits)
-        l2 = machine.l2.size_bytes
-        c = costs
-
-        cur = keys
-        comm_record: list[CommMatrices] = []
-        shmem_cached = self.model.exchange_transport is Transport.SHMEM_GET
-        for k in range(passes):
-            tag = f"pass{k}"
-            digits = digits_for_pass(cur, k, self.radix)
-            hist = proc_histograms(digits, p, self.radix)
-            locality = measure_locality(digits, p)
-            active_buckets = int(np.count_nonzero(hist.sum(axis=0))) or 1
-            comm = radix_comm_matrices(
-                hist, n_actual_per, scale, elem_bytes=elem_bytes
-            )
-            if keep_comm:
-                comm_record.append(comm)
-
-            fits = n_per * elem_bytes <= l2
-            # Data written by the previous pass is warm only if the
-            # transport deposited it in the cache (SHMEM get) or it was
-            # produced locally and fits.
-            warm_in = fits and k > 0 and shmem_cached
-            self._histogram_phase(team, tag, n_per, warm_in, elem_bytes)
-            self.model.accumulate_histograms(team, nb, tag)
-            self._permute_phase(
-                team, tag, n_per, n, active_buckets, locality, comm, fits,
-                elem_bytes,
-            )
-            team.barrier(f"{tag}.barrier")
-            cur = apply_radix_pass(cur, digits)
-
-        return SortOutcome(
-            sorted_keys=cur,
-            report=team.report(),
-            algorithm=self.algorithm,
-            model_name=self.model.name,
-            radix=self.radix,
-            n_labeled=n,
-            n_procs=p,
-            passes=passes,
-            comm=tuple(comm_record),
+def measure_radix(
+    keys: np.ndarray,
+    p: int,
+    radix: int,
+    passes: int,
+    scale: int,
+    elem_bytes: int,
+) -> tuple[tuple[RadixPassStats, ...], np.ndarray]:
+    """Walk the passes over ``keys`` functionally: per pass, the
+    statistics its phases consume (labeled-size traffic, write-stream
+    locality, occupied buckets); at the end, the sorted keys."""
+    n_actual_per = len(keys) // p
+    cur = keys
+    pass_stats = []
+    for k in range(passes):
+        digits = digits_for_pass(cur, k, radix)
+        hist = proc_histograms(digits, p, radix)
+        locality = measure_locality(digits, p)
+        active_buckets = int(np.count_nonzero(hist.sum(axis=0))) or 1
+        comm = radix_comm_matrices(
+            hist, n_actual_per, scale, elem_bytes=elem_bytes
         )
+        pass_stats.append(RadixPassStats(comm, locality, active_buckets))
+        cur = apply_radix_pass(cur, digits)
+    return tuple(pass_stats), cur
 
-    # ------------------------------------------------------------------
-    def _histogram_phase(
-        self, team: Team, tag: str, n_per: int, resident: bool,
-        elem_bytes: int = ELEM_BYTES,
-    ) -> None:
-        radix_histogram_phase(team, tag, n_per, resident, elem_bytes)
 
-    def _permute_phase(
-        self,
-        team: Team,
-        tag: str,
-        n_per: int,
-        n: int,
-        nb: int,
-        locality: float,
-        comm: CommMatrices,
-        fits: bool,
-        elem_bytes: int = ELEM_BYTES,
-    ) -> None:
+def drive_radix(team: Team, model: ProgrammingModel, stats: WorkloadStats) -> None:
+    """Emit the phases of every pass: histogram, global accumulation,
+    permutation + exchange, barrier."""
+    n_per = stats.n // team.n_procs
+    elem_bytes = elem_bytes_for(stats.key_bits)
+    fits = n_per * elem_bytes <= team.machine.l2.size_bytes
+    shmem_cached = model.exchange_transport is Transport.SHMEM_GET
+    for k, ps in enumerate(stats.radix_passes):
+        tag = f"pass{k}"
+        # Data written by the previous pass is warm only if the
+        # transport deposited it in the cache (SHMEM get) or it was
+        # produced locally and fits.
+        warm_in = fits and k > 0 and shmem_cached
+        radix_histogram_phase(team, tag, n_per, warm_in, elem_bytes)
+        model.accumulate_histograms(team, 1 << stats.radix, tag)
         radix_permute_phase(
-            team, self.model, tag, n_per, n, nb, locality, comm, fits,
-            elem_bytes,
+            team, model, tag, n_per, stats.n,
+            ps.active_buckets, ps.locality, ps.comm, fits, elem_bytes,
         )
+        team.barrier(f"{tag}.barrier")

@@ -37,6 +37,7 @@ from ..faults.context import current_fault_plan
 from ..faults.plan import FaultStats
 from ..native.pool import WorkerPool, default_workers
 from ..native.radix import parallel_radix_sort
+from ..native.shm import SortBuffers
 from ..trace import PID_STREAM, current_recorder
 from ..verify.context import current_sanitizer
 from .ingest import iter_chunks
@@ -82,25 +83,29 @@ def _sort_chunk(
     pool: WorkerPool | None,
     radix: int,
     kernel: str | None,
+    buffers: SortBuffers | None = None,
 ) -> np.ndarray:
     """Run formation: sort one chunk on the pool via the kernel seam.
 
     The radix kernels are signed-int64 shared-memory paths; unsigned
     chunks ride them through a value-preserving int64 round trip, except
     uint64 keys past ``2**63 - 1`` which fall back to ``np.sort``.
+    ``buffers`` (the serve arena's lease) replaces per-sort shared-memory
+    segments, as in :func:`~repro.native.radix.parallel_radix_sort`.
     """
-    if chunk.dtype.kind == "u":
-        if (
-            chunk.dtype.itemsize == 8
-            and len(chunk)
-            and int(chunk.max()) > np.iinfo(np.int64).max
-        ):
-            return np.sort(chunk)
-        widened = parallel_radix_sort(
-            chunk.astype(np.int64), pool=pool, radix=radix, kernel=kernel
-        )
-        return widened.astype(chunk.dtype)
-    return parallel_radix_sort(chunk, pool=pool, radix=radix, kernel=kernel)
+    widen = chunk.dtype.kind == "u"
+    if (
+        widen
+        and chunk.dtype.itemsize == 8
+        and len(chunk)
+        and int(chunk.max()) > np.iinfo(np.int64).max
+    ):
+        return np.sort(chunk)
+    out = parallel_radix_sort(
+        chunk.astype(np.int64) if widen else chunk,
+        pool=pool, radix=radix, buffers=buffers, kernel=kernel,
+    )
+    return out.astype(chunk.dtype) if widen else out
 
 
 def external_sort(

@@ -111,6 +111,20 @@ class TestDriftDiff:
             cell["time_ns"] *= 3
         assert _run(tmp_path, doc, cur) == 0
 
+    def test_regenerated_bench_0_is_exact(self, tmp_path):
+        """The exact-equality guard for simulator refactors: BENCH_0's
+        three experiments, recomputed with the cache off, reproduce the
+        checked-in numbers with no tolerance at all."""
+        from repro.__main__ import main
+
+        fresh = tmp_path / "fresh.json"
+        argv = ["table1", "fig4", "fig8", "--small", "--no-cache"]
+        assert main([*argv, "--json", str(fresh)]) == 0
+        baseline = compare.load_results(BENCH_DIR / "BENCH_0.json")
+        current = compare.load_results(fresh)
+        assert compare.diffed_ids(baseline, current) == ["fig4", "fig8", "table1"]
+        assert list(compare.diff_shared(baseline, current, rtol=0)) == []
+
     @pytest.mark.parametrize("current", [
         {"results": []},  # empty document
         {"results": [{"exp_id": "fig3", "data": {"x": 1.0}}]},  # wrong file

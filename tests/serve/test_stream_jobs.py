@@ -189,3 +189,31 @@ class TestAdmission:
         assert reply["aborted"]
         with pytest.raises(ServeError, match="unknown-stream"):
             client.stream_status(stream_id)
+
+
+class TestRunFormationUsesTheArena:
+    """Streamed runs sort in the arena's slabs like any other job: no
+    fresh ``/dev/shm`` segment per run, and every lease comes back."""
+
+    @pytest.mark.parametrize("dtype", ["<i8", "<u4"])
+    def test_three_runs_create_no_segments(self, dtype):
+        from repro.native import shm
+        from repro.serve import SortEngine, StreamSession
+        from repro.stream import RunReader
+
+        rng = np.random.default_rng(13)
+        with SortEngine(n_workers=2) as eng:
+            eng.warmup()
+            sess = StreamSession(eng, np.dtype(dtype), chunk_keys=20_000, fan_in=4)
+            try:
+                before = shm.create_count()
+                for _ in range(3):
+                    chunk = rng.integers(0, 1 << 32, 20_000).astype(dtype)
+                    sess.form_run_on_engine(chunk)
+                    assert shm.create_count() == before
+                    assert eng.arena.in_use() == 0
+                    with RunReader(sess._run_paths[-1]) as run:
+                        assert np.array_equal(run.read_all(), np.sort(chunk))
+                assert sess.runs == 3
+            finally:
+                sess.cleanup()
