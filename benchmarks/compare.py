@@ -9,8 +9,7 @@ Two checks, both driven by the one experiment registry
   numeric leaves of ``data`` (dotted paths) must agree within ``--rtol``.
   Everything diffed is deterministic simulator/predictor output.  Wall
   clocks (``wall_s``) and near-zero predictor error measures
-  (``rel_err``, ``abs_rel``) are never diffed, and a registry record with
-  ``diff=False`` opts its whole result out.
+  (``rel_err``, ``abs_rel``) are never diffed.
 * **Gates.**  Every result in the current file whose registry record
   declares a ``gate`` has it run on the result's ``data``.
 
@@ -58,12 +57,8 @@ def load_results(path):
 
 
 def diffed_ids(baseline, current):
-    """Experiment ids present in both documents and subject to the diff."""
-    return sorted(
-        exp_id
-        for exp_id in set(baseline) & set(current)
-        if exp_id not in EXPERIMENTS or EXPERIMENTS[exp_id].diff
-    )
+    """Experiment ids present in both documents: what the diff covers."""
+    return sorted(set(baseline) & set(current))
 
 
 def diff_shared(baseline, current, rtol):

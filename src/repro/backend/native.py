@@ -18,10 +18,9 @@ import time
 import numpy as np
 
 from ..faults.context import current_fault_plan
+from ..native import parallel_sort
 from ..native.kernels import resolve as resolve_kernel
 from ..native.pool import PhaseTiming, WorkerPool, POOL_TID
-from ..native.radix import parallel_radix_sort
-from ..native.sample import parallel_sample_sort
 from ..smp.perf import PerfCounters, PerfReport, PhaseRecord
 from ..trace import PID_NATIVE, TraceRecorder, current_recorder, use_recorder
 from ..verify.context import current_sanitizer
@@ -115,11 +114,9 @@ class NativeBackend(Backend):
             first_timing = len(pool.timings)
             t0 = time.perf_counter()
             try:
-                if job.algorithm == "radix":
-                    kwargs = {} if job.radix is None else {"radix": job.radix}
-                    out = parallel_radix_sort(keys, pool=pool, **kwargs)
-                else:
-                    out = parallel_sample_sort(keys, pool=pool)
+                out = parallel_sort(
+                    keys, job.algorithm, pool=pool, radix=job.radix
+                )
                 t1 = time.perf_counter()
             finally:
                 if self._shared_pool is None:

@@ -39,6 +39,7 @@ from ..data.distributions import KEY_BITS, generate
 from ..machine.config import MachineConfig
 from ..machine.costs import CostModel, DEFAULT_COSTS
 from ..machine.zoo import MACHINES, get_machine
+from ..native.pool import default_start_method
 from ..sorts.radix import SortOutcome
 from ..sorts.sequential import (
     SequentialResult,
@@ -173,6 +174,57 @@ def _compute_outcome(
     return outcome
 
 
+def _run_key_material(spec: RunSpec, costs: CostModel) -> dict:
+    return {"spec": spec, "machine": _spec_machine(spec), "costs": costs}
+
+
+def _outcome_valid(outcome: object) -> bool:
+    """Cheap validation of a disk-cache payload before trusting it."""
+    return (
+        isinstance(outcome, SortOutcome)
+        and isinstance(outcome.sorted_keys, np.ndarray)
+        and bool(np.all(np.diff(outcome.sorted_keys) >= 0))
+    )
+
+
+def _load_or_compute(
+    spec: RunSpec,
+    costs: CostModel,
+    cache: GridCache | None,
+    keys_memo: dict[tuple, np.ndarray],
+    backend: Backend | None = None,
+    compute: bool = True,
+) -> SortOutcome | None:
+    """One grid cell, from the disk cache or by running it.
+
+    A valid cached payload is returned as is (an invalid one is dropped
+    from the cache); otherwise the cell runs on keys generated once per
+    ``keys_memo`` entry and is published to the cache -- or, with
+    ``compute=False``, the miss is reported as ``None`` for the caller
+    to schedule.
+    """
+    if cache is not None:
+        material = _run_key_material(spec, costs)
+        cached = cache.get("run", material)
+        if cached is not None:
+            if _outcome_valid(cached):
+                return cached
+            cache.invalidate("run", material)
+    if not compute:
+        return None
+    key_id = (spec.distribution, spec.n_actual, spec.n_procs, spec.radix, spec.seed)
+    keys = keys_memo.get(key_id)
+    if keys is None:
+        keys = keys_memo[key_id] = generate(
+            spec.distribution, spec.n_actual, spec.n_procs,
+            radix=spec.radix, seed=spec.seed,
+        )
+    outcome = _compute_outcome(spec, costs, keys, backend)
+    if cache is not None:
+        cache.put("run", material, outcome)
+    return outcome
+
+
 #: Per-worker-process memo of generated key arrays, shared across the
 #: grid cells one ``run_many`` worker executes (pool processes are
 #: reused, so e.g. five models at the same size/p/radix generate once).
@@ -185,35 +237,7 @@ def _grid_worker(
     """``run_many`` subprocess body: compute one cell, publish it to the
     shared disk cache, ship the outcome back to the parent."""
     cache = GridCache(cache_root) if cache_root is not None else None
-    if cache is not None:
-        hit = cache.get("run", _run_key_material(spec, costs))
-        if hit is not None and _outcome_valid(hit):
-            return hit
-    key_id = (spec.distribution, spec.n_actual, spec.n_procs, spec.radix, spec.seed)
-    keys = _worker_keys.get(key_id)
-    if keys is None:
-        keys = generate(
-            spec.distribution, spec.n_actual, spec.n_procs,
-            radix=spec.radix, seed=spec.seed,
-        )
-        _worker_keys[key_id] = keys
-    outcome = _compute_outcome(spec, costs, keys)
-    if cache is not None:
-        cache.put("run", _run_key_material(spec, costs), outcome)
-    return outcome
-
-
-def _run_key_material(spec: RunSpec, costs: CostModel) -> dict:
-    return {"spec": spec, "machine": _spec_machine(spec), "costs": costs}
-
-
-def _outcome_valid(outcome: object) -> bool:
-    """Cheap validation of a disk-cache payload before trusting it."""
-    return (
-        isinstance(outcome, SortOutcome)
-        and isinstance(outcome.sorted_keys, np.ndarray)
-        and bool(np.all(np.diff(outcome.sorted_keys) >= 0))
-    )
+    return _load_or_compute(spec, costs, cache, _worker_keys)
 
 
 class ExperimentRunner:
@@ -304,34 +328,11 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def run(self, spec: RunSpec) -> SortOutcome:
         hit = self._runs.get(spec)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
-            material = _run_key_material(spec, self.costs)
-            cached = self.cache.get("run", material)
-            if cached is not None:
-                if _outcome_valid(cached):
-                    self._runs[spec] = cached
-                    return cached
-                self.cache.invalidate("run", material)
-        key_id = (
-            spec.distribution, spec.n_actual, spec.n_procs, spec.radix, spec.seed
-        )
-        keys = self._keys.get(key_id)
-        if keys is None:
-            keys = generate(
-                spec.distribution,
-                spec.n_actual,
-                spec.n_procs,
-                radix=spec.radix,
-                seed=spec.seed,
+        if hit is None:
+            hit = self._runs[spec] = _load_or_compute(
+                spec, self.costs, self.cache, self._keys, self.backend
             )
-            self._keys[key_id] = keys
-        outcome = _compute_outcome(spec, self.costs, keys, backend=self.backend)
-        self._runs[spec] = outcome
-        if self.cache is not None:
-            self.cache.put("run", _run_key_material(spec, self.costs), outcome)
-        return outcome
+        return hit
 
     # ------------------------------------------------------------------
     def run_many(
@@ -365,13 +366,9 @@ class ExperimentRunner:
         misses: list[RunSpec] = []
         for spec in pending:
             t0 = time.perf_counter()
-            cached = None
-            if self.cache is not None:
-                material = _run_key_material(spec, self.costs)
-                cached = self.cache.get("run", material)
-                if cached is not None and not _outcome_valid(cached):
-                    self.cache.invalidate("run", material)
-                    cached = None
+            cached = _load_or_compute(
+                spec, self.costs, self.cache, self._keys, compute=False
+            )
             if cached is not None:
                 self._runs[spec] = cached
                 self._emit_cell_span(rec, spec, t0, source="disk")
@@ -394,9 +391,8 @@ class ExperimentRunner:
         import itertools
         import multiprocessing as mp
 
-        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         cache_root = str(self.cache.root) if self.cache is not None else None
-        ctx = mp.get_context(method)
+        ctx = mp.get_context(default_start_method())
         # Cells sharing a generated key array (same distribution / size /
         # p / radix / seed, e.g. the five models of one Table 2 column)
         # are grouped into adjacent chunks so one worker's key memo

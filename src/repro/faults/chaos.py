@@ -82,16 +82,13 @@ def _run_native(
     n_workers: int = 4,
     phase_timeout_s: float = 10.0,
 ) -> str:
-    from ..native.pool import WorkerPool
-    from ..native.radix import parallel_radix_sort
-    from ..native.sample import parallel_sample_sort
+    from ..native import WorkerPool, parallel_sort
 
-    sort = parallel_radix_sort if algorithm == "radix" else parallel_sample_sort
     with use_fault_plan(plan):
         with WorkerPool(
             n_workers, supervise=True, phase_timeout_s=phase_timeout_s
         ) as pool:
-            out = sort(keys, pool=pool)
+            out = parallel_sort(keys, algorithm, pool=pool)
             _assert_sorted(out, keys, f"native/{algorithm}")
             detail = (
                 f"{pool.phase_failures} phase failure(s) absorbed, "
@@ -100,10 +97,12 @@ def _run_native(
     return detail
 
 
-def _scenario_native_radix(seed: int, small: bool) -> ScenarioResult:
-    """Seeded crash/slowdown/attach-failure storm under radix sort."""
+def _native_storm(
+    name: str, algorithm: str, plan_seed: int, keys_seed: int, small: bool
+) -> ScenarioResult:
+    """Seeded crash/slowdown/attach-failure storm under one native sort."""
     plan = FaultPlan(
-        seed,
+        plan_seed,
         {
             "pool.worker.crash": 0.10,
             "pool.worker.slow": 0.15,
@@ -113,33 +112,20 @@ def _scenario_native_radix(seed: int, small: bool) -> ScenarioResult:
         slow_s=0.01,
         max_per_site=2,
     )
-    keys = _keys(seed + 101, 20_000 if small else 200_000)
+    keys = _keys(keys_seed, 20_000 if small else 200_000)
     t0 = time.perf_counter()
-    detail = _run_native(plan, "radix", keys)
-    return ScenarioResult(
-        "native-radix", plan.stats(), time.perf_counter() - t0, detail
-    )
+    detail = _run_native(plan, algorithm, keys)
+    return ScenarioResult(name, plan.stats(), time.perf_counter() - t0, detail)
+
+
+def _scenario_native_radix(seed: int, small: bool) -> ScenarioResult:
+    """The seeded storm under radix sort."""
+    return _native_storm("native-radix", "radix", seed, seed + 101, small)
 
 
 def _scenario_native_sample(seed: int, small: bool) -> ScenarioResult:
-    """Seeded crash/slowdown/attach-failure storm under sample sort."""
-    plan = FaultPlan(
-        seed + 1,
-        {
-            "pool.worker.crash": 0.10,
-            "pool.worker.slow": 0.15,
-            "shm.attach": 0.10,
-            "shm.create": 0.15,
-        },
-        slow_s=0.01,
-        max_per_site=2,
-    )
-    keys = _keys(seed + 202, 20_000 if small else 200_000)
-    t0 = time.perf_counter()
-    detail = _run_native(plan, "sample", keys)
-    return ScenarioResult(
-        "native-sample", plan.stats(), time.perf_counter() - t0, detail
-    )
+    """The seeded storm under sample sort."""
+    return _native_storm("native-sample", "sample", seed + 1, seed + 202, small)
 
 
 def _scenario_scripted_pool(seed: int, small: bool) -> ScenarioResult:

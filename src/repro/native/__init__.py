@@ -31,14 +31,19 @@ def parallel_sort(
     algorithm: str = "sample",
     n_workers: int | None = None,
     pool: WorkerPool | None = None,
+    radix: int | None = None,
     **kwargs,
 ) -> np.ndarray:
     """Sort ``keys`` in parallel on the host machine.
 
     ``algorithm`` is ``"radix"`` (non-negative integers only) or
-    ``"sample"`` (any sortable dtype).
+    ``"sample"`` (any sortable dtype).  ``radix`` is the radix sort's
+    digit width (``None``: its default; sample sort has no such knob);
+    other keywords (``buffers=``, ``kernel=``) pass through.
     """
     if algorithm == "radix":
+        if radix is not None:
+            kwargs["radix"] = radix
         return parallel_radix_sort(keys, n_workers=n_workers, pool=pool, **kwargs)
     if algorithm == "sample":
         return parallel_sample_sort(keys, n_workers=n_workers, pool=pool, **kwargs)

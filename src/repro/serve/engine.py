@@ -25,18 +25,16 @@ workers (whose fresh caches must re-attach).
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
 from ..faults.context import use_fault_plan
 from ..faults.plan import FaultPlan
-from ..native import shm
+from ..native import parallel_sort, shm
 from ..native.pool import WorkerPool, default_workers
-from ..native.radix import parallel_radix_sort
-from ..native.sample import parallel_sample_sort
 from ..trace import PID_SERVE, TraceRecorder, current_recorder, use_recorder
 from .arena import Arena
 
@@ -149,6 +147,30 @@ class SortEngine:
         return self.warmup_rounds
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def ambient(self) -> Iterator[None]:
+        """Install the engine's recorder and fault plan around a body
+        running on the engine thread (a job, or a stream session's run
+        formation and merge)."""
+        plan_ctx = (
+            use_fault_plan(self._plan) if self._plan is not None else nullcontext()
+        )
+        with use_recorder(self._recorder), plan_ctx:
+            yield
+
+    def sort(
+        self, keys: np.ndarray, algorithm: str = "radix", radix: int | None = None
+    ) -> np.ndarray:
+        """One sort on the pool in the arena's slabs; the lease always
+        comes back, whatever the sort does."""
+        bufs = self.arena.buffers()
+        try:
+            return parallel_sort(
+                keys, algorithm, pool=self.pool, radix=radix, buffers=bufs
+            )
+        finally:
+            bufs.release_all()  # idempotent: the sorts release too
+
     def run(
         self,
         job_id: str,
@@ -161,27 +183,12 @@ class SortEngine:
         the steady-state path (asserted by the emitted trace span)."""
         if self._closed:
             raise RuntimeError("engine is closed")
-        plan_ctx = (
-            use_fault_plan(self._plan) if self._plan is not None else nullcontext()
-        )
         creates_before = shm.create_count()
         stats_before = self._plan.stats() if self._plan is not None else None
         failures_before = self.pool.phase_failures
-        bufs = self.arena.buffers()
         t0 = time.perf_counter()
-        with use_recorder(self._recorder), plan_ctx:
-            try:
-                if algorithm == "radix":
-                    kwargs = {} if radix is None else {"radix": radix}
-                    out = parallel_radix_sort(
-                        keys, pool=self.pool, buffers=bufs, **kwargs
-                    )
-                elif algorithm == "sample":
-                    out = parallel_sample_sort(keys, pool=self.pool, buffers=bufs)
-                else:
-                    raise ValueError(f"unknown algorithm {algorithm!r}")
-            finally:
-                bufs.release_all()  # idempotent: the sorts release too
+        with self.ambient():
+            out = self.sort(keys, algorithm, radix)
             t1 = time.perf_counter()
             attaches = self._drain_timing_attaches()
             creates = shm.create_count() - creates_before

@@ -59,6 +59,10 @@ class FrameTruncated(ProtocolError):
     """The stream ended mid-frame (peer died or sent a short write)."""
 
 
+class BadRequest(ProtocolError):
+    """A well-framed request whose header carries an unusable field."""
+
+
 # ----------------------------------------------------------------------
 # Pack / unpack (transport-independent)
 # ----------------------------------------------------------------------

@@ -36,9 +36,10 @@ from ..faults.plan import FaultPlan
 from ..trace import PID_SERVE, TraceRecorder
 from .admission import AdmissionController
 from .engine import SortEngine
-from ..stream.runfile import SUPPORTED_DTYPES, StreamError
+from ..stream.runfile import StreamError, check_dtype
 from .protocol import (
     MAX_FRAME,
+    BadRequest,
     ProtocolError,
     decode_keys,
     read_frame,
@@ -51,6 +52,11 @@ from .streamjob import StreamSession
 _STOP = None
 
 ALGORITHMS = ("radix", "sample")
+
+#: Stream ops addressed to an open session (everything but ``stream-open``).
+_SESSION_OPS = (
+    "stream-push", "stream-close", "stream-status", "stream-fetch", "stream-abort",
+)
 
 
 class ServeServer:
@@ -285,16 +291,19 @@ class ServeServer:
             return {"ok": True, "stats": self.stats()}, b""
         if op == "stream-open":
             return self._op_stream_open(header), b""
-        if op == "stream-push":
-            return await self._op_stream_push(header, payload), b""
-        if op == "stream-close":
-            return await self._op_stream_close(header), b""
-        if op == "stream-status":
-            return self._op_stream_status(header), b""
-        if op == "stream-fetch":
-            return self._op_stream_fetch(header)
-        if op == "stream-abort":
-            return self._op_stream_abort(header), b""
+        if op in _SESSION_OPS:
+            sess = self._streams.get(str(header.get("stream_id")))
+            if sess is None:
+                return {"ok": False, "error": "unknown-stream"}, b""
+            if op == "stream-push":
+                return await self._op_stream_push(sess, header, payload), b""
+            if op == "stream-close":
+                return self._op_stream_close(sess), b""
+            if op == "stream-status":
+                return {"ok": True, **sess.public()}, b""
+            if op == "stream-fetch":
+                return self._op_stream_fetch(sess, header)
+            return self._op_stream_abort(sess), b""
         if op == "drain":
             return await self._op_drain(), b""
         if op == "shutdown":
@@ -312,10 +321,8 @@ class ServeServer:
                 "error": "bad-algorithm",
                 "message": f"algorithm must be one of {ALGORITHMS}",
             }
-        radix = header.get("radix")
-        radix = None if radix is None else int(radix)
-        deadline_s = header.get("deadline_s", self.default_deadline_s)
-        deadline_s = None if deadline_s is None else float(deadline_s)
+        radix = _number(header, "radix", int)
+        deadline_s = _number(header, "deadline_s", float, self.default_deadline_s)
         verdict = self.admission.check(
             n_keys=len(keys),
             dtype=keys.dtype,
@@ -355,7 +362,7 @@ class ServeServer:
         rec = self.store.get(job_id)
         if rec is None:
             return {"ok": False, "error": "unknown-job"}
-        timeout_s = float(header.get("timeout_s", 60.0))
+        timeout_s = _number(header, "timeout_s", float, 60.0)
         ev = self.store.event_for(job_id, asyncio.get_running_loop())
         try:
             await asyncio.wait_for(ev.wait(), timeout=timeout_s)
@@ -381,9 +388,6 @@ class ServeServer:
     # ------------------------------------------------------------------
     # Streaming jobs (external sorts spanning many frames + pool phases)
     # ------------------------------------------------------------------
-    def _get_stream(self, header: dict[str, Any]) -> StreamSession | None:
-        return self._streams.get(str(header.get("stream_id")))
-
     def _op_stream_open(self, header: dict[str, Any]) -> dict[str, Any]:
         assert self.engine is not None
         if self.draining:
@@ -401,45 +405,24 @@ class ServeServer:
                 "retry_after_s": 1.0,
             }
         try:
-            dtype = np.dtype(header.get("dtype", "<i8"))
-        except TypeError:
-            dtype = None
-        if dtype is None or dtype.str not in SUPPORTED_DTYPES:
-            return {
-                "ok": False,
-                "error": "bad-dtype",
-                "message": f"stream dtype must be one of {SUPPORTED_DTYPES}",
-            }
+            dtype = check_dtype(header.get("dtype", "<i8"), "stream")
+        except (TypeError, StreamError) as err:
+            return {"ok": False, "error": "bad-dtype", "message": str(err)}
         # The chunk is the only full-width allocation a stream makes on
         # the engine: cap it so a chunk (widened to 8-byte keys for the
         # radix kernels) always fits one arena data slab.
         cap_keys = max(4, self.engine.arena.max_job_bytes() // 8)
-        chunk_keys = int(header.get("chunk_keys") or cap_keys)
+        chunk_keys = _number(header, "chunk_keys", int) or cap_keys
         chunk_keys = max(4, min(chunk_keys, cap_keys))
-        fan_in = max(2, int(header.get("fan_in") or 16))
+        fan_in = max(2, _number(header, "fan_in", int) or 16)
         sess = StreamSession(self.engine, dtype, chunk_keys, fan_in)
         self._streams[sess.stream_id] = sess
         return {"ok": True, **sess.public()}
 
-    def _fail_stream(self, sess: StreamSession, err: Exception) -> dict[str, Any]:
-        sess.phase = "failed"
-        sess.error = type(err).__name__
-        sess.message = str(err)
-        sess.cleanup()
-        return {
-            "ok": False,
-            "error": "stream-failed",
-            "message": f"{type(err).__name__}: {err}",
-            "stream_id": sess.stream_id,
-        }
-
     async def _op_stream_push(
-        self, header: dict[str, Any], payload: bytes
+        self, sess: StreamSession, header: dict[str, Any], payload: bytes
     ) -> dict[str, Any]:
         assert self._loop is not None
-        sess = self._get_stream(header)
-        if sess is None:
-            return {"ok": False, "error": "unknown-stream"}
         if sess.phase != "ingest":
             return {
                 "ok": False,
@@ -448,36 +431,23 @@ class ServeServer:
             }
         keys = decode_keys(header, payload)
         try:
-            ready = sess.buffer_keys(keys)
-            # Full chunks sort now, on the engine lane; the reply lands
-            # only after the spill completes, which is the stream's
+            # Chunks the push completes sort now, on the engine lane; the
+            # reply lands only after they spill, which is the stream's
             # natural backpressure.
-            for chunk in ready:
-                await self._loop.run_in_executor(
-                    self._exec, sess.form_run_on_engine, chunk
-                )
+            await self._loop.run_in_executor(
+                self._exec, sess.push_on_engine, keys
+            )
         except Exception as err:
-            return self._fail_stream(sess, err)
+            return sess.fail(err)
         return {"ok": True, **sess.public()}
 
-    async def _op_stream_close(self, header: dict[str, Any]) -> dict[str, Any]:
-        assert self._loop is not None
-        sess = self._get_stream(header)
-        if sess is None:
-            return {"ok": False, "error": "unknown-stream"}
+    def _op_stream_close(self, sess: StreamSession) -> dict[str, Any]:
         if sess.phase != "ingest":
             return {
                 "ok": False,
                 "error": "bad-phase",
                 "message": f"stream is {sess.phase}, already closed",
             }
-        try:
-            for chunk in sess.drain_buffer():
-                await self._loop.run_in_executor(
-                    self._exec, sess.form_run_on_engine, chunk
-                )
-        except Exception as err:
-            return self._fail_stream(sess, err)
         sess.phase = "merging"
         task = asyncio.create_task(self._finalize_stream(sess))
         self._stream_tasks[sess.stream_id] = task
@@ -487,13 +457,10 @@ class ServeServer:
         assert self._loop is not None
         try:
             await self._loop.run_in_executor(
-                self._exec, sess.finalize_on_engine
+                self._exec, sess.finish_on_engine
             )
         except Exception as err:
-            sess.phase = "failed"
-            sess.error = type(err).__name__
-            sess.message = str(err)
-            sess.cleanup()
+            sess.fail(err)
         else:
             sess.phase = "done"
             if sess.stream_id not in self._streams:
@@ -502,18 +469,9 @@ class ServeServer:
         finally:
             self._stream_tasks.pop(sess.stream_id, None)
 
-    def _op_stream_status(self, header: dict[str, Any]) -> dict[str, Any]:
-        sess = self._get_stream(header)
-        if sess is None:
-            return {"ok": False, "error": "unknown-stream"}
-        return {"ok": True, **sess.public()}
-
     def _op_stream_fetch(
-        self, header: dict[str, Any]
+        self, sess: StreamSession, header: dict[str, Any]
     ) -> tuple[dict[str, Any], bytes]:
-        sess = self._get_stream(header)
-        if sess is None:
-            return {"ok": False, "error": "unknown-stream"}, b""
         if sess.phase == "failed":
             return {
                 "ok": False,
@@ -529,12 +487,13 @@ class ServeServer:
         # Frame budget: the reply header is tiny, but leave slack so the
         # fetch frame itself can never trip the cap we enforce on it.
         cap_keys = max(1, (self.max_frame - 65536) // sess.dtype.itemsize)
-        req = header.get("max_keys")
-        max_keys = min(cap_keys, int(req)) if req else cap_keys
+        max_keys = _number(header, "max_keys", int, cap_keys)
+        if max_keys < 1:
+            raise BadRequest(f"header field 'max_keys' must be >= 1, got {max_keys}")
         try:
-            block, seq = sess.fetch_block(max_keys)
+            block, seq = sess.fetch_block(min(cap_keys, max_keys))
         except StreamError as err:
-            return self._fail_stream(sess, err), b""
+            return sess.fail(err), b""
         base = {"ok": True, "stream_id": sess.stream_id, "seq": seq,
                 "dtype": sess.dtype.str}
         if block is None:
@@ -545,10 +504,7 @@ class ServeServer:
             np.ascontiguousarray(block).tobytes(),
         )
 
-    def _op_stream_abort(self, header: dict[str, Any]) -> dict[str, Any]:
-        sess = self._get_stream(header)
-        if sess is None:
-            return {"ok": False, "error": "unknown-stream"}
+    def _op_stream_abort(self, sess: StreamSession) -> dict[str, Any]:
         self._streams.pop(sess.stream_id, None)
         if sess.stream_id not in self._stream_tasks:
             # Not merging: safe to drop spills now (a merging session is
@@ -589,6 +545,21 @@ class ServeServer:
                 "rejected": dict(self.admission.stats.rejected),
             },
         }
+
+
+def _number(header: dict[str, Any], field: str, cast: type, default=None):
+    """Header ``field`` as ``cast`` (``int``/``float``); absent -> the
+    cast ``default``, null -> ``None``, and anything non-numeric is a
+    typed ``bad-request`` naming the field (never an ``internal``)."""
+    raw = header.get(field, default)
+    if raw is None:
+        return None
+    try:
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise BadRequest(
+            f"header field {field!r} must be a number, got {raw!r}"
+        ) from None
 
 
 def _error_code(err: ProtocolError) -> str:

@@ -1,6 +1,9 @@
-"""The external-sort driver: ingest -> spill runs -> k-way merge.
+"""The external-sort pipeline: ingest -> spill runs -> k-way merge.
 
-:func:`external_sort` sorts a key stream of any size in bounded memory:
+:class:`ExternalSorter` is the pipeline, fed one chunk at a time;
+:func:`external_sort` feeds it from any :func:`iter_chunks` source and a
+serve stream session (:mod:`repro.serve.streamjob`) feeds it from pushed
+frames.  It sorts a key stream of any size in bounded memory:
 the only full-width allocations are one ingest chunk (``chunk_keys``
 keys -- the out-of-core path's "arena") plus the shared sort buffers the
 chunk sort borrows.  Each chunk is sorted on the persistent supervised
@@ -37,7 +40,6 @@ from ..faults.context import current_fault_plan
 from ..faults.plan import FaultStats
 from ..native.pool import WorkerPool, default_workers
 from ..native.radix import parallel_radix_sort
-from ..native.shm import SortBuffers
 from ..trace import PID_STREAM, current_recorder
 from ..verify.context import current_sanitizer
 from .ingest import iter_chunks
@@ -79,19 +81,13 @@ class StreamResult:
 
 
 def _sort_chunk(
-    chunk: np.ndarray,
-    pool: WorkerPool | None,
-    radix: int,
-    kernel: str | None,
-    buffers: SortBuffers | None = None,
+    chunk: np.ndarray, sort: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Run formation: sort one chunk on the pool via the kernel seam.
+    """Run formation: order one chunk with ``sort``, a radix path.
 
     The radix kernels are signed-int64 shared-memory paths; unsigned
     chunks ride them through a value-preserving int64 round trip, except
     uint64 keys past ``2**63 - 1`` which fall back to ``np.sort``.
-    ``buffers`` (the serve arena's lease) replaces per-sort shared-memory
-    segments, as in :func:`~repro.native.radix.parallel_radix_sort`.
     """
     widen = chunk.dtype.kind == "u"
     if (
@@ -101,11 +97,176 @@ def _sort_chunk(
         and int(chunk.max()) > np.iinfo(np.int64).max
     ):
         return np.sort(chunk)
-    out = parallel_radix_sort(
-        chunk.astype(np.int64) if widen else chunk,
-        pool=pool, radix=radix, buffers=buffers, kernel=kernel,
-    )
+    out = sort(chunk.astype(np.int64) if widen else chunk)
     return out.astype(chunk.dtype) if widen else out
+
+
+class ExternalSorter:
+    """The incremental external sort: :meth:`add` chunks, :meth:`finish`.
+
+    Owns the spill workdir (a fresh ``repro_stream_*`` directory under
+    ``workdir``, removed by :meth:`close`), the run paths and every
+    counter of the :class:`StreamResult`.  ``sort`` -- order one integer
+    chunk -- is the only substrate-specific input: :func:`external_sort`
+    passes the pool path, a serve stream session the engine's
+    arena-leased sort.  ``pool`` runs the intermediate merge passes;
+    ``span_args`` is merged into every span's args (a session's
+    ``stream_id``).
+    """
+
+    def __init__(
+        self,
+        sort: Callable[[np.ndarray], np.ndarray],
+        *,
+        dtype: np.dtype | type | str | None = None,
+        fan_in: int = DEFAULT_FAN_IN,
+        frame_keys: int = DEFAULT_FRAME_KEYS,
+        workdir: str | os.PathLike | None = None,
+        pool: WorkerPool | None = None,
+        span_args: dict | None = None,
+    ):
+        self._sort = sort
+        self.dtype = np.dtype(dtype if dtype is not None else np.int64)
+        self.fan_in = fan_in
+        self.frame_keys = frame_keys
+        self.pool = pool
+        self._span_args = dict(span_args or {})
+        self._plan = current_fault_plan()
+        self._faults_before = None if self._plan is None else self._plan.stats()
+        self._t0 = self._t_idle = time.perf_counter()
+        self.ingested = 0
+        self.run_paths: list[str] = []
+        self.result = StreamResult()
+        self.workdir = tempfile.mkdtemp(
+            prefix=WORKDIR_PREFIX,
+            dir=os.fspath(workdir) if workdir is not None else None,
+        )
+
+    def _span(self, rec, name: str, cat: str, t0: float, args: dict, tid: int = 0):
+        rec.complete(
+            name,
+            cat=cat,
+            ts_us=t0 * 1e6,
+            dur_us=(time.perf_counter() - t0) * 1e6,
+            pid=PID_STREAM,
+            tid=tid,
+            args={**self._span_args, **args},
+        )
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Ingest one chunk: sort it and spill it as a run.
+
+        The ``stream.ingest`` span covers the wait for the chunk (since
+        the previous one was spilled), ``stream.run`` the sort + spill.
+        """
+        rec = current_recorder()
+        res = self.result
+        self.dtype = chunk.dtype
+        self.ingested += len(chunk)
+        if rec.enabled:
+            self._span(
+                rec, "stream.ingest", "stream.ingest", self._t_idle,
+                {"keys": len(chunk), "bytes": int(chunk.nbytes)},
+            )
+        t_run = time.perf_counter()
+        sorted_chunk = _sort_chunk(chunk, self._sort)
+        path = os.path.join(self.workdir, f"repro_run_{res.runs:04d}.run")
+        spilled = write_run(path, sorted_chunk, frame_keys=self.frame_keys)
+        self.run_paths.append(path)
+        res.runs += 1
+        res.bytes_spilled += spilled
+        if rec.enabled:
+            self._span(
+                rec, "stream.run", "stream.run", t_run,
+                {"keys": len(sorted_chunk), "bytes_spilled": spilled},
+                tid=res.runs - 1,
+            )
+        self._t_idle = time.perf_counter()
+
+    def finish(
+        self, emit: Callable[[np.ndarray], None], verify: bool = True
+    ) -> StreamResult:
+        """Merge the runs, handing ascending blocks to ``emit``.
+
+        Merge passes run until one final pass fits ``fan_in``; that pass
+        streams from the parent.  ``verify`` checks each block is
+        ascending and none starts below its predecessor's last key; key
+        conservation (ingested == run footers == merged out) is enforced
+        always, through the ambient sanitizer when one is installed.
+
+        May be called again after ``emit`` raised (a sink that can start
+        over, like the served output run on ``ENOSPC``): the passes
+        already made are kept and only the final pass reruns.
+        """
+        rec = current_recorder()
+        res = self.result
+        res.dtype = self.dtype.str
+
+        # Independent run-side count: what the sealed footers say landed
+        # on disk (not what we think we wrote).
+        in_runs = sum(run_total_keys(p) for p in self.run_paths)
+
+        self.run_paths, passes, m_read, m_written = reduce_runs(
+            self.run_paths,
+            fan_in=self.fan_in,
+            workdir=self.workdir,
+            frame_keys=self.frame_keys,
+            dtype=self.dtype,
+            pool=self.pool,
+        )
+        res.merge_passes += passes
+        res.bytes_spilled += m_written
+        res.bytes_merge_read += m_read
+
+        t_final = time.perf_counter()
+        merged = 0
+        final_read = 0
+        prev_last = None
+        for block in merge_iter(self.run_paths):
+            merged += len(block)
+            final_read += int(block.nbytes)
+            if verify and len(block):
+                if np.any(block[1:] < block[:-1]) or (
+                    prev_last is not None and block[0] < prev_last
+                ):
+                    raise StreamError(
+                        "merge emitted an out-of-order block "
+                        f"(after {merged - len(block)} keys)"
+                    )
+                prev_last = block[-1]
+            emit(block)
+        res.bytes_merge_read += final_read
+        if rec.enabled:
+            self._span(
+                rec, "stream.merge.final", "stream.merge", t_final,
+                {
+                    "fan_in": len(self.run_paths),
+                    "runs_in": len(self.run_paths),
+                    "bytes_read": final_read,
+                    "keys": merged,
+                },
+            )
+
+        san = current_sanitizer()
+        if san is not None:
+            san.on_stream_conservation(
+                self.ingested, in_runs, merged, "external_sort"
+            )
+        elif not self.ingested == in_runs == merged:
+            raise StreamError(
+                f"key conservation violated: {self.ingested} ingested, "
+                f"{in_runs} in runs, {merged} merged out"
+            )
+        res.n_keys = merged
+        res.verified = bool(verify)
+        res.elapsed_s = time.perf_counter() - self._t0
+        if self._plan is not None:
+            res.faults = self._plan.stats().since(self._faults_before)
+        return res
+
+    def close(self) -> None:
+        """Drop the spill workdir; idempotent, for every exit path."""
+        shutil.rmtree(self.workdir, ignore_errors=True)
 
 
 def external_sort(
@@ -139,149 +300,42 @@ def external_sort(
     """
     if chunk_keys < 4:
         raise ValueError("chunk_keys must be >= 4")
-    rec = current_recorder()
-    plan = current_fault_plan()
-    faults_before = plan.stats() if plan is not None else None
-    t0 = time.perf_counter()
 
-    own_pool: WorkerPool | None = None
-    own_out = False
-    out_file = None
-    if out is not None:
-        if hasattr(out, "write"):
-            out_file = out
-        else:
-            out_file = open(os.fspath(out), "wb")
-            own_out = True
-
-    work = tempfile.mkdtemp(
-        prefix=WORKDIR_PREFIX,
-        dir=os.fspath(workdir) if workdir is not None else None,
-    )
-    result = StreamResult()
-    try:
-        # ------------------------------------------------------ ingest +
-        # run formation: sort each chunk on the pool, spill it as a run.
-        run_paths: list[str] = []
-        ingested = 0
-        key_dtype: np.dtype | None = None
-        for chunk in iter_chunks(source, chunk_keys, dtype):
-            t_chunk = time.perf_counter()
-            if key_dtype is None:
-                key_dtype = chunk.dtype
-                width = (
-                    pool.n_workers
-                    if pool is not None
-                    else (n_workers if n_workers is not None else default_workers())
-                )
-                if pool is None and width > 1 and chunk_keys // 4 > 1:
-                    own_pool = pool = WorkerPool(
-                        width, supervise=True, phase_timeout_s=60.0
-                    )
-            ingested += len(chunk)
-            if rec.enabled:
-                rec.complete(
-                    "stream.ingest",
-                    cat="stream.ingest",
-                    ts_us=t_chunk * 1e6,
-                    dur_us=(time.perf_counter() - t_chunk) * 1e6,
-                    pid=PID_STREAM,
-                    args={"keys": len(chunk), "bytes": int(chunk.nbytes)},
-                )
-            t_run = time.perf_counter()
-            sorted_chunk = _sort_chunk(chunk, pool, radix, kernel)
-            path = os.path.join(work, f"repro_run_{len(run_paths):04d}.run")
-            spilled = write_run(path, sorted_chunk, frame_keys=frame_keys)
-            run_paths.append(path)
-            result.bytes_spilled += spilled
-            if rec.enabled:
-                rec.complete(
-                    "stream.run",
-                    cat="stream.run",
-                    ts_us=t_run * 1e6,
-                    dur_us=(time.perf_counter() - t_run) * 1e6,
-                    pid=PID_STREAM,
-                    tid=len(run_paths) - 1,
-                    args={"keys": len(sorted_chunk), "bytes_spilled": spilled},
-                )
-        if key_dtype is None:
-            key_dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.int64)
-        result.runs = len(run_paths)
-        result.dtype = key_dtype.str
-
-        # Independent run-side count: what the sealed footers say landed
-        # on disk (not what we think we wrote).
-        in_runs = sum(run_total_keys(p) for p in run_paths)
-
-        # --------------------------------------------------- merge passes
-        paths, passes, m_read, m_written = reduce_runs(
-            run_paths,
-            fan_in=fan_in,
-            workdir=work,
-            frame_keys=frame_keys,
-            dtype=key_dtype,
-            pool=pool,
+    def sort_on_pool(keys: np.ndarray) -> np.ndarray:
+        return parallel_radix_sort(
+            keys, pool=sorter.pool, radix=radix, kernel=kernel
         )
-        result.merge_passes = passes
-        result.bytes_spilled += m_written
 
-        # ------------------------------------------------------ final pass
-        t_final = time.perf_counter()
-        merged = 0
-        final_read = 0
-        prev_last = None
-        verified = True
-        for block in merge_iter(paths):
-            merged += len(block)
-            final_read += int(block.nbytes)
-            if verify and len(block):
-                if np.any(block[1:] < block[:-1]) or (
-                    prev_last is not None and block[0] < prev_last
-                ):
-                    verified = False
-                    raise StreamError(
-                        "merge emitted an out-of-order block "
-                        f"(after {merged - len(block)} keys)"
-                    )
-                prev_last = block[-1]
+    sorter = ExternalSorter(
+        sort_on_pool, dtype=dtype, fan_in=fan_in, frame_keys=frame_keys,
+        workdir=workdir, pool=pool,
+    )
+    width = n_workers if n_workers is not None else default_workers()
+    need_pool = pool is None and width > 1 and chunk_keys // 4 > 1
+    own_pool: WorkerPool | None = None
+    out_file = None
+    try:
+        if out is not None:
+            out_file = out if hasattr(out, "write") else open(os.fspath(out), "wb")
+        for chunk in iter_chunks(source, chunk_keys, dtype):
+            if need_pool and own_pool is None:
+                # Built on the first chunk, so an empty or rejected
+                # source never forks workers.
+                own_pool = sorter.pool = WorkerPool(
+                    width, supervise=True, phase_timeout_s=60.0
+                )
+            sorter.add(chunk)
+
+        def emit(block: np.ndarray) -> None:
             if out_file is not None:
                 out_file.write(np.ascontiguousarray(block).tobytes())
             if on_block is not None:
                 on_block(block)
-        result.bytes_merge_read = m_read + final_read
-        if rec.enabled:
-            rec.complete(
-                "stream.merge.final",
-                cat="stream.merge",
-                ts_us=t_final * 1e6,
-                dur_us=(time.perf_counter() - t_final) * 1e6,
-                pid=PID_STREAM,
-                args={
-                    "fan_in": len(paths),
-                    "runs_in": len(paths),
-                    "bytes_read": final_read,
-                    "keys": merged,
-                },
-            )
 
-        # ------------------------------------------------ conservation
-        san = current_sanitizer()
-        if san is not None:
-            san.on_stream_conservation(ingested, in_runs, merged, "external_sort")
-        elif not ingested == in_runs == merged:
-            raise StreamError(
-                f"key conservation violated: {ingested} ingested, "
-                f"{in_runs} in runs, {merged} merged out"
-            )
-        result.n_keys = merged
-        result.verified = bool(verify and verified)
-        result.elapsed_s = time.perf_counter() - t0
-        if plan is not None and faults_before is not None:
-            result.faults = plan.stats().since(faults_before)
-        return result
+        return sorter.finish(emit, verify)
     finally:
         if own_pool is not None:
             own_pool.close()
-        if own_out and out_file is not None:
+        if out_file is not None and out_file is not out:
             out_file.close()
-        shutil.rmtree(work, ignore_errors=True)
+        sorter.close()

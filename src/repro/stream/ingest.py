@@ -30,17 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .runfile import SUPPORTED_DTYPES, StreamError
-
-
-def _check_key_dtype(dtype: np.dtype | type | str) -> np.dtype:
-    dt = np.dtype(dtype)
-    if dt.str not in SUPPORTED_DTYPES:
-        raise StreamError(
-            f"unsupported key dtype {dt.str!r}; expected one of "
-            f"{SUPPORTED_DTYPES}"
-        )
-    return dt
+from .runfile import StreamError, check_dtype
 
 
 def _chunks_from_array(
@@ -50,32 +40,58 @@ def _chunks_from_array(
         yield keys[lo : lo + chunk_keys]
 
 
+class Reblocker:
+    """Arbitrarily-sized arrays in, exact-size blocks out.
+
+    :meth:`push` queues a part (no copy), :meth:`take` removes the first
+    ``n`` pending keys as one array -- concatenating only when the block
+    straddles parts, so a large part is sliced zero-copy.  Every
+    re-blocking in the stream subsystem is this class: iterable ingest,
+    a serve session's pushed frames, and its capped output fetches.
+    """
+
+    def __init__(self) -> None:
+        self._parts: list[np.ndarray] = []
+        self.pending = 0
+
+    def push(self, part: np.ndarray) -> None:
+        if len(part):
+            self._parts.append(part)
+            self.pending += len(part)
+
+    def take(self, n: int) -> np.ndarray:
+        """The first ``min(n, pending)`` pending keys (``pending`` must
+        be non-zero)."""
+        pool = (
+            np.concatenate(self._parts) if len(self._parts) > 1 else self._parts[0]
+        )
+        rest = pool[n:]
+        self._parts = [rest] if len(rest) else []
+        self.pending = len(rest)
+        return pool[:n]
+
+    def full_blocks(self, n: int) -> Iterator[np.ndarray]:
+        """Take every complete ``n``-key block now pending."""
+        while self.pending >= n:
+            yield self.take(n)
+
+
 def _chunks_from_iterable(
     parts: Iterable[np.ndarray], chunk_keys: int, dtype: np.dtype | None
 ) -> Iterator[np.ndarray]:
     """Re-block a stream of arbitrarily-sized arrays into full chunks."""
-    pending: list[np.ndarray] = []
-    pending_n = 0
+    blocks = Reblocker()
     dt = dtype
     for part in parts:
         arr = np.ascontiguousarray(part)
         if arr.ndim != 1:
             raise StreamError("stream parts must be one-dimensional arrays")
         if dt is None:
-            dt = _check_key_dtype(arr.dtype)
-        arr = np.ascontiguousarray(arr, dtype=dt)
-        if not len(arr):
-            continue
-        pending.append(arr)
-        pending_n += len(arr)
-        while pending_n >= chunk_keys:
-            chunk = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            yield chunk[:chunk_keys]
-            rest = chunk[chunk_keys:]
-            pending = [rest] if len(rest) else []
-            pending_n = len(rest)
-    if pending_n:
-        yield np.concatenate(pending) if len(pending) > 1 else pending[0]
+            dt = check_dtype(arr.dtype, "key")
+        blocks.push(np.ascontiguousarray(arr, dtype=dt))
+        yield from blocks.full_blocks(chunk_keys)
+    if blocks.pending:
+        yield blocks.take(blocks.pending)
 
 
 def _chunks_from_file(
@@ -112,12 +128,12 @@ def iter_chunks(
     """
     if chunk_keys < 1:
         raise ValueError("chunk_keys must be >= 1")
-    dt = _check_key_dtype(dtype) if dtype is not None else None
+    dt = check_dtype(dtype, "key") if dtype is not None else None
 
     if isinstance(source, np.ndarray):
         if source.ndim != 1:
             raise StreamError("key array must be one-dimensional")
-        src_dt = _check_key_dtype(source.dtype) if dt is None else dt
+        src_dt = check_dtype(source.dtype, "key") if dt is None else dt
         keys = np.ascontiguousarray(source, dtype=src_dt)
         return _chunks_from_array(keys, chunk_keys)
 

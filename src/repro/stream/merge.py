@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..trace import PID_STREAM, current_recorder
-from .runfile import RunReader, RunWriter, StreamError
+from .runfile import RunReader, RunWriter, StreamError, spill_run
 
 #: Default fan-in cap: how many runs one merge pass reads at once.  Each
 #: open run costs one frame of read-ahead, so fan-in bounds merge memory.
@@ -133,64 +133,29 @@ def merge_iter(run_paths: Sequence[str | os.PathLike]) -> Iterator[np.ndarray]:
             r.close()
 
 
-def _merge_once(
-    run_paths: Sequence[str | os.PathLike],
-    out_path: str | os.PathLike,
-    frame_keys: int,
-    dtype: np.dtype,
-) -> tuple[int, int]:
-    readers_bytes = 0
-    writer = RunWriter(out_path, dtype, frame_keys)
-    try:
-        readers = [RunReader(p) for p in run_paths]
-        try:
-            for block in merge_iter_over(readers):
-                writer.write(block)
-        finally:
-            for r in readers:
-                readers_bytes += r.bytes_read
-                r.close()
-        written = writer.bytes_written
-        writer.close()
-    except BaseException:
-        writer.abort()
-        raise
-    return readers_bytes, written
-
-
 def merge_to_run(
     run_paths: Sequence[str | os.PathLike],
     out_path: str | os.PathLike,
     *,
     frame_keys: int,
     dtype: np.dtype,
-    retries: int = 2,
-    backoff_s: float = 0.005,
 ) -> tuple[int, int]:
     """Merge runs into a new run file (atomic publish); returns
     ``(bytes_read, bytes_written)``.  ``ENOSPC`` mid-merge drops the
-    partial ``.tmp``, backs off and remerges (same policy as
-    :func:`~repro.stream.runfile.write_run`)."""
-    import errno
+    partial ``.tmp``, backs off and remerges
+    (:func:`~repro.stream.runfile.spill_run`, as for ``write_run``)."""
 
-    failures = 0
-    for attempt in range(retries + 1):
+    def merge_into(writer: RunWriter) -> int:
+        readers = [RunReader(p) for p in run_paths]
         try:
-            result = _merge_once(run_paths, out_path, frame_keys, dtype)
-        except OSError as err:
-            if err.errno != errno.ENOSPC or attempt == retries:
-                raise
-            failures += 1
-            time.sleep(backoff_s * (2.0**attempt))
-            continue
-        if failures:
-            from ..faults.context import current_fault_plan
+            for block in merge_iter_over(readers):
+                writer.write(block)
+            return sum(r.bytes_read for r in readers)
+        finally:
+            for r in readers:
+                r.close()
 
-            plan = current_fault_plan()
-            if plan is not None:
-                plan.note_recovered("spill.enospc", failures)
-        return result
-    raise AssertionError("unreachable")  # pragma: no cover
+    return spill_run(out_path, dtype, frame_keys, merge_into)
 
 
 def _merge_group_task(args) -> tuple[int, int]:

@@ -27,8 +27,8 @@ the footer count because disks lie.
 Fault injection (``repro.faults``, parent-side only -- the ambient plan
 is owner-PID-guarded so pool workers never see it):
 
-- ``spill.enospc``  -- a frame write raises ``ENOSPC``; the run-formation
-  driver deletes the partial ``.tmp`` and rewrites the run.
+- ``spill.enospc``  -- a frame write raises ``ENOSPC``; :func:`spill_run`
+  deletes the partial ``.tmp`` and rewrites the run.
 - ``spill.short_write`` -- a frame write lands only partially; the
   writer's write loop detects the short count and completes the
   remainder (recovered in place).
@@ -44,8 +44,9 @@ import errno
 import json
 import os
 import struct
+import time
 import zlib
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -61,6 +62,7 @@ DEFAULT_FRAME_KEYS = 64 * 1024
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_T = TypeVar("_T")
 
 #: dtypes a run file may carry (what :mod:`repro.stream.ingest` accepts).
 SUPPORTED_DTYPES = ("<u4", "<u8", "<i4", "<i8")
@@ -78,17 +80,18 @@ class RunTruncated(StreamError):
     """A run file ended before its footer (partial spill)."""
 
 
-def _check_dtype(dtype: np.dtype) -> np.dtype:
+def check_dtype(dtype: np.dtype | type | str, what: str = "run") -> np.dtype:
+    """``dtype`` as a supported key dtype, else :class:`StreamError`."""
     dt = np.dtype(dtype)
     if dt.str not in SUPPORTED_DTYPES:
         raise StreamError(
-            f"unsupported run dtype {dt.str!r}; expected one of "
+            f"unsupported {what} dtype {dt.str!r}; expected one of "
             f"{SUPPORTED_DTYPES}"
         )
     return dt
 
 
-def _write_all(f, payload: bytes, *, probe_faults: bool) -> None:
+def _write_all(f, payload: bytes) -> None:
     """Write ``payload``, absorbing injected short writes.
 
     ``spill.short_write`` splits one write in two: the first lands only a
@@ -96,7 +99,7 @@ def _write_all(f, payload: bytes, *, probe_faults: bool) -> None:
     the same loop a raw ``os.write`` spill path would need for real
     partial writes on pipes/near-full disks.
     """
-    plan = current_fault_plan() if probe_faults else None
+    plan = current_fault_plan()
     if plan is not None and len(payload) > 1 and plan.should("spill.short_write"):
         cut = len(payload) // 2
         f.write(payload[:cut])
@@ -124,7 +127,7 @@ class RunWriter:
         if frame_keys < 1:
             raise ValueError("frame_keys must be >= 1")
         self.path = os.fspath(path)
-        self.dtype = _check_dtype(np.dtype(dtype))
+        self.dtype = check_dtype(dtype)
         self.frame_keys = int(frame_keys)
         self.total_keys = 0
         self.bytes_written = 0
@@ -153,7 +156,7 @@ class RunWriter:
             payload = frame.tobytes()
             self._file.write(_U32.pack(len(frame)))
             self._file.write(_U32.pack(zlib.crc32(payload)))
-            _write_all(self._file, payload, probe_faults=True)
+            _write_all(self._file, payload)
             self.total_keys += len(frame)
             self.bytes_written += 8 + len(payload)
 
@@ -217,7 +220,7 @@ class RunReader:
             if len(raw_hdr) != hdr_len:
                 raise RunTruncated(f"{self.path}: truncated header")
             header = json.loads(raw_hdr)
-            self.dtype = _check_dtype(np.dtype(header["dtype"]))
+            self.dtype = check_dtype(header["dtype"])
             self.frame_keys = int(header["frame_keys"])
         except Exception:
             self._file.close()
@@ -326,28 +329,30 @@ def run_total_keys(path: str | os.PathLike) -> int:
     return total
 
 
-def write_run(
+def spill_run(
     path: str | os.PathLike,
-    keys: np.ndarray,
+    dtype: np.dtype | type | str,
+    frame_keys: int,
+    fill: Callable[[RunWriter], _T],
     *,
-    frame_keys: int = DEFAULT_FRAME_KEYS,
     retries: int = 2,
     backoff_s: float = 0.005,
-) -> int:
-    """Spill one sorted array as a run file, retrying the whole run on
-    ``ENOSPC`` (mirroring the shm allocation retry policy): the partial
-    ``.tmp`` is deleted, the write backs off and starts over.  Returns
-    the bytes written.  Recovered retries are noted on the ambient fault
-    plan as ``spill.enospc`` recoveries.
-    """
-    import time
+) -> tuple[_T, int]:
+    """Publish one run file whose frames ``fill(writer)`` writes; returns
+    ``(fill's result, bytes written)``.
 
+    The one ``ENOSPC`` policy of the spill layer (mirroring the shm
+    allocation retry): the partial ``.tmp`` is deleted, the write backs
+    off and the whole run starts over -- so ``fill`` must be re-runnable.
+    Recovered retries are noted on the ambient fault plan as
+    ``spill.enospc`` recoveries; exhausted retries (and any other error)
+    propagate with no ``.tmp`` left behind.
+    """
     failures = 0
     for attempt in range(retries + 1):
-        writer = RunWriter(path, keys.dtype, frame_keys)
+        writer = RunWriter(path, dtype, frame_keys)
         try:
-            writer.write(keys)
-            bytes_written = writer.bytes_written
+            result = fill(writer)
             writer.close()
         except OSError as err:
             writer.abort()
@@ -363,5 +368,23 @@ def write_run(
             plan = current_fault_plan()
             if plan is not None:
                 plan.note_recovered("spill.enospc", failures)
-        return bytes_written
+        return result, writer.bytes_written
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+def write_run(
+    path: str | os.PathLike,
+    keys: np.ndarray,
+    *,
+    frame_keys: int = DEFAULT_FRAME_KEYS,
+    retries: int = 2,
+    backoff_s: float = 0.005,
+) -> int:
+    """Spill one sorted array as a run file through :func:`spill_run`
+    (the whole run is rewritten on ``ENOSPC``); returns the bytes
+    written."""
+    _, written = spill_run(
+        path, keys.dtype, frame_keys, lambda writer: writer.write(keys),
+        retries=retries, backoff_s=backoff_s,
+    )
+    return written

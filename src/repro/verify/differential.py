@@ -385,11 +385,12 @@ def _map_sim_cases_parallel(
     import concurrent.futures as cf
     import multiprocessing as mp
 
+    from ..native.pool import default_start_method
+
     sim_cases = [c for c in cases if c.backend == "sim"]
     if not sim_cases:
         return {}
-    method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    ctx = mp.get_context(method)
+    ctx = mp.get_context(default_start_method())
     done: dict[CheckCase, tuple[bool, float, str | None, float]] = {}
     workers = min(parallel, len(sim_cases))
     with cf.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

@@ -162,7 +162,11 @@ def pytest_runtest_setup(item):
     _ACTIVE[item.nodeid] = cm
 
 
+@pytest.hookimpl(trylast=True)
 def pytest_runtest_teardown(item, nextitem):
+    # After the fixture finalizers: the ``sanitizer`` fixture nests its
+    # own install inside this one, so it must be restored first -- or it
+    # would put this test's sanitizer back for every later test.
     cm = _ACTIVE.pop(item.nodeid, None)
     if cm is not None:
         cm.__exit__(None, None, None)

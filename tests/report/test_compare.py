@@ -10,7 +10,6 @@ import pytest
 
 from repro.report.experiments import (
     PREDICT_SWEEP_BUDGET_S,
-    gate_machine_zoo,
     gate_predict_compare,
 )
 from repro.verify.differential import PREDICT_ERROR_GATE
@@ -57,23 +56,54 @@ class TestPredictCompareGate:
 
 
 class TestMachineZooGate:
-    def test_checked_in_baseline_passes(self):
-        assert gate_machine_zoo(_data(_baseline(5), "machine_zoo")) == []
+    """The zoo sweep is deterministic simulator output, so its gate is
+    the drift diff: an unverified cell, lost coverage and an empty sweep
+    each move numbers BENCH_5 pins (``verified`` and the ``summary``
+    counts the harness derives from its cells)."""
 
-    def test_unverified_cell_and_lost_coverage_fail(self):
-        data = copy.deepcopy(_data(_baseline(5), "machine_zoo"))
-        data["cells"] = {
-            label: cell for label, cell in data["cells"].items()
-            if cell["machine"] != "bsp" and cell["workload"] != "f64"
+    def test_checked_in_baseline_passes(self, tmp_path, capsys):
+        """Regenerated with the cache off, ``machine_zoo --small`` equals
+        the checked-in BENCH_5 with no tolerance at all."""
+        from repro.__main__ import main
+
+        fresh = tmp_path / "fresh.json"
+        assert main(
+            ["machine_zoo", "--small", "--no-cache", "--json", str(fresh)]
+        ) == 0
+        baseline = str(BENCH_DIR / "BENCH_5.json")
+        assert compare.main([baseline, str(fresh), "--rtol", "0"]) == 0
+        assert "diffing machine_zoo" in capsys.readouterr().out
+
+    def test_unverified_cell_and_lost_coverage_fail(self, tmp_path, capsys):
+        from repro.report.experiments import machine_zoo
+
+        doc = _baseline(5)
+        data = _data(doc, "machine_zoo")
+        machines = [m for m in data["machines"] if m != "bsp"]
+        workloads = [w for w in data["workloads"] if w != "f64"]
+        cur = copy.deepcopy(doc)
+        lost = machine_zoo(
+            None, n=data["n"], p=data["p"], machines=machines,
+            workloads=workloads,
+        ).data
+        next(iter(lost["cells"].values()))["verified"] = 0
+        cur["results"][0]["data"] = lost
+        assert _run(tmp_path, doc, cur, "--rtol", "0") == 1
+        out = capsys.readouterr().out
+        assert "DRIFT machine_zoo:cells." in out and ".verified: 1 -> 0" in out
+        assert "DRIFT machine_zoo:summary.machines_covered: 4 -> 3" in out
+        assert "DRIFT machine_zoo:summary.workloads_covered: 6 -> 5" in out
+
+    def test_empty_fails(self, tmp_path, capsys):
+        doc = _baseline(5)
+        cur = copy.deepcopy(doc)
+        cur["results"][0]["data"] = {
+            "cells": {},
+            "summary": {"n_cells": 0, "machines_covered": 0,
+                        "workloads_covered": 0},
         }
-        next(iter(data["cells"].values()))["verified"] = 0
-        failures = "\n".join(gate_machine_zoo(data))
-        assert "did not match" in failures
-        assert "machine(s) not covered: bsp" in failures
-        assert "workload(s) not covered: f64" in failures
-
-    def test_empty_fails(self):
-        assert gate_machine_zoo({"cells": {}}) == ["machine_zoo has no cells"]
+        assert _run(tmp_path, doc, cur) == 1
+        assert "DRIFT machine_zoo:summary.n_cells: 48 -> 0" in capsys.readouterr().out
 
 
 class TestDriftDiff:
@@ -97,19 +127,26 @@ class TestDriftDiff:
         assert _run(tmp_path, doc, cur) == 0
 
     def test_gate_failure_fails_the_run(self, tmp_path, capsys):
-        doc = _baseline(5)
+        doc = _baseline(1)
         cur = copy.deepcopy(doc)
-        cells = _data(cur, "machine_zoo")["cells"]
-        cells[next(iter(cells))]["verified"] = 0
+        latency = _data(cur, "predict_compare")["latency"]
+        latency["predict_wall_s"] = PREDICT_SWEEP_BUDGET_S + 1.0  # undiffed
         assert _run(tmp_path, doc, cur) == 1
-        assert "FAIL machine_zoo" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL predicted sweep took" in out and "DRIFT" not in out
 
-    def test_undiffed_result_ignores_cost_parameter_drift(self, tmp_path):
+    def test_zoo_time_and_verified_drift_are_reported(self, tmp_path, capsys):
+        """``machine_zoo`` is diffed like every other result: a flipped
+        ``verified`` and a changed ``time_ns`` both print as drift."""
         doc = _baseline(5)
         cur = copy.deepcopy(doc)
-        for cell in _data(cur, "machine_zoo")["cells"].values():
-            cell["time_ns"] *= 3
-        assert _run(tmp_path, doc, cur) == 0
+        label, cell = next(iter(_data(cur, "machine_zoo")["cells"].items()))
+        cell["time_ns"] *= 3
+        cell["verified"] = 0
+        assert _run(tmp_path, doc, cur) == 1
+        out = capsys.readouterr().out
+        assert f"DRIFT machine_zoo:cells.{label}.time_ns" in out
+        assert f"DRIFT machine_zoo:cells.{label}.verified" in out
 
     def test_regenerated_bench_0_is_exact(self, tmp_path):
         """The exact-equality guard for simulator refactors: BENCH_0's

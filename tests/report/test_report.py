@@ -76,7 +76,7 @@ class TestHarnesses:
         }
         assert set(EXPERIMENTS) == expected
         assert {e for e, rec in EXPERIMENTS.items() if rec.gate} == {
-            "predict_compare", "machine_zoo",
+            "predict_compare",
         }
 
     def test_table1(self, runner):

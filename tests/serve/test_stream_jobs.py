@@ -8,11 +8,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan
 from repro.serve import (
     ServeClient,
     ServeError,
     server_in_thread,
 )
+from repro.serve.protocol import encode_keys
+from repro.stream import external_sort
 
 
 def _keys(seed: int, n: int = 120_000) -> np.ndarray:
@@ -191,6 +194,134 @@ class TestAdmission:
             client.stream_status(stream_id)
 
 
+def _done_stream(client, keys: np.ndarray, **open_kwargs) -> tuple[str, dict]:
+    """Open, push, close and wait: (stream_id, final status)."""
+    stream_id = client.stream_open(keys.dtype, **open_kwargs)
+    client.stream_push(stream_id, keys)
+    client.stream_close(stream_id)
+    status = client.stream_wait(stream_id, timeout_s=120.0)
+    assert status["phase"] == "done", status
+    return stream_id, status
+
+
+def _drain(client, stream_id: str) -> np.ndarray:
+    blocks = []
+    while (block := client.stream_fetch(stream_id)) is not None:
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+class TestHeaderValidation:
+    """Numeric header fields come from outside: a non-number is a typed
+    ``bad-request`` naming the field, never an ``internal``."""
+
+    @pytest.mark.parametrize("op, field", [
+        ("submit", "radix"),
+        ("submit", "deadline_s"),
+        ("wait", "timeout_s"),
+        ("stream-open", "chunk_keys"),
+        ("stream-open", "fan_in"),
+        ("stream-fetch", "max_keys"),
+    ])
+    def test_non_numeric_field_is_bad_request(self, client, op, field):
+        header, payload = {"op": op, field: "seven"}, b""
+        stream_id = None
+        if op == "submit":
+            fields, payload = encode_keys(_keys(20, 1_000))
+            header.update(fields)
+        elif op == "wait":
+            header["job_id"] = client.submit(_keys(21, 1_000), "radix")
+        elif op == "stream-fetch":
+            stream_id, _ = _done_stream(client, _keys(22, 5_000))
+            header["stream_id"] = stream_id
+        with pytest.raises(ServeError) as excinfo:
+            client._call(header, payload)
+        assert excinfo.value.code == "bad-request"
+        assert field in str(excinfo.value)
+        # The connection survives a rejected request.
+        assert client.stats()["streams"]["max"] >= 1
+        if stream_id is not None:
+            client.stream_abort(stream_id)
+
+    @pytest.mark.parametrize("max_keys", [-1, 0])
+    def test_rejected_fetch_leaves_the_stream_fetchable(self, client, max_keys):
+        """``max_keys < 1`` used to read as EOF: the session was popped
+        and the sorted output destroyed undelivered."""
+        keys = _keys(23, 30_000)
+        stream_id, _ = _done_stream(client, keys, chunk_keys=10_000)
+        with pytest.raises(ServeError) as excinfo:
+            client.stream_fetch(stream_id, max_keys=max_keys)
+        assert excinfo.value.code == "bad-request"
+        assert "max_keys" in str(excinfo.value)
+        assert np.array_equal(_drain(client, stream_id), np.sort(keys))
+
+
+class TestSessionIsTheLibrarySorter:
+    """A served stream drives the same sorter as ``external_sort``: the
+    same pass structure, spill retry, conservation report and spans."""
+
+    def test_parity_with_external_sort(self, client):
+        keys = _keys(24, 100_000)
+        blocks: list[np.ndarray] = []
+        lib = external_sort(
+            keys, chunk_keys=8_000, fan_in=3, n_workers=1,
+            on_block=blocks.append,
+        )
+        stream_id, status = _done_stream(
+            client, keys, chunk_keys=8_000, fan_in=3
+        )
+        assert (status["runs"], status["merge_passes"]) == (
+            lib.runs, lib.merge_passes
+        )
+        assert status["keys_merged"] == lib.n_keys
+        served = _drain(client, stream_id)
+        assert served.tobytes() == np.concatenate(blocks).tobytes()
+
+    def test_enospc_in_the_final_merge_is_recovered(self):
+        """Three one-frame runs take ``spill.enospc`` probes 0-2, so
+        probe 3 is the output run's first frame: the final merge must
+        drop the partial output, back off and rewrite it."""
+        plan = FaultPlan.scripted({"spill.enospc": [3]})
+        keys = _keys(25, 60_000)
+        with server_in_thread(
+            n_workers=2, queue_depth=8, fault_plan=plan
+        ) as server:
+            with ServeClient(port=server.port) as client:
+                stream_id, status = _done_stream(
+                    client, keys, chunk_keys=20_000, fan_in=4
+                )
+                assert (status["runs"], status["merge_passes"]) == (3, 0)
+                assert np.array_equal(
+                    _drain(client, stream_id), np.sort(keys)
+                )
+        stats = plan.stats()
+        assert stats.injected.get("spill.enospc") == 1
+        assert stats.all_recovered
+
+    def test_key_conservation_reaches_the_sanitizer(self, client, sanitizer):
+        before = sanitizer.checks["stream.key-conservation"]
+        keys = _keys(26, 40_000)
+        out = client.stream_sort(keys, chunk_keys=10_000)
+        assert np.array_equal(out, np.sort(keys))
+        assert sanitizer.checks["stream.key-conservation"] == before + 1
+        assert not sanitizer.violations
+
+    def test_spans_carry_the_stream_id(self, served, client):
+        _, recorder = served
+        stream_id, status = _done_stream(
+            client, _keys(27, 40_000), chunk_keys=10_000
+        )
+        client.stream_abort(stream_id)
+        mine = [
+            e for e in recorder.events
+            if (e.args or {}).get("stream_id") == stream_id
+        ]
+        names = [e.name for e in mine]
+        assert names.count("stream.ingest") == status["runs"] == 4
+        assert names.count("stream.run") == 4
+        assert names.count("stream.merge.final") == 1
+
+
 class TestRunFormationUsesTheArena:
     """Streamed runs sort in the arena's slabs like any other job: no
     fresh ``/dev/shm`` segment per run, and every lease comes back."""
@@ -209,11 +340,11 @@ class TestRunFormationUsesTheArena:
                 before = shm.create_count()
                 for _ in range(3):
                     chunk = rng.integers(0, 1 << 32, 20_000).astype(dtype)
-                    sess.form_run_on_engine(chunk)
+                    sess.push_on_engine(chunk)  # one full chunk: one run
                     assert shm.create_count() == before
                     assert eng.arena.in_use() == 0
-                    with RunReader(sess._run_paths[-1]) as run:
+                    with RunReader(sess.sorter.run_paths[-1]) as run:
                         assert np.array_equal(run.read_all(), np.sort(chunk))
-                assert sess.runs == 3
+                assert sess.public()["runs"] == 3
             finally:
                 sess.cleanup()

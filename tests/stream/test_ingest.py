@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.stream import StreamError, iter_chunks
+from repro.stream.ingest import Reblocker
 
 
 def _keys(seed: int, n: int, dtype=np.int64) -> np.ndarray:
@@ -58,6 +59,52 @@ class TestIterableSource:
         ]
         chunks = list(iter_chunks(parts, 1_024, dtype="<i4"))
         assert all(c.dtype == np.dtype("<i4") for c in chunks)
+
+
+class TestReblocker:
+    """The one re-blocker behind iterable ingest, a serve session's
+    pushed frames and its capped output fetches."""
+
+    @pytest.mark.parametrize("sizes, block", [
+        ([700, 50, 3_000, 1], 1_024),   # arbitrary parts
+        ([0, 10, 0, 0, 5], 4),          # empty parts between real ones
+        ([512, 512, 1_024], 512),       # exact multiples: no remainder
+        ([5_000], 7),                   # one part, many blocks
+    ])
+    def test_full_blocks_then_the_remainder(self, sizes, block):
+        parts = [_keys(seed, n) for seed, n in enumerate(sizes)]
+        whole = np.concatenate(parts)
+        blocks = Reblocker()
+        out = []
+        for part in parts:
+            blocks.push(part)
+            out.extend(blocks.full_blocks(block))
+            assert blocks.pending < block
+        assert all(len(b) == block for b in out)
+        assert blocks.pending == len(whole) % block
+        if blocks.pending:
+            out.append(blocks.take(blocks.pending))
+        assert blocks.pending == 0
+        assert np.array_equal(np.concatenate(out), whole)
+
+    def test_variable_take_sizes(self):
+        """The fetch cursor's shape: each take asks for a different cap
+        and gets exactly that many keys until the tail."""
+        parts = [_keys(seed, n) for seed, n in enumerate([300, 300, 300])]
+        blocks = Reblocker()
+        for part in parts:
+            blocks.push(part)
+        out = [blocks.take(n) for n in (1, 299, 450, 10_000)]
+        assert [len(b) for b in out] == [1, 299, 450, 150]
+        assert blocks.pending == 0
+        assert np.array_equal(np.concatenate(out), np.concatenate(parts))
+
+    def test_take_within_one_part_is_zero_copy(self):
+        part = _keys(9, 1_000)
+        blocks = Reblocker()
+        blocks.push(part)
+        assert blocks.take(400).base is part
+        assert blocks.take(400).base is part
 
 
 class TestRawByteSources:
