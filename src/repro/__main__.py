@@ -50,6 +50,11 @@ Usage::
     python -m repro serve --port 7453
     python -m repro loadgen --port 7453 --clients 8 --duration 30
     python -m repro loadgen --spawn-server --clients 8 --duration 30
+
+    # Measure where np.sort, sample sort and radix sort cross over on
+    # this host; unpinned native sorts are then planned from the table
+    # (docs/PERF.md, "Crossover"):
+    python -m repro tune --quick
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ import argparse
 import sys
 
 from .core.experiment import ExperimentRunner
+from .native.tune import main as _tune_main  # lives beside its sweep
 from .report.experiments import EXPERIMENTS
 from .trace import MemoryRecorder, write_chrome_trace
 
@@ -628,7 +634,8 @@ def _stream_main(argv: list[str]) -> int:
         prog="python -m repro stream",
         description="Externally sort (or take the top-k of) a key stream "
         "that need not fit the chunk budget: chunked ingest, sorted spill "
-        "runs on the native pool, fault-tolerant k-way merge.",
+        "runs (each chunk sorted as the native planner says), "
+        "fault-tolerant k-way merge.",
     )
     parser.add_argument(
         "mode", choices=["sort", "topk"],
@@ -663,7 +670,8 @@ def _stream_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="native pool width for chunk sorts (default: auto)",
+        help="native pool width for planned chunk sorts and merge passes "
+        "(default: auto)",
     )
     parser.add_argument(
         "--k", type=int, default=100,
@@ -718,6 +726,11 @@ def _stream_main(argv: list[str]) -> int:
         out=args.out,
         verify=not args.no_verify,
     )
+    plan = result.chunk_plan  # None: an empty source formed no run
+    plan_text = "" if plan is None else (
+        f", chunk plan {plan.algorithm} x{plan.width}"
+        + (f" r={plan.radix}" if plan.radix else "")
+    )
     print(
         f"externally sorted {result.n_keys:,} keys "
         f"({result.mb_sorted:.1f} MB, {result.dtype}) in "
@@ -726,6 +739,7 @@ def _stream_main(argv: list[str]) -> int:
         f"{result.bytes_spilled / 1e6:.1f} MB spilled, "
         f"{result.throughput_mb_s:.1f} MB/s"
         + (", verified" if result.verified else "")
+        + plan_text
     )
     if result.faults.injected:
         print(
@@ -749,6 +763,7 @@ SUBCOMMANDS = {
     "serve": (_serve_main, "TCP sort-job server on the resilient native pool"),
     "loadgen": (_loadgen_main, "load/latency harness for a repro.serve endpoint"),
     "stream": (_stream_main, "out-of-core sort / top-k over a key stream"),
+    "tune": (_tune_main, "measure this host's native sort crossover for the planner"),
 }
 
 

@@ -380,25 +380,27 @@ def _scenario_stream_merge(seed: int, small: bool) -> ScenarioResult:
     An external sort is driven over a shared supervised pool with a
     scripted plan firing (a) ``spill.enospc`` and ``spill.short_write``
     during run formation, (b) a ``pool.worker.crash`` pinned to the first
-    *merge-phase* task -- the crash probe index is computed from the run
-    geometry so it lands after every run-formation phase -- and (c)
-    ``spill.corrupt`` during the final in-parent merge reads.  The
+    *merge-phase* task -- the crash probe index is computed from the
+    chunk sorts' plan so it lands after every run-formation phase -- and
+    (c) ``spill.corrupt`` during the final in-parent merge reads.  The
     contract: the merged output is exactly ``np.sort`` of the input,
     every injected fault is recovered, and the pool's fault log shows the
     absorbed failure attributed to a ``stream.merge`` phase.
     """
+    from ..native import plan_keys
+    from ..native.plan import measure_key_bits
     from ..native.pool import WorkerPool
-    from ..sorts.common import n_passes
     from ..stream import external_sort
 
     n = 40_000 if small else 160_000
     chunk_keys = n // 8  # 8 chunks -> 8 runs; fan_in=4 forces a merge pass
     keys = _keys(seed + 808, n)
     p = 2  # worker count and the chunk sorts' task width
-    passes = n_passes(11, int(keys.max()).bit_length())
-    # Each chunk sort probes pool.worker.crash once per task per phase:
-    # `passes` radix passes x 2 phases (histogram, permute) x p tasks.
-    crash_idx = 8 * passes * 2 * p
+    # Run formation probes pool.worker.crash once per task of every pool
+    # phase its plan dispatches -- none when the planner answers
+    # ``sequential`` -- so this is the index of the first merge task.
+    chunk_plan = plan_keys(keys[:chunk_keys], p)
+    crash_idx = 8 * chunk_plan.phases(measure_key_bits(keys)) * chunk_plan.width
     plan = FaultPlan.scripted(
         {
             "pool.worker.crash": [crash_idx],

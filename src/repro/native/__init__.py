@@ -6,6 +6,7 @@ through :mod:`multiprocessing.shared_memory` -- a faithful, working
 Python rendition of the algorithms the simulation studies.
 
     from repro.native import parallel_sort
+    sorted_arr = parallel_sort(arr)                      # planned
     sorted_arr = parallel_sort(arr, algorithm="sample", n_workers=8)
 
 The per-element hot path (validation scan, per-pass histogram, stable
@@ -20,44 +21,69 @@ import numpy as np
 
 from .kernels import KERNEL_ENV
 from .kernels import resolve as resolve_kernel
-from .pool import PhaseTiming, WorkerPool, default_workers
+from .plan import Plan, plan, plan_keys
+from .pool import PhaseTiming, WorkerPool, default_workers, workers_available
 from .radix import parallel_radix_sort
 from .sample import parallel_sample_sort
 from .shm import SharedArray
 
 
+def run_plan(
+    keys: np.ndarray,
+    chosen: Plan,
+    *,
+    n_workers: int | None = None,
+    pool: WorkerPool | None = None,
+    **kwargs,
+) -> np.ndarray:
+    """Sort ``keys`` the way ``chosen`` says.  ``sequential`` is one
+    ``np.sort`` in the caller: no pool, no segment.  Keywords
+    (``buffers=``, ``kernel=``) pass through to the parallel sorts."""
+    if chosen.algorithm == "sequential":
+        return np.sort(keys)
+    if chosen.algorithm == "radix":
+        return parallel_radix_sort(
+            keys, n_workers=n_workers, pool=pool, radix=chosen.radix, **kwargs
+        )
+    return parallel_sample_sort(keys, n_workers=n_workers, pool=pool, **kwargs)
+
+
 def parallel_sort(
     keys: np.ndarray,
-    algorithm: str = "sample",
+    algorithm: str | None = None,
     n_workers: int | None = None,
     pool: WorkerPool | None = None,
     radix: int | None = None,
     **kwargs,
 ) -> np.ndarray:
-    """Sort ``keys`` in parallel on the host machine.
+    """Sort ``keys`` on the host machine.
 
-    ``algorithm`` is ``"radix"`` (non-negative integers only) or
-    ``"sample"`` (any sortable dtype).  ``radix`` is the radix sort's
-    digit width (``None``: its default; sample sort has no such knob);
-    other keywords (``buffers=``, ``kernel=``) pass through.
+    ``algorithm=None`` lets the planner decide (:mod:`repro.native.plan`:
+    ``sequential``, ``sample`` or ``radix``, from this host's measured
+    table when ``python -m repro tune`` has written one); naming
+    ``"radix"`` (non-negative integers only) or ``"sample"`` (any
+    sortable dtype) pins it.  ``radix`` pins the radix sort's digit
+    width; other keywords (``buffers=``, ``kernel=``) pass through.
     """
-    if algorithm == "radix":
-        if radix is not None:
-            kwargs["radix"] = radix
-        return parallel_radix_sort(keys, n_workers=n_workers, pool=pool, **kwargs)
-    if algorithm == "sample":
-        return parallel_sample_sort(keys, n_workers=n_workers, pool=pool, **kwargs)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    keys = np.ascontiguousarray(keys)
+    if keys.ndim != 1:
+        raise ValueError("keys must be one-dimensional")
+    chosen = plan_keys(keys, workers_available(pool, n_workers), algorithm, radix)
+    return run_plan(keys, chosen, n_workers=n_workers, pool=pool, **kwargs)
 
 
 __all__ = [
     "KERNEL_ENV",
     "PhaseTiming",
+    "Plan",
     "SharedArray",
     "WorkerPool",
     "default_workers",
     "parallel_radix_sort",
     "parallel_sample_sort",
     "parallel_sort",
+    "plan",
+    "plan_keys",
     "resolve_kernel",
+    "run_plan",
 ]

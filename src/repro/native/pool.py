@@ -120,15 +120,12 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def sort_width(n: int, pool: WorkerPool | None, n_workers: int | None) -> int:
-    """Workers a sort of ``n`` keys will use: the pool's (or requested, or
-    default) width, capped so every worker holds at least four keys.  A
-    result of 1 means "sort sequentially; build no pool, no segment"."""
+def workers_available(pool: WorkerPool | None, n_workers: int | None) -> int:
+    """Workers a sort may use -- the ``p`` its plan is asked about: the
+    pool's width, else the requested one, else the default."""
     if pool is not None:
-        n_workers = pool.n_workers
-    elif n_workers is None:
-        n_workers = default_workers()
-    return max(1, min(n_workers, n // 4))
+        return pool.n_workers
+    return n_workers if n_workers is not None else default_workers()
 
 
 def default_start_method() -> str:

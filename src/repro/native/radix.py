@@ -32,7 +32,8 @@ import numpy as np
 from ..sorts.common import n_passes
 from .kernels import resolve as resolve_kernel
 from .kernels import slice_bounds
-from .pool import WorkerPool, sort_width
+from .plan import DEFAULT_RADIX, plan
+from .pool import WorkerPool, workers_available
 from .shm import SharedArray, SortBuffers
 
 
@@ -72,7 +73,7 @@ def _permute_task(args) -> None:
 def parallel_radix_sort(
     keys: np.ndarray,
     n_workers: int | None = None,
-    radix: int = 11,
+    radix: int = DEFAULT_RADIX,
     pool: WorkerPool | None = None,
     buffers: SortBuffers | None = None,
     kernel: str | None = None,
@@ -111,12 +112,13 @@ def parallel_radix_sort(
     dtype_str = keys.dtype.str
 
     own_pool = pool is None
-    p = sort_width(n, pool, n_workers)
+    p = plan(
+        n, workers_available(pool, n_workers), key_bits, keys.dtype, "radix"
+    ).width
     if p == 1:
-        # Tiny inputs (or a one-worker pool) skip shared memory and the
-        # pool entirely, mirroring sample sort's early return: the keys
-        # are already validated non-negative integers, so one sequential
-        # sort is the whole job.
+        # The plan's "no pool, no segment": the keys are already
+        # validated non-negative integers, so one sequential sort is the
+        # whole job.
         if buffers is not None:
             buffers.release_all()
         return np.sort(keys)

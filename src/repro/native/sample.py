@@ -39,7 +39,8 @@ from ..sorts.common import (
     spread_duplicate_splitters,
 )
 from .kernels import slice_bounds
-from .pool import WorkerPool, sort_width
+from .plan import full_bits, plan
+from .pool import WorkerPool, workers_available
 from .shm import SharedArray, SortBuffers
 
 #: Fall back to sequential ``np.sort`` when, even after duplicate-splitter
@@ -126,10 +127,12 @@ def parallel_sample_sort(
     n = len(keys)
     dtype_str = keys.dtype.str
     own_pool = pool is None
-    p = sort_width(n, pool, n_workers)
+    p = plan(
+        n, workers_available(pool, n_workers), full_bits(keys.dtype),
+        keys.dtype, "sample",
+    ).width
     if p == 1:
-        # Tiny inputs (or a one-worker pool) skip shared memory and the
-        # pool entirely, as radix sort's fast path does.
+        # The plan's "no pool, no segment".
         if buffers is not None:
             buffers.release_all()
         return np.sort(keys)

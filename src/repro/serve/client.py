@@ -81,14 +81,17 @@ class ServeClient:
     def submit(
         self,
         keys: np.ndarray,
-        algorithm: str = "radix",
+        algorithm: str | None = None,
         *,
         radix: int | None = None,
         deadline_s: float | None = None,
     ) -> str:
-        """Submit a job; returns its id (raises :class:`ServeRejected`)."""
+        """Submit a job; returns its id (raises :class:`ServeRejected`).
+        ``algorithm=None`` leaves the choice to the server's planner."""
         fields, payload = encode_keys(keys)
-        header: dict[str, Any] = {"op": "submit", "algorithm": algorithm, **fields}
+        header: dict[str, Any] = {"op": "submit", **fields}
+        if algorithm is not None:
+            header["algorithm"] = algorithm
         if radix is not None:
             header["radix"] = radix
         if deadline_s is not None:
@@ -115,7 +118,7 @@ class ServeClient:
     def sort(
         self,
         keys: np.ndarray,
-        algorithm: str = "radix",
+        algorithm: str | None = None,
         *,
         radix: int | None = None,
         deadline_s: float | None = None,

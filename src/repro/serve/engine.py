@@ -33,7 +33,7 @@ import numpy as np
 
 from ..faults.context import use_fault_plan
 from ..faults.plan import FaultPlan
-from ..native import parallel_sort, shm
+from ..native import Plan, plan_keys, run_plan, shm
 from ..native.pool import WorkerPool, default_workers
 from ..trace import PID_SERVE, TraceRecorder, current_recorder, use_recorder
 from .arena import Arena
@@ -67,6 +67,8 @@ class EngineOutcome:
     """One executed job, as the engine saw it."""
 
     sorted_keys: np.ndarray
+    #: The plan that ran (the job's pinned algorithm, or the planner's).
+    plan: Plan
     wall_s: float
     shm_creates: int
     shm_attaches: int
@@ -159,15 +161,24 @@ class SortEngine:
             yield
 
     def sort(
-        self, keys: np.ndarray, algorithm: str = "radix", radix: int | None = None
-    ) -> np.ndarray:
-        """One sort on the pool in the arena's slabs; the lease always
-        comes back, whatever the sort does."""
+        self,
+        keys: np.ndarray,
+        algorithm: str | None = None,
+        radix: int | None = None,
+    ) -> tuple[np.ndarray, Plan]:
+        """One sort as planned (``algorithm=None``) or pinned, returned
+        with the plan that ran.  A parallel plan runs on the pool in the
+        arena's slabs and the lease always comes back, whatever the sort
+        does; ``sequential`` is one ``np.sort`` on the engine thread."""
+        p = self.pool.n_workers
+        # The widest digit whose p x 2**r int64 histogram a meta slab
+        # holds caps a *planned* radix (admission refuses a pinned one
+        # past it as ``bad-radix``).
+        max_radix = (self.arena.meta_bytes // (8 * p)).bit_length() - 1
+        chosen = plan_keys(keys, p, algorithm, radix, max_radix=max_radix)
         bufs = self.arena.buffers()
         try:
-            return parallel_sort(
-                keys, algorithm, pool=self.pool, radix=radix, buffers=bufs
-            )
+            return run_plan(keys, chosen, pool=self.pool, buffers=bufs), chosen
         finally:
             bufs.release_all()  # idempotent: the sorts release too
 
@@ -175,7 +186,7 @@ class SortEngine:
         self,
         job_id: str,
         keys: np.ndarray,
-        algorithm: str,
+        algorithm: str | None = None,
         radix: int | None = None,
         queue_wait_s: float | None = None,
     ) -> EngineOutcome:
@@ -188,7 +199,7 @@ class SortEngine:
         failures_before = self.pool.phase_failures
         t0 = time.perf_counter()
         with self.ambient():
-            out = self.sort(keys, algorithm, radix)
+            out, chosen = self.sort(keys, algorithm, radix)
             t1 = time.perf_counter()
             attaches = self._drain_timing_attaches()
             creates = shm.create_count() - creates_before
@@ -204,6 +215,7 @@ class SortEngine:
                     args={
                         "job_id": job_id,
                         "algorithm": algorithm,
+                        "plan": chosen.public(),
                         "n_keys": int(len(keys)),
                         "shm_creates": creates,
                         "shm_attaches": attaches,
@@ -224,6 +236,7 @@ class SortEngine:
             }
         return EngineOutcome(
             sorted_keys=out,
+            plan=chosen,
             wall_s=t1 - t0,
             shm_creates=creates,
             shm_attaches=attaches,

@@ -1,8 +1,9 @@
 """Load/latency harness for the job server.
 
 Spins up N client threads, each with its own connection and its own
-seeded RNG, submitting sort jobs of random sizes and algorithms for a
-fixed duration.  Every completed result is verified against ``np.sort``
+seeded RNG, submitting sort jobs of random sizes and algorithms (pinned
+radix, pinned sample, or left to the server's planner) for a fixed
+duration.  Every completed result is verified against ``np.sort``
 of the submitted keys -- the harness is a correctness check that happens
 to measure latency, not the other way round.  Backpressure rejections
 are first-class: a ``busy`` reply makes the client sleep the server's
@@ -66,7 +67,8 @@ def _client_loop(
         with ServeClient(host, port) as client:
             while time.perf_counter() < deadline and not stop.is_set():
                 n = int(rng.choice(SIZE_CHOICES))
-                algorithm = "radix" if rng.random() < 0.5 else "sample"
+                # A third of the jobs name no algorithm: planned traffic.
+                algorithm = (None, "radix", "sample")[int(rng.integers(3))]
                 keys = rng.integers(0, 1 << 48, size=n, dtype=np.int64)
                 t0 = time.perf_counter()
                 try:

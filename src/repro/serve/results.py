@@ -28,7 +28,8 @@ TERMINAL = ("done", "failed", "expired")
 @dataclass
 class JobRecord:
     job_id: str
-    algorithm: str
+    #: The algorithm the submit named, or ``None`` (planned).
+    algorithm: str | None
     n_keys: int
     dtype: str
     radix: int | None
@@ -40,6 +41,8 @@ class JobRecord:
     error: str | None = None
     message: str | None = None
     sorted_bytes: bytes | None = None
+    #: The plan that ran: ``{"algorithm", "width", "radix"}`` once done.
+    plan: dict[str, Any] | None = None
     faults: dict[str, Any] | None = None
     shm_creates: int = 0
     shm_attaches: int = 0
@@ -69,6 +72,7 @@ class JobRecord:
             "job_id": self.job_id,
             "status": self.status,
             "algorithm": self.algorithm,
+            "plan": self.plan,
             "n_keys": self.n_keys,
             "dtype": self.dtype,
             "error": self.error,
@@ -147,6 +151,7 @@ class ResultStore:
         job_id: str,
         sorted_bytes: bytes,
         *,
+        plan: dict | None = None,
         faults: dict | None = None,
         shm_creates: int = 0,
         shm_attaches: int = 0,
@@ -154,6 +159,7 @@ class ResultStore:
         with self._lock:
             rec = self._records[job_id]
             rec.sorted_bytes = sorted_bytes
+            rec.plan = plan
             rec.faults = faults
             rec.shm_creates = shm_creates
             rec.shm_attaches = shm_attaches

@@ -224,6 +224,7 @@ class ServeServer:
                 self.store.set_done(
                     job_id,
                     outcome.sorted_keys.tobytes(),
+                    plan=outcome.plan.public(),
                     faults=outcome.faults,
                     shm_creates=outcome.shm_creates,
                     shm_attaches=outcome.shm_attaches,
@@ -314,8 +315,8 @@ class ServeServer:
     def _op_submit(self, header: dict[str, Any], payload: bytes) -> dict[str, Any]:
         assert self.admission is not None
         keys = decode_keys(header, payload)
-        algorithm = header.get("algorithm", "radix")
-        if algorithm not in ALGORITHMS:
+        algorithm = header.get("algorithm")  # absent: the planner decides
+        if algorithm is not None and algorithm not in ALGORITHMS:
             return {
                 "ok": False,
                 "error": "bad-algorithm",
@@ -409,9 +410,8 @@ class ServeServer:
         except (TypeError, StreamError) as err:
             return {"ok": False, "error": "bad-dtype", "message": str(err)}
         # The chunk is the only full-width allocation a stream makes on
-        # the engine: cap it so a chunk (widened to 8-byte keys for the
-        # radix kernels) always fits one arena data slab.
-        cap_keys = max(4, self.engine.arena.max_job_bytes() // 8)
+        # the engine: cap it so a chunk always fits one arena data slab.
+        cap_keys = max(4, self.engine.arena.max_job_bytes() // dtype.itemsize)
         chunk_keys = _number(header, "chunk_keys", int) or cap_keys
         chunk_keys = max(4, min(chunk_keys, cap_keys))
         fan_in = max(2, _number(header, "fan_in", int) or 16)

@@ -158,6 +158,10 @@ class StreamSession:
             "runs": result.runs,
             "merge_passes": result.merge_passes,
             "bytes_spilled": result.bytes_spilled,
+            "algorithm": None,  # a stream's run formation is always planned
+            "chunk_plan": (
+                None if result.chunk_plan is None else result.chunk_plan.public()
+            ),
         }
         if self.phase == "done":
             out["keys_merged"] = result.n_keys

@@ -5,10 +5,11 @@
 serve stream session (:mod:`repro.serve.streamjob`) feeds it from pushed
 frames.  It sorts a key stream of any size in bounded memory:
 the only full-width allocations are one ingest chunk (``chunk_keys``
-keys -- the out-of-core path's "arena") plus the shared sort buffers the
-chunk sort borrows.  Each chunk is sorted on the persistent supervised
-:class:`~repro.native.pool.WorkerPool` through the engineered kernel
-seam (run formation), spilled as a checksummed run file, and the runs
+keys -- the out-of-core path's "arena") plus whatever the chunk sort
+borrows.  Each chunk is sorted the way the planner says
+(:mod:`repro.native.plan`: one ``np.sort`` below this host's crossover,
+the persistent supervised :class:`~repro.native.pool.WorkerPool` above
+it -- run formation), spilled as a checksummed run file, and the runs
 are k-way merged -- multi-pass under a ``fan_in`` cap, intermediate
 passes as supervised pool phases, final pass streaming verified sorted
 blocks to the caller.
@@ -38,8 +39,8 @@ import numpy as np
 
 from ..faults.context import current_fault_plan
 from ..faults.plan import FaultStats
-from ..native.pool import WorkerPool, default_workers
-from ..native.radix import parallel_radix_sort
+from ..native import Plan, plan_keys, run_plan
+from ..native.pool import WorkerPool, workers_available
 from ..trace import PID_STREAM, current_recorder
 from ..verify.context import current_sanitizer
 from .ingest import iter_chunks
@@ -69,6 +70,8 @@ class StreamResult:
     bytes_merge_read: int = 0
     elapsed_s: float = 0.0
     verified: bool = False
+    #: How run formation sorted a chunk (the first, full-sized one).
+    chunk_plan: Plan | None = None
     faults: FaultStats = field(default_factory=FaultStats)
 
     @property
@@ -80,43 +83,23 @@ class StreamResult:
         return self.mb_sorted / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
-def _sort_chunk(
-    chunk: np.ndarray, sort: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Run formation: order one chunk with ``sort``, a radix path.
-
-    The radix kernels are signed-int64 shared-memory paths; unsigned
-    chunks ride them through a value-preserving int64 round trip, except
-    uint64 keys past ``2**63 - 1`` which fall back to ``np.sort``.
-    """
-    widen = chunk.dtype.kind == "u"
-    if (
-        widen
-        and chunk.dtype.itemsize == 8
-        and len(chunk)
-        and int(chunk.max()) > np.iinfo(np.int64).max
-    ):
-        return np.sort(chunk)
-    out = sort(chunk.astype(np.int64) if widen else chunk)
-    return out.astype(chunk.dtype) if widen else out
-
-
 class ExternalSorter:
     """The incremental external sort: :meth:`add` chunks, :meth:`finish`.
 
     Owns the spill workdir (a fresh ``repro_stream_*`` directory under
     ``workdir``, removed by :meth:`close`), the run paths and every
-    counter of the :class:`StreamResult`.  ``sort`` -- order one integer
-    chunk -- is the only substrate-specific input: :func:`external_sort`
-    passes the pool path, a serve stream session the engine's
-    arena-leased sort.  ``pool`` runs the intermediate merge passes;
-    ``span_args`` is merged into every span's args (a session's
-    ``stream_id``).
+    counter of the :class:`StreamResult`.  ``sort`` -- order one chunk
+    of any supported dtype, returning it with the
+    :class:`~repro.native.plan.Plan` that ran -- is the only
+    substrate-specific input: :func:`external_sort` passes the planned
+    pool path, a serve stream session the engine's arena-leased sort.
+    ``pool`` runs the intermediate merge passes; ``span_args`` is merged
+    into every span's args (a session's ``stream_id``).
     """
 
     def __init__(
         self,
-        sort: Callable[[np.ndarray], np.ndarray],
+        sort: Callable[[np.ndarray], tuple[np.ndarray, Plan]],
         *,
         dtype: np.dtype | type | str | None = None,
         fan_in: int = DEFAULT_FAN_IN,
@@ -169,7 +152,9 @@ class ExternalSorter:
                 {"keys": len(chunk), "bytes": int(chunk.nbytes)},
             )
         t_run = time.perf_counter()
-        sorted_chunk = _sort_chunk(chunk, self._sort)
+        sorted_chunk, chosen = self._sort(chunk)
+        if res.chunk_plan is None:
+            res.chunk_plan = chosen
         path = os.path.join(self.workdir, f"repro_run_{res.runs:04d}.run")
         spilled = write_run(path, sorted_chunk, frame_keys=self.frame_keys)
         self.run_paths.append(path)
@@ -279,8 +264,6 @@ def external_sort(
     workdir: str | os.PathLike | None = None,
     pool: WorkerPool | None = None,
     n_workers: int | None = None,
-    radix: int = 11,
-    kernel: str | None = None,
     out=None,
     on_block: Callable[[np.ndarray], None] | None = None,
     verify: bool = True,
@@ -301,30 +284,35 @@ def external_sort(
     if chunk_keys < 4:
         raise ValueError("chunk_keys must be >= 4")
 
-    def sort_on_pool(keys: np.ndarray) -> np.ndarray:
-        return parallel_radix_sort(
-            keys, pool=sorter.pool, radix=radix, kernel=kernel
-        )
+    width = workers_available(pool, n_workers)
+    own_pool: WorkerPool | None = None
+
+    def workers() -> WorkerPool | None:
+        """The caller's pool, else one of our own forked on first need:
+        a sequential chunk plan and a merge that fits one pass never
+        start a worker."""
+        nonlocal own_pool
+        if pool is None and own_pool is None and width > 1:
+            own_pool = WorkerPool(width, supervise=True, phase_timeout_s=60.0)
+        return pool if pool is not None else own_pool
+
+    def sort_chunk(keys: np.ndarray) -> tuple[np.ndarray, Plan]:
+        chosen = plan_keys(keys, width)
+        on = workers() if chosen.width > 1 else None
+        return run_plan(keys, chosen, pool=on), chosen
 
     sorter = ExternalSorter(
-        sort_on_pool, dtype=dtype, fan_in=fan_in, frame_keys=frame_keys,
+        sort_chunk, dtype=dtype, fan_in=fan_in, frame_keys=frame_keys,
         workdir=workdir, pool=pool,
     )
-    width = n_workers if n_workers is not None else default_workers()
-    need_pool = pool is None and width > 1 and chunk_keys // 4 > 1
-    own_pool: WorkerPool | None = None
     out_file = None
     try:
         if out is not None:
             out_file = out if hasattr(out, "write") else open(os.fspath(out), "wb")
         for chunk in iter_chunks(source, chunk_keys, dtype):
-            if need_pool and own_pool is None:
-                # Built on the first chunk, so an empty or rejected
-                # source never forks workers.
-                own_pool = sorter.pool = WorkerPool(
-                    width, supervise=True, phase_timeout_s=60.0
-                )
             sorter.add(chunk)
+        if len(sorter.run_paths) > fan_in:
+            sorter.pool = workers()  # intermediate merge passes
 
         def emit(block: np.ndarray) -> None:
             if out_file is not None:

@@ -180,3 +180,51 @@ def sanitizer():
     san = Sanitizer()
     with use_sanitizer(san):
         yield san
+
+
+@pytest.fixture
+def plan_table(monkeypatch, tmp_path):
+    """Install a measured native plan table for this host.
+
+    Yields ``install(winner, p=2, **overrides)``: writes a
+    ``native_plan.json`` (into a private ``REPRO_CACHE_DIR``) in which
+    ``winner`` -- ``"sequential"``, ``"sample"`` or ``"radix<r>"`` -- is
+    the fastest candidate of every cell (4- and 8-byte keys, n from 8 to
+    4 Mi), swept at ``p`` workers; ``overrides`` replace top-level
+    fields (``version=``, ``host=``).  Returns the artifact's path.
+    """
+    import json
+    import os
+
+    from repro.native.plan import TABLE_NAME, TABLE_VERSION, host_fingerprint
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    installs: list[str] = []
+    names = ("sequential", "sample", "radix8", "radix11", "radix16")
+
+    def install(winner: str, p: int = 2, **overrides):
+        assert winner in names
+        doc = {
+            "version": TABLE_VERSION,
+            "host": host_fingerprint(),
+            "p": p,
+            "cells": [
+                {
+                    "itemsize": itemsize, "key_bits": bits, "log2n": lg,
+                    "ms": {n: 1.0 if n == winner else 10.0 for n in names},
+                }
+                for itemsize, widths in ((4, (16, 31)), (8, (16, 31, 63)))
+                for bits in widths
+                for lg in range(3, 23)
+            ],
+            **overrides,
+        }
+        path = tmp_path / TABLE_NAME
+        path.write_text(json.dumps(doc))
+        # The loader memoizes on (mtime, size); two installs inside one
+        # timestamp tick must still read as different files.
+        installs.append(winner)
+        os.utime(path, ns=(len(installs), len(installs)))
+        return path
+
+    return install

@@ -143,3 +143,57 @@ class TestKernelFlagOnEngine:
             assert stats["steady_shm_attaches"] == 0
             # numba without the package resolves to the numpy fallback.
             assert stats["kernel"] in ("numpy", "numba")
+
+
+class TestPlannedJobs:
+    """``algorithm=None`` asks the planner; the outcome and the
+    ``serve.job`` span say what ran next to what was asked for."""
+
+    def test_outcome_and_span_carry_the_plan(self, plan_table):
+        from repro.native import Plan
+        from repro.trace import MemoryRecorder
+
+        recorder = MemoryRecorder()
+        keys = np.random.default_rng(31).integers(0, 1 << 20, 8_000)
+        with SortEngine(n_workers=2, recorder=recorder) as eng:
+            eng.warmup()
+            plan_table("sample").unlink()  # no artifact: sequential
+            planned = eng.run("p0", keys)
+            plan_table("sample")
+            measured = eng.run("p1", keys)
+            pinned = eng.run("p2", keys, "radix", 8)
+        for out in (planned, measured, pinned):
+            assert np.array_equal(out.sorted_keys, np.sort(keys))
+        assert planned.plan == Plan("sequential", 1)
+        assert measured.plan == Plan("sample", 2)
+        assert pinned.plan == Plan("radix", 2, 8)
+        spans = {
+            e.args["job_id"]: e.args
+            for e in recorder.events if e.name == "serve.job"
+        }
+        assert spans["p0"]["algorithm"] is None
+        assert spans["p0"]["plan"] == {
+            "algorithm": "sequential", "width": 1, "radix": None,
+        }
+        assert spans["p1"]["plan"]["algorithm"] == "sample"
+        assert spans["p2"]["algorithm"] == "radix"
+        assert spans["p2"]["plan"] == {"algorithm": "radix", "width": 2, "radix": 8}
+
+    def test_planned_digit_width_must_fit_a_meta_slab(self, plan_table):
+        """A table may prefer 16-bit digits; an engine whose meta slabs
+        cannot hold that histogram matrix asks the planner for the
+        fastest candidate that fits instead of failing the job in the
+        arena."""
+        from repro.native import Plan
+
+        plan_table("radix16")
+        keys = np.random.default_rng(32).integers(0, 1 << 20, 8_000)
+        with SortEngine(n_workers=2, meta_slab_bytes=256 << 10) as eng:
+            eng.warmup()
+            out = eng.run("m0", keys)
+            assert out.plan == Plan("sequential", 1)
+            assert np.array_equal(out.sorted_keys, np.sort(keys))
+            assert eng.arena.in_use() == 0
+        with SortEngine(n_workers=2) as eng:
+            eng.warmup()
+            assert eng.run("m1", keys).plan == Plan("radix", 2, 16)

@@ -32,6 +32,29 @@ class TestSorting:
         out = client.sort(keys, algorithm)
         assert np.array_equal(out, np.sort(keys))
 
+    def test_unpinned_job_is_planned_and_says_so(self, client):
+        """No ``algorithm`` on the wire: the server's planner decides,
+        and the status reply carries the plan that ran next to the
+        (absent) request.  Negative keys are fine -- nothing invents
+        ``radix`` any more."""
+        keys = _keys(2, 20_000) - (1 << 39)
+        job_id = client.submit(keys)
+        status = client.wait(job_id, timeout_s=60.0)
+        assert status["status"] == "done"
+        assert status["algorithm"] is None
+        assert status["plan"] == {
+            "algorithm": "sequential", "width": 1, "radix": None,
+        }
+        assert np.array_equal(client.result(job_id), np.sort(keys))
+        assert np.array_equal(client.sort(keys), np.sort(keys))
+
+    def test_pinned_job_reports_its_own_plan(self, client):
+        job_id = client.submit(_keys(3, 20_000), "radix", radix=8)
+        assert client.status(job_id)["algorithm"] == "radix"
+        status = client.wait(job_id, timeout_s=60.0)
+        assert status["algorithm"] == "radix"
+        assert status["plan"] == {"algorithm": "radix", "width": 2, "radix": 8}
+
     def test_interleaved_jobs_keep_their_identities(self, client):
         batches = [_keys(seed, 5_000 + 1_000 * seed) for seed in range(5)]
         job_ids = [client.submit(k, "radix") for k in batches]

@@ -67,6 +67,30 @@ class TestLifecycle:
         assert out.dtype == np.dtype("<u4")
         assert np.array_equal(out, np.sort(keys))
 
+    @pytest.mark.parametrize("dtype", ["<i4", "<i8", "<u8"])
+    def test_signed_and_full_range_streams(self, client, dtype):
+        """Negative ``<i4``/``<i8`` keys used to fail the stream with
+        ``ValueError: radix sort requires non-negative keys``."""
+        info = np.iinfo(np.dtype(dtype))
+        keys = np.random.default_rng(9).integers(
+            info.min, info.max, size=50_000, dtype=np.dtype(dtype), endpoint=True
+        )
+        keys[:3] = (info.min, info.max, 0)
+        out = client.stream_sort(keys, chunk_keys=12_000, fan_in=2)
+        assert out.dtype == np.dtype(dtype)
+        assert np.array_equal(out, np.sort(keys))
+
+    def test_status_carries_the_chunk_plan(self, client):
+        stream_id = client.stream_open("<i8", chunk_keys=10_000)
+        opened = client.stream_status(stream_id)
+        assert opened["algorithm"] is None and opened["chunk_plan"] is None
+        client.stream_push(stream_id, _keys(10, 25_000))
+        status = client.stream_status(stream_id)
+        assert status["chunk_plan"] == {
+            "algorithm": "sequential", "width": 1, "radix": None,
+        }
+        client.stream_abort(stream_id)
+
     def test_empty_stream(self, client):
         out = client.stream_sort(np.empty(0, dtype=np.int64))
         assert len(out) == 0
@@ -323,11 +347,13 @@ class TestSessionIsTheLibrarySorter:
 
 
 class TestRunFormationUsesTheArena:
-    """Streamed runs sort in the arena's slabs like any other job: no
-    fresh ``/dev/shm`` segment per run, and every lease comes back."""
+    """Streamed runs that the planner sends to the pool sort in the
+    arena's slabs like any other job: no fresh ``/dev/shm`` segment per
+    run, and every lease comes back -- and unsigned chunks sort in their
+    own dtype (never by radix: its kernels are signed-int64 paths)."""
 
     @pytest.mark.parametrize("dtype", ["<i8", "<u4"])
-    def test_three_runs_create_no_segments(self, dtype):
+    def test_three_runs_create_no_segments(self, plan_table, dtype):
         from repro.native import shm
         from repro.serve import SortEngine, StreamSession
         from repro.stream import RunReader
@@ -335,16 +361,27 @@ class TestRunFormationUsesTheArena:
         rng = np.random.default_rng(13)
         with SortEngine(n_workers=2) as eng:
             eng.warmup()
-            sess = StreamSession(eng, np.dtype(dtype), chunk_keys=20_000, fan_in=4)
-            try:
-                before = shm.create_count()
-                for _ in range(3):
-                    chunk = rng.integers(0, 1 << 32, 20_000).astype(dtype)
-                    sess.push_on_engine(chunk)  # one full chunk: one run
-                    assert shm.create_count() == before
-                    assert eng.arena.in_use() == 0
-                    with RunReader(sess.sorter.run_paths[-1]) as run:
-                        assert np.array_equal(run.read_all(), np.sort(chunk))
-                assert sess.public()["runs"] == 3
-            finally:
-                sess.cleanup()
+            for winner in ("sequential", "sample", "radix11"):
+                plan_table(winner)
+                sess = StreamSession(
+                    eng, np.dtype(dtype), chunk_keys=20_000, fan_in=4
+                )
+                try:
+                    before = shm.create_count()
+                    leases = eng.arena.leases
+                    for _ in range(3):
+                        chunk = rng.integers(0, 1 << 32, 20_000).astype(dtype)
+                        sess.push_on_engine(chunk)  # one full chunk: one run
+                        assert shm.create_count() == before
+                        assert eng.arena.in_use() == 0
+                        with RunReader(sess.sorter.run_paths[-1]) as run:
+                            assert np.array_equal(run.read_all(), np.sort(chunk))
+                    public = sess.public()
+                    assert public["runs"] == 3
+                    ran = winner.rstrip("1")
+                    if ran == "radix" and dtype == "<u4":
+                        ran = "sequential"
+                    assert public["chunk_plan"]["algorithm"] == ran
+                    assert (eng.arena.leases > leases) == (ran != "sequential")
+                finally:
+                    sess.cleanup()

@@ -74,8 +74,8 @@ class TestCorrectness:
         assert result.dtype == np.dtype(dtype).str
 
     def test_uint64_beyond_int64_range(self):
-        """uint64 keys past 2**63-1 cannot ride the signed radix
-        kernels; the chunk sort must fall back without corrupting."""
+        """uint64 keys past 2**63-1 are not radix-eligible; whatever the
+        chunk plan, they must come out in unsigned order."""
         rng = np.random.default_rng(4)
         keys = rng.integers(
             1 << 62, (1 << 64) - 1, size=10_000, dtype=np.uint64
@@ -121,6 +121,102 @@ class TestCorrectness:
                 on_block=blocks.append,
             )
         assert result.runs == 8
+        assert np.array_equal(np.concatenate(blocks), np.sort(keys))
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    @pytest.mark.parametrize("dtype", ["<i4", "<i8", "<u8"])
+    def test_signed_and_full_range_keys(self, dtype, pooled):
+        """Negative ``<i4``/``<i8`` keys (a ``ValueError`` from the
+        hard-coded radix run formation before the plan was sign-aware)
+        and ``<u8`` keys across the whole 64-bit range."""
+        from repro.native.pool import WorkerPool
+
+        info = np.iinfo(np.dtype(dtype))
+        keys = np.random.default_rng(16).integers(
+            info.min, info.max, size=24_000, dtype=np.dtype(dtype), endpoint=True
+        )
+        keys[:3] = (info.min, info.max, 0)
+        blocks: list[np.ndarray] = []
+        if pooled:
+            with WorkerPool(2, supervise=True, phase_timeout_s=30.0) as pool:
+                external_sort(
+                    keys, chunk_keys=6_000, fan_in=2, pool=pool,
+                    on_block=blocks.append,
+                )
+        else:
+            external_sort(
+                keys, chunk_keys=6_000, n_workers=1, on_block=blocks.append
+            )
+        out = np.concatenate(blocks)
+        assert out.dtype == np.dtype(dtype)
+        assert np.array_equal(out, np.sort(keys))
+
+    @pytest.mark.parametrize(
+        "winner, dtype, lo",
+        [
+            ("sample", "<i8", -(1 << 40)),
+            ("sample", "<u4", 0),
+            ("radix11", "<i8", 0),
+            ("radix8", "<u4", 0),   # unsigned or negative keys: never radix
+            ("radix11", "<u8", 0),
+            ("radix11", "<i4", -(1 << 30)),
+        ],
+    )
+    def test_parallel_chunk_plans(self, plan_table, winner, dtype, lo):
+        """With a measured table that says a parallel sort wins, run
+        formation runs it on the pool -- and reports the plan it ran."""
+        from repro.native import Plan
+        from repro.native.pool import WorkerPool
+
+        plan_table(winner)
+        dt = np.dtype(dtype)
+        keys = np.random.default_rng(17).integers(
+            lo, 1 << 30, size=40_000, dtype=np.int64
+        ).astype(dt)
+        blocks: list[np.ndarray] = []
+        with WorkerPool(2, supervise=True, phase_timeout_s=30.0) as pool:
+            result = external_sort(
+                keys, chunk_keys=10_000, fan_in=4, pool=pool,
+                on_block=blocks.append,
+            )
+        assert np.array_equal(np.concatenate(blocks), np.sort(keys))
+        if winner == "sample":
+            assert result.chunk_plan == Plan("sample", 2)
+        elif lo < 0 or dt.kind == "u":
+            assert result.chunk_plan == Plan("sequential", 1)
+        else:
+            assert result.chunk_plan == Plan(
+                "radix", 2, int(winner.removeprefix("radix"))
+            )
+
+    def test_default_chunk_plan_is_reported(self):
+        from repro.native import Plan
+
+        result = external_sort(_keys(18, 8_000), chunk_keys=2_000, n_workers=1)
+        assert result.chunk_plan == Plan("sequential", 1)
+
+    def test_own_pool_is_forked_only_when_needed(self, monkeypatch):
+        """No ``pool=``: a sequential chunk plan and a merge that fits
+        one pass start no worker; intermediate merge passes do."""
+        from repro.stream import external
+
+        built: list[int] = []
+
+        class Counting(external.WorkerPool):
+            def __init__(self, n_workers, **kwargs):
+                built.append(n_workers)
+                super().__init__(n_workers, **kwargs)
+
+        monkeypatch.setattr(external, "WorkerPool", Counting)
+        keys = _keys(19, 8_000)
+        one_pass = external_sort(keys, chunk_keys=2_000, fan_in=4, n_workers=2)
+        assert (one_pass.runs, one_pass.merge_passes, built) == (4, 0, [])
+        blocks: list[np.ndarray] = []
+        multi = external_sort(
+            keys, chunk_keys=1_000, fan_in=4, n_workers=2,
+            on_block=blocks.append,
+        )
+        assert (multi.runs, multi.merge_passes, built) == (8, 1, [2])
         assert np.array_equal(np.concatenate(blocks), np.sort(keys))
 
     def test_chunk_keys_validated(self):
@@ -208,6 +304,39 @@ class TestFaultsUnderSort:
         for site in ("spill.enospc", "spill.short_write", "spill.corrupt"):
             assert stats.injected.get(site, 0) >= 1, site
         assert stats.all_recovered
+
+    @pytest.mark.chaos
+    def test_worker_kill_during_run_formation(self):
+        """The default chunk plan on a small host is ``sequential`` and
+        touches no worker, so run-formation crash coverage pins a
+        parallel chunk sort: a worker killed in the first radix phase is
+        absorbed and the run is still sorted."""
+        from repro.native import parallel_radix_sort, plan
+        from repro.native.pool import WorkerPool
+        from repro.stream.external import ExternalSorter
+
+        keys = _keys(19, 16_000)
+        fault_plan = FaultPlan.scripted({"pool.worker.crash": [0]})
+        blocks: list[np.ndarray] = []
+        with use_fault_plan(fault_plan):
+            with WorkerPool(2, supervise=True, phase_timeout_s=30.0) as pool:
+                pinned = plan(4_000, 2, 40, keys.dtype, "radix")
+                sorter = ExternalSorter(
+                    lambda c: (parallel_radix_sort(c, pool=pool), pinned),
+                    pool=pool,
+                )
+                try:
+                    for lo in range(0, len(keys), 4_000):
+                        sorter.add(keys[lo : lo + 4_000])
+                    result = sorter.finish(blocks.append)
+                finally:
+                    sorter.close()
+                crashed = [r["phase"] for r in pool.fault_log]
+        assert np.array_equal(np.concatenate(blocks), np.sort(keys))
+        assert crashed == ["pass0.histogram"]
+        assert result.chunk_plan == pinned
+        assert result.faults.injected == {"pool.worker.crash": 1}
+        assert result.faults.all_recovered
 
     @pytest.mark.chaos
     def test_chaos_stream_merge_scenario(self):

@@ -16,7 +16,11 @@ class TestCLI:
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines()]
         assert listed == [*EXPERIMENTS, *SUBCOMMANDS]
-        assert {"check", "serve", "loadgen", "stream"} <= set(SUBCOMMANDS)
+        assert {"check", "serve", "loadgen", "stream", "tune"} <= set(SUBCOMMANDS)
+
+    def test_stream_sort_prints_the_chunk_plan(self, capsys):
+        assert main(["stream", "sort", "--size", "20000", "--workers", "1"]) == 0
+        assert "chunk plan sequential x1" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
         assert main(["fig99"]) == 2
