@@ -18,7 +18,7 @@ site                      what fires there
 ``pool.worker.hang``      a worker sleeps past the supervised phase timeout
 ``pool.worker.slow``      a straggler: the worker sleeps, then runs the task
 ``shm.create``            ``SharedArray`` creation raises ENOSPC
-``shm.attach``            a worker's ``SharedArray.attach`` raises EACCES
+``shm.attach``            a worker's ``shm.resolve`` / ``attach`` raises EACCES
 ``cache.corrupt``         a grid-cache read decodes as corrupt (recompute)
 ``cache.enospc``          a grid-cache store hits ENOSPC (store dropped)
 ``cache.eacces``          a grid-cache store hits EACCES (store dropped)

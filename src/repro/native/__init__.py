@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arena import Arena
 from .kernels import KERNEL_ENV
 from .kernels import resolve as resolve_kernel
 from .plan import Plan, plan, plan_keys
@@ -37,8 +38,8 @@ def run_plan(
     **kwargs,
 ) -> np.ndarray:
     """Sort ``keys`` the way ``chosen`` says.  ``sequential`` is one
-    ``np.sort`` in the caller: no pool, no segment.  Keywords
-    (``buffers=``, ``kernel=``) pass through to the parallel sorts."""
+    ``np.sort`` in the caller: no pool, no segment.  A parallel plan
+    runs in ``pool.arena``'s slabs; ``kernel=`` passes through to it."""
     if chosen.algorithm == "sequential":
         return np.sort(keys)
     if chosen.algorithm == "radix":
@@ -63,7 +64,7 @@ def parallel_sort(
     table when ``python -m repro tune`` has written one); naming
     ``"radix"`` (non-negative integers only) or ``"sample"`` (any
     sortable dtype) pins it.  ``radix`` pins the radix sort's digit
-    width; other keywords (``buffers=``, ``kernel=``) pass through.
+    width; ``kernel=`` passes through.
     """
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
@@ -73,6 +74,7 @@ def parallel_sort(
 
 
 __all__ = [
+    "Arena",
     "KERNEL_ENV",
     "PhaseTiming",
     "Plan",

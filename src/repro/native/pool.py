@@ -49,6 +49,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -58,6 +59,7 @@ from ..faults.context import current_fault_plan
 from ..faults.plan import pool_directives
 from ..trace import PID_FAULTS, PID_NATIVE, current_recorder
 from . import shm
+from .arena import Arena
 
 #: Trace track of the parent process coordinating the pool (workers use
 #: tracks ``1..n_workers``, one per worker slot).
@@ -66,17 +68,45 @@ POOL_TID = 0
 #: Supervisor poll interval while waiting on an async phase (seconds).
 _POLL_S = 0.02
 
+#: How long a worker waits for its siblings in the arena mapping round
+#: (seconds); only a dead or hung sibling makes anyone wait this long.
+_MAP_ROUND_TIMEOUT_S = 1.0
 
-def _worker_init(user_init: Callable[..., None] | None, user_args: tuple) -> None:
-    """Every-worker initializer: warm the active sort kernel (resolving
-    the ``REPRO_NATIVE_KERNEL`` choice once, and JIT-compiling the numba
-    kernels off the hot path if selected), then run the caller's own
-    initializer, if any."""
+#: This worker's rendezvous with its siblings (set by ``_worker_init``).
+_siblings: Any = None
+
+
+def _worker_init(
+    siblings: Any, user_init: Callable[..., None] | None, user_args: tuple
+) -> None:
+    """Every-worker initializer: keep the pool's barrier, warm the active
+    sort kernel (resolving the ``REPRO_NATIVE_KERNEL`` choice once, and
+    JIT-compiling the numba kernels off the hot path if selected), then
+    run the caller's own initializer, if any."""
+    global _siblings
     from . import kernels
 
+    _siblings = siblings
     kernels.warm()
     if user_init is not None:
         user_init(*user_args)
+
+
+def _map_slabs_task(handles: tuple) -> int:
+    """Map every slab in this worker, then hold it until every sibling
+    has taken its own copy of this task -- which is what makes one round
+    of ``n_workers`` tasks reach every worker.  Returns fresh attaches."""
+    before = shm.attach_count()
+    try:
+        for handle in handles:
+            shm.resolve(handle)
+    except OSError:
+        pass  # (injected) failure: left to the task that needs the slab
+    try:
+        _siblings.wait(_MAP_ROUND_TIMEOUT_S)
+    except threading.BrokenBarrierError:
+        pass  # a sibling never came; supervision deals with it
+    return shm.attach_count() - before
 
 
 class PhaseError(RuntimeError):
@@ -150,9 +180,10 @@ class PhaseTiming:
     end: float
     tasks: tuple[tuple[float, float], ...]
     slots: tuple[int, ...] = field(default=())
-    #: Fresh shared-memory attaches task ``i`` performed in its worker
-    #: (zero on the serve arena's steady-state path, where every worker
-    #: resolves every slab from its attach cache).
+    #: Fresh shared-memory attaches task ``i`` performed in its worker,
+    #: plus -- on task 0 -- those of the pool's slab-mapping round when
+    #: one preceded this phase (zero from the second sort on a reused
+    #: pool, where every worker holds every arena slab in its cache).
     attaches: tuple[int, ...] = field(default=())
 
     @property
@@ -172,8 +203,6 @@ def _apply_directive(directive: tuple[str, float | None] | None) -> None:
     elif kind == "slow":
         time.sleep(float(param or 0.05))
     elif kind == "attach-fail":
-        from . import shm
-
         shm.fail_next_attach()
 
 
@@ -198,6 +227,11 @@ def _directed_call(
 
 class WorkerPool:
     """A persistent process pool with phase-style ``run_phase``.
+
+    The pool owns the shared memory its sorts run in: ``arena`` holds no
+    segment until the first parallel sort leases from it, keeps its slabs
+    for the sorts that follow, and is unlinked by ``close``.  One sort at
+    a time per pool.
 
     ``supervise=True`` arms per-phase supervision: ``phase_timeout_s``
     bounds each attempt (``None`` = wait forever, though dead workers are
@@ -229,21 +263,16 @@ class WorkerPool:
             raise ValueError("max_phase_retries must be >= 0")
         self.start_method = default_start_method()
         #: Run in every worker at start (and again after every supervised
-        #: rebuild) -- the job server installs the shm attach cache here.
+        #: rebuild).
         self._initializer = initializer
         self._initargs = tuple(initargs)
-        ctx = mp.get_context(self.start_method)
-        self._pool = (
-            ctx.Pool(
-                self.n_workers,
-                _worker_init,
-                (self._initializer, self._initargs),
-            )
-            if self.n_workers > 1
-            else None
-        )
+        self.arena = Arena()
+        #: Worker OS pid -> 1-based slot, in order of first appearance.
+        self._slot_by_pid: dict[int, int] = {}
+        self._unreported_attaches = 0
+        self._spawn()
         if self.n_workers == 1:
-            _worker_init(self._initializer, self._initargs)  # inline "pool"
+            _worker_init(None, self._initializer, self._initargs)  # inline "pool"
         self._closed = False
         self.collect_timings = collect_timings
         self.supervise = supervise
@@ -259,8 +288,6 @@ class WorkerPool:
         #: Total failed phase attempts absorbed over the pool's lifetime.
         self.phase_failures = 0
         self._phase_seq = 0
-        #: Worker OS pid -> 1-based slot, in order of first appearance.
-        self._slot_by_pid: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def _slot_of(self, pid: int) -> int:
@@ -276,6 +303,44 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Supervision internals
     # ------------------------------------------------------------------
+    def _spawn(self) -> None:
+        """Fork ``n_workers`` fresh workers (none for the inline pool)."""
+        self._siblings = self._pool = None
+        if self.n_workers > 1:
+            ctx = mp.get_context(self.start_method)
+            self._siblings = ctx.Barrier(self.n_workers)
+            self._pool = ctx.Pool(
+                self.n_workers,
+                _worker_init,
+                (self._siblings, self._initializer, self._initargs),
+            )
+        self._slot_by_pid.clear()
+        #: Slab names every worker is known to have mapped.
+        self._mapped: tuple[str, ...] = ()
+
+    def _map_arena(self) -> None:
+        """Bring every worker's attach cache up to the arena's current
+        slabs in one barrier-held round, so no sort task ever attaches:
+        runs when a lease regrew a slab or workers were replaced, i.e.
+        never on a reused pool's steady state.  Outside supervision and
+        fault injection (it is not part of any sort's phase program);
+        its attaches are reported with the next timed phase."""
+        if self._pool is None:
+            return  # inline tasks resolve in this process
+        names = self.arena.slab_names
+        if names == self._mapped:
+            return
+        self._siblings.reset()
+        try:
+            self._unreported_attaches += sum(
+                self._pool.map_async(
+                    _map_slabs_task, [self.arena.handles()] * self.n_workers
+                ).get(2 * _MAP_ROUND_TIMEOUT_S)
+            )
+        except mp.TimeoutError:
+            pass  # a worker died holding its task: the phase will notice
+        self._mapped = names
+
     def _rebuild(self, shrink: bool) -> None:
         """Replace the worker processes (dead-worker replacement), at a
         reduced width when ``shrink`` (graceful degradation)."""
@@ -284,17 +349,8 @@ class WorkerPool:
             self._pool.join()
         if shrink and self.n_workers > self.min_workers:
             self.n_workers = max(self.min_workers, self.n_workers // 2)
-        ctx = mp.get_context(self.start_method)
-        self._pool = (
-            ctx.Pool(
-                self.n_workers,
-                _worker_init,
-                (self._initializer, self._initargs),
-            )
-            if self.n_workers > 1
-            else None
-        )
-        self._slot_by_pid.clear()
+        self._spawn()
+        self._map_arena()
 
     def _attempt(
         self,
@@ -362,6 +418,7 @@ class WorkerPool:
         tasks = list(tasks)
         rec = current_recorder()
         plan = current_fault_plan()
+        self._map_arena()
         self._phase_seq += 1
         timed = self.collect_timings or rec.enabled
         if not self.supervise and plan is None:
@@ -467,12 +524,15 @@ class WorkerPool:
         n_tasks: int,
     ) -> None:
         slots = tuple(self._slot_of(pid) for _, _t0, _t1, pid, _att in raw)
-        attaches = tuple(att for _, _t0, _t1, _pid, att in raw)
+        attaches = [att for _, _t0, _t1, _pid, att in raw]
+        if attaches:
+            attaches[0] += self._unreported_attaches
+            self._unreported_attaches = 0
         timing = PhaseTiming(
             label, begin, end,
             tuple((t0, t1) for _, t0, t1, _pid, _att in raw),
             slots,
-            attaches,
+            tuple(attaches),
         )
         if self.collect_timings:
             self.timings.append(timing)
@@ -498,19 +558,22 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def close(self, force: bool = False) -> None:
-        """Shut the pool down and reap its workers.
+        """Shut the pool down, reap its workers and unlink its arena.
 
         ``force=True`` terminates workers instead of waiting for them to
         drain -- used on the exception path so a failed phase cannot leak
         forked processes holding shared-memory references.
         """
-        if not self._closed and self._pool is not None:
-            if force:
-                self._pool.terminate()
-            else:
-                self._pool.close()
-            self._pool.join()
-        self._closed = True
+        try:
+            if not self._closed and self._pool is not None:
+                if force:
+                    self._pool.terminate()
+                else:
+                    self._pool.close()
+                self._pool.join()
+        finally:
+            self._closed = True
+            self.arena.close()
 
     def terminate(self) -> None:
         """Kill workers immediately (``close(force=True)``)."""

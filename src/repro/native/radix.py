@@ -25,8 +25,6 @@ is idempotent.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-
 import numpy as np
 
 from ..sorts.common import n_passes
@@ -34,40 +32,24 @@ from .kernels import resolve as resolve_kernel
 from .kernels import slice_bounds
 from .plan import DEFAULT_RADIX, plan
 from .pool import WorkerPool, workers_available
-from .shm import SharedArray, SortBuffers
+from .shm import resolve
 
 
 def _hist_task(args) -> None:
-    (src_name, n, dtype_str, hist_name, p, w, shift, mask, kern_name) = args
-    kern = resolve_kernel(kern_name)
-    with ExitStack() as stack:
-        src = stack.enter_context(
-            SharedArray.attach(src_name, (n,), np.dtype(dtype_str))
-        )
-        hist = stack.enter_context(
-            SharedArray.attach(hist_name, (p, mask + 1), np.int64)
-        )
-        lo, hi = slice_bounds(n, p, w)
-        hist.array[w, :] = kern.histogram(src.array[lo:hi], shift, mask)
+    (src_h, hist_h, p, w, shift, mask, kern_name) = args
+    src, hist = resolve(src_h), resolve(hist_h)
+    lo, hi = slice_bounds(len(src), p, w)
+    hist[w, :] = resolve_kernel(kern_name).histogram(src[lo:hi], shift, mask)
 
 
 def _permute_task(args) -> None:
-    (src_name, dst_name, n, dtype_str, offs_name, p, w, shift, mask,
-     kern_name) = args
-    kern = resolve_kernel(kern_name)
-    with ExitStack() as stack:
-        dt = np.dtype(dtype_str)
-        src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
-        dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        offs = stack.enter_context(
-            SharedArray.attach(offs_name, (p, mask + 1), np.int64)
-        )
-        lo, hi = slice_bounds(n, p, w)
-        # Private running cursors: the shared offset matrix stays
-        # pristine, which keeps a supervised re-run of this task
-        # idempotent.
-        cursor = offs.array[w].copy()
-        kern.scatter(src.array[lo:hi], dst.array, cursor, shift, mask)
+    (src_h, dst_h, offs_h, p, w, shift, mask, kern_name) = args
+    src, dst, offs = resolve(src_h), resolve(dst_h), resolve(offs_h)
+    lo, hi = slice_bounds(len(src), p, w)
+    # Private running cursors: the shared offset matrix stays pristine,
+    # which keeps a supervised re-run of this task idempotent.
+    cursor = offs[w].copy()
+    resolve_kernel(kern_name).scatter(src[lo:hi], dst, cursor, shift, mask)
 
 
 def parallel_radix_sort(
@@ -75,18 +57,16 @@ def parallel_radix_sort(
     n_workers: int | None = None,
     radix: int = DEFAULT_RADIX,
     pool: WorkerPool | None = None,
-    buffers: SortBuffers | None = None,
     kernel: str | None = None,
 ) -> np.ndarray:
     """Sort non-negative integer keys with a parallel LSD radix sort.
 
     Returns a new sorted array; ``keys`` is left untouched.  Pass a
-    :class:`~repro.native.pool.WorkerPool` to amortize worker startup over
-    several sorts, and a :class:`~repro.native.shm.SortBuffers` provider
-    (e.g. the serve arena's) to reuse shared buffers across sorts; the
-    provider's ``release_all`` is always called before returning.
-    ``kernel`` pins a kernel implementation by name (default: the
-    ``REPRO_NATIVE_KERNEL`` environment variable, see
+    :class:`~repro.native.pool.WorkerPool` to amortize worker startup
+    *and* shared memory over several sorts: the buffers are leased from
+    ``pool.arena``, so only the first sort of a size creates, maps and
+    faults them in.  ``kernel`` pins a kernel implementation by name
+    (default: the ``REPRO_NATIVE_KERNEL`` environment variable, see
     :mod:`repro.native.kernels`).
     """
     keys = np.ascontiguousarray(keys)
@@ -109,7 +89,6 @@ def parallel_radix_sort(
     passes = n_passes(radix, key_bits)
     mask = (1 << radix) - 1
     n = len(keys)
-    dtype_str = keys.dtype.str
 
     own_pool = pool is None
     p = plan(
@@ -119,40 +98,35 @@ def parallel_radix_sort(
         # The plan's "no pool, no segment": the keys are already
         # validated non-negative integers, so one sequential sort is the
         # whole job.
-        if buffers is not None:
-            buffers.release_all()
         return np.sort(keys)
     pool = pool or WorkerPool(n_workers)
-
-    bufs = buffers if buffers is not None else SortBuffers()
-    src = bufs.from_array(keys)
-    dst = bufs.empty((n,), keys.dtype)
-    hist = bufs.empty((p, mask + 1), np.int64)
-    offs = bufs.empty((p, mask + 1), np.int64)
     try:
-        for k in range(passes):
-            shift = k * radix
-            pool.run_phase(
-                _hist_task,
-                [(src.name, n, dtype_str, hist.name, p, w, shift, mask,
-                  kern.name) for w in range(p)],
-                name=f"pass{k}.histogram",
-            )
-            # Global exclusive offsets, digit-major then worker-major --
-            # the same stable permutation the simulated sorts perform.
-            flat = hist.array.T.reshape(-1)
-            starts = np.concatenate(([0], np.cumsum(flat)[:-1]))
-            offs.array[...] = starts.reshape(mask + 1, p).T
-            pool.run_phase(
-                _permute_task,
-                [(src.name, dst.name, n, dtype_str, offs.name, p, w, shift,
-                  mask, kern.name) for w in range(p)],
-                name=f"pass{k}.permute",
-            )
-            src, dst = dst, src
-        result = src.array.copy()
+        with pool.arena.buffers() as bufs:
+            src = bufs.from_array(keys)
+            dst = bufs.empty((n,), keys.dtype)
+            hist = bufs.empty((p, mask + 1), np.int64)
+            offs = bufs.empty((p, mask + 1), np.int64)
+            for k in range(passes):
+                shift = k * radix
+                pool.run_phase(
+                    _hist_task,
+                    [(src.handle, hist.handle, p, w, shift, mask, kern.name)
+                     for w in range(p)],
+                    name=f"pass{k}.histogram",
+                )
+                # Global exclusive offsets, digit-major then worker-major --
+                # the same stable permutation the simulated sorts perform.
+                flat = hist.array.T.reshape(-1)
+                starts = np.concatenate(([0], np.cumsum(flat)[:-1]))
+                offs.array[...] = starts.reshape(mask + 1, p).T
+                pool.run_phase(
+                    _permute_task,
+                    [(src.handle, dst.handle, offs.handle, p, w, shift, mask,
+                      kern.name) for w in range(p)],
+                    name=f"pass{k}.permute",
+                )
+                src, dst = dst, src
+            return src.array.copy()
     finally:
-        bufs.release_all()
         if own_pool:
             pool.close()
-    return result

@@ -28,8 +28,6 @@ everything behind a barrier the rest idle at.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-
 import numpy as np
 
 from ..sorts.common import (
@@ -41,7 +39,7 @@ from ..sorts.common import (
 from .kernels import slice_bounds
 from .plan import full_bits, plan
 from .pool import WorkerPool, workers_available
-from .shm import SharedArray, SortBuffers
+from .shm import resolve
 
 #: Fall back to sequential ``np.sort`` when, even after duplicate-splitter
 #: rebalancing, the largest destination range exceeds this multiple of the
@@ -50,61 +48,36 @@ from .shm import SharedArray, SortBuffers
 SPLITTER_SKEW_LIMIT = 4.0
 
 
-def _local_sort_task(args) -> None:
-    (src_name, dst_name, n, dtype_str, p, w) = args
-    with ExitStack() as stack:
-        dt = np.dtype(dtype_str)
-        src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
-        dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        lo, hi = slice_bounds(n, p, w)
-        dst.array[lo:hi] = np.sort(src.array[lo:hi])
+def _sort_range_task(args) -> None:
+    """Both sort phases: ``src[lo:hi]`` sorted into ``dst[lo:hi]``, in the
+    destination slab -- no range-sized temporary, ``src`` untouched."""
+    (src_h, dst_h, lo, hi) = args
+    out = resolve(dst_h)[lo:hi]
+    out[...] = resolve(src_h)[lo:hi]
+    out.sort()
 
 
 def _count_task(args) -> None:
-    (src_name, n, dtype_str, spl_name, counts_name, p, w) = args
-    with ExitStack() as stack:
-        dt = np.dtype(dtype_str)
-        src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
-        spl = stack.enter_context(SharedArray.attach(spl_name, (p - 1,), dt))
-        counts = stack.enter_context(
-            SharedArray.attach(counts_name, (p, p), np.int64)
-        )
-        lo, hi = slice_bounds(n, p, w)
-        part = src.array[lo:hi]
-        edges = np.searchsorted(part, spl.array, side="right")
-        bounds = np.concatenate(([0], edges, [len(part)]))
-        counts.array[w, :] = np.diff(bounds)
+    (src_h, spl_h, counts_h, p, w) = args
+    src = resolve(src_h)
+    lo, hi = slice_bounds(len(src), p, w)
+    part = src[lo:hi]
+    edges = np.searchsorted(part, resolve(spl_h), side="right")
+    bounds = np.concatenate(([0], edges, [len(part)]))
+    resolve(counts_h)[w, :] = np.diff(bounds)
 
 
 def _scatter_task(args) -> None:
-    (src_name, dst_name, n, dtype_str, counts_name, place_name, p, w) = args
-    with ExitStack() as stack:
-        dt = np.dtype(dtype_str)
-        src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
-        dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        counts = stack.enter_context(
-            SharedArray.attach(counts_name, (p, p), np.int64)
-        )
-        place = stack.enter_context(
-            SharedArray.attach(place_name, (p, p), np.int64)
-        )
-        lo, _ = slice_bounds(n, p, w)
-        start = lo
-        for dest in range(p):
-            c = int(counts.array[w, dest])
-            if c:
-                at = int(place.array[w, dest])
-                dst.array[at : at + c] = src.array[start : start + c]
-            start += c
-
-
-def _final_sort_task(args) -> None:
-    (src_name, dst_name, n, dtype_str, bounds_lo, bounds_hi) = args
-    with ExitStack() as stack:
-        dt = np.dtype(dtype_str)
-        src = stack.enter_context(SharedArray.attach(src_name, (n,), dt))
-        dst = stack.enter_context(SharedArray.attach(dst_name, (n,), dt))
-        dst.array[bounds_lo:bounds_hi] = np.sort(src.array[bounds_lo:bounds_hi])
+    (src_h, dst_h, counts_h, place_h, p, w) = args
+    src, dst = resolve(src_h), resolve(dst_h)
+    counts, place = resolve(counts_h), resolve(place_h)
+    start, _ = slice_bounds(len(src), p, w)
+    for dest in range(p):
+        c = int(counts[w, dest])
+        if c:
+            at = int(place[w, dest])
+            dst[at : at + c] = src[start : start + c]
+        start += c
 
 
 def parallel_sample_sort(
@@ -112,12 +85,10 @@ def parallel_sample_sort(
     n_workers: int | None = None,
     samples_per_worker: int = SAMPLES_PER_PROC,
     pool: WorkerPool | None = None,
-    buffers: SortBuffers | None = None,
 ) -> np.ndarray:
     """Sort integer (or any comparable NumPy) keys with parallel sample
-    sort.  Returns a new sorted array.  ``buffers`` substitutes a shared
-    buffer provider (e.g. the serve arena's); its ``release_all`` is
-    always called before returning."""
+    sort.  Returns a new sorted array.  The buffers are leased from
+    ``pool.arena``, so a reused pool creates and maps them once."""
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
         raise ValueError("keys must be one-dimensional")
@@ -125,7 +96,6 @@ def parallel_sample_sort(
         return keys.copy()
 
     n = len(keys)
-    dtype_str = keys.dtype.str
     own_pool = pool is None
     p = plan(
         n, workers_available(pool, n_workers), full_bits(keys.dtype),
@@ -133,8 +103,6 @@ def parallel_sample_sort(
     ).width
     if p == 1:
         # The plan's "no pool, no segment".
-        if buffers is not None:
-            buffers.release_all()
         return np.sort(keys)
     pool = pool or WorkerPool(n_workers)
 
@@ -142,61 +110,60 @@ def parallel_sample_sort(
     # raw keys live in ``src``; locally-sorted runs in ``dst``; the
     # scatter rebuilds ``src`` as the globally-partitioned array; the
     # final sort writes the answer back into ``dst``.
-    bufs = buffers if buffers is not None else SortBuffers()
-    src = bufs.from_array(keys)
-    dst = bufs.empty((n,), keys.dtype)
-    counts = bufs.empty((p, p), np.int64)
     try:
-        # Phase 1: local sorts, src -> dst.
-        pool.run_phase(
-            _local_sort_task,
-            [(src.name, dst.name, n, dtype_str, p, w) for w in range(p)],
-            name="local-sort",
-        )
-        # Phases 2-3: samples and splitters (tiny; done in the parent, the
-        # "group leader" of the paper's CC-SAS scheme) from the sorted runs.
-        parts = [dst.array[slice(*slice_bounds(n, p, w))] for w in range(p)]
-        splitters = choose_splitters(
-            select_samples(parts, samples_per_worker), p
-        )
-        spl = bufs.from_array(splitters.astype(keys.dtype))
-        # Phase 4a: destination counts over the sorted runs in dst.
-        pool.run_phase(
-            _count_task,
-            [(dst.name, n, dtype_str, spl.name, counts.name, p, w)
-             for w in range(p)],
-            name="count",
-        )
-        # Duplicate-heavy inputs: spread keys equal to a repeated
-        # splitter over the destinations sharing it, and bail out to a
-        # sequential sort if the ranges are still pathologically skewed.
-        c = counts.array
-        spread_duplicate_splitters(c, spl.array, parts)
-        dest_totals = c.sum(axis=0)
-        if int(dest_totals.max()) > SPLITTER_SKEW_LIMIT * (n / p):
-            return np.sort(keys)  # finally still releases buffers/pool
-        dest_base = np.concatenate(([0], np.cumsum(dest_totals)[:-1]))
-        within = np.cumsum(c, axis=0) - c
-        place = bufs.empty((p, p), np.int64)
-        place.array[...] = dest_base[None, :] + within
-        # Phase 4b: all-to-all scatter, dst -> src.
-        pool.run_phase(
-            _scatter_task,
-            [(dst.name, src.name, n, dtype_str, counts.name,
-              place.name, p, w) for w in range(p)],
-            name="scatter",
-        )
-        # Phase 5: sort each destination range, src -> dst.
-        bounds = np.concatenate((dest_base, [n])).astype(np.int64)
-        pool.run_phase(
-            _final_sort_task,
-            [(src.name, dst.name, n, dtype_str,
-              int(bounds[d]), int(bounds[d + 1])) for d in range(p)],
-            name="final-sort",
-        )
-        result = dst.array.copy()
+        with pool.arena.buffers() as bufs:
+            src = bufs.from_array(keys)
+            dst = bufs.empty((n,), keys.dtype)
+            spl = bufs.empty((p - 1,), keys.dtype)
+            counts = bufs.empty((p, p), np.int64)
+            place = bufs.empty((p, p), np.int64)
+            # Phase 1: local sorts, src -> dst.
+            pool.run_phase(
+                _sort_range_task,
+                [(src.handle, dst.handle, *slice_bounds(n, p, w))
+                 for w in range(p)],
+                name="local-sort",
+            )
+            # Phases 2-3: samples and splitters (tiny; done in the parent,
+            # the "group leader" of the paper's CC-SAS scheme) from the
+            # sorted runs.
+            parts = [dst.array[slice(*slice_bounds(n, p, w))] for w in range(p)]
+            spl.array[...] = choose_splitters(
+                select_samples(parts, samples_per_worker), p
+            )
+            # Phase 4a: destination counts over the sorted runs in dst.
+            pool.run_phase(
+                _count_task,
+                [(dst.handle, spl.handle, counts.handle, p, w) for w in range(p)],
+                name="count",
+            )
+            # Duplicate-heavy inputs: spread keys equal to a repeated
+            # splitter over the destinations sharing it, and bail out to a
+            # sequential sort if the ranges are still pathologically skewed.
+            c = counts.array
+            spread_duplicate_splitters(c, spl.array, parts)
+            dest_totals = c.sum(axis=0)
+            if int(dest_totals.max()) > SPLITTER_SKEW_LIMIT * (n / p):
+                return np.sort(keys)  # the lease and the pool still unwind
+            dest_base = np.concatenate(([0], np.cumsum(dest_totals)[:-1]))
+            within = np.cumsum(c, axis=0) - c
+            place.array[...] = dest_base[None, :] + within
+            # Phase 4b: all-to-all scatter, dst -> src.
+            pool.run_phase(
+                _scatter_task,
+                [(dst.handle, src.handle, counts.handle, place.handle, p, w)
+                 for w in range(p)],
+                name="scatter",
+            )
+            # Phase 5: sort each destination range, src -> dst.
+            bounds = np.concatenate((dest_base, [n])).astype(np.int64)
+            pool.run_phase(
+                _sort_range_task,
+                [(src.handle, dst.handle, int(bounds[d]), int(bounds[d + 1]))
+                 for d in range(p)],
+                name="final-sort",
+            )
+            return dst.array.copy()
     finally:
-        bufs.release_all()
         if own_pool:
             pool.close()
-    return result

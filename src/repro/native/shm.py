@@ -11,20 +11,19 @@ Two fault sites live here (see :mod:`repro.faults` and docs/FAULTS.md):
 ``shm.create`` makes creation raise ENOSPC (the classic full ``/dev/shm``)
 and ``shm.attach`` makes the next attach in this process raise EACCES.
 :func:`allocate` / :func:`allocate_from` are the resilient allocation
-front doors the sorts use: bounded retry with backoff, so a transient
-creation failure degrades to a short stall instead of a failed sort.
+front doors (the arena creates every slab through the first): bounded
+retry with backoff, so a transient creation failure degrades to a short
+stall instead of a failed sort.
 
-Serving support (see :mod:`repro.serve`): every successful create and
-every *fresh* attach bumps a process-local counter
-(:func:`create_count` / :func:`attach_count`), which is how the job
-server proves its steady-state path performs neither.  Long-lived worker
-processes call :func:`enable_attach_cache` so repeat attaches to the
-same named block (the server's arena slabs) reuse the existing mapping
-instead of re-opening it -- a cache hit is not counted as an attach, and
-``close()`` on a cached attachment keeps the mapping alive for the next
-job.  :class:`SortBuffers` is the per-sort buffer-provider seam: the
-default implementation allocates and unlinks per sort, while the serve
-arena substitutes leased slab views so a sort touches no new segments.
+Every successful create and every *fresh* attach bumps a process-local
+counter (:func:`create_count` / :func:`attach_count`), which is how a
+reused pool -- and the job server on top of it -- proves its steady-state
+path performs neither.  Pool tasks never attach by hand: they receive
+buffer *handles* ``(block name, shape, dtype)`` and turn each into an
+ndarray with :func:`resolve`, which memoizes one mapping per arena slab
+in the worker (:mod:`repro.native.arena`), so after a worker's first
+task on a slab every later resolve is a dictionary lookup -- no
+``shm_open``, no ``mmap``, no first-touch page faults.
 
 Buffer shapes do not depend on the kernel (:mod:`repro.native.kernels`):
 radix leases two data arrays plus the ``(p, nb)`` histogram/offset pair,
@@ -56,19 +55,21 @@ _HAS_TRACK_PARAM = sys.version_info >= (3, 13)
 _ATTACH_LOCK = threading.Lock()
 
 #: Pending injected attach failures in *this* process (armed by the pool's
-#: per-task fault directives; consumed, one per attach, by ``SharedArray``).
+#: per-task fault directives; consumed one per :func:`resolve` or
+#: ``SharedArray.attach``).
 _fail_attach_count = 0
 
 #: Process-local lifetime counters: successful creations and *fresh*
-#: attaches (cache hits do not count).  The serve layer diffs these to
-#: assert a steady-state job touched no new shared memory.
+#: attaches (cache hits do not count).  Tests and the serve layer diff
+#: these to assert a steady-state sort touched no new shared memory.
 _create_count = 0
 _attach_count = 0
 
-#: When enabled (long-lived pool workers via ``enable_attach_cache``),
-#: fresh attaches are memoized by block name and reused across tasks.
-_attach_cache_enabled = False
-_attach_cache: dict[str, shared_memory.SharedMemory] = {}
+#: This process's :func:`resolve` mappings: slab key (the block name
+#: minus its ``_g<generation>`` suffix) -> (block name, mapping).  One
+#: entry per slab ever seen, so the cache is bounded by the slab count.
+GENERATION_SEP = "_g"
+_attach_cache: dict[str, tuple[str, shared_memory.SharedMemory]] = {}
 
 
 def create_count() -> int:
@@ -82,32 +83,58 @@ def attach_count() -> int:
 
 
 def enable_attach_cache(on: bool = True) -> None:
-    """Memoize attaches by block name in this process.
-
-    Installed as the pool-worker initializer by the job server: arena
-    slab names are stable for the server's lifetime, so after the first
-    task touching a slab every later attach is a cache hit (no ``shm_open``,
-    no counter bump).  Disabling does not drop existing cached mappings;
-    call :func:`detach_cached` for that.
-    """
-    global _attach_cache_enabled
-    _attach_cache_enabled = on
+    """Does nothing: :func:`resolve` caches in every process, so every
+    pool worker has the attach cache without asking.  Kept because
+    callers still pass it as ``WorkerPool(initializer=...)``."""
 
 
 def attach_cache_size() -> int:
     return len(_attach_cache)
 
 
-def detach_cached() -> int:
-    """Close every cached attachment; returns how many were dropped."""
-    n = len(_attach_cache)
-    for cached in _attach_cache.values():
-        try:
-            cached.close()
-        except OSError:  # pragma: no cover - already gone
-            pass
-    _attach_cache.clear()
-    return n
+def _slab_key(name: str) -> str:
+    return name.rpartition(GENERATION_SEP)[0] or name
+
+
+def _close_quietly(mapping: shared_memory.SharedMemory) -> None:
+    try:
+        mapping.close()
+    except (OSError, BufferError):  # pragma: no cover - gone / still viewed
+        pass
+
+
+def forget(name: str) -> None:
+    """Drop this process's cached mapping of block ``name``'s slab, if
+    any (the arena calls it on every block it unlinks, so a parent that
+    ran tasks inline does not keep dead segments mapped)."""
+    cached = _attach_cache.pop(_slab_key(name), None)
+    if cached is not None:
+        _close_quietly(cached[1])
+
+
+def resolve(handle: tuple[str, tuple[int, ...], str]) -> np.ndarray:
+    """The ndarray a buffer handle ``(block name, shape, dtype)`` names,
+    through this process's attach cache -- the one way a pool task
+    reaches shared memory.
+
+    A hit is a dictionary lookup.  A miss attaches (counted by
+    :func:`attach_count`) and replaces whatever older generation of the
+    same slab was cached, closing its mapping.  The returned array is
+    valid until the slab's next generation is resolved here, i.e. for
+    the task that asked.  An injected ``shm.attach`` failure is consumed
+    before the lookup, so it fires on a warm cache too.
+    """
+    global _attach_count
+    name, shape, dtype = handle
+    _consume_injected_attach_failure()
+    key = _slab_key(name)
+    cached = _attach_cache.get(key)
+    if cached is None or cached[0] != name:
+        if cached is not None:
+            _close_quietly(cached[1])
+        cached = _attach_cache[key] = (name, _attach_untracked(name))
+        _attach_count += 1
+    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=cached[1].buf)
 
 
 def fail_next_attach(n: int = 1) -> None:
@@ -180,7 +207,6 @@ class SharedArray:
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(self.shape)) * self.dtype.itemsize)
-        self._cached = False
         if create:
             _maybe_injected_create_failure()
             self._shm = shared_memory.SharedMemory(create=True, size=nbytes, name=name)
@@ -190,16 +216,8 @@ class SharedArray:
             if name is None:
                 raise ValueError("attaching requires a block name")
             _consume_injected_attach_failure()
-            cached = _attach_cache.get(name) if _attach_cache_enabled else None
-            if cached is not None:
-                self._shm = cached
-                self._cached = True
-            else:
-                self._shm = _attach_untracked(name)
-                _attach_count += 1
-                if _attach_cache_enabled:
-                    _attach_cache[name] = self._shm
-                    self._cached = True
+            self._shm = _attach_untracked(name)
+            _attach_count += 1
             self._owner = False
         self.array: np.ndarray = np.ndarray(
             self.shape, dtype=self.dtype, buffer=self._shm.buf
@@ -213,7 +231,8 @@ class SharedArray:
     def attach(
         cls, name: str, shape: tuple[int, ...] | int, dtype: np.dtype | type
     ) -> "SharedArray":
-        """Attach to an existing block from a worker process."""
+        """A private, uncached attachment to an existing block (pool tasks
+        use :func:`resolve` instead)."""
         return cls(shape, dtype, name=name, create=False)
 
     @classmethod
@@ -224,18 +243,10 @@ class SharedArray:
         return sa
 
     def close(self) -> None:
-        """Detach; the owner also unlinks the block.
-
-        A cache-backed attachment (see :func:`enable_attach_cache`) only
-        drops its ndarray view: the underlying mapping stays open for the
-        next attach to the same name, released by :func:`detach_cached`
-        or process exit.
-        """
+        """Detach; the owner also unlinks the block."""
         # Drop the ndarray view first: SharedMemory.close() refuses while
         # exported buffers exist.
         self.array = None  # type: ignore[assignment]
-        if self._cached and not self._owner:
-            return
         self._shm.close()
         if self._owner:
             try:
@@ -295,7 +306,7 @@ def allocate(
 ) -> SharedArray:
     """Create a :class:`SharedArray`, retrying transient OS failures
     (full ``/dev/shm``, injected ``shm.create`` faults) with backoff.
-    ``name`` pins the block name (the serve arena uses a recognizable
+    ``name`` pins the block name (the arena uses a recognizable
     ``repro_slab_*`` prefix so leaks are attributable)."""
     return _alloc_with_retry(
         lambda: SharedArray(shape, dtype, name=name), retries, backoff_s
@@ -309,49 +320,3 @@ def allocate_from(
     return _alloc_with_retry(
         lambda: SharedArray.from_array(source), retries, backoff_s
     )
-
-
-# ----------------------------------------------------------------------
-# Per-sort buffer provider
-# ----------------------------------------------------------------------
-class SortBuffers:
-    """Provides the named shared buffers one sort needs, releases them all.
-
-    The native sorts ask this seam for their buffers instead of calling
-    :func:`allocate` directly, so the execution substrate decides the
-    lifecycle: this default implementation creates fresh blocks and
-    unlinks them in ``release_all`` (the pre-existing behavior), while
-    :class:`repro.serve.arena.ArenaBuffers` hands out views into
-    preallocated slabs and merely returns the leases -- zero creates on
-    the server's steady-state path.
-
-    Whatever ``empty``/``from_array`` return exposes ``.name`` (a block
-    name workers can attach) and ``.array`` (the parent's ndarray view).
-    """
-
-    def __init__(self) -> None:
-        self._held: list[SharedArray] = []
-
-    def empty(
-        self, shape: tuple[int, ...] | int, dtype: np.dtype | type = np.int64
-    ) -> SharedArray:
-        sa = allocate(shape, dtype)
-        self._held.append(sa)
-        return sa
-
-    def from_array(self, source: np.ndarray) -> SharedArray:
-        sa = allocate_from(source)
-        self._held.append(sa)
-        return sa
-
-    def release_all(self) -> None:
-        """Release every buffer handed out; idempotent, exception-safe."""
-        held, self._held = self._held, []
-        first_err: BaseException | None = None
-        for sa in reversed(held):
-            try:
-                sa.close()
-            except BaseException as err:  # noqa: BLE001 - release them all
-                first_err = first_err or err
-        if first_err is not None:
-            raise first_err

@@ -7,6 +7,10 @@ default width, best of a few repetitions, and write the milliseconds as
 a host-fingerprinted ``native_plan.json``.  :func:`repro.native.plan.plan`
 then answers unpinned sorts from the fastest eligible candidate of the
 nearest cell instead of ``sequential`` every time.
+
+Every cell is timed on the steady state a reused pool gives its callers:
+the pool's arena is sized by the first repetition at each size (the one
+sort that creates and faults the slabs in), and best-of-N discards it.
 """
 
 from __future__ import annotations

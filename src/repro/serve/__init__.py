@@ -8,18 +8,17 @@ for the protocol, admission codes and operational model.
 Layering::
 
     protocol   framing + key codecs (sync and asyncio transports)
-    arena      preallocated shared-memory slabs; zero create/attach jobs
     admission  backpressure verdicts with retry_after_s hints
     results    bounded job-record store with completion events
-    engine     persistent WorkerPool + Arena; one job at a time
+    engine     persistent WorkerPool, its arena reserved; one job at a time
     server     asyncio endpoint, queue, deadlines, drain/shutdown
     streamjob  streaming job sessions (external sorts over frames)
     client     blocking request/response client
     loadgen    N-client correctness-checking load generator
 """
 
+from ..native.arena import Arena, ArenaExhausted, JobTooLarge, SlabView
 from .admission import AdmissionController, Rejection
-from .arena import Arena, ArenaBuffers, ArenaExhausted, JobTooLarge, SlabView
 from .client import ServeClient, ServeError, ServeRejected
 from .engine import EngineOutcome, SortEngine
 from .loadgen import loadgen_ok, run_loadgen
@@ -41,7 +40,6 @@ from .streamjob import StreamSession
 __all__ = [
     "AdmissionController",
     "Arena",
-    "ArenaBuffers",
     "ArenaExhausted",
     "BadMagic",
     "EngineOutcome",

@@ -1,16 +1,18 @@
-"""The sort engine: a persistent supervised pool + arena behind a queue.
+"""The sort engine: a persistent supervised pool behind a queue.
 
 One engine owns the process-heavy state the server amortizes across
-jobs: a supervised :class:`~repro.native.pool.WorkerPool` whose workers
-run :func:`repro.native.shm.enable_attach_cache` at start (and after
-every supervised rebuild -- the pool's built-in worker init also warms
-the active sort kernel, so a numba JIT compile never lands inside a
-job), and a shared-memory :class:`~.arena.Arena` whose slab names those
-caches memoize.  Jobs execute one at a time on a
-dedicated thread (the server's single-lane executor): within-job
-parallelism comes from the pool, between-job concurrency from the
-queue, and the serial lane is what makes the arena's two-data-slab
-budget and the fault plan's per-job attribution exact.
+jobs: a supervised :class:`~repro.native.pool.WorkerPool` (whose worker
+init also warms the active sort kernel, so a numba JIT compile never
+lands inside a job) and that pool's shared-memory arena
+(:mod:`repro.native.arena`), which the engine *reserves* at start: every
+slab is created once at the configured size and the geometry is pinned,
+so a job is refused by admission rather than regrowing a slab, and the
+slab names the workers' attach caches memoize never change.  Jobs
+execute one at a time on a dedicated thread (the server's single-lane
+executor): within-job parallelism comes from the pool, between-job
+concurrency from the queue, and the serial lane is what makes the
+arena's two-data-slab budget and the fault plan's per-job attribution
+exact.
 
 ``warmup`` runs attach-touch phases until every worker slot has executed
 at least one touch task *and* a full round completes with zero fresh
@@ -36,7 +38,6 @@ from ..faults.plan import FaultPlan
 from ..native import Plan, plan_keys, run_plan, shm
 from ..native.pool import WorkerPool, default_workers
 from ..trace import PID_SERVE, TraceRecorder, current_recorder, use_recorder
-from .arena import Arena
 
 #: Warmup gives up after this many touch rounds (a worker that never
 #: gets scheduled a task in any of them is pathological).
@@ -49,17 +50,14 @@ MAX_WARMUP_ROUNDS = 20
 _WARMUP_ROUND_PAUSE_S = 0.1
 
 
-def _touch_task(args: tuple[tuple[str, int], ...]) -> int:
-    """Attach every named slab (populating this worker's cache)."""
-    touched = 0
-    for name, nbytes in args:
-        sa = shm.SharedArray.attach(name, (nbytes,), np.uint8)
-        touched += 1
-        sa.close()  # cached: drops the view, keeps the mapping
+def _touch_task(handles: tuple[tuple[str, tuple[int], str], ...]) -> int:
+    """Resolve every slab handle (populating this worker's cache)."""
+    for handle in handles:
+        shm.resolve(handle)
     # Hold the slot briefly so one fast worker cannot drain the whole
     # round before its siblings pull their first task.
     time.sleep(0.01)
-    return touched
+    return len(handles)
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,12 @@ class EngineOutcome:
 
 
 class SortEngine:
-    """Runs sort jobs on the persistent pool with arena buffers."""
+    """Runs sort jobs on the persistent pool, in its reserved arena."""
 
     def __init__(
         self,
         n_workers: int | None = None,
         *,
-        arena: Arena | None = None,
         data_slab_bytes: int = 8 << 20,
         meta_slab_bytes: int = 4 << 20,
         fault_plan: FaultPlan | None = None,
@@ -91,20 +88,19 @@ class SortEngine:
         phase_timeout_s: float | None = 10.0,
     ):
         self.n_workers = n_workers if n_workers is not None else default_workers()
-        self.arena = arena if arena is not None else Arena(
-            data_bytes=data_slab_bytes, meta_bytes=meta_slab_bytes
-        )
-        self._own_arena = arena is None
         self._plan = fault_plan
         self._recorder = recorder
-        self._inline = self.n_workers == 1
         self.pool = WorkerPool(
             self.n_workers,
             collect_timings=True,
             supervise=True,
             phase_timeout_s=phase_timeout_s,
-            initializer=shm.enable_attach_cache,
         )
+        try:
+            self.arena = self.pool.arena.reserve(data_slab_bytes, meta_slab_bytes)
+        except BaseException:
+            self.pool.close(force=True)
+            raise
         self.warmup_rounds = 0
         self.jobs_run = 0
         self.steady_shm_creates = 0
@@ -128,7 +124,7 @@ class SortEngine:
         round and that every worker slot has executed at least one touch
         task across the rounds so far.
         """
-        touch = tuple((name, 1) for name in self.arena.slab_names)
+        touch = self.arena.handles()
         self.pool.timings.clear()
         slots_seen: set[int] = set()
         for round_i in range(MAX_WARMUP_ROUNDS):
@@ -167,20 +163,16 @@ class SortEngine:
         radix: int | None = None,
     ) -> tuple[np.ndarray, Plan]:
         """One sort as planned (``algorithm=None``) or pinned, returned
-        with the plan that ran.  A parallel plan runs on the pool in the
-        arena's slabs and the lease always comes back, whatever the sort
-        does; ``sequential`` is one ``np.sort`` on the engine thread."""
+        with the plan that ran.  A parallel plan runs on the pool in its
+        arena's slabs; ``sequential`` is one ``np.sort`` on the engine
+        thread."""
         p = self.pool.n_workers
         # The widest digit whose p x 2**r int64 histogram a meta slab
         # holds caps a *planned* radix (admission refuses a pinned one
         # past it as ``bad-radix``).
         max_radix = (self.arena.meta_bytes // (8 * p)).bit_length() - 1
         chosen = plan_keys(keys, p, algorithm, radix, max_radix=max_radix)
-        bufs = self.arena.buffers()
-        try:
-            return run_plan(keys, chosen, pool=self.pool, buffers=bufs), chosen
-        finally:
-            bufs.release_all()  # idempotent: the sorts release too
+        return run_plan(keys, chosen, pool=self.pool), chosen
 
     def run(
         self,
@@ -190,8 +182,8 @@ class SortEngine:
         radix: int | None = None,
         queue_wait_s: float | None = None,
     ) -> EngineOutcome:
-        """Execute one job with arena buffers; never creates segments on
-        the steady-state path (asserted by the emitted trace span)."""
+        """Execute one job; never creates segments on the steady-state
+        path (asserted by the emitted trace span)."""
         if self._closed:
             raise RuntimeError("engine is closed")
         creates_before = shm.create_count()
@@ -264,17 +256,7 @@ class SortEngine:
         if self._closed:
             return
         self._closed = True
-        try:
-            self.pool.close(force=force)
-        finally:
-            if self._own_arena:
-                self.arena.close()
-            if self._inline:
-                # The inline "pool" enabled the attach cache in *this*
-                # process; drop the cached mappings so tests and
-                # long-lived parents do not accumulate dead segments.
-                shm.enable_attach_cache(False)
-                shm.detach_cached()
+        self.pool.close(force=force)
 
     def __enter__(self) -> "SortEngine":
         return self

@@ -131,7 +131,7 @@ class ServeServer:
         self.engine = await self._loop.run_in_executor(self._exec, self._make_engine)
         self.admission = AdmissionController(
             queue_depth=self.queue_depth,
-            max_job_bytes=self.engine.arena.max_job_bytes(),
+            max_job_bytes=self.engine.arena.data_bytes,
             meta_slab_bytes=self.meta_slab_bytes,
             n_workers=self.engine.pool.n_workers,
         )
@@ -411,7 +411,7 @@ class ServeServer:
             return {"ok": False, "error": "bad-dtype", "message": str(err)}
         # The chunk is the only full-width allocation a stream makes on
         # the engine: cap it so a chunk always fits one arena data slab.
-        cap_keys = max(4, self.engine.arena.max_job_bytes() // dtype.itemsize)
+        cap_keys = max(4, self.engine.arena.data_bytes // dtype.itemsize)
         chunk_keys = _number(header, "chunk_keys", int) or cap_keys
         chunk_keys = max(4, min(chunk_keys, cap_keys))
         fan_in = max(2, _number(header, "fan_in", int) or 16)

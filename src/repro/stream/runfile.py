@@ -91,7 +91,7 @@ def check_dtype(dtype: np.dtype | type | str, what: str = "run") -> np.dtype:
     return dt
 
 
-def _write_all(f, payload: bytes) -> None:
+def _write_all(f, payload: np.ndarray) -> None:
     """Write ``payload``, absorbing injected short writes.
 
     ``spill.short_write`` splits one write in two: the first lands only a
@@ -153,12 +153,12 @@ class RunWriter:
             frame = keys[lo : lo + self.frame_keys]
             if plan is not None and plan.should("spill.enospc"):
                 raise OSError(errno.ENOSPC, "injected: no space left on device")
-            payload = frame.tobytes()
+            payload = frame.view(np.uint8)  # no copy: the CRC and the write read it
             self._file.write(_U32.pack(len(frame)))
             self._file.write(_U32.pack(zlib.crc32(payload)))
             _write_all(self._file, payload)
             self.total_keys += len(frame)
-            self.bytes_written += 8 + len(payload)
+            self.bytes_written += 8 + payload.nbytes
 
     def close(self) -> str:
         """Seal the footer, fsync, and atomically publish the run."""
@@ -236,30 +236,40 @@ class RunReader:
             )
         return data
 
+    def _read_into(self, payload: np.ndarray) -> None:
+        got = self._file.readinto(payload)
+        if got != payload.nbytes:
+            raise RunTruncated(
+                f"{self.path}: truncated frame payload "
+                f"(wanted {payload.nbytes} bytes, got {got})"
+            )
+
     def _read_payload(self, n_keys: int, crc: int) -> np.ndarray:
-        """One frame payload, with a single seek-back retry on CRC
-        mismatch (absorbing the injected ``spill.corrupt`` bit flip)."""
-        nbytes = n_keys * self.dtype.itemsize
+        """One frame payload, read once into its own array (earlier frames
+        stay valid), with a single seek-back retry on CRC mismatch
+        (absorbing the injected ``spill.corrupt`` bit flip)."""
+        arr = np.empty(n_keys, dtype=self.dtype)
+        payload = arr.view(np.uint8)
         start = self._file.tell()
-        payload = bytearray(self._read_exact(nbytes, "frame payload"))
+        self._read_into(payload)
         plan = current_fault_plan()
         injected = False
-        if plan is not None and nbytes > 0 and plan.should("spill.corrupt"):
+        if plan is not None and n_keys > 0 and plan.should("spill.corrupt"):
             payload[0] ^= 0x40  # flip a bit in the in-memory copy only
             injected = True
-        if zlib.crc32(bytes(payload)) != crc:
+        if zlib.crc32(payload) != crc:
             # Re-read once: an in-flight corruption (or the injected bit
             # flip) is gone on the second read; real on-disk rot is not.
             self._file.seek(start)
-            payload = bytearray(self._read_exact(nbytes, "frame payload"))
-            if zlib.crc32(bytes(payload)) != crc:
+            self._read_into(payload)
+            if zlib.crc32(payload) != crc:
                 raise RunCorrupt(
                     f"{self.path}: frame CRC mismatch at offset {start}"
                 )
             if injected and plan is not None:
                 plan.note_recovered("spill.corrupt")
-        self.bytes_read += nbytes
-        return np.frombuffer(bytes(payload), dtype=self.dtype)
+        self.bytes_read += payload.nbytes
+        return arr
 
     def frames(self) -> Iterator[np.ndarray]:
         """Yield each frame; validates the footer at end of stream."""

@@ -172,6 +172,8 @@ class TestLoader:
             ({"version": 0}, "schema version"),
             ({"host": {"cpu_model": "some other machine"}}, "another host"),
             ({"cells": [{"itemsize": 8, "key_bits": 31, "log2n": 18}]}, "ms"),
+            # Swept before the pool owned its slabs: parallel cells too slow.
+            ({"version": 1}, "schema version"),
         ],
     )
     def test_bad_artifact_is_ignored_with_one_warning(
