@@ -121,7 +121,10 @@ class NativeBackend(Backend):
             finally:
                 if self._shared_pool is None:
                     pool.close()
+            # Take this job's records off a shared pool's list, which
+            # would otherwise grow for the whole sweep.
             timings = pool.timings[first_timing:]
+            del pool.timings[first_timing:]
             if rec.enabled:
                 rec.complete(
                     f"native.{job.algorithm}",

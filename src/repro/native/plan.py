@@ -105,6 +105,14 @@ def radix_eligible(dtype: np.dtype, key_bits: int) -> bool:
     return dtype.kind == "i" and key_bits < full_bits(dtype)
 
 
+def widest_radix(meta_bytes: int, p: int) -> int:
+    """The widest digit whose ``p x 2**r`` int64 histogram fits a
+    ``meta_bytes`` slab (negative when not even one bin per worker
+    does): the serve layer's one rule for admitting a pinned digit
+    width and for capping a planned one."""
+    return (meta_bytes // (8 * p)).bit_length() - 1
+
+
 def measure_key_bits(keys: np.ndarray) -> int:
     """Significant bits of the largest key (one fused min/max pass), or
     :func:`full_bits` for floats and for any negative key."""

@@ -7,37 +7,42 @@ platforms without ``fork``.  Each bulk-synchronous phase of a sort is one
 ``map`` call; the map barrier plays the role of the paper's inter-phase
 barriers.
 
-When a structured-trace recorder is installed (see :mod:`repro.trace`) or
-the pool is constructed with ``collect_timings=True``, every phase is
-timed: the parent records the phase's begin/end wall-clock span and each
-worker stamps its task with ``time.perf_counter()`` start/end times
-(CLOCK_MONOTONIC is system-wide on Linux, so parent and worker clocks are
-directly comparable).  These timings are what the native backend maps
-onto the paper's BUSY/SYNC accounting.  Task spans are attributed to the
-*worker slot* that executed them (trace tracks ``1..n_workers``), not to
-the task index -- a phase of 100 tasks on 4 workers still renders as 4
-worker tracks.
+Every phase, on every pool, goes through one runner
+(:meth:`WorkerPool.run_phase`): the map is dispatched asynchronously and
+the parent waits on it while watching the worker processes, so a worker
+that dies mid-phase surfaces promptly instead of stalling the barrier
+forever (the very SYNC term the paper's breakdowns measure).  What a
+failure *means* is the pool's ``supervise`` flag:
 
-Supervised phases
------------------
-The paper's sorts are bulk-synchronous: one dead or hung worker stalls
-every barrier forever (the very SYNC term its breakdowns measure).
-``WorkerPool(..., supervise=True)`` therefore runs each phase under a
-supervisor: the map is dispatched asynchronously, the parent polls for
-completion while watching the worker processes, and a dead worker, a
-phase timeout or a task exception triggers bounded retry with backoff --
-terminating and rebuilding the pool (dead-worker replacement), and, after
-repeated failures, rebuilding it *narrower* (graceful degradation to
-fewer workers, down to ``min_workers``).  Retried phases are safe because
-every task in :mod:`repro.native.radix` / :mod:`repro.native.sample`
-writes its full output slice from an unmodified input buffer
-(double-buffered phases), so re-running it is idempotent.
+* unsupervised (the default), the first failure -- a task exception, a
+  dead worker -- propagates unchanged: no retry, no rebuild;
+* ``supervise=True`` retries the phase, bounded
+  (:data:`MAX_PHASE_RETRIES`, backoff :data:`RETRY_BACKOFF_S`), after
+  terminating and rebuilding the workers (dead-worker replacement) and,
+  from the :data:`SHRINK_AFTER`-th failure within one phase, rebuilding
+  them *narrower* (graceful degradation, never below
+  :data:`MIN_WORKERS`); ``phase_timeout_s`` additionally bounds each
+  attempt.  Retried phases are safe because every task in
+  :mod:`repro.native.radix` / :mod:`repro.native.sample` writes its full
+  output slice from an unmodified input buffer (double-buffered phases),
+  so re-running it is idempotent.
+
+Every task is stamped in its worker with ``time.perf_counter()`` start
+and end times (CLOCK_MONOTONIC is system-wide on Linux, so parent and
+worker clocks are directly comparable); when a structured-trace recorder
+is installed (see :mod:`repro.trace`) or the pool was built with
+``collect_timings=True`` those stamps and the parent's begin/end span
+become a :class:`PhaseTiming` -- what the native backend maps onto the
+paper's BUSY/SYNC accounting.  Task spans are attributed to the *worker
+slot* that executed them (trace tracks ``1..n_workers``), not to the
+task index -- a phase of 100 tasks on 4 workers still renders as 4
+worker tracks.
 
 Fault injection (:mod:`repro.faults`) plugs in here: when a fault plan is
 ambiently installed, the parent draws per-task directives (crash, hang,
 slowdown, attach failure) from the plan -- decisions stay in the parent
 so the schedule is deterministic -- and ships them with the task; the
-worker-side wrapper executes them.  On the final retry attempt no new
+worker executes them at task start.  On the final retry attempt no new
 faults are drawn, so a supervised phase under an (appropriately capped)
 plan always converges.  Every failure and recovery is logged in
 ``fault_log``, emitted on the ``PID_FAULTS`` trace track, and counted
@@ -65,12 +70,28 @@ from .arena import Arena
 #: tracks ``1..n_workers``, one per worker slot).
 POOL_TID = 0
 
-#: Supervisor poll interval while waiting on an async phase (seconds).
+#: How often the parent, waiting on a phase, looks at its workers'
+#: exit codes and the phase deadline (seconds).
 _POLL_S = 0.02
 
+#: Supervision policy.  A failed supervised phase is re-run up to
+#: ``MAX_PHASE_RETRIES`` times on rebuilt workers, sleeping
+#: ``RETRY_BACKOFF_S * 2**attempt`` first; from the ``SHRINK_AFTER``-th
+#: failure within one phase the rebuild halves the pool, never below
+#: ``MIN_WORKERS``.
+MAX_PHASE_RETRIES = 2
+SHRINK_AFTER = 2
+MIN_WORKERS = 1
+RETRY_BACKOFF_S = 0.05
+
 #: How long a worker waits for its siblings in the arena mapping round
-#: (seconds); only a dead or hung sibling makes anyone wait this long.
-_MAP_ROUND_TIMEOUT_S = 1.0
+#: (seconds): the allowance for a sibling still booting.  A dead one is
+#: the parent's to notice; it aborts the barrier.
+_MAP_ROUND_TIMEOUT_S = 10.0
+
+#: Mapping rounds tried before the pool stops proving coverage and lets
+#: the sort tasks attach what they find missing.
+MAX_MAP_ROUNDS = 3
 
 #: This worker's rendezvous with its siblings (set by ``_worker_init``).
 _siblings: Any = None
@@ -92,30 +113,34 @@ def _worker_init(
         user_init(*user_args)
 
 
-def _map_slabs_task(handles: tuple) -> int:
+def _map_slabs_task(handles: tuple) -> tuple[int, bool]:
     """Map every slab in this worker, then hold it until every sibling
     has taken its own copy of this task -- which is what makes one round
-    of ``n_workers`` tasks reach every worker.  Returns fresh attaches."""
+    of ``n_workers`` tasks reach every worker.  Returns the fresh
+    attaches and whether this worker can vouch for the round: it mapped
+    every slab and met every sibling."""
     before = shm.attach_count()
+    covered = True
     try:
         for handle in handles:
             shm.resolve(handle)
     except OSError:
-        pass  # (injected) failure: left to the task that needs the slab
-    try:
-        _siblings.wait(_MAP_ROUND_TIMEOUT_S)
-    except threading.BrokenBarrierError:
-        pass  # a sibling never came; supervision deals with it
-    return shm.attach_count() - before
+        covered = False  # (injected) attach failure
+    if _siblings is not None:  # the inline pool has none to wait for
+        try:
+            _siblings.wait(_MAP_ROUND_TIMEOUT_S)
+        except threading.BrokenBarrierError:
+            covered = False  # a sibling never came
+    return shm.attach_count() - before, covered
 
 
 class PhaseError(RuntimeError):
     """A supervised phase failed every retry attempt."""
 
-    def __init__(self, phase: str, attempts: int, cause: BaseException | None):
-        detail = f": {type(cause).__name__}: {cause}" if cause is not None else ""
+    def __init__(self, phase: str, attempts: int, cause: BaseException):
         super().__init__(
-            f"phase {phase!r} failed after {attempts} attempt(s){detail}"
+            f"phase {phase!r} failed after {attempts} attempt(s): "
+            f"{type(cause).__name__}: {cause}"
         )
         self.phase = phase
         self.attempts = attempts
@@ -206,23 +231,20 @@ def _apply_directive(directive: tuple[str, float | None] | None) -> None:
         shm.fail_next_attach()
 
 
-def _timed_call(
-    fn: Callable[[Any], Any], task: Any
+def _run_task(
+    fn: Callable[[Any], Any],
+    payload: tuple[Any, tuple[str, float | None] | None],
 ) -> tuple[Any, float, float, int, int]:
+    """One task in its worker: execute the fault directive shipped with
+    it, if any, then ``fn(task)`` between two clock stamps -- returned
+    with the worker's pid and the fresh attaches the task performed."""
+    task, directive = payload
+    _apply_directive(directive)
     a0 = shm.attach_count()
     t0 = time.perf_counter()
     result = fn(task)
     t1 = time.perf_counter()
     return result, t0, t1, os.getpid(), shm.attach_count() - a0
-
-
-def _directed_call(
-    fn: Callable[[Any], Any],
-    payload: tuple[Any, tuple[str, float | None] | None],
-) -> tuple[Any, float, float, int, int]:
-    task, directive = payload
-    _apply_directive(directive)
-    return _timed_call(fn, task)
 
 
 class WorkerPool:
@@ -233,11 +255,10 @@ class WorkerPool:
     for the sorts that follow, and is unlinked by ``close``.  One sort at
     a time per pool.
 
-    ``supervise=True`` arms per-phase supervision: ``phase_timeout_s``
-    bounds each attempt (``None`` = wait forever, though dead workers are
-    still detected promptly), ``max_phase_retries`` bounds re-execution,
-    and after ``shrink_after`` failures within one phase the pool is
-    rebuilt with half the workers (never below ``min_workers``).
+    ``supervise=True`` arms per-phase supervision (retry, rebuild and
+    shrink by the module's policy constants); ``phase_timeout_s`` then
+    bounds each attempt (``None`` = wait forever).  A dead worker is
+    detected promptly either way.
     """
 
     def __init__(
@@ -247,20 +268,12 @@ class WorkerPool:
         *,
         supervise: bool = False,
         phase_timeout_s: float | None = None,
-        max_phase_retries: int = 2,
-        min_workers: int = 1,
-        shrink_after: int = 2,
-        retry_backoff_s: float = 0.05,
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
     ):
         self.n_workers = n_workers if n_workers is not None else default_workers()
         if self.n_workers < 1:
             raise ValueError("need at least one worker")
-        if min_workers < 1:
-            raise ValueError("min_workers must be >= 1")
-        if max_phase_retries < 0:
-            raise ValueError("max_phase_retries must be >= 0")
         self.start_method = default_start_method()
         #: Run in every worker at start (and again after every supervised
         #: rebuild).
@@ -277,10 +290,6 @@ class WorkerPool:
         self.collect_timings = collect_timings
         self.supervise = supervise
         self.phase_timeout_s = phase_timeout_s
-        self.max_phase_retries = max_phase_retries
-        self.min_workers = min_workers
-        self.shrink_after = shrink_after
-        self.retry_backoff_s = retry_backoff_s
         self.timings: list[PhaseTiming] = []
         #: One record per supervised failure: phase, attempt, reason, the
         #: action taken and the worker count after it.
@@ -301,7 +310,7 @@ class WorkerPool:
         return slot
 
     # ------------------------------------------------------------------
-    # Supervision internals
+    # Workers and their mappings
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
         """Fork ``n_workers`` fresh workers (none for the inline pool)."""
@@ -317,29 +326,62 @@ class WorkerPool:
         self._slot_by_pid.clear()
         #: Slab names every worker is known to have mapped.
         self._mapped: tuple[str, ...] = ()
+        #: A dispatched task was lost with its worker (or abandoned in a
+        #: hung one): ``multiprocessing`` waits for it forever on a
+        #: graceful close, so these workers can only be terminated.
+        self._orphaned = False
 
-    def _map_arena(self) -> None:
+    def _map_round(self) -> list[tuple[int, bool]]:
+        """One round of ``n_workers`` barrier-held :func:`_map_slabs_task`
+        calls.  A worker dying (or overrunning the deadline) in it fails
+        the round like any phase attempt, and the barrier is aborted so
+        nobody keeps waiting for the lost sibling."""
+        if self._siblings is not None:
+            self._siblings.reset()
+        try:
+            return self._attempt(
+                _map_slabs_task, [self.arena.handles()] * self.n_workers
+            )
+        except (_WorkerDied, _PhaseTimeout):
+            self._siblings.abort()
+            raise
+
+    def map_arena(self) -> int:
         """Bring every worker's attach cache up to the arena's current
-        slabs in one barrier-held round, so no sort task ever attaches:
-        runs when a lease regrew a slab or workers were replaced, i.e.
-        never on a reused pool's steady state.  Outside supervision and
-        fault injection (it is not part of any sort's phase program);
-        its attaches are reported with the next timed phase."""
-        if self._pool is None:
-            return  # inline tasks resolve in this process
+        slabs, so no sort task ever attaches; returns the rounds it took
+        -- 0 when the workers already hold them (a reused pool's steady
+        state: this only has work after a lease regrew a slab or workers
+        were replaced), 1 on a healthy pool.  A round proves its own
+        coverage (every task mapped every slab and met every sibling at
+        the barrier); one that cannot is repeated, and after
+        :data:`MAX_MAP_ROUNDS` the sort tasks are left to attach what
+        they find missing.  It is not part of any sort's phase program
+        (no fault directive is drawn for it), but it runs inside the
+        phase attempt that needs it, so a worker lost here is retried
+        or raised like one lost in the phase; its attaches are reported
+        with the next timed phase."""
         names = self.arena.slab_names
         if names == self._mapped:
-            return
-        self._siblings.reset()
-        try:
-            self._unreported_attaches += sum(
-                self._pool.map_async(
-                    _map_slabs_task, [self.arena.handles()] * self.n_workers
-                ).get(2 * _MAP_ROUND_TIMEOUT_S)
-            )
-        except mp.TimeoutError:
-            pass  # a worker died holding its task: the phase will notice
+            return 0
+        for rounds in range(1, MAX_MAP_ROUNDS + 1):
+            vouchers = self._map_round()
+            self._unreported_attaches += sum(att for att, _ in vouchers)
+            if all(covered for _, covered in vouchers):
+                break
         self._mapped = names
+        return rounds
+
+    def drain_attaches(self) -> int:
+        """Fresh worker attaches since the last drain -- the recorded
+        phases' and any mapping round's not yet reported with one --
+        clearing ``timings`` (a long-lived ``collect_timings`` pool would
+        otherwise grow them without bound)."""
+        total = self._unreported_attaches + sum(
+            sum(t.attaches) for t in self.timings
+        )
+        self._unreported_attaches = 0
+        self.timings.clear()
+        return total
 
     def _rebuild(self, shrink: bool) -> None:
         """Replace the worker processes (dead-worker replacement), at a
@@ -347,39 +389,36 @@ class WorkerPool:
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
-        if shrink and self.n_workers > self.min_workers:
-            self.n_workers = max(self.min_workers, self.n_workers // 2)
+        if shrink and self.n_workers > MIN_WORKERS:
+            self.n_workers = max(MIN_WORKERS, self.n_workers // 2)
         self._spawn()
-        self._map_arena()
 
-    def _attempt(
-        self,
-        call: Callable[[Any], tuple[Any, float, float, int, int]],
-        payloads: list[Any],
-        deadline_s: float | None,
-    ) -> list[tuple[Any, float, float, int, int]]:
-        """Run one phase attempt; raises on worker death, timeout, or any
-        task exception."""
+    def _attempt(self, call: Callable[[Any], Any], payloads: list[Any]) -> list[Any]:
+        """``call`` over ``payloads`` on the workers, once: raises on
+        worker death, any task exception and -- under supervision -- a
+        missed ``phase_timeout_s``."""
         if self._pool is None:
             return [call(p) for p in payloads]
         procs = list(self._pool._pool)
         result = self._pool.map_async(call, payloads)
+        deadline_s = self.phase_timeout_s if self.supervise else None
         deadline = (
             None if deadline_s is None else time.monotonic() + deadline_s
         )
-        while not result.ready():
+        while True:
             result.wait(_POLL_S)
             if result.ready():
-                break
+                return result.get()
             if any(p.exitcode is not None for p in procs):
+                self._orphaned = True
                 raise _WorkerDied(
                     "worker process exited mid-phase (task lost)"
                 )
             if deadline is not None and time.monotonic() >= deadline:
+                self._orphaned = True
                 raise _PhaseTimeout(
                     f"phase exceeded its {deadline_s:g}s supervised timeout"
                 )
-        return result.get()
 
     def _note_failure(
         self, label: str, attempt: int, exc: BaseException, shrink: bool
@@ -410,59 +449,21 @@ class WorkerPool:
     ) -> list[Any]:
         """Run one bulk-synchronous phase: ``fn`` over all tasks, barrier.
 
-        Under supervision (or an ambient fault plan) the phase is retried
-        on worker death, timeout or task exception; an unsupervised pool
-        propagates the first failure unchanged."""
+        Under supervision the phase is retried on worker death, timeout
+        or task exception, and ``PhaseError`` reports the last attempt's
+        failure; an unsupervised pool is the same loop with no retry and
+        no deadline, and propagates the first failure unchanged."""
         if self._closed:
             raise RuntimeError("pool is closed")
         tasks = list(tasks)
         rec = current_recorder()
         plan = current_fault_plan()
-        self._map_arena()
         self._phase_seq += 1
-        timed = self.collect_timings or rec.enabled
-        if not self.supervise and plan is None:
-            # The pre-existing fast paths, untouched by supervision.
-            if not timed:
-                if self._pool is None:
-                    return [fn(t) for t in tasks]
-                return self._pool.map(fn, tasks)
-            return self._run_timed_unsupervised(fn, tasks, name, rec)
-        return self._run_supervised(fn, tasks, name, rec, plan, timed)
-
-    def _run_timed_unsupervised(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        name: str | None,
-        rec,
-    ) -> list[Any]:
         label = name or f"phase{self._phase_seq}"
-        call = partial(_timed_call, fn)
-        begin = time.perf_counter()
-        if self._pool is None:
-            raw = [call(t) for t in tasks]
-        else:
-            raw = self._pool.map(call, tasks)
-        end = time.perf_counter()
-        self._record_phase(label, begin, end, raw, rec, len(tasks))
-        return [r for r, _t0, _t1, _pid, _att in raw]
-
-    def _run_supervised(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list[Any],
-        name: str | None,
-        rec,
-        plan,
-        timed: bool,
-    ) -> list[Any]:
-        label = name or f"phase{self._phase_seq}"
-        retries = self.max_phase_retries if self.supervise else 0
-        timeout = self.phase_timeout_s if self.supervise else None
+        retries = MAX_PHASE_RETRIES if self.supervise else 0
+        call = partial(_run_task, fn)
         issued_sites: list[str] = []
-        failures_this_phase = 0
-        last_exc: BaseException | None = None
+        failures = 0
         begin = time.perf_counter()
         for attempt in range(retries + 1):
             # Draw fresh fault directives per attempt -- but never on the
@@ -473,46 +474,43 @@ class WorkerPool:
                 plan if allow else None,
                 len(tasks),
                 allow_process_faults=self.supervise and self._pool is not None,
-                allow_task_faults=True,
             )
             issued_sites.extend(issued)
-            call = partial(_directed_call, fn)
-            payloads = list(zip(tasks, directives))
             try:
-                raw = self._attempt(call, payloads, timeout)
-            except BaseException as exc:  # noqa: BLE001 - supervised retry
-                last_exc = exc
-                if attempt >= retries:
-                    if not self.supervise:
-                        raise
+                self.map_arena()
+                raw = self._attempt(call, list(zip(tasks, directives)))
+            except Exception as exc:
+                if not self.supervise:
+                    raise
+                if attempt == retries:
                     raise PhaseError(label, attempt + 1, exc) from exc
-                failures_this_phase += 1
-                shrink = failures_this_phase >= self.shrink_after
+                failures += 1
+                shrink = failures >= SHRINK_AFTER
                 self._note_failure(label, attempt, exc, shrink)
                 self._rebuild(shrink=shrink)
-                time.sleep(self.retry_backoff_s * (2.0**attempt))
+                time.sleep(RETRY_BACKOFF_S * (2.0**attempt))
                 continue
-            end = time.perf_counter()
-            if failures_this_phase and rec.enabled:
-                rec.complete(
-                    f"fault.pool.recovered:{label}",
-                    cat="fault.recovery",
-                    ts_us=begin * 1e6,
-                    dur_us=(end - begin) * 1e6,
-                    pid=PID_FAULTS,
-                    args={
-                        "attempts": attempt + 1,
-                        "failures": failures_this_phase,
-                        "workers": self.n_workers,
-                    },
-                )
-            if plan is not None:
-                for site in issued_sites:
-                    plan.note_recovered(site)
-            if timed:
-                self._record_phase(label, begin, end, raw, rec, len(tasks))
-            return [r for r, _t0, _t1, _pid, _att in raw]
-        raise PhaseError(label, retries + 1, last_exc)  # pragma: no cover
+            break
+        end = time.perf_counter()
+        if failures and rec.enabled:
+            rec.complete(
+                f"fault.pool.recovered:{label}",
+                cat="fault.recovery",
+                ts_us=begin * 1e6,
+                dur_us=(end - begin) * 1e6,
+                pid=PID_FAULTS,
+                args={
+                    "attempts": attempt + 1,
+                    "failures": failures,
+                    "workers": self.n_workers,
+                },
+            )
+        if plan is not None:
+            for site in issued_sites:
+                plan.note_recovered(site)
+        if self.collect_timings or rec.enabled:
+            self._record_phase(label, begin, end, raw, rec)
+        return [r for r, _t0, _t1, _pid, _att in raw]
 
     def _record_phase(
         self,
@@ -521,7 +519,6 @@ class WorkerPool:
         end: float,
         raw: list[tuple[Any, float, float, int, int]],
         rec,
-        n_tasks: int,
     ) -> None:
         slots = tuple(self._slot_of(pid) for _, _t0, _t1, pid, _att in raw)
         attaches = [att for _, _t0, _t1, _pid, att in raw]
@@ -544,7 +541,7 @@ class WorkerPool:
                 dur_us=(end - begin) * 1e6,
                 pid=PID_NATIVE,
                 tid=POOL_TID,
-                args={"tasks": n_tasks, "attaches": sum(attaches)},
+                args={"tasks": len(raw), "attaches": sum(attaches)},
             )
             for slot, (t0, t1) in zip(slots, timing.tasks):
                 rec.complete(
@@ -566,7 +563,7 @@ class WorkerPool:
         """
         try:
             if not self._closed and self._pool is not None:
-                if force:
+                if force or self._orphaned:
                     self._pool.terminate()
                 else:
                     self._pool.close()

@@ -1,9 +1,10 @@
-"""Actually-parallel sample sort via multiprocessing + shared memory.
+"""Actually-parallel sample sort: the tasks and the phase program.
 
-The paper's five phases (Section 3.2), with the pool's ``map`` barriers
+The paper's five phases (Section 3.2), with the pool's phase barriers
 between them: local sort, sample selection, splitter computation,
 all-to-all distribution into a shared output array, local sort of the
-received ranges.
+received ranges.  Validation, the pool, the lease and the result copy
+belong to the driver (:func:`repro.native.run_plan`).
 
 Every phase is double-buffered: a task reads one shared array and
 overwrites its full output slice in the *other* (local sort src->dst,
@@ -21,9 +22,9 @@ produces runs of equal splitters, the count phase funnels the entire
 duplicated mass to one destination; the parent rebalances such runs
 (:func:`repro.sorts.common.spread_duplicate_splitters`) and, if the
 destination ranges are still skewed beyond
-:data:`SPLITTER_SKEW_LIMIT`, falls back to a
-sequential ``np.sort`` rather than letting one worker sort nearly
-everything behind a barrier the rest idle at.
+:data:`SPLITTER_SKEW_LIMIT`, stops the program and tells the driver,
+which answers with one sequential ``np.sort`` rather than letting one
+worker sort nearly everything behind a barrier the rest idle at.
 """
 
 from __future__ import annotations
@@ -36,15 +37,16 @@ from ..sorts.common import (
     select_samples,
     spread_duplicate_splitters,
 )
+from .arena import Lease, SlabView
 from .kernels import slice_bounds
-from .plan import full_bits, plan
-from .pool import WorkerPool, workers_available
+from .plan import Plan
+from .pool import WorkerPool
 from .shm import resolve
 
-#: Fall back to sequential ``np.sort`` when, even after duplicate-splitter
+#: Give up on the parallel program when, even after duplicate-splitter
 #: rebalancing, the largest destination range exceeds this multiple of the
 #: ideal ``n / p`` share -- a final-sort phase that skewed would serialize
-#: on one worker anyway, and the fallback skips the scatter traffic too.
+#: on one worker anyway, and stopping skips the scatter traffic too.
 SPLITTER_SKEW_LIMIT = 4.0
 
 
@@ -80,90 +82,64 @@ def _scatter_task(args) -> None:
         start += c
 
 
-def parallel_sample_sort(
-    keys: np.ndarray,
-    n_workers: int | None = None,
-    samples_per_worker: int = SAMPLES_PER_PROC,
-    pool: WorkerPool | None = None,
-) -> np.ndarray:
-    """Sort integer (or any comparable NumPy) keys with parallel sample
-    sort.  Returns a new sorted array.  The buffers are leased from
-    ``pool.arena``, so a reused pool creates and maps them once."""
-    keys = np.ascontiguousarray(keys)
-    if keys.ndim != 1:
-        raise ValueError("keys must be one-dimensional")
-    if len(keys) == 0:
-        return keys.copy()
-
-    n = len(keys)
-    own_pool = pool is None
-    p = plan(
-        n, workers_available(pool, n_workers), full_bits(keys.dtype),
-        keys.dtype, "sample",
-    ).width
-    if p == 1:
-        # The plan's "no pool, no segment".
-        return np.sort(keys)
-    pool = pool or WorkerPool(n_workers)
-
+def sample_phases(
+    pool: WorkerPool, bufs: Lease, keys: np.ndarray, chosen: Plan
+) -> SlabView | None:
+    """The phase program: four pool phases over buffers leased from
+    ``bufs``, on ``chosen.width`` tasks.  Returns the buffer holding
+    ``keys`` sorted, or ``None`` after the count phase when the
+    splitters leave the destination ranges too skewed to be worth
+    finishing."""
+    n, p = len(keys), chosen.width
     # Buffer roles per phase (double-buffering, see module docstring):
     # raw keys live in ``src``; locally-sorted runs in ``dst``; the
     # scatter rebuilds ``src`` as the globally-partitioned array; the
     # final sort writes the answer back into ``dst``.
-    try:
-        with pool.arena.buffers() as bufs:
-            src = bufs.from_array(keys)
-            dst = bufs.empty((n,), keys.dtype)
-            spl = bufs.empty((p - 1,), keys.dtype)
-            counts = bufs.empty((p, p), np.int64)
-            place = bufs.empty((p, p), np.int64)
-            # Phase 1: local sorts, src -> dst.
-            pool.run_phase(
-                _sort_range_task,
-                [(src.handle, dst.handle, *slice_bounds(n, p, w))
-                 for w in range(p)],
-                name="local-sort",
-            )
-            # Phases 2-3: samples and splitters (tiny; done in the parent,
-            # the "group leader" of the paper's CC-SAS scheme) from the
-            # sorted runs.
-            parts = [dst.array[slice(*slice_bounds(n, p, w))] for w in range(p)]
-            spl.array[...] = choose_splitters(
-                select_samples(parts, samples_per_worker), p
-            )
-            # Phase 4a: destination counts over the sorted runs in dst.
-            pool.run_phase(
-                _count_task,
-                [(dst.handle, spl.handle, counts.handle, p, w) for w in range(p)],
-                name="count",
-            )
-            # Duplicate-heavy inputs: spread keys equal to a repeated
-            # splitter over the destinations sharing it, and bail out to a
-            # sequential sort if the ranges are still pathologically skewed.
-            c = counts.array
-            spread_duplicate_splitters(c, spl.array, parts)
-            dest_totals = c.sum(axis=0)
-            if int(dest_totals.max()) > SPLITTER_SKEW_LIMIT * (n / p):
-                return np.sort(keys)  # the lease and the pool still unwind
-            dest_base = np.concatenate(([0], np.cumsum(dest_totals)[:-1]))
-            within = np.cumsum(c, axis=0) - c
-            place.array[...] = dest_base[None, :] + within
-            # Phase 4b: all-to-all scatter, dst -> src.
-            pool.run_phase(
-                _scatter_task,
-                [(dst.handle, src.handle, counts.handle, place.handle, p, w)
-                 for w in range(p)],
-                name="scatter",
-            )
-            # Phase 5: sort each destination range, src -> dst.
-            bounds = np.concatenate((dest_base, [n])).astype(np.int64)
-            pool.run_phase(
-                _sort_range_task,
-                [(src.handle, dst.handle, int(bounds[d]), int(bounds[d + 1]))
-                 for d in range(p)],
-                name="final-sort",
-            )
-            return dst.array.copy()
-    finally:
-        if own_pool:
-            pool.close()
+    src = bufs.from_array(keys)
+    dst = bufs.empty((n,), keys.dtype)
+    spl = bufs.empty((p - 1,), keys.dtype)
+    counts = bufs.empty((p, p), np.int64)
+    place = bufs.empty((p, p), np.int64)
+    # Phase 1: local sorts, src -> dst.
+    pool.run_phase(
+        _sort_range_task,
+        [(src.handle, dst.handle, *slice_bounds(n, p, w)) for w in range(p)],
+        name="local-sort",
+    )
+    # Phases 2-3: samples and splitters (tiny; done in the parent, the
+    # "group leader" of the paper's CC-SAS scheme) from the sorted runs.
+    parts = [dst.array[slice(*slice_bounds(n, p, w))] for w in range(p)]
+    spl.array[...] = choose_splitters(select_samples(parts, SAMPLES_PER_PROC), p)
+    # Phase 4a: destination counts over the sorted runs in dst.
+    pool.run_phase(
+        _count_task,
+        [(dst.handle, spl.handle, counts.handle, p, w) for w in range(p)],
+        name="count",
+    )
+    # Duplicate-heavy inputs: spread keys equal to a repeated splitter
+    # over the destinations sharing it, and stop if the ranges are still
+    # pathologically skewed.
+    c = counts.array
+    spread_duplicate_splitters(c, spl.array, parts)
+    dest_totals = c.sum(axis=0)
+    if int(dest_totals.max()) > SPLITTER_SKEW_LIMIT * (n / p):
+        return None
+    dest_base = np.concatenate(([0], np.cumsum(dest_totals)[:-1]))
+    within = np.cumsum(c, axis=0) - c
+    place.array[...] = dest_base[None, :] + within
+    # Phase 4b: all-to-all scatter, dst -> src.
+    pool.run_phase(
+        _scatter_task,
+        [(dst.handle, src.handle, counts.handle, place.handle, p, w)
+         for w in range(p)],
+        name="scatter",
+    )
+    # Phase 5: sort each destination range, src -> dst.
+    bounds = np.concatenate((dest_base, [n])).astype(np.int64)
+    pool.run_phase(
+        _sort_range_task,
+        [(src.handle, dst.handle, int(bounds[d]), int(bounds[d + 1]))
+         for d in range(p)],
+        name="final-sort",
+    )
+    return dst

@@ -21,10 +21,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import parallel_radix_sort, parallel_sample_sort
 from .plan import PlanTable, default_table_path, host_fingerprint
 from .pool import WorkerPool, default_workers
-from .radix import parallel_radix_sort
-from .sample import parallel_sample_sort
 
 #: Swept sizes, as log2 n.
 SIZES = tuple(range(14, 23))

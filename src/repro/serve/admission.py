@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..native.plan import widest_radix
+
 
 @dataclass
 class AdmissionStats:
@@ -109,9 +111,8 @@ class AdmissionController:
                 f"{n_keys * dtype.itemsize} bytes; the arena's data slabs "
                 f"hold {self.max_job_bytes}",
             )
-        elif (
-            radix is not None
-            and self.n_workers * (1 << radix) * 8 > self.meta_slab_bytes
+        elif radix is not None and radix > widest_radix(
+            self.meta_slab_bytes, self.n_workers
         ):
             verdict = Rejection(
                 "bad-radix",

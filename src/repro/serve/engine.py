@@ -14,14 +14,14 @@ concurrency from the queue, and the serial lane is what makes the
 arena's two-data-slab budget and the fault plan's per-job attribution
 exact.
 
-``warmup`` runs attach-touch phases until every worker slot has executed
-at least one touch task *and* a full round completes with zero fresh
-attaches -- i.e. until every worker demonstrably holds every slab in its
-cache -- so "steady state" is established by measurement, not hope.  After that,
-each job's trace span (``serve.job`` on the ``PID_SERVE`` track) carries
-the job's shared-memory create/attach counts, which are zero on the
-steady-state path and nonzero exactly when a supervised rebuild replaced
-workers (whose fresh caches must re-attach).
+``warmup`` is the pool's own mapping round
+(:meth:`~repro.native.pool.WorkerPool.map_arena`): one barrier-held task
+per worker maps all five reserved slabs and vouches for having met every
+sibling, so "steady state" is established by proof, not hope.  After
+that, each job's trace span (``serve.job`` on the ``PID_SERVE`` track)
+carries the job's shared-memory create/attach counts, which are zero on
+the steady-state path and nonzero exactly when a supervised rebuild
+replaced workers (whose fresh caches must re-attach).
 """
 
 from __future__ import annotations
@@ -35,29 +35,10 @@ import numpy as np
 
 from ..faults.context import use_fault_plan
 from ..faults.plan import FaultPlan
-from ..native import Plan, plan_keys, run_plan, shm
+from ..native import Plan, plan_keys, resolve_kernel, run_plan, shm
+from ..native.plan import widest_radix
 from ..native.pool import WorkerPool, default_workers
 from ..trace import PID_SERVE, TraceRecorder, current_recorder, use_recorder
-
-#: Warmup gives up after this many touch rounds (a worker that never
-#: gets scheduled a task in any of them is pathological).
-MAX_WARMUP_ROUNDS = 20
-
-#: Pause between warmup rounds while some worker has yet to run a touch
-#: task: a freshly forked worker needs a moment to reach the task queue,
-#: and without the pause a fast sibling can drain every round before the
-#: slow one boots.
-_WARMUP_ROUND_PAUSE_S = 0.1
-
-
-def _touch_task(handles: tuple[tuple[str, tuple[int], str], ...]) -> int:
-    """Resolve every slab handle (populating this worker's cache)."""
-    for handle in handles:
-        shm.resolve(handle)
-    # Hold the slot briefly so one fast worker cannot drain the whole
-    # round before its siblings pull their first task.
-    time.sleep(0.01)
-    return len(handles)
 
 
 @dataclass(frozen=True)
@@ -108,40 +89,13 @@ class SortEngine:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _drain_timing_attaches(self) -> int:
-        """Sum and clear the pool's accumulated per-phase attach counts
-        (the pool is long-lived; unbounded timing growth would leak)."""
-        total = sum(sum(t.attaches) for t in self.pool.timings)
-        self.pool.timings.clear()
-        return total
-
     def warmup(self) -> int:
-        """Prime every worker's attach cache; returns rounds needed.
-
-        A round of touch tasks proves nothing about workers that did not
-        run one -- a slow-booting worker can sit out a round its fast
-        sibling drains -- so warmth requires *both* a zero-fresh-attach
-        round and that every worker slot has executed at least one touch
-        task across the rounds so far.
-        """
-        touch = self.arena.handles()
-        self.pool.timings.clear()
-        slots_seen: set[int] = set()
-        for round_i in range(MAX_WARMUP_ROUNDS):
-            self.pool.run_phase(
-                _touch_task,
-                [touch] * max(2, self.pool.n_workers * 2),
-                name="serve.warmup",
-            )
-            self.warmup_rounds = round_i + 1
-            for timing in self.pool.timings:
-                slots_seen.update(timing.slots)
-            attaches = self._drain_timing_attaches()
-            covered = len(slots_seen) >= self.pool.n_workers
-            if covered and attaches == 0:
-                break
-            if not covered:
-                time.sleep(_WARMUP_ROUND_PAUSE_S)
+        """Map every reserved slab into every worker; returns the rounds
+        the pool needed to prove it had (1 when healthy; a worker lost
+        meanwhile raises -- start-up fails loudly).  What the workers
+        attach here is set-up, not any job's traffic."""
+        self.warmup_rounds = self.pool.map_arena()
+        self.pool.drain_attaches()
         return self.warmup_rounds
 
     # ------------------------------------------------------------------
@@ -167,11 +121,12 @@ class SortEngine:
         arena's slabs; ``sequential`` is one ``np.sort`` on the engine
         thread."""
         p = self.pool.n_workers
-        # The widest digit whose p x 2**r int64 histogram a meta slab
-        # holds caps a *planned* radix (admission refuses a pinned one
-        # past it as ``bad-radix``).
-        max_radix = (self.arena.meta_bytes // (8 * p)).bit_length() - 1
-        chosen = plan_keys(keys, p, algorithm, radix, max_radix=max_radix)
+        # A *planned* radix is capped at what a meta slab holds
+        # (admission refuses a pinned one past it as ``bad-radix``).
+        chosen = plan_keys(
+            keys, p, algorithm, radix,
+            max_radix=widest_radix(self.arena.meta_bytes, p),
+        )
         return run_plan(keys, chosen, pool=self.pool), chosen
 
     def run(
@@ -193,7 +148,7 @@ class SortEngine:
         with self.ambient():
             out, chosen = self.sort(keys, algorithm, radix)
             t1 = time.perf_counter()
-            attaches = self._drain_timing_attaches()
+            attaches = self.pool.drain_attaches()
             creates = shm.create_count() - creates_before
             rec = current_recorder()
             if rec.enabled:
@@ -238,8 +193,6 @@ class SortEngine:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        from ..native.kernels import resolve as resolve_kernel
-
         return {
             "n_workers": self.pool.n_workers,
             "kernel": resolve_kernel().name,

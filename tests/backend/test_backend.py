@@ -116,8 +116,11 @@ class TestNativeBackend:
             backend = NativeBackend(pool=pool)
             r1 = backend.run(SortJob(keys=keys, algorithm="sample"))
             r2 = backend.run(SortJob(keys=keys, algorithm="radix"))
-            # Pool survives both runs, and each report only sees its own
-            # phases (no leakage across jobs sharing the pool).
+            # Pool survives both runs, each report only sees its own
+            # phases (no leakage across jobs sharing the pool), and the
+            # backend took them off the shared list (a sweep's pool would
+            # otherwise grow it for the whole run).
+            assert pool.timings == []
             assert pool.run_phase(abs, [-1]) == [1]
         assert np.array_equal(r1.sorted_keys, r2.sorted_keys)
         assert {p.name for p in r1.report.phases} != {

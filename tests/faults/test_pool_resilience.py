@@ -1,15 +1,17 @@
 """Negative tests for the supervised pool: every pool fault path must
 recover (or fail cleanly) with output identical to ``np.sort``."""
 
+import os
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, use_fault_plan
+from repro.native import parallel_radix_sort, parallel_sample_sort
 from repro.native.pool import PhaseError, WorkerPool
-from repro.native.radix import parallel_radix_sort
-from repro.native.sample import parallel_sample_sort
 
 pytestmark = pytest.mark.chaos
 
@@ -22,6 +24,10 @@ def _keys(seed, n=20_000):
 
 def _boom(_task):
     raise ZeroDivisionError("always fails")
+
+
+def _die(_task):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestCrashRecovery:
@@ -62,36 +68,28 @@ class TestTimeoutAndShrink:
         assert plan.recovered["pool.worker.hang"] == 1
         assert any("Timeout" in r["reason"] for r in pool.fault_log)
 
-    def test_repeated_failures_shrink_pool(self):
-        """Graceful degradation: after shrink_after failures the pool is
+    def test_repeated_failures_shrink_pool(self, monkeypatch):
+        """Graceful degradation: after SHRINK_AFTER failures the pool is
         rebuilt with half the workers and still finishes the sort."""
+        monkeypatch.setattr("repro.native.pool.SHRINK_AFTER", 1)
         keys = _keys(3)
         plan = FaultPlan.scripted({"pool.worker.hang": [0]}, hang_s=30.0)
         with use_fault_plan(plan):
-            with WorkerPool(
-                4,
-                supervise=True,
-                phase_timeout_s=0.5,
-                shrink_after=1,
-            ) as pool:
+            with WorkerPool(4, supervise=True, phase_timeout_s=0.5) as pool:
                 out = parallel_radix_sort(keys, pool=pool)
         assert np.array_equal(out, np.sort(keys))
         assert pool.n_workers == 2  # halved from 4
         assert any(r["action"] == "shrink" for r in pool.fault_log)
 
-    def test_shrink_respects_min_workers(self):
+    def test_shrink_respects_min_workers(self, monkeypatch):
+        monkeypatch.setattr("repro.native.pool.SHRINK_AFTER", 1)
+        monkeypatch.setattr("repro.native.pool.MIN_WORKERS", 2)
         plan = FaultPlan.scripted(
             {"pool.worker.crash": [0, 4]}  # one crash on each of 2 attempts
         )
         keys = _keys(4)
         with use_fault_plan(plan):
-            with WorkerPool(
-                4,
-                supervise=True,
-                phase_timeout_s=10.0,
-                shrink_after=1,
-                min_workers=2,
-            ) as pool:
+            with WorkerPool(4, supervise=True, phase_timeout_s=10.0) as pool:
                 out = parallel_radix_sort(keys, pool=pool)
         assert np.array_equal(out, np.sort(keys))
         assert pool.n_workers >= 2
@@ -141,10 +139,11 @@ class TestSupervisionSemantics:
             assert pool.run_phase(abs, [-1, -2, -3]) == [1, 2, 3]
         assert pool.phase_failures == 0
 
-    def test_persistent_failure_raises_phase_error(self):
+    def test_persistent_failure_raises_phase_error(self, monkeypatch):
         """A genuinely broken task exhausts the retries and surfaces as
         PhaseError carrying the original cause."""
-        with WorkerPool(2, supervise=True, max_phase_retries=1) as pool:
+        monkeypatch.setattr("repro.native.pool.MAX_PHASE_RETRIES", 1)
+        with WorkerPool(2, supervise=True) as pool:
             with pytest.raises(PhaseError) as info:
                 pool.run_phase(_boom, [1, 2], name="doomed")
         assert info.value.phase == "doomed"
@@ -158,6 +157,31 @@ class TestSupervisionSemantics:
             with pytest.raises(ZeroDivisionError):
                 pool.run_phase(_boom, [1])
 
+    def test_unsupervised_worker_death_raises_promptly(self):
+        """One runner watches the workers on every pool: a worker that
+        exits mid-phase fails an unsupervised phase at once -- no retry,
+        no rebuild -- where ``Pool.map`` used to block forever, and the
+        pool can still be closed (the lost task would otherwise hang a
+        graceful ``close``)."""
+        seen = []
+
+        def phase():
+            with WorkerPool(2) as pool:
+                try:
+                    pool.run_phase(_die, [1, 2], name="doomed")
+                except RuntimeError as exc:
+                    seen.append((exc, pool.phase_failures, list(pool.fault_log)))
+            seen.append("closed")
+
+        thread = threading.Thread(target=phase, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "blocked on a dead worker"
+        (exc, failures, log), closed = seen
+        assert "worker process exited mid-phase" in str(exc)
+        assert not isinstance(exc, PhaseError)
+        assert (failures, log, closed) == (0, [], "closed")
+
     def test_final_attempt_never_draws_faults(self):
         """Convergence guarantee: with retries exhausted, the last
         attempt suppresses new fault directives, so even a rate-1.0
@@ -165,9 +189,7 @@ class TestSupervisionSemantics:
         keys = _keys(8)
         plan = FaultPlan(0, {"pool.worker.crash": 1.0})  # no cap!
         with use_fault_plan(plan):
-            with WorkerPool(
-                2, supervise=True, phase_timeout_s=10.0, max_phase_retries=2
-            ) as pool:
+            with WorkerPool(2, supervise=True, phase_timeout_s=10.0) as pool:
                 out = parallel_radix_sort(keys, pool=pool)
         assert np.array_equal(out, np.sort(keys))
 

@@ -196,7 +196,7 @@ class TestBackendFaultStats:
 class TestFaultTrace:
     def test_faults_emit_on_fault_track(self):
         from repro.native.pool import WorkerPool
-        from repro.native.radix import parallel_radix_sort
+        from repro.native import parallel_radix_sort
         from repro.trace import MemoryRecorder, PID_FAULTS, use_recorder
 
         keys = np.random.default_rng(2).integers(

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from repro.data.distributions import PAPER_ORDER, generate
-from repro.native import kernels, shm
+from repro.native import (
+    kernels,
+    parallel_radix_sort,
+    parallel_sample_sort,
+    shm,
+)
 from repro.native.kernels import (
     KERNEL_ENV,
     NUMPY_KERNEL,
@@ -17,8 +22,7 @@ from repro.native.kernels import (
     warm,
 )
 from repro.native.pool import WorkerPool
-from repro.native.radix import parallel_radix_sort
-from repro.native.sample import SPLITTER_SKEW_LIMIT, parallel_sample_sort
+from repro.native.sample import SPLITTER_SKEW_LIMIT
 from repro.sorts.common import (
     n_passes,
     partition_counts,
@@ -290,12 +294,10 @@ class TestSampleRebalance:
     def test_p1_fast_path_builds_no_pool_and_no_segment(self, monkeypatch):
         """n < 8 (one worker's worth) must not construct a WorkerPool or
         a shared segment, as radix sort's fast path guarantees."""
-        from repro.native import sample
-
         def no_pool(*args, **kwargs):
             raise AssertionError("tiny input constructed a WorkerPool")
 
-        monkeypatch.setattr(sample, "WorkerPool", no_pool)
+        monkeypatch.setattr("repro.native.WorkerPool", no_pool)
         before = shm.create_count()
         out = parallel_sample_sort(np.array([9, 3, 7, 1], dtype=np.int64),
                                    n_workers=8)

@@ -8,6 +8,8 @@ plain pool gets and the worker-side attach cache behind it.
 
 from __future__ import annotations
 
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.native import (
     parallel_sort,
     shm,
 )
+from repro.native import pool as pool_mod
 from repro.native.arena import N_DATA, N_META
 
 SORTS = {"radix": parallel_radix_sort, "sample": parallel_sample_sort}
@@ -56,6 +59,19 @@ def _traffic(pool: WorkerPool, sort, keys: np.ndarray) -> tuple[int, int]:
 
 def _cache_size(_task) -> int:
     return shm.attach_cache_size()
+
+
+_REAL_MAP_TASK = pool_mod._map_slabs_task
+
+
+def _die_once_then_map(handles):
+    """The pool's mapping task, except that the first worker to run it
+    (per ``$REPRO_TEST_DIE_ONCE`` marker file) SIGKILLs itself."""
+    try:
+        os.close(os.open(os.environ["REPRO_TEST_DIE_ONCE"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _REAL_MAP_TASK(handles)
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestSteadyState:
@@ -198,6 +214,98 @@ class TestFaults:
             assert _traffic(pool, parallel_radix_sort, _keys(50_000, 1))[0] >= N_DATA
             assert _traffic(pool, parallel_radix_sort, _keys(50_000, 2)) == (0, 0)
         assert _segments() == before
+
+
+class TestMapRound:
+    """``WorkerPool.map_arena`` proves its own coverage: a round vouches
+    only when every task mapped every slab *and* met every sibling, a
+    round that cannot is repeated, and the pool gives up after
+    ``MAX_MAP_ROUNDS`` -- staying usable, its tasks attaching lazily.
+    The rule is pinned with scripted rounds (which worker is slow to
+    boot is not ours to arrange); the real round is checked healthy."""
+
+    @staticmethod
+    def _script(pool, monkeypatch, rounds):
+        """Replay ``rounds`` as the results of successive mapping rounds
+        (then: nobody vouches, forever); returns the call log."""
+        with pool.arena.buffers() as bufs:
+            bufs.empty(64)  # one slab the workers do not hold yet
+        script, calls = list(rounds), []
+
+        def scripted_round():
+            calls.append(len(calls))
+            return script.pop(0) if script else [(0, False), (0, False)]
+
+        monkeypatch.setattr(pool, "_map_round", scripted_round)
+        return calls
+
+    def test_a_round_that_missed_a_worker_is_repeated(self, monkeypatch):
+        with WorkerPool(2, collect_timings=True) as pool:
+            calls = self._script(pool, monkeypatch, [
+                [(1, True), (0, False)],  # a sibling never reached the barrier
+                [(0, False), (0, True)],  # an attach failed in one worker
+                [(0, True), (1, True)],   # everyone vouches
+            ])
+            assert pool.map_arena() == 3 and len(calls) == 3
+            # Every round's attaches ride on the next timed phase.
+            pool.run_phase(abs, [1, 2])
+            assert sum(pool.timings[0].attaches) == 2
+
+    def test_a_covered_round_ends_it(self, monkeypatch):
+        with WorkerPool(2) as pool:
+            calls = self._script(pool, monkeypatch, [[(1, True), (1, True)]])
+            assert pool.map_arena() == 1
+            assert pool.map_arena() == 0  # same slabs: nothing to prove
+            pool.run_phase(abs, [1, 2])
+            assert len(calls) == 1
+
+    def test_it_gives_up_and_leaves_the_pool_usable(self, monkeypatch):
+        from repro.native.pool import MAX_MAP_ROUNDS
+
+        with WorkerPool(2, collect_timings=True) as pool:
+            calls = self._script(pool, monkeypatch, [])
+            assert pool.map_arena() == MAX_MAP_ROUNDS == len(calls)
+            monkeypatch.undo()
+            # Nobody was mapped anything: the sort's own tasks attach.
+            creates, attaches = _traffic(pool, parallel_radix_sort, _keys(20_000))
+            assert creates > 0 and attaches > 0
+            assert _traffic(pool, parallel_radix_sort, _keys(20_000, 1)) == (0, 0)
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("supervise", [False, True])
+    def test_a_worker_lost_in_the_round_is_lost_in_the_phase(
+        self, supervise, monkeypatch, tmp_path
+    ):
+        """The round runs inside the phase attempt that needs it: a
+        worker dying there (its sibling released from the barrier, not
+        left waiting) is retried under supervision and raised without."""
+        monkeypatch.setenv("REPRO_TEST_DIE_ONCE", str(tmp_path / "died"))
+        monkeypatch.setattr("repro.native.pool._map_slabs_task", _die_once_then_map)
+        keys = _keys(20_000)
+        with WorkerPool(
+            2, supervise=supervise, phase_timeout_s=10.0 if supervise else None
+        ) as pool:
+            if supervise:
+                assert np.array_equal(
+                    parallel_radix_sort(keys, pool=pool), np.sort(keys)
+                )
+                assert pool.phase_failures == 1
+                assert pool.fault_log[0]["phase"] == "pass0.histogram"
+            else:
+                with pytest.raises(RuntimeError, match="exited mid-phase"):
+                    parallel_radix_sort(keys, pool=pool)
+                assert pool.arena.in_use() == 0
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_a_real_round_covers_every_worker(self, n_workers):
+        with WorkerPool(n_workers, collect_timings=True) as pool:
+            with pool.arena.buffers() as bufs:
+                for _ in range(N_SLABS):
+                    bufs.empty(64)
+            assert pool.map_arena() == 1
+            assert pool.run_phase(_cache_size, range(8)) == [N_SLABS] * 8
+            assert pool.drain_attaches() == N_SLABS * n_workers
+            assert pool.timings == [] and pool.drain_attaches() == 0
 
 
 @pytest.fixture(scope="module")

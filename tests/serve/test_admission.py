@@ -52,6 +52,24 @@ class TestVerdicts:
         assert verdict is not None and verdict.code == "bad-radix"
         assert ctrl.check(100, I64, 4, queue_len=0, draining=False) is None
 
+    @pytest.mark.parametrize(
+        "p, meta_bytes",
+        [(1, 7), (1, 8), (2, 256 << 10), (2, 4 << 20), (3, 1000), (8, 1 << 30)],
+    )
+    def test_admits_exactly_the_widths_the_engine_plans(self, p, meta_bytes):
+        """One rule for "how wide a digit fits a meta slab"
+        (``native.plan.widest_radix``): admission refuses a pinned width
+        exactly where the engine's planner cap stops planning one, and
+        both mean the ``p x 2**r`` int64 histogram's bytes."""
+        from repro.native.plan import widest_radix
+
+        cap = widest_radix(meta_bytes, p)
+        ctrl = make(n_workers=p, meta_slab_bytes=meta_bytes)
+        for radix in range(1, 21):
+            admitted = ctrl.check(100, I64, radix, 0, False) is None
+            fits = p * (1 << radix) * 8 <= meta_bytes
+            assert admitted == fits == (radix <= cap), radix
+
     def test_draining_wins_over_everything(self):
         ctrl = make(queue_depth=1, max_job_bytes=1)
         verdict = ctrl.check(10**9, I64, 64, queue_len=5, draining=True)
