@@ -18,6 +18,9 @@ import numpy as np
 
 from .protocol import (
     MAX_FRAME,
+    Buffer,
+    ProtocolError,
+    decode_keys,
     encode_keys,
     read_frame_sync,
     write_frame_sync,
@@ -58,13 +61,35 @@ class ServeClient:
         self.max_frame = max_frame
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        #: The transport error that ended this connection, if one did.
+        self._broken: BaseException | None = None
 
     # ------------------------------------------------------------------
+    def _fail(self, err: BaseException) -> BaseException:
+        """A transport error mid-exchange leaves the stream out of step
+        (the unread rest of a reply would parse as the next one's
+        header): close, and let later calls say so."""
+        self._broken = err
+        self.close()
+        return err
+
     def _call(
-        self, header: dict[str, Any], payload: bytes = b""
-    ) -> tuple[dict[str, Any], bytes]:
-        write_frame_sync(self._sock, header, payload, self.max_frame)
-        reply, out_payload = read_frame_sync(self._sock, self.max_frame)
+        self, header: dict[str, Any], payload: Buffer = b""
+    ) -> tuple[dict[str, Any], memoryview]:
+        if self._broken is not None:
+            raise ConnectionError(f"connection closed after {self._broken!r}")
+        try:
+            # (Over the cap, nothing is sent and the exchange stays whole:
+            # that FrameTooLarge passes through.)
+            write_frame_sync(self._sock, header, payload, self.max_frame)
+        except ConnectionError:
+            pass  # hung up mid-send: the server refused the head; its reply says why
+        except OSError as err:
+            raise self._fail(err)
+        try:
+            reply, out_payload = read_frame_sync(self._sock, self.max_frame)
+        except (OSError, ProtocolError) as err:
+            raise self._fail(err)
         if not reply.get("ok", False):
             code = reply.get("error", "unknown")
             message = reply.get("message", "")
@@ -111,9 +136,9 @@ class ServeClient:
         return reply
 
     def result(self, job_id: str) -> np.ndarray:
-        """Fetch a finished job's sorted keys."""
-        reply, payload = self._call({"op": "result", "job_id": job_id})
-        return np.frombuffer(payload, dtype=np.dtype(reply["dtype"])).copy()
+        """Fetch a finished job's sorted keys (the received buffer is
+        the array: no copy)."""
+        return decode_keys(*self._call({"op": "result", "job_id": job_id}))
 
     def sort(
         self,
@@ -170,15 +195,8 @@ class ServeClient:
         keys = np.ascontiguousarray(keys)
         per_frame = self._push_frame_keys(keys.dtype.itemsize)
         reply: dict[str, Any] = {}
-        for lo in range(0, len(keys), per_frame):
-            part = keys[lo : lo + per_frame]
-            fields, payload = encode_keys(part)
-            reply, _ = self._call(
-                {"op": "stream-push", "stream_id": stream_id, **fields},
-                payload,
-            )
-        if not len(keys):
-            fields, payload = encode_keys(keys)
+        for lo in range(0, max(1, len(keys)), per_frame):  # empty: one frame
+            fields, payload = encode_keys(keys[lo : lo + per_frame])
             reply, _ = self._call(
                 {"op": "stream-push", "stream_id": stream_id, **fields},
                 payload,
@@ -224,7 +242,7 @@ class ServeClient:
         reply, payload = self._call(header)
         if reply.get("eof"):
             return None
-        return np.frombuffer(payload, dtype=np.dtype(reply["dtype"])).copy()
+        return decode_keys(reply, payload)
 
     def stream_abort(self, stream_id: str) -> dict[str, Any]:
         reply, _ = self._call({"op": "stream-abort", "stream_id": stream_id})

@@ -98,6 +98,9 @@ class ResultStore:
         self._events: dict[str, Any] = {}
         self._seq = 0
         self.evicted = 0
+        #: Result bytes the records hold: kept by ``set_done`` and eviction,
+        #: never recounted under the lock.
+        self.stored_bytes = 0
 
     # ------------------------------------------------------------------
     def new_job(self, **fields) -> JobRecord:
@@ -158,6 +161,7 @@ class ResultStore:
     ) -> None:
         with self._lock:
             rec = self._records[job_id]
+            self.stored_bytes += len(sorted_bytes) - len(rec.sorted_bytes or b"")
             rec.sorted_bytes = sorted_bytes
             rec.plan = plan
             rec.faults = faults
@@ -199,11 +203,8 @@ class ResultStore:
                     yield job_id
 
         def over_budget() -> bool:
-            stored = sum(
-                len(r.sorted_bytes or b"") for r in self._records.values()
-            )
             return len(self._records) > self.max_records or (
-                stored > self.max_result_bytes
+                self.stored_bytes > self.max_result_bytes
             )
 
         for prefer_delivered in (True, False):
@@ -213,6 +214,7 @@ class ResultStore:
                     break
                 rec = self._records.pop(victim)
                 self._events.pop(victim, None)
+                self.stored_bytes -= len(rec.sorted_bytes or b"")
                 rec.sorted_bytes = None
                 self.evicted += 1
 
@@ -225,7 +227,5 @@ class ResultStore:
                 "records": len(self._records),
                 "evicted": self.evicted,
                 "by_status": by_status,
-                "stored_bytes": sum(
-                    len(r.sorted_bytes or b"") for r in self._records.values()
-                ),
+                "stored_bytes": self.stored_bytes,
             }

@@ -40,9 +40,14 @@ from ..stream.runfile import StreamError, check_dtype
 from .protocol import (
     MAX_FRAME,
     BadRequest,
+    Body,
+    Buffer,
+    FrameTruncated,
     ProtocolError,
     decode_keys,
-    read_frame,
+    encode_keys,
+    key_spec,
+    read_head,
     write_frame,
 )
 from .results import TERMINAL, ResultStore
@@ -99,6 +104,9 @@ class ServeServer:
         self._streams: dict[str, StreamSession] = {}
         self._stream_tasks: dict[str, asyncio.Task] = {}
         self._inflight: str | None = None
+        #: Submits admitted whose keys are still arriving: they hold a
+        #: queue place, so ``busy`` and ``drain`` stay exact.
+        self._receiving = 0
         self._exec = ThreadPoolExecutor(1, thread_name_prefix="serve-engine")
         self._queue: asyncio.Queue = asyncio.Queue()
         self._server: asyncio.AbstractServer | None = None
@@ -191,7 +199,8 @@ class ServeServer:
     # Consumer: queue -> engine thread
     # ------------------------------------------------------------------
     def _queue_len(self) -> int:
-        return self._queue.qsize() + (1 if self._inflight is not None else 0)
+        inflight = 1 if self._inflight is not None else 0
+        return self._queue.qsize() + inflight + self._receiving
 
     async def _consume(self) -> None:
         assert self._loop is not None and self.engine is not None
@@ -221,6 +230,12 @@ class ServeServer:
             except Exception as err:
                 self.store.set_failed(job_id, type(err).__name__, str(err))
             else:
+                # As bytes, not as the array: the store keeps a result long
+                # after its job, and an array never freed makes every job's
+                # copy out of the slab land in fresh memory, which numpy
+                # (>= 4 MiB) asks the kernel to back with huge pages --
+                # 20-25 ms of first touch per 6 MB result on a cold host.
+                # Copied once more, the array's block is reused warm.
                 self.store.set_done(
                     job_id,
                     outcome.sorted_keys.tobytes(),
@@ -243,7 +258,24 @@ class ServeServer:
         try:
             while True:
                 try:
-                    header, payload = await read_frame(reader, self.max_frame)
+                    header, body = await read_head(reader, self.max_frame)
+                    try:
+                        reply, out_payload = await self._dispatch(header, body)
+                    except FrameTruncated:
+                        raise
+                    except ProtocolError as err:
+                        reply = _error_reply(err)
+                        out_payload = b""
+                    except Exception as err:  # pragma: no cover - defensive
+                        reply = {
+                            "ok": False,
+                            "error": "internal",
+                            "message": f"{type(err).__name__}: {err}",
+                        }
+                        out_payload = b""
+                    # A payload no op took (the request was refused on its
+                    # header, or carries none it should): drained, dropped.
+                    await body.read(keep=False)
                 except EOFError:
                     break
                 except ProtocolError as err:
@@ -252,18 +284,6 @@ class ServeServer:
                     # with the typed error, then hang up.
                     await write_frame(writer, _error_reply(err))
                     break
-                try:
-                    reply, out_payload = await self._dispatch(header, payload)
-                except ProtocolError as err:
-                    reply = _error_reply(err)
-                    out_payload = b""
-                except Exception as err:  # pragma: no cover - defensive
-                    reply = {
-                        "ok": False,
-                        "error": "internal",
-                        "message": f"{type(err).__name__}: {err}",
-                    }
-                    out_payload = b""
                 await write_frame(writer, reply, out_payload, self.max_frame)
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -275,13 +295,13 @@ class ServeServer:
                 pass
 
     async def _dispatch(
-        self, header: dict[str, Any], payload: bytes
-    ) -> tuple[dict[str, Any], bytes]:
+        self, header: dict[str, Any], body: Body
+    ) -> tuple[dict[str, Any], Buffer]:
         op = header.get("op")
         if op == "ping":
             return {"ok": True, "op": "pong"}, b""
         if op == "submit":
-            return self._op_submit(header, payload), b""
+            return await self._op_submit(header, body), b""
         if op == "status":
             return self._op_status(header), b""
         if op == "wait":
@@ -297,7 +317,7 @@ class ServeServer:
             if sess is None:
                 return {"ok": False, "error": "unknown-stream"}, b""
             if op == "stream-push":
-                return await self._op_stream_push(sess, header, payload), b""
+                return await self._op_stream_push(sess, header, body), b""
             if op == "stream-close":
                 return self._op_stream_close(sess), b""
             if op == "stream-status":
@@ -312,9 +332,11 @@ class ServeServer:
         return {"ok": False, "error": "bad-op", "message": f"unknown op {op!r}"}, b""
 
     # ------------------------------------------------------------------
-    def _op_submit(self, header: dict[str, Any], payload: bytes) -> dict[str, Any]:
+    async def _op_submit(self, header: dict[str, Any], body: Body) -> dict[str, Any]:
+        """Admit or refuse from the header alone; only an admitted job's
+        keys are received (into the array the job then owns)."""
         assert self.admission is not None
-        keys = decode_keys(header, payload)
+        dtype, n_keys = key_spec(header, body.n)
         algorithm = header.get("algorithm")  # absent: the planner decides
         if algorithm is not None and algorithm not in ALGORITHMS:
             return {
@@ -325,8 +347,8 @@ class ServeServer:
         radix = _number(header, "radix", int)
         deadline_s = _number(header, "deadline_s", float, self.default_deadline_s)
         verdict = self.admission.check(
-            n_keys=len(keys),
-            dtype=keys.dtype,
+            n_keys=n_keys,
+            dtype=dtype,
             radix=radix,
             queue_len=self._queue_len(),
             draining=self.draining,
@@ -338,13 +360,18 @@ class ServeServer:
                     cat="serve.reject",
                     ts_us=time.perf_counter() * 1e6,
                     pid=PID_SERVE,
-                    args={"n_keys": len(keys), "queue_len": self._queue_len()},
+                    args={"n_keys": n_keys, "queue_len": self._queue_len()},
                 )
             return verdict.to_header()
+        self._receiving += 1
+        try:
+            keys = decode_keys(header, await body.read())
+        finally:
+            self._receiving -= 1
         rec = self.store.new_job(
             algorithm=algorithm,
-            n_keys=len(keys),
-            dtype=keys.dtype.str,
+            n_keys=n_keys,
+            dtype=dtype.str,
             radix=radix,
             deadline_s=deadline_s,
         )
@@ -371,7 +398,7 @@ class ServeServer:
             return {**rec.public(), "ok": False, "error": "wait-timeout"}
         return self._op_status(header)
 
-    def _op_result(self, header: dict[str, Any]) -> tuple[dict[str, Any], bytes]:
+    def _op_result(self, header: dict[str, Any]) -> tuple[dict[str, Any], Buffer]:
         job_id = str(header.get("job_id"))
         rec = self.store.get(job_id)
         if rec is None:
@@ -420,7 +447,7 @@ class ServeServer:
         return {"ok": True, **sess.public()}
 
     async def _op_stream_push(
-        self, sess: StreamSession, header: dict[str, Any], payload: bytes
+        self, sess: StreamSession, header: dict[str, Any], body: Body
     ) -> dict[str, Any]:
         assert self._loop is not None
         if sess.phase != "ingest":
@@ -429,7 +456,8 @@ class ServeServer:
                 "error": "bad-phase",
                 "message": f"stream is {sess.phase}, not accepting keys",
             }
-        keys = decode_keys(header, payload)
+        key_spec(header, body.n)  # refused, if at all, before there is a buffer
+        keys = decode_keys(header, await body.read())
         try:
             # Chunks the push completes sort now, on the engine lane; the
             # reply lands only after they spill, which is the stream's
@@ -471,7 +499,7 @@ class ServeServer:
 
     def _op_stream_fetch(
         self, sess: StreamSession, header: dict[str, Any]
-    ) -> tuple[dict[str, Any], bytes]:
+    ) -> tuple[dict[str, Any], Buffer]:
         if sess.phase == "failed":
             return {
                 "ok": False,
@@ -501,7 +529,7 @@ class ServeServer:
             return {**base, "eof": True, "n_keys": 0}, b""
         return (
             {**base, "eof": False, "n_keys": int(len(block))},
-            np.ascontiguousarray(block).tobytes(),
+            encode_keys(block)[1],
         )
 
     def _op_stream_abort(self, sess: StreamSession) -> dict[str, Any]:

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from repro.serve import (
     ServeRejected,
     server_in_thread,
 )
-from repro.serve.protocol import read_frame_sync
+from repro.serve.protocol import encode_keys, pack_frame, read_frame_sync
 
 
 def _keys(seed: int, n: int = 50_000) -> np.ndarray:
@@ -224,3 +227,160 @@ class TestWireErrors:
             assert header["ok"] is False
             assert header["error"] == "frame-too-large"
             assert sock.recv(1) == b""
+
+
+def _rss_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * 4096
+
+
+class TestHeaderFirst:
+    """The server reads a frame's head, decides, and only then makes room
+    for the payload: a refusal costs no memory and no desync."""
+
+    def test_too_large_is_refused_before_the_allocator_runs(self):
+        keys = _keys(70, 768_000)  # 6 MB against 1 MiB slabs
+        small = _keys(71, 1_000)
+        with server_in_thread(
+            n_workers=2, queue_depth=4, data_slab_bytes=1 << 20
+        ) as server:
+            with ServeClient(port=server.port) as client:
+                assert client.ping()
+                tracemalloc.start()
+                try:
+                    idle = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    with pytest.raises(ServeRejected) as exc:
+                        client.submit(keys, "sample")
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert exc.value.code == "too-large"
+                assert peak - idle < 1 << 20
+                # The 6 MB were drained, not left in the stream.
+                assert client.ping()
+                assert np.array_equal(client.sort(small, "radix"), np.sort(small))
+                assert client.stats()["admission"]["rejected"] == {"too-large": 1}
+
+    def test_refused_push_is_drained_and_the_stream_stays_in_step(self, client):
+        keys = _keys(72, 400_000)
+        fields, payload = encode_keys(keys)
+        with pytest.raises(ServeError) as exc:
+            client._call(
+                {"op": "stream-push", "stream_id": "nope", **fields}, payload
+            )
+        assert exc.value.code == "unknown-stream"
+        assert client.ping()
+        stream_id = client.stream_open("<i8", chunk_keys=100_000)
+        client.stream_push(stream_id, keys)
+        client.stream_close(stream_id)
+        with pytest.raises(ServeError) as exc:
+            client.stream_push(stream_id, keys)
+        assert exc.value.code == "bad-phase"
+        assert client.stream_wait(stream_id)["phase"] == "done"
+        out = []
+        while (block := client.stream_fetch(stream_id)) is not None:
+            out.append(block)
+        assert np.array_equal(np.concatenate(out), np.sort(keys))
+
+    def test_bad_key_description_is_refused_unread(self, client):
+        fields, payload = encode_keys(_keys(73, 300_000))
+        for bad in ({"n_keys": 7}, {"dtype": "no-such"}, {"n_keys": None}):
+            with pytest.raises(ServeError) as exc:
+                client._call({"op": "submit", **fields, **bad}, payload)
+            assert exc.value.code == "protocol-error"
+        assert client.ping()
+
+    def test_payload_on_an_op_that_takes_none_is_dropped(self, client):
+        reply, _ = client._call({"op": "ping"}, b"x" * 700_000)
+        assert reply["op"] == "pong"
+        assert client.ping()
+
+    def test_announced_payload_that_never_comes_holds_no_memory(self, client, served):
+        """A peer opens a stream, announces a 48 MiB push, and goes
+        silent: the buffer it is owed is address space, not memory."""
+        server, _ = served
+        stream_id = client.stream_open("<i8")
+        n = (48 << 20) // 8
+        frame = pack_frame(
+            {"op": "stream-push", "stream_id": stream_id,
+             "dtype": "<i8", "n_keys": n},
+            b"\x00" * 4096,
+        )
+        head = bytearray(frame[:-4096])
+        struct.pack_into(">I", head, 4, len(head) - 8 + 8 * n)
+        before = _rss_bytes()
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(head + frame[-4096:])
+            time.sleep(0.3)
+            assert _rss_bytes() - before < 8 << 20
+        # The hang-up mid-payload ends that connection, nothing else.
+        assert client.stream_status(stream_id)["keys_ingested"] == 0
+        client.stream_abort(stream_id)
+
+    def test_a_job_still_arriving_holds_its_queue_place(self):
+        """Admission happens before the payload arrives, so ``busy`` must
+        count the jobs admitted and not yet queued."""
+        keys = _keys(74, 200_000)
+        fields, payload = encode_keys(keys)
+        frame = pack_frame({"op": "submit", "algorithm": "sample", **fields}, payload)
+        with server_in_thread(n_workers=2, queue_depth=1) as server:
+            with socket.create_connection(("127.0.0.1", server.port)) as slow:
+                slow.sendall(frame[: len(frame) // 2])
+                with ServeClient(port=server.port) as client:
+                    deadline = time.perf_counter() + 10.0
+                    while client.stats()["queue_len"] == 0:
+                        assert time.perf_counter() < deadline, "never admitted"
+                        time.sleep(0.01)
+                    with pytest.raises(ServeRejected) as exc:
+                        client.submit(_keys(75, 100), "radix")
+                    assert exc.value.code == "busy"
+                    slow.sendall(frame[len(frame) // 2 :])
+                    reply, _ = read_frame_sync(slow)
+                    assert reply["ok"], reply
+                    assert client.wait(reply["job_id"], 60.0)["status"] == "done"
+                    assert np.array_equal(
+                        client.result(reply["job_id"]), np.sort(keys)
+                    )
+
+
+class TestClientTransportErrors:
+    def test_timeout_mid_reply_closes_the_connection(self):
+        """A reply that stalls half-way must not leave its other half to
+        be parsed as the next reply's header."""
+        frame = pack_frame({"ok": True, "op": "pong"}, b"y" * 64)
+        listener = socket.create_server(("127.0.0.1", 0))
+        release = threading.Event()
+
+        def stub():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame_sync(conn)
+                conn.sendall(frame[: len(frame) - 40])
+                release.wait(10.0)
+                conn.sendall(frame[len(frame) - 40 :])
+
+        server = threading.Thread(target=stub)
+        server.start()
+        try:
+            with ServeClient(
+                port=listener.getsockname()[1], timeout_s=0.2
+            ) as client:
+                with pytest.raises(TimeoutError):
+                    client.ping()
+                release.set()
+                with pytest.raises(ConnectionError, match="closed after .*[Tt]ime"):
+                    client.ping()
+        finally:
+            release.set()
+            server.join(timeout=10.0)
+            listener.close()
+
+    def test_local_cap_refusal_leaves_the_connection_usable(self, served):
+        from repro.serve.protocol import FrameTooLarge
+
+        server, _ = served
+        with ServeClient(port=server.port, max_frame=1 << 16) as client:
+            with pytest.raises(FrameTooLarge):
+                client.submit(_keys(76, 100_000), "radix")
+            assert client.ping()
