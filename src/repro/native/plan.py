@@ -51,11 +51,11 @@ DEFAULT_RADIX = 11
 #: Pool phases of one sample sort: local sort, count, scatter, final sort.
 SAMPLE_PHASES = 4
 
-#: 2: timed on the pool-owned arena.  A version-1 table was swept when
-#: every sort created its own segments, which reads the parallel
-#: candidates 25-40 % too slow; it is ignored (one warning) until
-#: ``python -m repro tune`` is re-run.
-TABLE_VERSION = 2
+#: 3: timed on the pool's own worker pipes.  A version-2 table was swept
+#: through ``multiprocessing.Pool``'s queue and handler threads, which
+#: reads every parallel candidate ~0.6 ms per phase too slow; an older
+#: table is ignored (one warning) until ``python -m repro tune`` is re-run.
+TABLE_VERSION = 3
 TABLE_NAME = "native_plan.json"
 
 #: Names a table cell may time: an algorithm, radix with its digit width.

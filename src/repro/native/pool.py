@@ -1,31 +1,40 @@
 """Worker pool for the native parallel sorts.
 
-A thin wrapper over :class:`multiprocessing.pool.Pool` preferring the
-``fork`` start method (workers inherit nothing they shouldn't -- all data
-travels through named shared memory), falling back to ``spawn`` on
-platforms without ``fork``.  Each bulk-synchronous phase of a sort is one
-``map`` call; the map barrier plays the role of the paper's inter-phase
-barriers.
+``n_workers`` daemon processes the pool starts itself -- ``fork`` where
+available (workers inherit nothing they shouldn't: all data travels
+through named shared memory), else ``spawn`` -- each on its own duplex
+pipe, each running one loop: receive ``(call, payload)``, run it, send
+back ``(ok, value | exception)``.  A worker exits on the stop message,
+on end of file (the parent is gone, however it went) or when killed, so
+none outlives the pool or the parent.
 
 Every phase, on every pool, goes through one runner
-(:meth:`WorkerPool.run_phase`): the map is dispatched asynchronously and
-the parent waits on it while watching the worker processes, so a worker
-that dies mid-phase surfaces promptly instead of stalling the barrier
-forever (the very SYNC term the paper's breakdowns measure).  What a
-failure *means* is the pool's ``supervise`` flag:
+(:meth:`WorkerPool.run_phase`).  The *calling* thread writes task ``i``
+to a free worker -- the first ``n_workers`` tasks to workers ``0..n-1``
+in order, each later one to whichever worker answers first; results come
+back in task order -- and blocks in one
+:func:`multiprocessing.connection.wait` on the pipes of the tasks in
+flight *and* every worker's ``sentinel``, so a reply, a worker's death
+and (under supervision) the phase deadline each wake it at once.  That
+wait plays the role of the paper's inter-phase barriers, and nothing
+stands between the caller and its workers (no task queue, no handler
+thread): its cost is the SYNC term the paper's breakdowns measure.  An
+attempt cut short takes its workers with it -- the pool kills them
+rather than guess what they still hold -- and the next one starts fresh
+ones.  What a failure *means* is the pool's ``supervise`` flag:
 
 * unsupervised (the default), the first failure -- a task exception, a
-  dead worker -- propagates unchanged: no retry, no rebuild;
+  dead worker -- propagates unchanged: no retry;
 * ``supervise=True`` retries the phase, bounded
-  (:data:`MAX_PHASE_RETRIES`, backoff :data:`RETRY_BACKOFF_S`), after
-  terminating and rebuilding the workers (dead-worker replacement) and,
-  from the :data:`SHRINK_AFTER`-th failure within one phase, rebuilding
-  them *narrower* (graceful degradation, never below
-  :data:`MIN_WORKERS`); ``phase_timeout_s`` additionally bounds each
-  attempt.  Retried phases are safe because every task in
-  :mod:`repro.native.radix` / :mod:`repro.native.sample` writes its full
-  output slice from an unmodified input buffer (double-buffered phases),
-  so re-running it is idempotent.
+  (:data:`MAX_PHASE_RETRIES`, backoff :data:`RETRY_BACKOFF_S`), on fresh
+  workers (dead-worker replacement) and, from the
+  :data:`SHRINK_AFTER`-th failure within one phase, on *fewer* of them
+  (graceful degradation, never below :data:`MIN_WORKERS`);
+  ``phase_timeout_s`` additionally bounds each attempt.  Retried phases
+  are safe because every task in :mod:`repro.native.radix` /
+  :mod:`repro.native.sample` writes its full output slice from an
+  unmodified input buffer (double-buffered phases), so re-running it is
+  idempotent.
 
 Every task is stamped in its worker with ``time.perf_counter()`` start
 and end times (CLOCK_MONOTONIC is system-wide on Linux, so parent and
@@ -54,10 +63,11 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
-import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import partial
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Iterable
 
 from ..faults.context import current_fault_plan
@@ -70,12 +80,8 @@ from .arena import Arena
 #: tracks ``1..n_workers``, one per worker slot).
 POOL_TID = 0
 
-#: How often the parent, waiting on a phase, looks at its workers'
-#: exit codes and the phase deadline (seconds).
-_POLL_S = 0.02
-
 #: Supervision policy.  A failed supervised phase is re-run up to
-#: ``MAX_PHASE_RETRIES`` times on rebuilt workers, sleeping
+#: ``MAX_PHASE_RETRIES`` times on fresh workers, sleeping
 #: ``RETRY_BACKOFF_S * 2**attempt`` first; from the ``SHRINK_AFTER``-th
 #: failure within one phase the rebuild halves the pool, never below
 #: ``MIN_WORKERS``.
@@ -84,54 +90,9 @@ SHRINK_AFTER = 2
 MIN_WORKERS = 1
 RETRY_BACKOFF_S = 0.05
 
-#: How long a worker waits for its siblings in the arena mapping round
-#: (seconds): the allowance for a sibling still booting.  A dead one is
-#: the parent's to notice; it aborts the barrier.
-_MAP_ROUND_TIMEOUT_S = 10.0
-
-#: Mapping rounds tried before the pool stops proving coverage and lets
-#: the sort tasks attach what they find missing.
-MAX_MAP_ROUNDS = 3
-
-#: This worker's rendezvous with its siblings (set by ``_worker_init``).
-_siblings: Any = None
-
-
-def _worker_init(
-    siblings: Any, user_init: Callable[..., None] | None, user_args: tuple
-) -> None:
-    """Every-worker initializer: keep the pool's barrier, warm the active
-    sort kernel (resolving the ``REPRO_NATIVE_KERNEL`` choice once, and
-    JIT-compiling the numba kernels off the hot path if selected), then
-    run the caller's own initializer, if any."""
-    global _siblings
-    from . import kernels
-
-    _siblings = siblings
-    kernels.warm()
-    if user_init is not None:
-        user_init(*user_args)
-
-
-def _map_slabs_task(handles: tuple) -> tuple[int, bool]:
-    """Map every slab in this worker, then hold it until every sibling
-    has taken its own copy of this task -- which is what makes one round
-    of ``n_workers`` tasks reach every worker.  Returns the fresh
-    attaches and whether this worker can vouch for the round: it mapped
-    every slab and met every sibling."""
-    before = shm.attach_count()
-    covered = True
-    try:
-        for handle in handles:
-            shm.resolve(handle)
-    except OSError:
-        covered = False  # (injected) attach failure
-    if _siblings is not None:  # the inline pool has none to wait for
-        try:
-            _siblings.wait(_MAP_ROUND_TIMEOUT_S)
-        except threading.BrokenBarrierError:
-            covered = False  # a sibling never came
-    return shm.attach_count() - before, covered
+#: How long ``close()`` lets workers act on the stop message before it
+#: kills them (seconds); an idle worker exits in under a millisecond.
+_STOP_GRACE_S = 1.0
 
 
 class PhaseError(RuntimeError):
@@ -147,12 +108,83 @@ class PhaseError(RuntimeError):
         self.cause = cause
 
 
+class ReplyError(RuntimeError):
+    """A task ran, but its result (or exception) could not be pickled."""
+
+
 class _WorkerDied(RuntimeError):
     """A pool worker process exited mid-phase (crash / SIGKILL)."""
+
+    def __init__(self) -> None:
+        super().__init__("worker process exited mid-phase (task lost)")
 
 
 class _PhaseTimeout(RuntimeError):
     """A phase overran its supervised deadline (hang / livelock)."""
+
+
+def _worker_init(user_init: Callable[..., None] | None, user_args: tuple) -> None:
+    """Every-worker initializer: warm the active sort kernel (resolving
+    the ``REPRO_NATIVE_KERNEL`` choice once, and JIT-compiling the numba
+    kernels off the hot path if selected), then run the caller's own
+    initializer, if any."""
+    from . import kernels
+
+    kernels.warm()
+    if user_init is not None:
+        user_init(*user_args)
+
+
+def _worker_main(
+    conn: Connection,
+    parent_ends: list[Connection],
+    user_init: Callable[..., None] | None,
+    user_args: tuple,
+) -> None:
+    """A worker's whole life: initialise, then answer one message at a
+    time until the stop message (``None``) or end of file.
+
+    ``parent_ends`` are the parent's ends of this worker's and its older
+    siblings' pipes, which a forked child inherits.  It closes them
+    first: while any process but the parent holds one, the parent's
+    death does not reach that pipe's worker as end of file."""
+    for end in parent_ends:
+        end.close()
+    _worker_init(user_init, user_args)
+    try:
+        while (message := conn.recv()) is not None:
+            call, payload = message
+            try:
+                reply = (True, call(payload))
+            except Exception as exc:
+                # Travels in the pickle; tracebacks show it from Python 3.11.
+                where = f"in a pool worker:\n{traceback.format_exc()}"
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), where]
+                reply = (False, exc)
+            try:
+                conn.send(reply)
+            except OSError:
+                raise
+            except Exception as exc:  # not picklable: nothing was written
+                what = "result" if reply[0] else f"exception {reply[1]!r}"
+                error = ReplyError(f"task {what} cannot be pickled: {exc!r}")
+                conn.send((False, error))
+    except (EOFError, OSError):
+        pass  # the parent is gone
+
+
+def _map_slabs_task(handles: tuple) -> tuple[int, bool]:
+    """Map every slab in this worker; returns the fresh attaches and
+    whether every slab is now mapped (an injected attach failure leaves
+    one out)."""
+    before = shm.attach_count()
+    mapped = True
+    try:
+        for handle in handles:
+            shm.resolve(handle)
+    except OSError:
+        mapped = False
+    return shm.attach_count() - before, mapped
 
 
 def default_workers() -> int:
@@ -234,17 +266,17 @@ def _apply_directive(directive: tuple[str, float | None] | None) -> None:
 def _run_task(
     fn: Callable[[Any], Any],
     payload: tuple[Any, tuple[str, float | None] | None],
-) -> tuple[Any, float, float, int, int]:
+) -> tuple[Any, float, float, int]:
     """One task in its worker: execute the fault directive shipped with
     it, if any, then ``fn(task)`` between two clock stamps -- returned
-    with the worker's pid and the fresh attaches the task performed."""
+    with the fresh attaches the task performed."""
     task, directive = payload
     _apply_directive(directive)
     a0 = shm.attach_count()
     t0 = time.perf_counter()
     result = fn(task)
     t1 = time.perf_counter()
-    return result, t0, t1, os.getpid(), shm.attach_count() - a0
+    return result, t0, t1, shm.attach_count() - a0
 
 
 class WorkerPool:
@@ -258,7 +290,7 @@ class WorkerPool:
     ``supervise=True`` arms per-phase supervision (retry, rebuild and
     shrink by the module's policy constants); ``phase_timeout_s`` then
     bounds each attempt (``None`` = wait forever).  A dead worker is
-    detected promptly either way.
+    detected at once either way.
     """
 
     def __init__(
@@ -275,17 +307,21 @@ class WorkerPool:
         if self.n_workers < 1:
             raise ValueError("need at least one worker")
         self.start_method = default_start_method()
-        #: Run in every worker at start (and again after every supervised
-        #: rebuild).
+        #: Run in every worker at start (and again in every replacement).
         self._initializer = initializer
         self._initargs = tuple(initargs)
         self.arena = Arena()
-        #: Worker OS pid -> 1-based slot, in order of first appearance.
-        self._slot_by_pid: dict[int, int] = {}
         self._unreported_attaches = 0
-        self._spawn()
+        #: (process, our end of its pipe); worker ``i`` is slot ``i + 1``.
+        #: Empty for the inline 1-worker pool, and after an attempt was
+        #: cut short until the next one needs them.
+        self._workers: list[tuple[Any, Connection]] = []
+        #: Slab names every worker is known to have mapped.
+        self._mapped: tuple[str, ...] = ()
         if self.n_workers == 1:
-            _worker_init(None, self._initializer, self._initargs)  # inline "pool"
+            _worker_init(self._initializer, self._initargs)  # inline "pool"
+        else:
+            self._spawn()
         self._closed = False
         self.collect_timings = collect_timings
         self.supervise = supervise
@@ -298,78 +334,73 @@ class WorkerPool:
         self.phase_failures = 0
         self._phase_seq = 0
 
-    # ------------------------------------------------------------------
-    def _slot_of(self, pid: int) -> int:
-        """Stable 1-based worker-slot index for ``pid``, capped at
-        ``n_workers`` (a respawned worker reuses the last track rather
-        than growing the documented ``1..n_workers`` range)."""
-        slot = self._slot_by_pid.get(pid)
-        if slot is None:
-            slot = min(len(self._slot_by_pid) + 1, self.n_workers)
-            self._slot_by_pid[pid] = slot
-        return slot
+    @property
+    def worker_pids(self) -> tuple[int, ...]:
+        """OS pids of the current worker processes, in slot order."""
+        return tuple(process.pid for process, _ in self._workers)
 
     # ------------------------------------------------------------------
     # Workers and their mappings
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
-        """Fork ``n_workers`` fresh workers (none for the inline pool)."""
-        self._siblings = self._pool = None
-        if self.n_workers > 1:
-            ctx = mp.get_context(self.start_method)
-            self._siblings = ctx.Barrier(self.n_workers)
-            self._pool = ctx.Pool(
-                self.n_workers,
-                _worker_init,
-                (self._siblings, self._initializer, self._initargs),
+        """Start ``n_workers`` fresh workers, each on its own pipe."""
+        ctx = mp.get_context(self.start_method)
+        forks = self.start_method == "fork"
+        for _ in range(self.n_workers):
+            ours, theirs = ctx.Pipe()
+            inherited = [*(conn for _, conn in self._workers), ours] if forks else []
+            process = ctx.Process(
+                target=_worker_main,
+                args=(theirs, inherited, self._initializer, self._initargs),
+                daemon=True,
             )
-        self._slot_by_pid.clear()
-        #: Slab names every worker is known to have mapped.
-        self._mapped: tuple[str, ...] = ()
-        #: A dispatched task was lost with its worker (or abandoned in a
-        #: hung one): ``multiprocessing`` waits for it forever on a
-        #: graceful close, so these workers can only be terminated.
-        self._orphaned = False
+            process.start()
+            theirs.close()
+            self._workers.append((process, ours))
 
-    def _map_round(self) -> list[tuple[int, bool]]:
-        """One round of ``n_workers`` barrier-held :func:`_map_slabs_task`
-        calls.  A worker dying (or overrunning the deadline) in it fails
-        the round like any phase attempt, and the barrier is aborted so
-        nobody keeps waiting for the lost sibling."""
-        if self._siblings is not None:
-            self._siblings.reset()
-        try:
-            return self._attempt(
-                _map_slabs_task, [self.arena.handles()] * self.n_workers
-            )
-        except (_WorkerDied, _PhaseTimeout):
-            self._siblings.abort()
-            raise
+    def _stop_workers(self, graceful: bool = False) -> None:
+        """Reap every worker: asked to exit first when ``graceful``,
+        killed when not -- or when asking was not enough."""
+        workers, self._workers, self._mapped = self._workers, [], ()
+        if graceful:
+            for _, conn in workers:
+                try:
+                    conn.send(None)
+                except OSError:
+                    pass  # already dead
+        deadline = time.monotonic() + (_STOP_GRACE_S if graceful else 0.0)
+        for process, conn in workers:
+            process.join(max(0.0, deadline - time.monotonic()))
+            process.kill()
+            process.join()
+            process.close()
+            conn.close()
 
     def map_arena(self) -> int:
         """Bring every worker's attach cache up to the arena's current
-        slabs, so no sort task ever attaches; returns the rounds it took
-        -- 0 when the workers already hold them (a reused pool's steady
-        state: this only has work after a lease regrew a slab or workers
-        were replaced), 1 on a healthy pool.  A round proves its own
-        coverage (every task mapped every slab and met every sibling at
-        the barrier); one that cannot is repeated, and after
-        :data:`MAX_MAP_ROUNDS` the sort tasks are left to attach what
-        they find missing.  It is not part of any sort's phase program
-        (no fault directive is drawn for it), but it runs inside the
-        phase attempt that needs it, so a worker lost here is retried
-        or raised like one lost in the phase; its attaches are reported
-        with the next timed phase."""
+        slabs, so no sort task ever attaches: one message to each worker,
+        answered when it has mapped them.  Returns 0 when the workers
+        already hold them (a reused pool's steady state: this only has
+        work after a lease regrew a slab or workers were replaced), else
+        1.  A worker whose mapping failed is asked once more; after that
+        its sort tasks attach what they find missing.  It is not part of
+        any sort's phase program (no fault directive is drawn for it),
+        but it runs inside the phase attempt that needs it, so a worker
+        lost here is retried or raised like one lost in the phase; its
+        attaches are reported with the next timed phase."""
         names = self.arena.slab_names
         if names == self._mapped:
             return 0
-        for rounds in range(1, MAX_MAP_ROUNDS + 1):
-            vouchers = self._map_round()
-            self._unreported_attaches += sum(att for att, _ in vouchers)
-            if all(covered for _, covered in vouchers):
+        handles = self.arena.handles()
+        asked: list[tuple] = [handles] * self.n_workers
+        for _ in range(2):
+            replies, _slots = self._attempt(_map_slabs_task, asked)
+            self._unreported_attaches += sum(att for att, _ in replies)
+            if all(mapped for _, mapped in replies):
                 break
+            asked = [() if mapped else handles for _, mapped in replies]
         self._mapped = names
-        return rounds
+        return 1
 
     def drain_attaches(self) -> int:
         """Fresh worker attaches since the last drain -- the recorded
@@ -383,42 +414,67 @@ class WorkerPool:
         self.timings.clear()
         return total
 
-    def _rebuild(self, shrink: bool) -> None:
-        """Replace the worker processes (dead-worker replacement), at a
-        reduced width when ``shrink`` (graceful degradation)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-        if shrink and self.n_workers > MIN_WORKERS:
-            self.n_workers = max(MIN_WORKERS, self.n_workers // 2)
-        self._spawn()
-
-    def _attempt(self, call: Callable[[Any], Any], payloads: list[Any]) -> list[Any]:
-        """``call`` over ``payloads`` on the workers, once: raises on
-        worker death, any task exception and -- under supervision -- a
-        missed ``phase_timeout_s``."""
-        if self._pool is None:
-            return [call(p) for p in payloads]
-        procs = list(self._pool._pool)
-        result = self._pool.map_async(call, payloads)
+    def _attempt(
+        self, call: Callable[[Any], Any], payloads: list[Any]
+    ) -> tuple[list[Any], list[int]]:
+        """``call`` over ``payloads`` on the workers, once; returns the
+        results in task order and the slot that ran each.  Raises on
+        worker death, any task exception (once the tasks in flight have
+        answered, so the workers stay in step) and -- under supervision
+        -- a missed ``phase_timeout_s``."""
+        if self.n_workers == 1:
+            return [call(p) for p in payloads], [1] * len(payloads)
+        if not self._workers:
+            self._spawn()
+        slot_of = {conn: slot for slot, (_, conn) in enumerate(self._workers, 1)}
+        sentinels = [process.sentinel for process, _ in self._workers]
         deadline_s = self.phase_timeout_s if self.supervise else None
-        deadline = (
-            None if deadline_s is None else time.monotonic() + deadline_s
-        )
-        while True:
-            result.wait(_POLL_S)
-            if result.ready():
-                return result.get()
-            if any(p.exitcode is not None for p in procs):
-                self._orphaned = True
-                raise _WorkerDied(
-                    "worker process exited mid-phase (task lost)"
+        deadline = None if deadline_s is None else time.monotonic() + deadline_s
+        results: list[Any] = [None] * len(payloads)
+        slots = [0] * len(payloads)
+        free = list(slot_of)[::-1]  # a stack: worker 0 on top
+        in_flight: dict[Connection, int] = {}
+        failures: list[BaseException] = []
+        sent = 0
+        try:
+            while True:
+                while free and sent < len(payloads) and not failures:
+                    conn = free.pop()
+                    try:
+                        conn.send((call, payloads[sent]))
+                    except OSError as exc:
+                        raise _WorkerDied() from exc
+                    in_flight[conn], slots[sent] = sent, slot_of[conn]
+                    sent += 1
+                if not in_flight:
+                    break
+                ready = wait(
+                    [*in_flight, *sentinels],
+                    deadline and max(0.0, deadline - time.monotonic()),
                 )
-            if deadline is not None and time.monotonic() >= deadline:
-                self._orphaned = True
-                raise _PhaseTimeout(
-                    f"phase exceeded its {deadline_s:g}s supervised timeout"
-                )
+                if not ready:
+                    raise _PhaseTimeout(
+                        f"phase exceeded its {deadline_s:g}s supervised timeout"
+                    )
+                for conn in ready:
+                    try:
+                        index = in_flight.pop(conn)  # KeyError: a sentinel
+                        ok, value = conn.recv()
+                    except (KeyError, EOFError, OSError) as exc:
+                        raise _WorkerDied() from exc
+                    free.append(conn)
+                    if ok:
+                        results[index] = value
+                    else:
+                        failures.append(value)
+        except BaseException:
+            # Whatever cut the attempt short, workers may still hold its
+            # tasks, and their replies must not meet the next attempt.
+            self._stop_workers()
+            raise
+        if failures:
+            raise failures[0]
+        return results, slots
 
     def _note_failure(
         self, label: str, attempt: int, exc: BaseException, shrink: bool
@@ -473,12 +529,12 @@ class WorkerPool:
             directives, issued = pool_directives(
                 plan if allow else None,
                 len(tasks),
-                allow_process_faults=self.supervise and self._pool is not None,
+                allow_process_faults=self.supervise and self.n_workers > 1,
             )
             issued_sites.extend(issued)
             try:
                 self.map_arena()
-                raw = self._attempt(call, list(zip(tasks, directives)))
+                raw, slots = self._attempt(call, list(zip(tasks, directives)))
             except Exception as exc:
                 if not self.supervise:
                     raise
@@ -487,7 +543,9 @@ class WorkerPool:
                 failures += 1
                 shrink = failures >= SHRINK_AFTER
                 self._note_failure(label, attempt, exc, shrink)
-                self._rebuild(shrink=shrink)
+                self._stop_workers()  # the next attempt starts fresh ones
+                if shrink and self.n_workers > MIN_WORKERS:
+                    self.n_workers = max(MIN_WORKERS, self.n_workers // 2)
                 time.sleep(RETRY_BACKOFF_S * (2.0**attempt))
                 continue
             break
@@ -509,26 +567,26 @@ class WorkerPool:
             for site in issued_sites:
                 plan.note_recovered(site)
         if self.collect_timings or rec.enabled:
-            self._record_phase(label, begin, end, raw, rec)
-        return [r for r, _t0, _t1, _pid, _att in raw]
+            self._record_phase(label, begin, end, raw, slots, rec)
+        return [r for r, _t0, _t1, _att in raw]
 
     def _record_phase(
         self,
         label: str,
         begin: float,
         end: float,
-        raw: list[tuple[Any, float, float, int, int]],
+        raw: list[tuple[Any, float, float, int]],
+        slots: list[int],
         rec,
     ) -> None:
-        slots = tuple(self._slot_of(pid) for _, _t0, _t1, pid, _att in raw)
-        attaches = [att for _, _t0, _t1, _pid, att in raw]
+        attaches = [att for _, _t0, _t1, att in raw]
         if attaches:
             attaches[0] += self._unreported_attaches
             self._unreported_attaches = 0
         timing = PhaseTiming(
             label, begin, end,
-            tuple((t0, t1) for _, t0, t1, _pid, _att in raw),
-            slots,
+            tuple((t0, t1) for _, t0, t1, _att in raw),
+            tuple(slots),
             tuple(attaches),
         )
         if self.collect_timings:
@@ -557,17 +615,13 @@ class WorkerPool:
     def close(self, force: bool = False) -> None:
         """Shut the pool down, reap its workers and unlink its arena.
 
-        ``force=True`` terminates workers instead of waiting for them to
-        drain -- used on the exception path so a failed phase cannot leak
-        forked processes holding shared-memory references.
+        Workers are sent the stop message and joined, and whatever has
+        not exited within a second is killed; ``force=True`` kills them
+        outright -- used on the exception path so a failed phase cannot
+        leak forked processes holding shared-memory references.
         """
         try:
-            if not self._closed and self._pool is not None:
-                if force or self._orphaned:
-                    self._pool.terminate()
-                else:
-                    self._pool.close()
-                self._pool.join()
+            self._stop_workers(graceful=not force)
         finally:
             self._closed = True
             self.arena.close()

@@ -15,9 +15,9 @@ arena's two-data-slab budget and the fault plan's per-job attribution
 exact.
 
 ``warmup`` is the pool's own mapping round
-(:meth:`~repro.native.pool.WorkerPool.map_arena`): one barrier-held task
-per worker maps all five reserved slabs and vouches for having met every
-sibling, so "steady state" is established by proof, not hope.  After
+(:meth:`~repro.native.pool.WorkerPool.map_arena`): one message to each
+worker, answered when it has mapped all five reserved slabs, so "steady
+state" is established by proof, not hope.  After
 that, each job's trace span (``serve.job`` on the ``PID_SERVE`` track)
 carries the job's shared-memory create/attach counts, which are zero on
 the steady-state path and nonzero exactly when a supervised rebuild
@@ -91,7 +91,7 @@ class SortEngine:
     # ------------------------------------------------------------------
     def warmup(self) -> int:
         """Map every reserved slab into every worker; returns the rounds
-        the pool needed to prove it had (1 when healthy; a worker lost
+        it took (1; 0 when they were mapped already; a worker lost
         meanwhile raises -- start-up fails loudly).  What the workers
         attach here is set-up, not any job's traffic."""
         self.warmup_rounds = self.pool.map_arena()

@@ -1,5 +1,7 @@
 """Native multiprocessing sort tests (real parallelism on the host)."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,13 @@ from repro.trace import MemoryRecorder, use_recorder
 def pool():
     with WorkerPool(4) as p:
         yield p
+
+
+def _assert_reaped(pids):
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):  # not even a zombie
+            os.kill(pid, 0)
 
 
 def _one_over(x):
@@ -182,23 +191,19 @@ class TestWorkerPool:
         """Regression: a phase raising inside ``with`` used to leave the
         forked workers alive (``__exit__`` only close()d the queue)."""
         p = WorkerPool(2)
-        procs = list(p._pool._pool)
+        pids = p.worker_pids
         with pytest.raises(ZeroDivisionError):
             with p:
                 p.run_phase(_one_over, [0])
         assert p._closed
-        for proc in procs:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
+        _assert_reaped(pids)
 
     def test_terminate_reaps_workers(self):
         p = WorkerPool(2)
-        procs = list(p._pool._pool)
+        pids = p.worker_pids
         p.terminate()
-        assert p._closed
-        for proc in procs:
-            proc.join(timeout=10)
-            assert not proc.is_alive()
+        assert p._closed and p.worker_pids == ()
+        _assert_reaped(pids)
 
     def test_start_method_fallback(self, monkeypatch):
         monkeypatch.setattr(

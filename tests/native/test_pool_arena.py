@@ -61,6 +61,14 @@ def _cache_size(_task) -> int:
     return shm.attach_cache_size()
 
 
+def _fresh_attaches(handles) -> int:
+    """What a sort task does with its buffers; returns its attaches."""
+    before = shm.attach_count()
+    for handle in handles:
+        shm.resolve(handle)
+    return shm.attach_count() - before
+
+
 _REAL_MAP_TASK = pool_mod._map_slabs_task
 
 
@@ -217,58 +225,69 @@ class TestFaults:
 
 
 class TestMapRound:
-    """``WorkerPool.map_arena`` proves its own coverage: a round vouches
-    only when every task mapped every slab *and* met every sibling, a
-    round that cannot is repeated, and the pool gives up after
-    ``MAX_MAP_ROUNDS`` -- staying usable, its tasks attaching lazily.
-    The rule is pinned with scripted rounds (which worker is slow to
-    boot is not ours to arrange); the real round is checked healthy."""
+    """``WorkerPool.map_arena`` is one ``_map_slabs_task`` message to
+    each worker: a worker whose mapping failed is asked once more, and
+    one that fails again is left to attach lazily -- the pool staying
+    usable either way.  Workers are addressable (task ``i`` of a phase
+    of ``n_workers`` tasks runs on worker ``i``), so the failing worker
+    is arranged, not scripted."""
 
     @staticmethod
-    def _script(pool, monkeypatch, rounds):
-        """Replay ``rounds`` as the results of successive mapping rounds
-        (then: nobody vouches, forever); returns the call log."""
+    def _one_new_slab(pool, worker0_failures: int):
+        """Arm that many attach failures in worker 0, then lease one slab
+        no worker holds yet; returns the slab's handles."""
+        pool.run_phase(shm.fail_next_attach, [worker0_failures, 0])
         with pool.arena.buffers() as bufs:
-            bufs.empty(64)  # one slab the workers do not hold yet
-        script, calls = list(rounds), []
+            bufs.empty(64)
+        return pool.arena.handles()
 
-        def scripted_round():
-            calls.append(len(calls))
-            return script.pop(0) if script else [(0, False), (0, False)]
+    @staticmethod
+    def _messages(pool, monkeypatch) -> list[list]:
+        """Log the payloads of every mapping round the pool sends."""
+        sent, attempt = [], pool._attempt
 
-        monkeypatch.setattr(pool, "_map_round", scripted_round)
-        return calls
+        def logged(call, payloads):
+            if call is pool_mod._map_slabs_task:
+                sent.append(payloads)
+            return attempt(call, payloads)
+
+        monkeypatch.setattr(pool, "_attempt", logged)
+        return sent
 
     def test_a_round_that_missed_a_worker_is_repeated(self, monkeypatch):
         with WorkerPool(2, collect_timings=True) as pool:
-            calls = self._script(pool, monkeypatch, [
-                [(1, True), (0, False)],  # a sibling never reached the barrier
-                [(0, False), (0, True)],  # an attach failed in one worker
-                [(0, True), (1, True)],   # everyone vouches
-            ])
-            assert pool.map_arena() == 3 and len(calls) == 3
-            # Every round's attaches ride on the next timed phase.
-            pool.run_phase(abs, [1, 2])
-            assert sum(pool.timings[0].attaches) == 2
+            handles = self._one_new_slab(pool, worker0_failures=1)
+            sent = self._messages(pool, monkeypatch)
+            assert pool.map_arena() == 1
+            # Everyone was asked, then only the worker that failed.
+            assert sent == [[handles, handles], [handles, ()]]
+            pool.timings.clear()
+            # Both rounds' attaches ride on the next timed phase, whose
+            # own tasks find the slab mapped.
+            assert pool.run_phase(_cache_size, range(2)) == [1, 1]
+            pool.run_phase(_fresh_attaches, [handles] * 2)
+            assert [t.attaches for t in pool.timings] == [(2, 0), (0, 0)]
 
     def test_a_covered_round_ends_it(self, monkeypatch):
         with WorkerPool(2) as pool:
-            calls = self._script(pool, monkeypatch, [[(1, True), (1, True)]])
+            handles = self._one_new_slab(pool, worker0_failures=0)
+            sent = self._messages(pool, monkeypatch)
             assert pool.map_arena() == 1
-            assert pool.map_arena() == 0  # same slabs: nothing to prove
+            assert pool.map_arena() == 0  # same slabs: nothing to map
             pool.run_phase(abs, [1, 2])
-            assert len(calls) == 1
+            assert sent == [[handles, handles]]
 
     def test_it_gives_up_and_leaves_the_pool_usable(self, monkeypatch):
-        from repro.native.pool import MAX_MAP_ROUNDS
-
         with WorkerPool(2, collect_timings=True) as pool:
-            calls = self._script(pool, monkeypatch, [])
-            assert pool.map_arena() == MAX_MAP_ROUNDS == len(calls)
-            monkeypatch.undo()
-            # Nobody was mapped anything: the sort's own tasks attach.
-            creates, attaches = _traffic(pool, parallel_radix_sort, _keys(20_000))
-            assert creates > 0 and attaches > 0
+            handles = self._one_new_slab(pool, worker0_failures=2)
+            sent = self._messages(pool, monkeypatch)
+            assert pool.map_arena() == 1 and len(sent) == 2
+            assert pool.map_arena() == 0  # not asked a third time
+            assert pool.run_phase(_cache_size, range(2)) == [0, 1]
+            # Worker 0 was mapped nothing: its own task attaches, once.
+            assert pool.run_phase(_fresh_attaches, [handles] * 2) == [1, 0]
+            assert pool.run_phase(_fresh_attaches, [handles] * 2) == [0, 0]
+            assert _traffic(pool, parallel_radix_sort, _keys(20_000))[0] > 0
             assert _traffic(pool, parallel_radix_sort, _keys(20_000, 1)) == (0, 0)
 
     @pytest.mark.chaos
@@ -277,8 +296,8 @@ class TestMapRound:
         self, supervise, monkeypatch, tmp_path
     ):
         """The round runs inside the phase attempt that needs it: a
-        worker dying there (its sibling released from the barrier, not
-        left waiting) is retried under supervision and raised without."""
+        worker dying there is retried under supervision and raised
+        without."""
         monkeypatch.setenv("REPRO_TEST_DIE_ONCE", str(tmp_path / "died"))
         monkeypatch.setattr("repro.native.pool._map_slabs_task", _die_once_then_map)
         keys = _keys(20_000)

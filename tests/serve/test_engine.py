@@ -1,8 +1,8 @@
 """SortEngine unit tests: warmup coverage and steady-state accounting.
 
 Warm-up is the pool's own mapping round (``WorkerPool.map_arena``); the
-rule that round follows -- repeat until a round vouches for every
-worker, give up after a bound -- is pinned, with a scripted round, in
+rule that round follows -- one message to each worker, a worker whose
+mapping failed asked once more -- is pinned in
 ``tests/native/test_pool_arena.py::TestMapRound``.  Here: what the engine
 makes of it.
 """
@@ -17,7 +17,7 @@ from repro.serve.engine import SortEngine
 
 class TestWarmupCoverage:
     def test_real_engine_warms_in_one_proven_round(self):
-        """One barrier-held round reaches both workers: ``warmup`` says
+        """One message to each worker reaches both: ``warmup`` says
         1, ``stats`` repeats it, a second call has nothing left to map,
         and the very first job attaches nothing."""
         with SortEngine(n_workers=2) as eng:
