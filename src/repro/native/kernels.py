@@ -8,13 +8,14 @@ interchangeable kernel implementations:
 
 ``numpy`` (the engineered default)
     Blocked pure-NumPy kernels in the IPS4o style: each worker walks its
-    slice in L2-resident blocks (:data:`BLOCK_ELEMS` elements), groups a
-    block's keys by digit with NumPy's C counting sort, and stores each
-    digit's keys as one contiguous run at the bucket cursor -- contiguous
-    per-bucket block writes instead of per-element scattered stores, and
-    a bincount/cumsum placement instead of an argsort-plus-rank
-    reconstruction (which cost ~six extra full passes per permute).
-    Validation fuses min and max into a single pass over memory.
+    slice in cache-resident blocks (:data:`BLOCK_ELEMS` elements),
+    classifies a block's keys by digit, groups them with one plain sort
+    of packed ``(digit << idx_bits) | position`` keys (whose low bits are
+    the stable grouping permutation), and stores each digit's keys as one
+    contiguous run at the bucket cursor -- contiguous per-bucket block
+    writes instead of per-element scattered stores.  The digits, packed
+    keys and grouping index live in scratch buffers allocated once per
+    call.  Validation fuses min and max into a single pass over memory.
 
 ``numba`` (opt-in via ``REPRO_NATIVE_KERNEL=numba``)
     The same operations as single fused JIT loops: the textbook
@@ -46,10 +47,12 @@ KERNEL_ENV = "REPRO_NATIVE_KERNEL"
 #: Kernel names accepted by :func:`resolve`.
 KERNEL_NAMES = ("numpy", "numba")
 
-#: Elements per cache block for the blocked NumPy kernels: 32Ki int64
-#: keys = 256 KiB, sized to keep a block plus its digit/permutation
-#: temporaries resident in a per-core L2 while streaming the slice once.
-BLOCK_ELEMS = 1 << 15
+#: Elements per cache block for the blocked NumPy kernels: 16Ki int64
+#: keys = 128 KiB.  A scatter block drags ~1 MiB of scratch with it
+#: (digits, packed keys, grouping index, grouped keys, store index), which
+#: this size keeps resident in a per-core L2; measured on ``native_large``
+#: against 2**13, 2**15 and 2**16 (docs/PERF.md, "Grouping a block").
+BLOCK_ELEMS = 1 << 14
 
 
 def slice_bounds(n: int, p: int, w: int) -> tuple[int, int]:
@@ -106,12 +109,21 @@ def _np_minmax(a: np.ndarray) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _digits(blk: np.ndarray, shift: int, mask: int, out: np.ndarray) -> np.ndarray:
+    """``(blk >> shift) & mask`` written into the int64 scratch ``out``."""
+    d = out[: len(blk)]
+    np.right_shift(blk, shift, out=d)
+    np.bitwise_and(d, mask, out=d)
+    return d
+
+
 def _np_histogram(a: np.ndarray, shift: int, mask: int) -> np.ndarray:
     nb = mask + 1
     out = np.zeros(nb, dtype=np.int64)
+    digit = np.empty(min(BLOCK_ELEMS, len(a)), dtype=np.int64)
     for s in range(0, len(a), BLOCK_ELEMS):
-        d = (a[s : s + BLOCK_ELEMS] >> shift) & mask
-        out += np.bincount(d, minlength=nb)
+        out += np.bincount(_digits(a[s : s + BLOCK_ELEMS], shift, mask, digit),
+                           minlength=nb)
     return out
 
 
@@ -124,29 +136,48 @@ def _np_scatter(
 ) -> None:
     """Blocked stable placement with contiguous per-bucket run stores.
 
-    Per L2-resident block: extract digits, group the block's keys by
-    digit (NumPy's stable sort on small unsigned ints is its C counting
-    sort), then store every digit's keys as one contiguous run at that
-    bucket's cursor.  The only non-sequential access is one store per
-    *run* rather than per *element*, which is the IPS4o blocked-bucket
-    discipline this pass borrows.
+    Per L2-resident block: extract the digits, count them, and group the
+    block's keys by digit with one plain sort of packed keys ``(digit <<
+    idx_bits) | position``.  The packed keys are distinct, so the sort
+    needs no stability of its own: equal digits come out in position
+    order, and the low ``idx_bits`` bits are the stable grouping
+    permutation.  Every digit's keys are then stored as one contiguous
+    run at that bucket's cursor.  The only non-sequential access is one
+    store per *run* rather than per *element*, which is the IPS4o
+    blocked-bucket discipline this pass borrows.
     """
     nb = mask + 1
-    arange = np.arange(min(BLOCK_ELEMS, len(src)), dtype=np.int64)
+    m = min(BLOCK_ELEMS, len(src))
+    idx_bits = (BLOCK_ELEMS - 1).bit_length()
+    packed_dtype = np.uint32 if mask.bit_length() + idx_bits <= 32 else np.uint64
+    # Scratch for the whole call: every block but the last is full-size.
+    digit = np.empty(m, dtype=np.int64)
+    packed = np.empty(m, dtype=packed_dtype)
+    position = np.arange(m, dtype=packed_dtype)
+    order = np.empty(m, dtype=np.intp)
+    arange = np.arange(m, dtype=np.int64)
     for s in range(0, len(src), BLOCK_ELEMS):
         blk = src[s : s + BLOCK_ELEMS]
-        d = (blk >> shift) & mask
+        k = len(blk)
+        d = _digits(blk, shift, mask, digit)
         counts = np.bincount(d, minlength=nb)
-        # Group by digit.  Digits fit in uint16 for every radix <= 16,
-        # where NumPy's stable argsort is an O(block) counting sort.
-        key = d.astype(np.uint16) if nb <= (1 << 16) else d
-        grouped = blk[np.argsort(key, kind="stable")]
+        p = packed[:k]
+        np.copyto(p, d, casting="unsafe")
+        p <<= idx_bits
+        p |= position[:k]
+        p.sort()
+        # Mask to an intp index *before* the gather: fancy indexing
+        # with an unsigned 32-bit index is ~3x slower.
+        o = order[:k]
+        np.bitwise_and(p, (1 << idx_bits) - 1, out=o, casting="unsafe")
+        grouped = blk[o]
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        # Element k of the grouped block (digit d, in-block rank
-        # k - starts[d]) lands at cursor[d] + (k - starts[d]): one
+        # Element j of the grouped block (digit d, in-block rank
+        # j - starts[d]) lands at cursor[d] + (j - starts[d]): one
         # piecewise-linear index vector, runs stored contiguously.
-        base = np.repeat(cursor - starts, counts)
-        dst[base + arange[: len(blk)]] = grouped
+        idx = np.repeat(cursor - starts, counts)
+        idx += arange[:k]
+        dst[idx] = grouped
         cursor += counts
 
 

@@ -51,11 +51,12 @@ DEFAULT_RADIX = 11
 #: Pool phases of one sample sort: local sort, count, scatter, final sort.
 SAMPLE_PHASES = 4
 
-#: 3: timed on the pool's own worker pipes.  A version-2 table was swept
-#: through ``multiprocessing.Pool``'s queue and handler threads, which
-#: reads every parallel candidate ~0.6 ms per phase too slow; an older
-#: table is ignored (one warning) until ``python -m repro tune`` is re-run.
-TABLE_VERSION = 3
+#: 4: radix timed on the packed-sort grouping kernel.  A version-3 table
+#: was swept on the stable-argsort grouping, which reads the r = 11 radix
+#: candidates ~10 % too slow (version 2: every parallel candidate ~0.6 ms
+#: per phase too slow, through ``multiprocessing.Pool``); an older table
+#: is ignored (one warning) until ``python -m repro tune`` is re-run.
+TABLE_VERSION = 4
 TABLE_NAME = "native_plan.json"
 
 #: Names a table cell may time: an algorithm, radix with its digit width.

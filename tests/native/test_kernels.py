@@ -3,8 +3,12 @@ stability, and the engineered sorts' new fast/fallback paths."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.data.distributions import PAPER_ORDER, generate
 from repro.native import (
@@ -164,6 +168,70 @@ class TestPrimitiveParity:
         got = np.empty_like(src)
         kern.scatter(src, got, base.copy(), 0, mask)
         assert np.array_equal(got, want)
+
+
+def _assert_numpy_matches_oracle(keys, shift, radix, pad_seed):
+    """``NUMPY_KERNEL`` and the oracle on the same keys and cursors:
+    equal histograms, equal ``dst`` (gaps between buckets included) and
+    equal advanced cursors."""
+    mask = (1 << radix) - 1
+    want_hist = ORACLE_KERNEL.histogram(keys, shift, mask)
+    assert np.array_equal(NUMPY_KERNEL.histogram(keys, shift, mask), want_hist)
+    # Buckets start at arbitrary, non-overlapping cursors, as a worker's
+    # row of the global offset matrix does.
+    pad = np.random.default_rng(pad_seed).integers(0, 2, mask + 1)
+    room = want_hist + pad
+    cursor = np.concatenate(([0], np.cumsum(room)[:-1])).astype(np.int64)
+    want = np.full(int(room.sum()), -1, dtype=np.int64)
+    got = want.copy()
+    want_cursor, got_cursor = cursor.copy(), cursor.copy()
+    ORACLE_KERNEL.scatter(keys, want, want_cursor, shift, mask)
+    NUMPY_KERNEL.scatter(keys, got, got_cursor, shift, mask)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_cursor, want_cursor)
+
+
+class TestNumpyKernelProperties:
+    """The shipped blocked kernel against the oracle for any block size,
+    digit width, shift and key range -- including both packed-key dtypes
+    of its grouping sort."""
+
+    @pytest.mark.parametrize("block", [7, 13, None])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_matches_oracle(self, block, data):
+        b = block or kernels.BLOCK_ELEMS
+        # From empty to three full blocks plus a partial one.
+        n = data.draw(st.integers(0, 3)) * b + data.draw(st.integers(0, b - 1))
+        radix = data.draw(st.integers(1, 20))
+        shift = data.draw(st.integers(0, 43))
+        key_bits = data.draw(st.integers(1, 62))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        keys = np.random.default_rng(seed).integers(0, 1 << key_bits, n, dtype=np.int64)
+        with mock.patch.object(kernels, "BLOCK_ELEMS", b):
+            _assert_numpy_matches_oracle(keys, shift, radix, seed)
+
+    @pytest.mark.parametrize("bits", [32, 33])
+    def test_packing_boundary(self, bits):
+        """``radix + idx_bits`` = 32 still packs into uint32 and 33 needs
+        uint64: either way a digit's top bit must survive the packing."""
+        idx_bits = (kernels.BLOCK_ELEMS - 1).bit_length()
+        radix = bits - idx_bits
+        assert 1 <= radix <= 20
+        n = 2 * kernels.BLOCK_ELEMS + 5
+        keys = np.random.default_rng(bits).integers(0, 1 << 62, n, dtype=np.int64)
+        # The digit is the keys' top bits, so its top bit is set in half.
+        _assert_numpy_matches_oracle(keys, 62 - radix, radix, bits)
+
+    @pytest.mark.parametrize("radix", [16, 17, 20])
+    def test_wide_digits_through_the_pool(self, pool, radix):
+        """Past r = 16 (more than 2**16 buckets) end to end, with at least
+        two blocks per worker."""
+        n = 2 * pool.n_workers * kernels.BLOCK_ELEMS + 3
+        keys = np.random.default_rng(radix).integers(0, 1 << 40, n, dtype=np.int64)
+        out = parallel_radix_sort(keys, pool=pool, radix=radix, kernel="numpy")
+        assert np.array_equal(out, np.sort(keys))
 
 
 class TestEngineeredRadix:

@@ -176,6 +176,8 @@ class TestLoader:
             ({"version": 1}, "schema version"),
             # Swept through multiprocessing.Pool: ~0.6 ms per phase too slow.
             ({"version": 2}, "schema version"),
+            # Swept on the argsort-grouping kernel: radix ~10 % too slow.
+            ({"version": 3}, "schema version"),
         ],
     )
     def test_bad_artifact_is_ignored_with_one_warning(
