@@ -1,9 +1,9 @@
 """The pool's shared memory: a few persistent slabs, leased per sort.
 
 A parallel sort needs two key-sized buffers (the double-buffered src/dst
-pair) and two or three small ones (radix: histogram + offsets; sample:
-counts + placement + splitters).  Creating them per sort means four or
-five ``shm_open``/``mmap``/``shm_unlink`` round trips, 2n bytes of
+pair) and, for radix, two small ones (histogram + offsets; sample sort
+passes its run bounds as task arguments).  Creating them per sort means
+two to four ``shm_open``/``mmap``/``shm_unlink`` round trips, 2n bytes of
 first-touch page faults in the parent and the same again in every worker
 in every phase -- the staging cost Shan & Singh remove from MPI, paid
 before any kernel runs.  The arena removes it: every

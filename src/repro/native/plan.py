@@ -19,12 +19,12 @@ The unpinned answer is *measured* when ``python -m repro tune`` has
 written ``native_plan.json`` for this host (:func:`load_table`: explicit
 path -> ``<cache dir>/native_plan.json``, ``$REPRO_CACHE_DIR`` aware);
 the table is used for the pool width it was swept at.  Without one the
-built-in rule answers ``sequential``, always: every cell measured so far
-has ``np.sort`` ahead by 2.5-34x (docs/PERF.md, "Crossover", has the
-arithmetic of why), so a parallel answer is never guessed, only
-measured.  Radix is planned only for non-negative keys of a *signed*
-integer dtype -- the kernels are signed-int64 paths -- of at most 63
-bits.
+built-in rule answers ``sequential``, always: no cell measured so far
+has a parallel sort clearly ahead of ``np.sort`` (docs/PERF.md,
+"Crossover" and "Sample sort in two phases"), so a parallel answer is
+never guessed, only measured.  Radix is planned only for non-negative
+keys of a *signed* integer dtype -- the kernels are signed-int64 paths
+-- of at most 63 bits.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ ALGORITHMS = ("sequential", "sample", "radix")
 #: ``algorithm="radix"`` without ``radix=``).
 DEFAULT_RADIX = 11
 
-#: Pool phases of one sample sort: local sort, count, scatter, final sort.
-SAMPLE_PHASES = 4
+#: Pool phases of one sample sort: local sort, merge.
+SAMPLE_PHASES = 2
 
-#: 4: radix timed on the packed-sort grouping kernel.  A version-3 table
-#: was swept on the stable-argsort grouping, which reads the r = 11 radix
-#: candidates ~10 % too slow (version 2: every parallel candidate ~0.6 ms
-#: per phase too slow, through ``multiprocessing.Pool``); an older table
-#: is ignored (one warning) until ``python -m repro tune`` is re-run.
-TABLE_VERSION = 4
+#: 5: sample sort timed in two phases.  A version-4 table was swept on
+#: the four-phase program, which reads sample sort too slow (version 3:
+#: the r = 11 radix candidates ~10 % too slow, on the stable-argsort
+#: grouping; version 2: every parallel candidate ~0.6 ms per phase too
+#: slow, through ``multiprocessing.Pool``); an older table is ignored
+#: (one warning) until ``python -m repro tune`` is re-run.
+TABLE_VERSION = 5
 TABLE_NAME = "native_plan.json"
 
 #: Names a table cell may time: an algorithm, radix with its digit width.

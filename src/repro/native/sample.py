@@ -1,30 +1,36 @@
 """Actually-parallel sample sort: the tasks and the phase program.
 
-The paper's five phases (Section 3.2), with the pool's phase barriers
-between them: local sort, sample selection, splitter computation,
-all-to-all distribution into a shared output array, local sort of the
-received ranges.  Validation, the pool, the lease and the result copy
-belong to the driver (:func:`repro.native.run_plan`).
+The paper's five steps (Section 3.2) run as two pool phases.  Step 1,
+``local-sort``, sorts each worker's slice.  Steps 2-3 and the counting
+half of step 4 run in the parent -- the "group leader" of the paper's
+CC-SAS scheme -- between the phases: samples and splitters from the
+sorted slices, then by binary search how many keys of each slice go to
+each destination (p·(p-1) searches, cheaper than a barrier).  ``merge``
+is the distribution and step 5 in one: the task of destination ``d``
+pulls the runs bound for it, in worker order, into its range of the
+output -- as a CC-SAS receiver reads remote data in place -- and sorts
+that range.  One non-empty run needs no sort; two are merged by
+``kind="stable"`` (timsort finds the runs), faster than a quicksort;
+from three up timsort is no longer reliably faster and the default sort
+runs (docs/PERF.md, "Sample sort in two phases").  Validation, the
+pool, the lease and the result copy belong to the driver
+(:func:`repro.native.run_plan`).
 
-Every phase is double-buffered: a task reads one shared array and
-overwrites its full output slice in the *other* (local sort src->dst,
-scatter dst->src, final sort src->dst), never mutating its input.  That
-makes each phase idempotent, which is what lets a supervised
-:class:`~repro.native.pool.WorkerPool` transparently re-run a phase after
-a worker crash or timeout.
+Both phases are double-buffered: a task reads one slab and overwrites
+only its own range of the other (local sort src->dst, merge dst->src),
+never mutating its input.  That makes each phase idempotent, which is
+what lets a supervised :class:`~repro.native.pool.WorkerPool`
+transparently re-run a phase after a worker crash or timeout.
 
-Sample sort is naturally cache-conscious in the IPS4o sense: every data
-movement is a contiguous block copy (the scatter moves whole per-dest
-runs of the locally sorted slices into contiguous destination ranges),
-so unlike radix it needs no blocked kernel -- what it *does* need is
-protection against duplicate-heavy inputs.  When heavy key duplication
-produces runs of equal splitters, the count phase funnels the entire
-duplicated mass to one destination; the parent rebalances such runs
-(:func:`repro.sorts.common.spread_duplicate_splitters`) and, if the
-destination ranges are still skewed beyond
-:data:`SPLITTER_SKEW_LIMIT`, stops the program and tells the driver,
-which answers with one sequential ``np.sort`` rather than letting one
-worker sort nearly everything behind a barrier the rest idle at.
+Sample sort needs no blocked kernel -- every data movement is a
+contiguous run copy -- but it needs protection against duplicate-heavy
+inputs.  Runs of equal splitters would funnel the duplicated mass to one
+destination; :func:`repro.sorts.common.partition_counts` spreads it over
+the destinations sharing the value and, if the destination ranges are
+still skewed beyond :data:`SPLITTER_SKEW_LIMIT`, the program stops and
+tells the driver, which answers with one sequential ``np.sort`` rather
+than letting one worker sort nearly everything behind a barrier the rest
+idle at.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import numpy as np
 from ..sorts.common import (
     SAMPLES_PER_PROC,
     choose_splitters,
+    partition_counts,
     select_samples,
-    spread_duplicate_splitters,
 )
 from .arena import Lease, SlabView
 from .kernels import slice_bounds
@@ -45,101 +51,70 @@ from .shm import resolve
 
 #: Give up on the parallel program when, even after duplicate-splitter
 #: rebalancing, the largest destination range exceeds this multiple of the
-#: ideal ``n / p`` share -- a final-sort phase that skewed would serialize
-#: on one worker anyway, and stopping skips the scatter traffic too.
+#: ideal ``n / p`` share -- a merge phase that skewed would serialize on
+#: one worker anyway.
 SPLITTER_SKEW_LIMIT = 4.0
 
 
-def _sort_range_task(args) -> None:
-    """Both sort phases: ``src[lo:hi]`` sorted into ``dst[lo:hi]``, in the
-    destination slab -- no range-sized temporary, ``src`` untouched."""
+def _local_sort_task(args) -> None:
+    """``src[lo:hi]`` sorted into ``dst[lo:hi]``, in the destination slab
+    -- no range-sized temporary, ``src`` untouched."""
     (src_h, dst_h, lo, hi) = args
     out = resolve(dst_h)[lo:hi]
     out[...] = resolve(src_h)[lo:hi]
     out.sort()
 
 
-def _count_task(args) -> None:
-    (src_h, spl_h, counts_h, p, w) = args
-    src = resolve(src_h)
-    lo, hi = slice_bounds(len(src), p, w)
-    part = src[lo:hi]
-    edges = np.searchsorted(part, resolve(spl_h), side="right")
-    bounds = np.concatenate(([0], edges, [len(part)]))
-    resolve(counts_h)[w, :] = np.diff(bounds)
-
-
-def _scatter_task(args) -> None:
-    (src_h, dst_h, counts_h, place_h, p, w) = args
-    src, dst = resolve(src_h), resolve(dst_h)
-    counts, place = resolve(counts_h), resolve(place_h)
-    start, _ = slice_bounds(len(src), p, w)
-    for dest in range(p):
-        c = int(counts[w, dest])
-        if c:
-            at = int(place[w, dest])
-            dst[at : at + c] = src[start : start + c]
-        start += c
+def _merge_task(args) -> None:
+    """One destination: its non-empty ``runs`` (``(start, stop)`` bounds in
+    the sorted slices, worker order) copied to ``out[lo:]`` and sorted
+    there."""
+    (slices_h, out_h, lo, runs) = args
+    slices, out = resolve(slices_h), resolve(out_h)
+    hi = lo
+    for start, stop in runs:
+        out[hi : hi + stop - start] = slices[start:stop]
+        hi += stop - start
+    if len(runs) == 2:
+        out[lo:hi].sort(kind="stable")
+    elif len(runs) > 2:
+        out[lo:hi].sort()
 
 
 def sample_phases(
     pool: WorkerPool, bufs: Lease, keys: np.ndarray, chosen: Plan
 ) -> SlabView | None:
-    """The phase program: four pool phases over buffers leased from
-    ``bufs``, on ``chosen.width`` tasks.  Returns the buffer holding
-    ``keys`` sorted, or ``None`` after the count phase when the
-    splitters leave the destination ranges too skewed to be worth
-    finishing."""
+    """The phase program: two pool phases over the two data buffers leased
+    from ``bufs``, on ``chosen.width`` tasks.  Returns the buffer holding
+    ``keys`` sorted, or ``None`` after the local sorts when the splitters
+    leave the destination ranges too skewed to be worth finishing."""
     n, p = len(keys), chosen.width
-    # Buffer roles per phase (double-buffering, see module docstring):
-    # raw keys live in ``src``; locally-sorted runs in ``dst``; the
-    # scatter rebuilds ``src`` as the globally-partitioned array; the
-    # final sort writes the answer back into ``dst``.
+    # Raw keys live in ``src``, locally sorted slices in ``dst``; the
+    # merge rebuilds ``src`` as the answer.
     src = bufs.from_array(keys)
     dst = bufs.empty((n,), keys.dtype)
-    spl = bufs.empty((p - 1,), keys.dtype)
-    counts = bufs.empty((p, p), np.int64)
-    place = bufs.empty((p, p), np.int64)
-    # Phase 1: local sorts, src -> dst.
+    slices = [slice_bounds(n, p, w) for w in range(p)]
     pool.run_phase(
-        _sort_range_task,
-        [(src.handle, dst.handle, *slice_bounds(n, p, w)) for w in range(p)],
+        _local_sort_task,
+        [(src.handle, dst.handle, lo, hi) for lo, hi in slices],
         name="local-sort",
     )
-    # Phases 2-3: samples and splitters (tiny; done in the parent, the
-    # "group leader" of the paper's CC-SAS scheme) from the sorted runs.
-    parts = [dst.array[slice(*slice_bounds(n, p, w))] for w in range(p)]
-    spl.array[...] = choose_splitters(select_samples(parts, SAMPLES_PER_PROC), p)
-    # Phase 4a: destination counts over the sorted runs in dst.
-    pool.run_phase(
-        _count_task,
-        [(dst.handle, spl.handle, counts.handle, p, w) for w in range(p)],
-        name="count",
-    )
-    # Duplicate-heavy inputs: spread keys equal to a repeated splitter
-    # over the destinations sharing it, and stop if the ranges are still
-    # pathologically skewed.
-    c = counts.array
-    spread_duplicate_splitters(c, spl.array, parts)
-    dest_totals = c.sum(axis=0)
+    parts = [dst.array[lo:hi] for lo, hi in slices]
+    splitters = choose_splitters(select_samples(parts, SAMPLES_PER_PROC), p)
+    counts = partition_counts(parts, splitters)  # duplicates spread
+    dest_totals = counts.sum(axis=0)
     if int(dest_totals.max()) > SPLITTER_SKEW_LIMIT * (n / p):
         return None
-    dest_base = np.concatenate(([0], np.cumsum(dest_totals)[:-1]))
-    within = np.cumsum(c, axis=0) - c
-    place.array[...] = dest_base[None, :] + within
-    # Phase 4b: all-to-all scatter, dst -> src.
+    # Where each run starts: its destination's range in the answer, and
+    # its offset within its sorted slice.
+    dest_base = np.cumsum(dest_totals) - dest_totals
+    within = np.cumsum(counts, axis=1) - counts
     pool.run_phase(
-        _scatter_task,
-        [(dst.handle, src.handle, counts.handle, place.handle, p, w)
-         for w in range(p)],
-        name="scatter",
-    )
-    # Phase 5: sort each destination range, src -> dst.
-    bounds = np.concatenate((dest_base, [n])).astype(np.int64)
-    pool.run_phase(
-        _sort_range_task,
-        [(src.handle, dst.handle, int(bounds[d]), int(bounds[d + 1]))
+        _merge_task,
+        [(dst.handle, src.handle, int(dest_base[d]),
+          [(lo + int(within[w, d]), lo + int(within[w, d] + counts[w, d]))
+           for w, (lo, _) in enumerate(slices) if counts[w, d]])
          for d in range(p)],
-        name="final-sort",
+        name="merge",
     )
-    return dst
+    return src

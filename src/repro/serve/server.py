@@ -289,9 +289,12 @@ class ServeServer:
             pass
         finally:
             writer.close()
+            # Cancelled here too at loop shutdown, when the peer has not
+            # closed yet: a handler task that ends cancelled is logged as
+            # an unhandled error by Python 3.11's stream callback.
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
     async def _dispatch(

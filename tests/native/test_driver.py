@@ -187,7 +187,7 @@ class TestPhaseCount:
             p.timings.clear()
         assert np.array_equal(sort(keys, pool, engine), np.sort(keys))
         names = [t.name for t in pool.timings + engine.pool.timings]
-        assert names == ["local-sort", "count", "scatter", "final-sort"]
+        assert names == ["local-sort", "merge"]
         assert len(names) == Plan("sample", 2).phases(31)
 
     @pytest.mark.parametrize("winner", ["sample", "radix8", "sequential"])
@@ -214,16 +214,18 @@ class TestPhaseCount:
             sort()
             ran = pool.timings + engine.pool.timings
             assert len(ran) == sorts * per_sort
+            if name == "sample":
+                assert [t.name for t in ran] == ["local-sort", "merge"] * sorts
 
 
 def test_skewed_sample_sort_reports_back_to_the_driver(pool, monkeypatch):
     """Splitters too skewed to be worth finishing (forced: a zero
-    budget): the phase program stops after its count phase and the
+    budget): the phase program stops after its local sorts and the
     driver, not the module, answers with ``np.sort``."""
     monkeypatch.setattr("repro.native.sample.SPLITTER_SKEW_LIMIT", 0.0)
     keys = _keys(4_000)
     pool.timings.clear()
     out = parallel_sample_sort(keys, pool=pool)
     assert np.array_equal(out, np.sort(keys))
-    assert [t.name for t in pool.timings] == ["local-sort", "count"]
+    assert [t.name for t in pool.timings] == ["local-sort"]
     assert pool.arena.in_use() == 0

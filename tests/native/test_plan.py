@@ -150,7 +150,7 @@ class TestPinned:
     def test_phases_counts_what_the_pool_dispatches(self):
         assert Plan("sequential", 1).phases(31) == 0
         assert Plan("radix", 1, 11).phases(31) == 0  # width 1: no pool
-        assert Plan("sample", 2).phases(31) == 4
+        assert Plan("sample", 2).phases(31) == 2
         assert Plan("radix", 2, 11).phases(31) == 6
         assert Plan("radix", 2, 8).phases(16) == 4
 
@@ -178,6 +178,8 @@ class TestLoader:
             ({"version": 2}, "schema version"),
             # Swept on the argsort-grouping kernel: radix ~10 % too slow.
             ({"version": 3}, "schema version"),
+            # Swept on the four-phase sample sort: sample too slow.
+            ({"version": 4}, "schema version"),
         ],
     )
     def test_bad_artifact_is_ignored_with_one_warning(

@@ -30,6 +30,8 @@ from repro.native.arena import N_DATA, N_META
 
 SORTS = {"radix": parallel_radix_sort, "sample": parallel_sample_sort}
 N_SLABS = N_DATA + N_META
+#: Slabs one sort leases: src/dst, plus radix's histogram and offsets.
+LEASED = {"radix": N_DATA + 2, "sample": N_DATA}
 
 
 def _segments() -> set[str]:
@@ -88,7 +90,7 @@ class TestSteadyState:
         sort = SORTS[algorithm]
         with WorkerPool(2, collect_timings=True) as pool:
             creates, attaches = _traffic(pool, sort, _keys(40_000))
-            assert 4 <= creates <= N_SLABS and 0 < attaches <= 2 * N_SLABS
+            assert creates == LEASED[algorithm] and 0 < attaches <= 2 * creates
             for seed in (1, 2):
                 assert _traffic(pool, sort, _keys(40_000, seed)) == (0, 0)
             # A smaller sort fits the slabs it finds ...
@@ -102,9 +104,8 @@ class TestSteadyState:
     def test_algorithms_share_the_slabs(self):
         with WorkerPool(2, collect_timings=True) as pool:
             _traffic(pool, parallel_radix_sort, _keys(30_000))
-            # Sample sort reuses src/dst and two meta slabs; only its
-            # third meta buffer is new.
-            assert _traffic(pool, parallel_sample_sort, _keys(30_000))[0] == 1
+            # Sample sort leases only src/dst, which radix already grew.
+            assert _traffic(pool, parallel_sample_sort, _keys(30_000))[0] == 0
             for sort in (parallel_radix_sort, parallel_sample_sort) * 2:
                 assert _traffic(pool, sort, _keys(30_000, 5)) == (0, 0)
 
@@ -136,7 +137,7 @@ class TestLifecycle:
         before = _segments()
         pool = WorkerPool(2)
         parallel_sample_sort(_keys(20_000), pool=pool)
-        assert len(_segments() - before) == N_SLABS
+        assert len(_segments() - before) == LEASED["sample"]
         pool.close(force=force)
         assert _segments() == before
         with pytest.raises(RuntimeError):

@@ -159,5 +159,5 @@ class TestLayerIntegration:
                    trace=rec)
         assert rec.by_cat("native.sort")
         phase_names = {e.name for e in rec.by_cat("native.phase")}
-        assert {"local-sort", "count", "scatter", "final-sort"} <= phase_names
+        assert phase_names == {"local-sort", "merge"}
         assert rec.by_cat("native.task")
