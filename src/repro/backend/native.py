@@ -19,7 +19,6 @@ import numpy as np
 
 from ..faults.context import current_fault_plan
 from ..native import parallel_sort
-from ..native.kernels import resolve as resolve_kernel
 from ..native.pool import PhaseTiming, WorkerPool, POOL_TID
 from ..smp.perf import PerfCounters, PerfReport, PhaseRecord
 from ..trace import PID_NATIVE, TraceRecorder, current_recorder, use_recorder
@@ -133,11 +132,7 @@ class NativeBackend(Backend):
                     dur_us=(t1 - t0) * 1e6,
                     pid=PID_NATIVE,
                     tid=POOL_TID,
-                    args={
-                        "n_keys": len(keys),
-                        "n_workers": pool.n_workers,
-                        "kernel": resolve_kernel().name,
-                    },
+                    args={"n_keys": len(keys), "n_workers": pool.n_workers},
                 )
         report = report_from_timings(
             timings, t1 - t0, label=f"native/{job.algorithm}"

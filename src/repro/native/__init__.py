@@ -17,9 +17,8 @@ it runs between barriers.  ``parallel_sort`` plans and drives;
 ``parallel_radix_sort`` / ``parallel_sample_sort`` are that, pinned.
 
 The per-element hot path (validation scan, per-pass histogram, stable
-blocked placement) lives in :mod:`repro.native.kernels`; set the
-``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` / ``numba``) or
-pass ``kernel=`` to pick an implementation -- see docs/PERF.md.
+blocked placement) is one blocked NumPy kernel,
+:data:`~repro.native.kernels.NUMPY_KERNEL` -- see docs/PERF.md.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arena import Arena
-from .kernels import KERNEL_ENV
+from .kernels import NUMPY_KERNEL, Kernel
 from .kernels import resolve as resolve_kernel
 from .plan import DEFAULT_RADIX, Plan, plan, plan_keys
 from .pool import PhaseTiming, WorkerPool, default_workers, workers_available
@@ -42,7 +41,6 @@ def run_plan(
     *,
     n_workers: int | None = None,
     pool: WorkerPool | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Sort ``keys`` the way ``chosen`` says: the one driver behind every
     native sort.  Returns a new sorted array; ``keys`` is left untouched.
@@ -53,15 +51,11 @@ def run_plan(
     a parallel plan's phase program on ``pool`` (one of its own, closed
     afterwards, when none is given) over buffers leased from
     ``pool.arena``, so a reused pool creates, maps and faults them in
-    once.  ``kernel`` names the radix kernels (default: the
-    ``REPRO_NATIVE_KERNEL`` environment variable, see
-    :mod:`repro.native.kernels`); sample and sequential plans have no
-    use for it, but an unknown name is refused whatever the plan.
+    once.
     """
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
         raise ValueError("keys must be one-dimensional")
-    kern = resolve_kernel(kernel)
     if len(keys) == 0:
         return keys.copy()
     key_bits = 0
@@ -72,7 +66,7 @@ def run_plan(
             raise ValueError("radix must be in [1, 20]")
         # Fused validation: one pass over memory yields both the
         # non-negativity check and the max that sizes the pass count.
-        lo_key, hi_key = kern.minmax(keys)
+        lo_key, hi_key = NUMPY_KERNEL.minmax(keys)
         if lo_key < 0:
             raise ValueError("radix sort requires non-negative keys")
         key_bits = max(1, int(hi_key).bit_length())
@@ -82,9 +76,7 @@ def run_plan(
         try:
             with pool.arena.buffers() as bufs:
                 if chosen.algorithm == "radix":
-                    done = radix_phases(
-                        pool, bufs, keys, chosen, key_bits, kern.name
-                    )
+                    done = radix_phases(pool, bufs, keys, chosen, key_bits)
                 else:
                     done = sample_phases(pool, bufs, keys, chosen)
                 if done is not None:
@@ -102,7 +94,6 @@ def parallel_sort(
     n_workers: int | None = None,
     pool: WorkerPool | None = None,
     radix: int | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Sort ``keys`` on the host machine: :func:`plan_keys`, then
     :func:`run_plan`.
@@ -116,7 +107,7 @@ def parallel_sort(
     """
     keys = np.asarray(keys)
     chosen = plan_keys(keys, workers_available(pool, n_workers), algorithm, radix)
-    return run_plan(keys, chosen, n_workers=n_workers, pool=pool, kernel=kernel)
+    return run_plan(keys, chosen, n_workers=n_workers, pool=pool)
 
 
 def parallel_radix_sort(
@@ -124,10 +115,9 @@ def parallel_radix_sort(
     n_workers: int | None = None,
     radix: int = DEFAULT_RADIX,
     pool: WorkerPool | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """:func:`parallel_sort` pinned to the LSD radix sort."""
-    return parallel_sort(keys, "radix", n_workers, pool, radix, kernel)
+    return parallel_sort(keys, "radix", n_workers, pool, radix)
 
 
 def parallel_sample_sort(
@@ -141,7 +131,8 @@ def parallel_sample_sort(
 
 __all__ = [
     "Arena",
-    "KERNEL_ENV",
+    "Kernel",
+    "NUMPY_KERNEL",
     "PhaseTiming",
     "Plan",
     "SharedArray",

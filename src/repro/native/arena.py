@@ -41,8 +41,9 @@ from . import shm
 #: Name prefix for arena slabs in /dev/shm (leak-audit greps for it).
 SLAB_PREFIX = "repro_slab"
 
-#: A sort holds the src/dst pair plus at most three metadata buffers.
-N_DATA, N_META = 2, 3
+#: A sort holds the src/dst pair plus at most two metadata buffers
+#: (radix: histogram and offsets; sample sort: none).
+N_DATA, N_META = 2, 2
 
 
 class ArenaError(RuntimeError):

@@ -3,49 +3,27 @@
 The paper's core claim is that sorting speed on CC-SAS machines is won
 or lost on memory traffic per pass.  The native sorts therefore route
 every per-element loop -- validation min/max, per-pass digit histograms,
-and the stable counting-sort placement -- through one of two
-interchangeable kernel implementations:
+and the stable counting-sort placement -- through one kernel,
+:data:`NUMPY_KERNEL`.
 
-``numpy`` (the engineered default)
-    Blocked pure-NumPy kernels in the IPS4o style: each worker walks its
-    slice in cache-resident blocks (:data:`BLOCK_ELEMS` elements),
-    classifies a block's keys by digit, groups them with one plain sort
-    of packed ``(digit << idx_bits) | position`` keys (whose low bits are
-    the stable grouping permutation), and stores each digit's keys as one
-    contiguous run at the bucket cursor -- contiguous per-bucket block
-    writes instead of per-element scattered stores.  The digits, packed
-    keys and grouping index live in scratch buffers allocated once per
-    call.  Validation fuses min and max into a single pass over memory.
-
-``numba`` (opt-in via ``REPRO_NATIVE_KERNEL=numba``)
-    The same operations as single fused JIT loops: the textbook
-    counting-sort placement (one read, one write per element, zero sorts
-    and zero temporaries).  Requires the optional :mod:`numba` package;
-    when it is missing the resolver warns once and falls back to the
-    pure-NumPy kernel, so the flag is always safe to set.
-
-Selection: :func:`resolve` with an explicit name wins; otherwise the
-``REPRO_NATIVE_KERNEL`` environment variable (``numpy`` | ``numba``);
-otherwise ``numpy``.  Pool tasks ship the *parent's* resolved kernel name
-so every worker runs the same implementation regardless of when it
-forked.  Parity against a textbook stable-``argsort`` placement is held
-by ``tests/native/test_kernels.py``.
+It is blocked pure NumPy in the IPS4o style: each worker walks its slice
+in cache-resident blocks (:data:`BLOCK_ELEMS` elements), classifies a
+block's keys by digit, groups them with one plain sort of packed
+``(digit << idx_bits) | position`` keys (whose low bits are the stable
+grouping permutation), and stores each digit's keys as one contiguous
+run at the bucket cursor -- contiguous per-bucket block writes instead
+of per-element scattered stores.  The digits, packed keys and grouping
+index live in scratch buffers allocated once per call.  Validation fuses
+min and max into a single pass over memory.  Parity against a textbook
+stable-``argsort`` placement is held by ``tests/native/test_kernels.py``.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-#: Environment variable selecting the kernel implementation.
-KERNEL_ENV = "REPRO_NATIVE_KERNEL"
-
-#: Kernel names accepted by :func:`resolve`.
-KERNEL_NAMES = ("numpy", "numba")
 
 #: Elements per cache block for the blocked NumPy kernels: 16Ki int64
 #: keys = 128 KiB.  A scatter block drags ~1 MiB of scratch with it
@@ -66,7 +44,7 @@ def slice_bounds(n: int, p: int, w: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Kernel:
-    """One interchangeable implementation of the hot-path primitives.
+    """One implementation of the hot-path primitives.
 
     ``minmax(a)``
         ``(min, max)`` of a non-empty 1-D integer array as Python ints,
@@ -184,118 +162,6 @@ def _np_scatter(
 NUMPY_KERNEL = Kernel("numpy", _np_minmax, _np_histogram, _np_scatter)
 
 
-# ----------------------------------------------------------------------
-# Optional numba kernels (JIT single-loop counting placement)
-# ----------------------------------------------------------------------
-_numba_cache: Kernel | None = None
-_numba_failed = False
-_warned_fallback = False
-
-
-def _build_numba() -> Kernel | None:
-    """Build (once) the JIT kernel; ``None`` when numba is unavailable."""
-    global _numba_cache, _numba_failed
-    if _numba_cache is not None:
-        return _numba_cache
-    if _numba_failed:
-        return None
-    try:
-        import numba
-    except ImportError:
-        _numba_failed = True
-        return None
-
-    @numba.njit(cache=False)
-    def nb_minmax(a):  # pragma: no cover - requires numba
-        lo = a[0]
-        hi = a[0]
-        for i in range(a.size):
-            v = a[i]
-            if v < lo:
-                lo = v
-            if v > hi:
-                hi = v
-        return lo, hi
-
-    @numba.njit(cache=False)
-    def nb_histogram(a, shift, mask, out):  # pragma: no cover
-        for i in range(a.size):
-            out[(a[i] >> shift) & mask] += 1
-
-    @numba.njit(cache=False)
-    def nb_scatter(src, dst, cursor, shift, mask):  # pragma: no cover
-        # The textbook stable counting placement: one read and one write
-        # per element, no sort, no rank reconstruction, no temporaries.
-        for i in range(src.size):
-            d = (src[i] >> shift) & mask
-            dst[cursor[d]] = src[i]
-            cursor[d] += 1
-
-    def minmax(a: np.ndarray) -> tuple[int, int]:  # pragma: no cover
-        lo, hi = nb_minmax(a)
-        return int(lo), int(hi)
-
-    def histogram(a, shift, mask):  # pragma: no cover - requires numba
-        out = np.zeros(mask + 1, dtype=np.int64)
-        nb_histogram(a, np.int64(shift), np.int64(mask), out)
-        return out
-
-    def scatter(src, dst, cursor, shift, mask):  # pragma: no cover
-        nb_scatter(src, dst, cursor, np.int64(shift), np.int64(mask))
-
-    _numba_cache = Kernel("numba", minmax, histogram, scatter)
-    return _numba_cache
-
-
-# ----------------------------------------------------------------------
-# Resolution
-# ----------------------------------------------------------------------
-def resolve(name: str | None = None) -> Kernel:
-    """Resolve a kernel implementation.
-
-    ``name`` overrides everything (pool tasks pass the parent's resolved
-    choice so workers stay consistent); ``None`` consults
-    ``REPRO_NATIVE_KERNEL``; an unset/empty variable means ``numpy``.
-    Requesting ``numba`` without the package installed warns once per
-    process and falls back to the engineered NumPy kernel.
-    """
-    requested = (name or os.environ.get(KERNEL_ENV, "") or "numpy").strip().lower()
-    if requested == "numba":
-        built = _build_numba()
-        if built is not None:
-            return built
-        global _warned_fallback
-        if not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                f"{KERNEL_ENV}=numba requested but numba is not "
-                "installed; falling back to the pure-NumPy kernel",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return NUMPY_KERNEL
-    if requested == "numpy":
-        return NUMPY_KERNEL
-    raise ValueError(
-        f"unknown native kernel {requested!r}; choose from {KERNEL_NAMES}"
-    )
-
-
-def warm(kernel: Kernel | None = None) -> str:
-    """Pre-exercise the active kernel; returns its name.
-
-    Pool workers call this from their initializer so the numba kernel's
-    JIT compilation (hundreds of milliseconds, per process and signature)
-    happens once at worker start instead of inside the first timed
-    phase.  A no-op-cheap call for the NumPy kernels.
-    """
-    kern = kernel if kernel is not None else resolve()
-    probe = np.array([3, 1, 2, 1], dtype=np.int64)
-    kern.minmax(probe)
-    kern.histogram(probe, 0, 3)
-    dst = np.empty(4, dtype=np.int64)
-    cursor = np.concatenate(
-        ([0], np.cumsum(np.bincount(probe & 3, minlength=4))[:-1])
-    ).astype(np.int64)
-    kern.scatter(probe, dst, cursor, 0, 3)
-    return kern.name
+def resolve() -> Kernel:
+    """The native kernel: :data:`NUMPY_KERNEL`, the only one."""
+    return NUMPY_KERNEL

@@ -23,7 +23,7 @@ built-in rule answers ``sequential``, always: no cell measured so far
 has a parallel sort clearly ahead of ``np.sort`` (docs/PERF.md,
 "Crossover" and "Sample sort in two phases"), so a parallel answer is
 never guessed, only measured.  Radix is planned only for non-negative
-keys of a *signed* integer dtype -- the kernels are signed-int64 paths
+keys of a *signed* integer dtype -- the kernel is a signed-int64 path
 -- of at most 63 bits.
 """
 
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from ..sorts.common import n_passes
-from .kernels import resolve as resolve_kernel
+from .kernels import NUMPY_KERNEL
 
 ALGORITHMS = ("sequential", "sample", "radix")
 
@@ -51,13 +51,15 @@ DEFAULT_RADIX = 11
 #: Pool phases of one sample sort: local sort, merge.
 SAMPLE_PHASES = 2
 
-#: 5: sample sort timed in two phases.  A version-4 table was swept on
-#: the four-phase program, which reads sample sort too slow (version 3:
-#: the r = 11 radix candidates ~10 % too slow, on the stable-argsort
-#: grouping; version 2: every parallel candidate ~0.6 ms per phase too
-#: slow, through ``multiprocessing.Pool``); an older table is ignored
-#: (one warning) until ``python -m repro tune`` is re-run.
-TABLE_VERSION = 5
+#: 6: the host fingerprint no longer names a kernel (there is one).  A
+#: version-5 table's timings hold, but its host carries that name; a
+#: version-4 table was swept on the four-phase sample sort, which reads
+#: it too slow (version 3: the r = 11 radix candidates ~10 % too slow, on
+#: the stable-argsort grouping; version 2: every parallel candidate
+#: ~0.6 ms per phase too slow, through ``multiprocessing.Pool``); an
+#: older table is ignored (one warning) until ``python -m repro tune`` is
+#: re-run.
+TABLE_VERSION = 6
 TABLE_NAME = "native_plan.json"
 
 #: Names a table cell may time: an algorithm, radix with its digit width.
@@ -101,8 +103,9 @@ def full_bits(dtype: np.dtype) -> int:
 def radix_eligible(dtype: np.dtype, key_bits: int) -> bool:
     """Radix is planned for non-negative keys of a signed integer dtype
     (``key_bits`` short of the sign bit).  Unsigned dtypes are left to
-    sample sort and ``np.sort``: the radix kernels shift and bin int64
-    digits, which older NumPy and numba refuse to do on ``uint64``."""
+    sample sort and ``np.sort``: the radix kernel shifts keys by an
+    integer digit offset, and ``uint64 >> int64`` has no common integer
+    type (NumPy before 2.0 refuses it even for a Python ``int`` shift)."""
     dtype = np.dtype(dtype)
     return dtype.kind == "i" and key_bits < full_bits(dtype)
 
@@ -120,7 +123,7 @@ def measure_key_bits(keys: np.ndarray) -> int:
     :func:`full_bits` for floats and for any negative key."""
     if keys.dtype.kind not in "iu" or not len(keys):
         return full_bits(keys.dtype)
-    lo, hi = resolve_kernel().minmax(keys)
+    lo, hi = NUMPY_KERNEL.minmax(keys)
     return full_bits(keys.dtype) if lo < 0 else max(1, hi.bit_length())
 
 
@@ -129,8 +132,7 @@ def measure_key_bits(keys: np.ndarray) -> int:
 # ----------------------------------------------------------------------
 def host_fingerprint() -> dict:
     """What a measured table is only valid for: this CPU, this core
-    count, this NumPy (``np.sort`` is the baseline) and the resolved
-    native kernel."""
+    count and this NumPy (``np.sort`` is the baseline)."""
     model = "unknown"
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -144,7 +146,6 @@ def host_fingerprint() -> dict:
         "cpu_count": os.cpu_count(),
         "machine": os.uname().machine,
         "numpy": np.__version__,
-        "native_kernel": resolve_kernel().name,
     }
 
 

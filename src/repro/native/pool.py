@@ -123,18 +123,6 @@ class _PhaseTimeout(RuntimeError):
     """A phase overran its supervised deadline (hang / livelock)."""
 
 
-def _worker_init(user_init: Callable[..., None] | None, user_args: tuple) -> None:
-    """Every-worker initializer: warm the active sort kernel (resolving
-    the ``REPRO_NATIVE_KERNEL`` choice once, and JIT-compiling the numba
-    kernels off the hot path if selected), then run the caller's own
-    initializer, if any."""
-    from . import kernels
-
-    kernels.warm()
-    if user_init is not None:
-        user_init(*user_args)
-
-
 def _worker_main(
     conn: Connection,
     parent_ends: list[Connection],
@@ -150,7 +138,8 @@ def _worker_main(
     death does not reach that pipe's worker as end of file."""
     for end in parent_ends:
         end.close()
-    _worker_init(user_init, user_args)
+    if user_init is not None:
+        user_init(*user_args)
     try:
         while (message := conn.recv()) is not None:
             call, payload = message
@@ -318,10 +307,10 @@ class WorkerPool:
         self._workers: list[tuple[Any, Connection]] = []
         #: Slab names every worker is known to have mapped.
         self._mapped: tuple[str, ...] = ()
-        if self.n_workers == 1:
-            _worker_init(self._initializer, self._initargs)  # inline "pool"
-        else:
+        if self.n_workers > 1:
             self._spawn()
+        elif initializer is not None:
+            initializer(*self._initargs)  # inline "pool"
         self._closed = False
         self.collect_timings = collect_timings
         self.supervise = supervise

@@ -10,13 +10,11 @@ lease and the result copy belong to the driver
 (:func:`repro.native.run_plan`), whose one fused min/max pass also sizes
 the pass count -- a 16-bit workload pays 2 passes, not 3.
 
-The per-element work runs through the cache-conscious kernel layer
-(:mod:`repro.native.kernels`): each permute is a blocked stable counting
-placement writing contiguous per-bucket runs (no ``argsort``-based rank
-reconstruction, no defensive chunk copy, no per-element scattered
-stores), and ``REPRO_NATIVE_KERNEL=numba`` swaps in single-loop JIT
-kernels with a pure-NumPy fallback.  Tasks carry the parent's resolved
-kernel name so every worker uses the same implementation.
+The per-element work runs through the one cache-conscious kernel
+(:data:`repro.native.kernels.NUMPY_KERNEL`): each permute is a blocked
+stable counting placement writing contiguous per-bucket runs (no
+``argsort``-based rank reconstruction, no defensive chunk copy, no
+per-element scattered stores).
 
 Supervised-retry safety: a permute task reads ``src`` and ``offs`` (both
 unmodified -- each task advances a private cursor copy) and overwrites
@@ -30,28 +28,27 @@ import numpy as np
 
 from ..sorts.common import n_passes
 from .arena import Lease, SlabView
-from .kernels import resolve as resolve_kernel
-from .kernels import slice_bounds
+from .kernels import NUMPY_KERNEL, slice_bounds
 from .plan import Plan
 from .pool import WorkerPool
 from .shm import resolve
 
 
 def _hist_task(args) -> None:
-    (src_h, hist_h, p, w, shift, mask, kern_name) = args
+    (src_h, hist_h, p, w, shift, mask) = args
     src, hist = resolve(src_h), resolve(hist_h)
     lo, hi = slice_bounds(len(src), p, w)
-    hist[w, :] = resolve_kernel(kern_name).histogram(src[lo:hi], shift, mask)
+    hist[w, :] = NUMPY_KERNEL.histogram(src[lo:hi], shift, mask)
 
 
 def _permute_task(args) -> None:
-    (src_h, dst_h, offs_h, p, w, shift, mask, kern_name) = args
+    (src_h, dst_h, offs_h, p, w, shift, mask) = args
     src, dst, offs = resolve(src_h), resolve(dst_h), resolve(offs_h)
     lo, hi = slice_bounds(len(src), p, w)
     # Private running cursors: the shared offset matrix stays pristine,
     # which keeps a supervised re-run of this task idempotent.
     cursor = offs[w].copy()
-    resolve_kernel(kern_name).scatter(src[lo:hi], dst, cursor, shift, mask)
+    NUMPY_KERNEL.scatter(src[lo:hi], dst, cursor, shift, mask)
 
 
 def radix_phases(
@@ -60,7 +57,6 @@ def radix_phases(
     keys: np.ndarray,
     chosen: Plan,
     key_bits: int,
-    kern_name: str,
 ) -> SlabView:
     """The phase program: ``2 * n_passes`` pool phases over buffers
     leased from ``bufs``, on ``chosen.width`` tasks with
@@ -77,8 +73,7 @@ def radix_phases(
         shift = k * radix
         pool.run_phase(
             _hist_task,
-            [(src.handle, hist.handle, p, w, shift, mask, kern_name)
-             for w in range(p)],
+            [(src.handle, hist.handle, p, w, shift, mask) for w in range(p)],
             name=f"pass{k}.histogram",
         )
         # Global exclusive offsets, digit-major then worker-major --
@@ -88,8 +83,8 @@ def radix_phases(
         offs.array[...] = starts.reshape(mask + 1, p).T
         pool.run_phase(
             _permute_task,
-            [(src.handle, dst.handle, offs.handle, p, w, shift, mask,
-              kern_name) for w in range(p)],
+            [(src.handle, dst.handle, offs.handle, p, w, shift, mask)
+             for w in range(p)],
             name=f"pass{k}.permute",
         )
         src, dst = dst, src

@@ -10,10 +10,10 @@ and unlink exactly once.
 Two fault sites live here (see :mod:`repro.faults` and docs/FAULTS.md):
 ``shm.create`` makes creation raise ENOSPC (the classic full ``/dev/shm``)
 and ``shm.attach`` makes the next attach in this process raise EACCES.
-:func:`allocate` / :func:`allocate_from` are the resilient allocation
-front doors (the arena creates every slab through the first): bounded
-retry with backoff, so a transient creation failure degrades to a short
-stall instead of a failed sort.
+:func:`allocate` is the resilient allocation front door (the arena
+creates every slab through it): bounded retry with backoff, so a
+transient creation failure degrades to a short stall instead of a failed
+sort.
 
 Every successful create and every *fresh* attach bumps a process-local
 counter (:func:`create_count` / :func:`attach_count`), which is how a
@@ -24,12 +24,6 @@ ndarray with :func:`resolve`, which memoizes one mapping per arena slab
 in the worker (:mod:`repro.native.arena`), so after a worker's first
 task on a slab every later resolve is a dictionary lookup -- no
 ``shm_open``, no ``mmap``, no first-touch page faults.
-
-Buffer shapes do not depend on the kernel (:mod:`repro.native.kernels`):
-radix leases two data arrays plus the ``(p, nb)`` histogram/offset pair,
-sample sort two data arrays plus splitter/counts/place metadata, and the
-blocked kernels' per-block cursor state lives in ordinary worker-local
-memory, never in a shared segment.
 """
 
 from __future__ import annotations
@@ -268,11 +262,22 @@ class SharedArray:
 # ----------------------------------------------------------------------
 # Resilient allocation
 # ----------------------------------------------------------------------
-def _alloc_with_retry(factory, retries: int, backoff_s: float) -> SharedArray:
+def allocate(
+    shape: tuple[int, ...] | int,
+    dtype: np.dtype | type = np.int64,
+    *,
+    name: str | None = None,
+    retries: int = 2,
+    backoff_s: float = 0.005,
+) -> SharedArray:
+    """Create a :class:`SharedArray`, retrying transient OS failures
+    (full ``/dev/shm``, injected ``shm.create`` faults) with backoff.
+    ``name`` pins the block name (the arena uses a recognizable
+    ``repro_slab_*`` prefix so leaks are attributable)."""
     failures = 0
     for attempt in range(retries + 1):
         try:
-            sa = factory()
+            sa = SharedArray(shape, dtype, name=name)
         except OSError:
             failures += 1
             if attempt == retries:
@@ -294,29 +299,3 @@ def _alloc_with_retry(factory, retries: int, backoff_s: float) -> SharedArray:
                 )
         return sa
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-def allocate(
-    shape: tuple[int, ...] | int,
-    dtype: np.dtype | type = np.int64,
-    *,
-    name: str | None = None,
-    retries: int = 2,
-    backoff_s: float = 0.005,
-) -> SharedArray:
-    """Create a :class:`SharedArray`, retrying transient OS failures
-    (full ``/dev/shm``, injected ``shm.create`` faults) with backoff.
-    ``name`` pins the block name (the arena uses a recognizable
-    ``repro_slab_*`` prefix so leaks are attributable)."""
-    return _alloc_with_retry(
-        lambda: SharedArray(shape, dtype, name=name), retries, backoff_s
-    )
-
-
-def allocate_from(
-    source: np.ndarray, *, retries: int = 2, backoff_s: float = 0.005
-) -> SharedArray:
-    """Create a shared copy of ``source`` with the same retry policy."""
-    return _alloc_with_retry(
-        lambda: SharedArray.from_array(source), retries, backoff_s
-    )

@@ -1,13 +1,12 @@
 """The sort engine: a persistent supervised pool behind a queue.
 
 One engine owns the process-heavy state the server amortizes across
-jobs: a supervised :class:`~repro.native.pool.WorkerPool` (whose worker
-init also warms the active sort kernel, so a numba JIT compile never
-lands inside a job) and that pool's shared-memory arena
-(:mod:`repro.native.arena`), which the engine *reserves* at start: every
-slab is created once at the configured size and the geometry is pinned,
-so a job is refused by admission rather than regrowing a slab, and the
-slab names the workers' attach caches memoize never change.  Jobs
+jobs: a supervised :class:`~repro.native.pool.WorkerPool` and that pool's
+shared-memory arena (:mod:`repro.native.arena`), which the engine
+*reserves* at start: every slab is created once at the configured size
+and the geometry is pinned, so a job is refused by admission rather than
+regrowing a slab, and the slab names the workers' attach caches memoize
+never change.  Jobs
 execute one at a time on a dedicated thread (the server's single-lane
 executor): within-job parallelism comes from the pool, between-job
 concurrency from the queue, and the serial lane is what makes the
@@ -16,7 +15,7 @@ exact.
 
 ``warmup`` is the pool's own mapping round
 (:meth:`~repro.native.pool.WorkerPool.map_arena`): one message to each
-worker, answered when it has mapped all five reserved slabs, so "steady
+worker, answered when it has mapped all four reserved slabs, so "steady
 state" is established by proof, not hope.  After
 that, each job's trace span (``serve.job`` on the ``PID_SERVE`` track)
 carries the job's shared-memory create/attach counts, which are zero on
@@ -35,7 +34,7 @@ import numpy as np
 
 from ..faults.context import use_fault_plan
 from ..faults.plan import FaultPlan
-from ..native import Plan, plan_keys, resolve_kernel, run_plan, shm
+from ..native import Plan, plan_keys, run_plan, shm
 from ..native.plan import widest_radix
 from ..native.pool import WorkerPool, default_workers
 from ..trace import PID_SERVE, TraceRecorder, current_recorder, use_recorder
@@ -195,7 +194,6 @@ class SortEngine:
     def stats(self) -> dict[str, Any]:
         return {
             "n_workers": self.pool.n_workers,
-            "kernel": resolve_kernel().name,
             "jobs_run": self.jobs_run,
             "warmup_rounds": self.warmup_rounds,
             "steady_shm_creates": self.steady_shm_creates,

@@ -31,16 +31,6 @@ class TestShmAllocation:
                 shm.allocate(128, retries=2, backoff_s=0.001)
         assert plan.recovered.get("shm.create", 0) == 0
 
-    def test_allocate_from_copies_through_retry(self):
-        src = np.arange(64, dtype=np.int64)
-        plan = FaultPlan.scripted({"shm.create": [0]})
-        with use_fault_plan(plan):
-            sa = shm.allocate_from(src, retries=1, backoff_s=0.001)
-            try:
-                assert np.array_equal(sa.array, src)
-            finally:
-                sa.close()
-
     def test_injected_attach_failure_consumed_once(self):
         src = np.arange(32, dtype=np.int64)
         with shm.SharedArray.from_array(src) as sa:

@@ -99,24 +99,26 @@ class TestSameRejections:
 
 
 class TestKernelArgument:
-    """``kernel=`` is the driver's: resolved once, used by radix, and
-    refused when unknown whatever the plan turns out to be."""
-
-    @pytest.mark.parametrize("algorithm", ["radix", "sample", "sequential", None])
-    def test_every_plan_accepts_a_kernel(self, algorithm, pool):
-        keys = _keys(5_000)
-        out = parallel_sort(keys, algorithm, pool=pool, kernel="numpy")
-        assert np.array_equal(out, np.sort(keys))
+    """There is one native kernel: no entry point takes ``kernel=``, and
+    no keyword the driver does not know passes through it."""
 
     @pytest.mark.parametrize("algorithm", ["radix", "sample", "sequential", None])
     @pytest.mark.parametrize("n", [0, 5_000])
     def test_unknown_kernel_is_refused_whatever_the_plan(self, algorithm, n, pool):
-        with pytest.raises(ValueError, match="unknown native kernel 'fortran'"):
+        with pytest.raises(TypeError, match="kernel"):
             parallel_sort(_keys(n), algorithm, pool=pool, kernel="fortran")
 
     def test_no_other_keyword_passes_through(self, pool):
+        keys = _keys(64)
         with pytest.raises(TypeError):
-            parallel_sort(_keys(64), "sample", pool=pool, samples_per_worker=8)
+            parallel_sort(keys, "sample", pool=pool, samples_per_worker=8)
+        for sort in (
+            lambda: run_plan(keys, Plan("radix", 2, 11), pool=pool, kernel="numpy"),
+            lambda: parallel_sort(keys, "radix", pool=pool, kernel="numpy"),
+            lambda: parallel_radix_sort(keys, pool=pool, kernel="numpy"),
+        ):
+            with pytest.raises(TypeError, match="kernel"):
+                sort()
 
 
 class TestNoPoolNoSegment:

@@ -1,5 +1,5 @@
-"""Kernel-layer tests: resolution, primitive parity, blocked placement
-stability, and the engineered sorts' new fast/fallback paths."""
+"""Kernel-layer tests: the one kernel, primitive parity, blocked
+placement stability, and the engineered sorts' fast/fallback paths."""
 
 from __future__ import annotations
 
@@ -12,19 +12,15 @@ from hypothesis import strategies as st
 
 from repro.data.distributions import PAPER_ORDER, generate
 from repro.native import (
+    NUMPY_KERNEL,
+    Kernel,
     kernels,
     parallel_radix_sort,
     parallel_sample_sort,
+    resolve_kernel,
     shm,
 )
-from repro.native.kernels import (
-    KERNEL_ENV,
-    NUMPY_KERNEL,
-    Kernel,
-    resolve,
-    slice_bounds,
-    warm,
-)
+from repro.native.kernels import slice_bounds
 from repro.native.pool import WorkerPool
 from repro.native.sample import SPLITTER_SKEW_LIMIT
 from repro.sorts.common import (
@@ -67,46 +63,11 @@ def pool():
 
 
 class TestResolve:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve().name == "numpy"
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "NumPy ")  # case/space-insensitive
-        assert resolve().name == "numpy"
-        monkeypatch.setenv(KERNEL_ENV, "vectorwidth9000")
-        with pytest.raises(ValueError, match="unknown native kernel"):
-            resolve()
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "vectorwidth9000")
-        assert resolve("numpy").name == "numpy"
-
-    def test_unknown_kernel_rejected(self):
-        # "naive" and "auto" were selectable once; they must stay gone.
-        for name in ("vectorwidth9000", "naive", "auto"):
-            with pytest.raises(ValueError, match="unknown native kernel"):
-                resolve(name)
-
-    def test_numba_falls_back_with_one_warning(self, monkeypatch):
-        """Without numba installed, requesting it must warn (once) and
-        hand back the engineered NumPy kernel, never fail."""
-        import sys
-        import warnings
-
-        monkeypatch.setattr(kernels, "_numba_cache", None)
-        monkeypatch.setattr(kernels, "_numba_failed", False)
-        monkeypatch.setattr(kernels, "_warned_fallback", False)
-        monkeypatch.setitem(sys.modules, "numba", None)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            kern = resolve("numba")
-        assert kern.name == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert resolve("numba").name == "numpy"  # second time: silent
-
-    def test_warm_reports_kernel(self):
-        assert warm(NUMPY_KERNEL) == "numpy"
+    def test_default_is_numpy(self):
+        """The ledger harness's contract: ``resolve_kernel()`` takes no
+        argument and is the blocked NumPy kernel, named ``"numpy"``."""
+        assert resolve_kernel() is NUMPY_KERNEL
+        assert resolve_kernel().name == "numpy"
 
 
 class TestPrimitiveParity:
@@ -114,9 +75,7 @@ class TestPrimitiveParity:
 
     @pytest.fixture(params=["numpy", "naive"])
     def kern(self, request):
-        if request.param == "naive":
-            return ORACLE_KERNEL
-        return resolve(request.param)
+        return NUMPY_KERNEL if request.param == "numpy" else ORACLE_KERNEL
 
     def test_minmax(self, kern):
         rng = np.random.default_rng(7)
@@ -230,20 +189,17 @@ class TestNumpyKernelProperties:
         two blocks per worker."""
         n = 2 * pool.n_workers * kernels.BLOCK_ELEMS + 3
         keys = np.random.default_rng(radix).integers(0, 1 << 40, n, dtype=np.int64)
-        out = parallel_radix_sort(keys, pool=pool, radix=radix, kernel="numpy")
+        out = parallel_radix_sort(keys, pool=pool, radix=radix)
         assert np.array_equal(out, np.sort(keys))
 
 
 class TestEngineeredRadix:
     def test_all_paper_distributions_parity(self, pool):
-        """Every selectable kernel vs np.sort on every paper input
-        (``numba`` is the JIT kernel where installed, else the fallback)."""
+        """The radix sort vs np.sort on every paper input."""
         for dist in PAPER_ORDER:
             keys = generate(dist, 1 << 13, 4, seed=11)
-            ref = np.sort(keys)
-            for kern in kernels.KERNEL_NAMES:
-                out = parallel_radix_sort(keys, pool=pool, kernel=kern)
-                assert np.array_equal(out, ref), (dist, kern)
+            out = parallel_radix_sort(keys, pool=pool)
+            assert np.array_equal(out, np.sort(keys)), dist
 
     def test_adversarial_duplicates(self, pool):
         rng = np.random.default_rng(12)
@@ -253,10 +209,8 @@ class TestEngineeredRadix:
         ).astype(np.int64)
         sawtooth = (np.arange(n, dtype=np.int64) % 7) << 40
         for keys in (heavy, sawtooth):
-            ref = np.sort(keys)
-            for kern in kernels.KERNEL_NAMES:
-                out = parallel_radix_sort(keys, pool=pool, kernel=kern)
-                assert np.array_equal(out, ref)
+            out = parallel_radix_sort(keys, pool=pool)
+            assert np.array_equal(out, np.sort(keys))
 
     def test_stability_across_passes(self, pool):
         """Multi-pass placement must be stable pass over pass: sorting
@@ -266,15 +220,8 @@ class TestEngineeredRadix:
         lo = rng.permutation(1 << 10).astype(np.int64)
         hi = rng.integers(0, 4, 1 << 10, dtype=np.int64)
         keys = (hi << 20) | lo
-        out = parallel_radix_sort(keys, pool=pool, radix=5, kernel="numpy")
+        out = parallel_radix_sort(keys, pool=pool, radix=5)
         assert np.array_equal(out, np.sort(keys))
-
-    def test_env_flag_parity(self, pool, monkeypatch):
-        keys = generate("random", 1 << 12, 4, seed=14)
-        ref = np.sort(keys)
-        for flag in kernels.KERNEL_NAMES:
-            monkeypatch.setenv(KERNEL_ENV, flag)
-            assert np.array_equal(parallel_radix_sort(keys, pool=pool), ref)
 
     def test_p1_fast_path_skips_shared_memory(self):
         before = shm.create_count()

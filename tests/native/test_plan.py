@@ -180,6 +180,8 @@ class TestLoader:
             ({"version": 3}, "schema version"),
             # Swept on the four-phase sample sort: sample too slow.
             ({"version": 4}, "schema version"),
+            # Its host named the one native kernel.
+            ({"version": 5}, "schema version"),
         ],
     )
     def test_bad_artifact_is_ignored_with_one_warning(

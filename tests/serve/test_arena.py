@@ -95,14 +95,14 @@ class TestBuffers:
         with Arena() as arena:
             assert shm.create_count() == before  # lazy until reserved/leased
             arena.reserve(1 << 16, 1 << 12)
-            assert shm.create_count() - before == N_DATA + N_META == 5
+            assert shm.create_count() - before == N_DATA + N_META == 4
 
 
 class TestLifecycle:
     def test_close_unlinks_every_slab(self):
         arena = Arena().reserve(1 << 16, 1 << 12)
         names = set(arena.slab_names)
-        assert len(names) == 5 and names <= _slab_files()
+        assert len(names) == 4 and names <= _slab_files()
         arena.close()
         assert not (names & _slab_files())
         arena.close()  # idempotent
