@@ -741,6 +741,10 @@ def _stream_main(argv: list[str]) -> int:
         + (", verified" if result.verified else "")
         + plan_text
     )
+    print(
+        f"  parent: {result.sort_s * 1e3:,.1f} ms sorting chunks, "
+        f"{result.io_wait_s * 1e3:,.1f} ms waiting on the I/O thread"
+    )
     if result.faults.injected:
         print(
             f"  faults: {result.faults.injected} injected, "

@@ -84,12 +84,16 @@ class StreamSession:
     # ------------------------------------------------------------------
     def push_on_engine(self, keys: np.ndarray) -> None:
         """Queue pushed keys; sort and spill every chunk they complete
-        (each exactly ``chunk_keys`` long)."""
+        (each exactly ``chunk_keys`` long).  A run spills behind the
+        next chunk's sort, and the last one is on disk before this
+        returns: the engine's fault plan and recorder, installed only
+        around the body, must cover every spill."""
         self.keys_ingested += len(keys)
         self._pushed.push(np.ascontiguousarray(keys, dtype=self.dtype))
         with self.engine.ambient():
             for chunk in self._pushed.full_blocks(self.chunk_keys):
                 self.sorter.add(chunk)
+            self.sorter.io.wait()
 
     def finish_on_engine(self) -> None:
         """Spill the final partial chunk, then merge every run into the

@@ -14,6 +14,13 @@ are k-way merged -- multi-pass under a ``fan_in`` cap, intermediate
 passes as supervised pool phases, final pass streaming verified sorted
 blocks to the caller.
 
+Run formation and the final merge keep the caller's thread for the
+sorting; their disk I/O runs on one background thread
+(:class:`~repro.stream.overlap.IOThread`): a raw source's next chunk is
+read ahead, each run is spilled *behind* the next chunk's sort, and the
+final merge reads every run's next frame ahead -- so on two cores the
+I/O and the sorting overlap.
+
 Everything is threaded through the existing seams:
 
 - ``repro.trace``: ``stream.ingest`` / ``stream.run`` / ``stream.merge``
@@ -45,6 +52,7 @@ from ..trace import PID_STREAM, current_recorder
 from ..verify.context import current_sanitizer
 from .ingest import iter_chunks
 from .merge import DEFAULT_FAN_IN, merge_iter, reduce_runs
+from .overlap import IOThread
 from .runfile import (
     DEFAULT_FRAME_KEYS,
     StreamError,
@@ -72,6 +80,11 @@ class StreamResult:
     verified: bool = False
     #: How run formation sorted a chunk (the first, full-sized one).
     chunk_plan: Plan | None = None
+    #: Seconds the caller spent in the chunk sorts, and blocked on the
+    #: I/O thread -- the reads and spills the overlap with the sorting
+    #: did not hide.
+    sort_s: float = 0.0
+    io_wait_s: float = 0.0
     faults: FaultStats = field(default_factory=FaultStats)
 
     @property
@@ -95,6 +108,12 @@ class ExternalSorter:
     pool path, a serve stream session the engine's arena-leased sort.
     ``pool`` runs the intermediate merge passes; ``span_args`` is merged
     into every span's args (a session's ``stream_id``).
+
+    ``io`` is the sorter's I/O thread.  A run is spilled on it while the
+    caller moves on, so :meth:`add` returns before its run is on disk and
+    a spill error surfaces at the next :meth:`add`, at ``io.wait()`` or
+    in :meth:`finish`.  The sorted chunk ``sort`` returns must be the
+    sorter's to keep (a fresh array, as every planned sort returns).
     """
 
     def __init__(
@@ -120,6 +139,7 @@ class ExternalSorter:
         self.ingested = 0
         self.run_paths: list[str] = []
         self.result = StreamResult()
+        self.io = IOThread()
         self.workdir = tempfile.mkdtemp(
             prefix=WORKDIR_PREFIX,
             dir=os.fspath(workdir) if workdir is not None else None,
@@ -137,10 +157,12 @@ class ExternalSorter:
         )
 
     def add(self, chunk: np.ndarray) -> None:
-        """Ingest one chunk: sort it and spill it as a run.
+        """Ingest one chunk: sort it, and spill it as a run behind the
+        caller's next step (once the previous run's spill is done).
 
         The ``stream.ingest`` span covers the wait for the chunk (since
-        the previous one was spilled), ``stream.run`` the sort + spill.
+        the previous :meth:`add` returned), ``stream.run`` the sort, and
+        ``stream.spill`` -- on the I/O thread -- the spill.
         """
         rec = current_recorder()
         res = self.result
@@ -153,20 +175,31 @@ class ExternalSorter:
             )
         t_run = time.perf_counter()
         sorted_chunk, chosen = self._sort(chunk)
+        res.sort_s += time.perf_counter() - t_run
         if res.chunk_plan is None:
             res.chunk_plan = chosen
-        path = os.path.join(self.workdir, f"repro_run_{res.runs:04d}.run")
-        spilled = write_run(path, sorted_chunk, frame_keys=self.frame_keys)
-        self.run_paths.append(path)
-        res.runs += 1
-        res.bytes_spilled += spilled
         if rec.enabled:
             self._span(
                 rec, "stream.run", "stream.run", t_run,
-                {"keys": len(sorted_chunk), "bytes_spilled": spilled},
-                tid=res.runs - 1,
+                {"keys": len(sorted_chunk)}, tid=res.runs,
             )
+        path = os.path.join(self.workdir, f"repro_run_{res.runs:04d}.run")
+        self.io.behind(self._spill, path, sorted_chunk, res.runs)
+        self.run_paths.append(path)
+        res.runs += 1
         self._t_idle = time.perf_counter()
+
+    def _spill(self, path: str, keys: np.ndarray, index: int) -> None:
+        """Write one sorted chunk as run ``index`` (on the I/O thread)."""
+        t0 = time.perf_counter()
+        spilled = write_run(path, keys, frame_keys=self.frame_keys)
+        self.result.bytes_spilled += spilled
+        rec = current_recorder()
+        if rec.enabled:
+            self._span(
+                rec, "stream.spill", "stream.run", t0,
+                {"keys": len(keys), "bytes_spilled": spilled}, tid=index,
+            )
 
     def finish(
         self, emit: Callable[[np.ndarray], None], verify: bool = True
@@ -174,7 +207,8 @@ class ExternalSorter:
         """Merge the runs, handing ascending blocks to ``emit``.
 
         Merge passes run until one final pass fits ``fan_in``; that pass
-        streams from the parent.  ``verify`` checks each block is
+        streams from the parent, each run's next frame read ahead on the
+        I/O thread.  ``verify`` checks each block is
         ascending and none starts below its predecessor's last key; key
         conservation (ingested == run footers == merged out) is enforced
         always, through the ambient sanitizer when one is installed.
@@ -186,6 +220,7 @@ class ExternalSorter:
         rec = current_recorder()
         res = self.result
         res.dtype = self.dtype.str
+        self.io.wait()  # every run is sealed before its footer is read
 
         # Independent run-side count: what the sealed footers say landed
         # on disk (not what we think we wrote).
@@ -207,7 +242,7 @@ class ExternalSorter:
         merged = 0
         final_read = 0
         prev_last = None
-        for block in merge_iter(self.run_paths):
+        for block in merge_iter(self.run_paths, self.io):
             merged += len(block)
             final_read += int(block.nbytes)
             if verify and len(block):
@@ -244,13 +279,17 @@ class ExternalSorter:
             )
         res.n_keys = merged
         res.verified = bool(verify)
+        res.io_wait_s = self.io.wait_s
         res.elapsed_s = time.perf_counter() - self._t0
         if self._plan is not None:
             res.faults = self._plan.stats().since(self._faults_before)
         return res
 
     def close(self) -> None:
-        """Drop the spill workdir; idempotent, for every exit path."""
+        """Stop the I/O thread (a spill in flight is waited out, its
+        error dropped) and drop the spill workdir; idempotent, for every
+        exit path."""
+        self.io.close()
         shutil.rmtree(self.workdir, ignore_errors=True)
 
 
@@ -296,8 +335,16 @@ def external_sort(
             own_pool = WorkerPool(width, supervise=True, phase_timeout_s=60.0)
         return pool if pool is not None else own_pool
 
+    # A raw source's chunks are fresh arrays of our own, read ahead on
+    # the I/O thread: sort them where they lie (an array's chunks are the
+    # caller's views, an iterable's parts its producer's).
+    raw = isinstance(source, (str, os.PathLike)) or hasattr(source, "read")
+
     def sort_chunk(keys: np.ndarray) -> tuple[np.ndarray, Plan]:
         chosen = plan_keys(keys, width)
+        if raw and chosen.algorithm == "sequential":
+            keys.sort()
+            return keys, chosen
         on = workers() if chosen.width > 1 else None
         return run_plan(keys, chosen, pool=on), chosen
 
@@ -309,21 +356,21 @@ def external_sort(
     try:
         if out is not None:
             out_file = out if hasattr(out, "write") else open(os.fspath(out), "wb")
-        for chunk in iter_chunks(source, chunk_keys, dtype):
+        for chunk in iter_chunks(source, chunk_keys, dtype, sorter.io):
             sorter.add(chunk)
         if len(sorter.run_paths) > fan_in:
             sorter.pool = workers()  # intermediate merge passes
 
         def emit(block: np.ndarray) -> None:
             if out_file is not None:
-                out_file.write(np.ascontiguousarray(block).tobytes())
+                out_file.write(np.ascontiguousarray(block))  # no bytes copy
             if on_block is not None:
                 on_block(block)
 
         return sorter.finish(emit, verify)
     finally:
+        sorter.close()
         if own_pool is not None:
             own_pool.close()
         if out_file is not None and out_file is not out:
             out_file.close()
-        sorter.close()

@@ -3,8 +3,8 @@
 The external sorter never materializes its input: :func:`iter_chunks`
 adapts every supported source into an iterator of contiguous ndarrays of
 at most ``chunk_keys`` keys (the "arena size" of the out-of-core path --
-the only full-width allocations the sort ever makes are one chunk plus
-its shared sort buffers).
+the only full-width allocations the sort ever makes are three chunks,
+being read, sorted and spilled, plus its shared sort buffers).
 
 Sources:
 
@@ -25,11 +25,13 @@ dropping bytes.
 from __future__ import annotations
 
 import os
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from .overlap import IOThread
 from .runfile import StreamError, check_dtype
 
 
@@ -94,37 +96,56 @@ def _chunks_from_iterable(
         yield blocks.take(blocks.pending)
 
 
-def _chunks_from_file(
-    f, chunk_keys: int, dtype: np.dtype
-) -> Iterator[np.ndarray]:
-    itemsize = dtype.itemsize
-    want = chunk_keys * itemsize
-    carry = b""
-    while True:
-        data = f.read(want - len(carry))
-        if not data:
+def _read_chunk(f, chunk: np.ndarray) -> np.ndarray | None:
+    """Fill ``chunk`` from the raw stream ``f`` until it is full or the
+    stream ends; the keys read (``None`` for none)."""
+    buf = chunk.view(np.uint8)
+    got = 0
+    while got < len(buf):
+        if hasattr(f, "readinto"):
+            n = f.readinto(buf[got:])
+        else:
+            data = f.read(len(buf) - got)
+            n = len(data)
+            buf[got : got + n] = np.frombuffer(data, np.uint8)
+        if not n:
             break
-        buf = carry + data
-        n_whole = len(buf) // itemsize
-        carry = buf[n_whole * itemsize :]
-        if n_whole:
-            yield np.frombuffer(buf[: n_whole * itemsize], dtype=dtype)
-    if carry:
+        got += n
+    if got % chunk.itemsize:
         raise StreamError(
-            f"raw key stream ends mid-key: {len(carry)} trailing bytes "
-            f"(itemsize {itemsize})"
+            f"raw key stream ends mid-key: {got % chunk.itemsize} trailing "
+            f"bytes (itemsize {chunk.itemsize})"
         )
+    return chunk[: got // chunk.itemsize] if got else None
+
+
+def _chunks_from_file(
+    f, chunk_keys: int, dtype: np.dtype, io: IOThread | None
+) -> Iterator[np.ndarray]:
+    """Full chunks (the last may be short), each read into a fresh
+    array -- on ``io``, ahead of the caller, when given."""
+    fill = partial(_read_chunk, f)
+    alloc = partial(np.empty, chunk_keys, dtype)
+    if io is not None:
+        yield from io.ahead(fill, alloc)
+        return
+    while (chunk := fill(alloc())) is not None:
+        yield chunk
 
 
 def iter_chunks(
     source,
     chunk_keys: int,
     dtype: np.dtype | type | str | None = None,
+    io: IOThread | None = None,
 ) -> Iterator[np.ndarray]:
     """Adapt ``source`` into chunks of at most ``chunk_keys`` keys.
 
     ``dtype`` is required for raw byte sources (paths, file-likes) and
     optional elsewhere (inferred from the first array, then enforced).
+    A raw source's chunks are fresh arrays the caller owns; with ``io``
+    the next one is read on that thread while the caller works on the
+    current one.
     """
     if chunk_keys < 1:
         raise ValueError("chunk_keys must be >= 1")
@@ -143,14 +164,14 @@ def iter_chunks(
 
         def _from_path() -> Iterator[np.ndarray]:
             with open(os.fspath(source), "rb") as f:
-                yield from _chunks_from_file(f, chunk_keys, dt)
+                yield from _chunks_from_file(f, chunk_keys, dt, io)
 
         return _from_path()
 
     if hasattr(source, "read"):
         if dt is None:
             raise StreamError("dtype is required when reading raw key streams")
-        return _chunks_from_file(source, chunk_keys, dt)
+        return _chunks_from_file(source, chunk_keys, dt, io)
 
     if hasattr(source, "__iter__"):
         return _chunks_from_iterable(source, chunk_keys, dt)

@@ -20,18 +20,23 @@ independent, so they run as one supervised :class:`WorkerPool` phase
 pool's rebuild/retry machinery, and the group task is idempotent (it
 spills to a fresh ``.tmp`` and atomically renames, so a re-run after a
 kill simply overwrites).  The final pass always merges in the parent,
-streaming verified output chunks to the caller.
+streaming verified output chunks to the caller; given the sorter's I/O
+thread (:mod:`repro.stream.overlap`) it reads each run's next frame
+ahead on it while the parent sorts the current block.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..trace import PID_STREAM, current_recorder
+from .overlap import IOThread
 from .runfile import RunReader, RunWriter, StreamError, spill_run
 
 #: Default fan-in cap: how many runs one merge pass reads at once.  Each
@@ -40,26 +45,23 @@ DEFAULT_FAN_IN = 16
 
 
 class _BufferedRun:
-    """One merge input: a run file with a single buffered frame."""
+    """One merge input: a run's frames with a single one buffered."""
 
-    __slots__ = ("reader", "buf", "pos")
+    __slots__ = ("frames", "buf", "pos")
 
-    def __init__(self, reader: RunReader):
-        self.reader = reader
+    def __init__(self, frames: Iterator[np.ndarray]):
+        self.frames = frames
         self.buf: np.ndarray | None = None
         self.pos = 0
         self._refill()
 
     def _refill(self) -> None:
-        while True:
-            frame = self.reader.next_frame()
-            if frame is None:
-                self.buf = None
-                return
+        for frame in self.frames:
             if len(frame):
                 self.buf = frame
                 self.pos = 0
                 return
+        self.buf = None
 
     @property
     def exhausted(self) -> bool:
@@ -90,9 +92,8 @@ class _BufferedRun:
         return out
 
 
-def merge_iter_over(readers: Sequence[RunReader]) -> Iterator[np.ndarray]:
-    """The core block merge over already-open readers (see module doc)."""
-    runs = [_BufferedRun(r) for r in readers]
+def _merge_blocks(runs: list[_BufferedRun]) -> Iterator[np.ndarray]:
+    """The core block merge (see module doc)."""
     active = [r for r in runs if not r.exhausted]
     while active:
         if len(active) == 1:
@@ -123,18 +124,41 @@ def merge_iter_over(readers: Sequence[RunReader]) -> Iterator[np.ndarray]:
         active = [r for r in active if not r.exhausted]
 
 
-def merge_iter(run_paths: Sequence[str | os.PathLike]) -> Iterator[np.ndarray]:
+@contextmanager
+def _merging(run_paths: Sequence[str | os.PathLike], io: IOThread | None):
+    """Open the runs and merge them, each run's next frame read ahead on
+    ``io`` when given; yields ``(readers, blocks)``.  Every read in
+    flight is settled before its reader closes."""
+    readers: list[RunReader] = []
+    frames: list[Iterator[np.ndarray]] = []
+    try:
+        for p in run_paths:
+            readers.append(RunReader(p))
+        frames = [
+            r.frames() if io is None
+            else io.ahead(r.next_frame, partial(np.empty, r.frame_keys, r.dtype))
+            for r in readers
+        ]
+        yield readers, _merge_blocks([_BufferedRun(f) for f in frames])
+    finally:
+        for f in frames:
+            f.close()
+        for r in readers:
+            r.close()
+
+
+def merge_iter(
+    run_paths: Sequence[str | os.PathLike], io: IOThread | None = None
+) -> Iterator[np.ndarray]:
     """Single-pass merge: yield sorted blocks over the given runs.
 
     The concatenation of the yielded blocks is the sorted union of the
-    runs' keys.  Read-ahead is one frame per run.
+    runs' keys.  Read-ahead is one frame per run; with ``io``, a second
+    one is read (and CRC-checked) on that thread while the caller works
+    on the current block.
     """
-    readers = [RunReader(p) for p in run_paths]
-    try:
-        yield from merge_iter_over(readers)
-    finally:
-        for r in readers:
-            r.close()
+    with _merging(run_paths, io) as (_readers, blocks):
+        yield from blocks
 
 
 def merge_to_run(
@@ -147,17 +171,14 @@ def merge_to_run(
     """Merge runs into a new run file (atomic publish); returns
     ``(bytes_read, bytes_written)``.  ``ENOSPC`` mid-merge drops the
     partial ``.tmp``, backs off and remerges
-    (:func:`~repro.stream.runfile.spill_run`, as for ``write_run``)."""
+    (:func:`~repro.stream.runfile.spill_run`, as for ``write_run``).
+    No I/O thread: a merge pass already runs one group per core."""
 
     def merge_into(writer: RunWriter) -> int:
-        readers = [RunReader(p) for p in run_paths]
-        try:
-            for block in merge_iter_over(readers):
+        with _merging(run_paths, None) as (readers, blocks):
+            for block in blocks:
                 writer.write(block)
             return sum(r.bytes_read for r in readers)
-        finally:
-            for r in readers:
-                r.close()
 
     return spill_run(out_path, dtype, frame_keys, merge_into)
 

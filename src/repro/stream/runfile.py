@@ -244,11 +244,22 @@ class RunReader:
                 f"(wanted {payload.nbytes} bytes, got {got})"
             )
 
-    def _read_payload(self, n_keys: int, crc: int) -> np.ndarray:
-        """One frame payload, read once into its own array (earlier frames
-        stay valid), with a single seek-back retry on CRC mismatch
-        (absorbing the injected ``spill.corrupt`` bit flip)."""
-        arr = np.empty(n_keys, dtype=self.dtype)
+    def _read_payload(
+        self, n_keys: int, crc: int, out: np.ndarray | None
+    ) -> np.ndarray:
+        """One frame payload, read once into its own array -- the head of
+        ``out`` when given, else a new one (earlier frames stay valid) --
+        with a single seek-back retry on CRC mismatch (absorbing the
+        injected ``spill.corrupt`` bit flip)."""
+        if out is None:
+            arr = np.empty(n_keys, dtype=self.dtype)
+        elif n_keys <= len(out):
+            arr = out[:n_keys]
+        else:
+            raise RunCorrupt(
+                f"{self.path}: frame of {n_keys} keys exceeds the header's "
+                f"frame_keys {self.frame_keys}"
+            )
         payload = arr.view(np.uint8)
         start = self._file.tell()
         self._read_into(payload)
@@ -279,8 +290,10 @@ class RunReader:
                 return
             yield arr
 
-    def next_frame(self) -> np.ndarray | None:
-        """The next frame, or ``None`` at the (validated) footer."""
+    def next_frame(self, out: np.ndarray | None = None) -> np.ndarray | None:
+        """The next frame, or ``None`` at the (validated) footer.  With
+        ``out`` (``frame_keys`` keys of this run's dtype) the frame is
+        read into its head."""
         if self._exhausted:
             return None
         (n_keys,) = _U32.unpack(self._read_exact(4, "frame length"))
@@ -301,7 +314,7 @@ class RunReader:
             return None
         (crc,) = _U32.unpack(self._read_exact(4, "frame CRC"))
         self.bytes_read += 4
-        arr = self._read_payload(n_keys, crc)
+        arr = self._read_payload(n_keys, crc, out)
         self._keys_seen += n_keys
         return arr
 

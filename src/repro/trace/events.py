@@ -32,8 +32,9 @@ PID_FAULTS = 3
 PID_SERVE = 4
 #: Track-group for the out-of-core streaming sorter (``repro.stream``):
 #: ``stream.ingest`` spans per chunk (bytes read), ``stream.run`` spans
-#: per spilled run (bytes spilled), and ``stream.merge`` spans per merge
-#: pass (fan-in, runs in/out, bytes read).  Host wall-clock.
+#: per chunk sort and ``stream.spill`` spans per spilled run (bytes
+#: spilled), and ``stream.merge`` spans per merge pass (fan-in, runs
+#: in/out, bytes read).  Host wall-clock.
 PID_STREAM = 5
 
 #: Event phases (the Chrome trace ``ph`` field).

@@ -343,6 +343,9 @@ class TestSessionIsTheLibrarySorter:
         names = [e.name for e in mine]
         assert names.count("stream.ingest") == status["runs"] == 4
         assert names.count("stream.run") == 4
+        # Each spill ran behind a sort on the I/O thread, and still inside
+        # the push that formed its run (the engine's recorder installed).
+        assert names.count("stream.spill") == 4
         assert names.count("stream.merge.final") == 1
 
 
