@@ -1,60 +1,17 @@
-"""Command-line interface: regenerate any of the paper's tables/figures,
-or trace one sort end to end.
+"""Command line: regenerate any of the paper's tables/figures, or run
+one of the subcommands (trace a sort, predict, check, chaos, serve, ...).
 
-Usage::
+One argparse tree registers every command once (:func:`_parser`):
+``python -m repro --help`` and ``python -m repro list`` name them all,
+``python -m repro <command> --help`` gives a command's options, and
+README.md and docs/ have worked examples.  For instance::
 
-    python -m repro list                 # available experiments
-    python -m repro fig3                 # full grid (slow, minutes)
-    python -m repro fig3 --small         # 2 sizes x 2 processor counts
-    python -m repro table1 fig4 --small  # several at once
+    python -m repro table1 fig4 --small  # several experiments at once
+    python -m repro all --small --json now.json          # every experiment
     python -m repro fig3 --small --trace-out fig3.json   # + Perfetto trace
-    python -m repro tables2_and_3 --parallel 4           # fan cells out
-    python -m repro fig3 --no-cache      # skip the persistent disk cache
-
-    # Inspect / manage the persistent result cache (~/.cache/repro or
-    # $REPRO_CACHE_DIR; see docs/CACHE.md):
-    python -m repro cache stats
-    python -m repro cache gc --max-age-days 30
-    python -m repro cache clear
-
-    # Run a single sort under either backend and export its trace:
-    python -m repro trace --backend native --algorithm sample --out t.json
-    python -m repro trace --backend sim --model ccsas --procs 16
-
-    # Analytic prediction (no simulation; milliseconds per cell):
-    python -m repro predict --size 256M --procs 64 --sweep
-    python -m repro calibrate --small     # fit the predictor to the DES
-    python -m repro fig3 --small --backend predict
-
-    # Verify the whole stack: run the model x algorithm x distribution
-    # grid (plus the machine-zoo x workload matrix, docs/MACHINES.md) on
-    # both backends under the runtime sanitizer, checking every result
-    # against np.sort / np.argsort:
-    python -m repro check --small
     python -m repro check --small --machine bsp
-    python -m repro check --small --workload f64
-
-    # Machine-zoo sweep as a reportable experiment (BENCH_5.json):
-    python -m repro machine_zoo --small --json benchmarks/BENCH_5.json
-
-    # Chaos-test the resilience machinery: inject a seeded, deterministic
-    # fault schedule (worker crashes/hangs, shm failures, cache
-    # corruption, message drops) and assert every sort still equals
-    # np.sort with all faults recovered (see docs/FAULTS.md):
     python -m repro chaos --seed 0 --small
-    python -m repro chaos --soak 10
-    python -m repro chaos --small --scenario serve-traffic
-
-    # Sort-as-a-service: a persistent job server on the resilient native
-    # pool, and the load/latency harness that drives it (docs/SERVE.md):
     python -m repro serve --port 7453
-    python -m repro loadgen --port 7453 --clients 8 --duration 30
-    python -m repro loadgen --spawn-server --clients 8 --duration 30
-
-    # Measure where np.sort, sample sort and radix sort cross over on
-    # this host; unpinned native sorts are then planned from the table
-    # (docs/PERF.md, "Crossover"):
-    python -m repro tune --quick
 """
 
 from __future__ import annotations
@@ -63,59 +20,77 @@ import argparse
 import sys
 
 from .core.experiment import ExperimentRunner
-from .native.tune import main as _tune_main  # lives beside its sweep
+from .data.distributions import DISTRIBUTIONS
+from .data.workloads import WORKLOAD_KINDS
+from .machine.zoo import MACHINES
 from .report.experiments import EXPERIMENTS
-from .trace import MemoryRecorder, write_chrome_trace
+from .trace import MemoryRecorder, use_recorder, write_chrome_trace
 
 
-def _trace_main(argv: list[str]) -> int:
-    """The ``trace`` subcommand: run one sort, export a Chrome trace."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Run one sort on a chosen backend and write a "
-        "Chrome-trace JSON (chrome://tracing / Perfetto).",
+def _experiments(args: argparse.Namespace) -> int:
+    """Run experiment ids (``<id> [<id> ...]``, or ``all``)."""
+    wanted = (
+        list(EXPERIMENTS) if args.command == "all" else [args.command, *args.more]
     )
-    parser.add_argument(
-        "--backend", choices=["sim", "native"], default="sim",
-        help="execution substrate (default: sim)",
-    )
-    parser.add_argument(
-        "--algorithm", choices=["radix", "sample"], default="radix"
-    )
-    parser.add_argument(
-        "--model", default="shmem",
-        help="programming model, sim backend only (default: shmem)",
-    )
-    parser.add_argument(
-        "--size", type=int, default=1 << 16,
-        help="number of keys (default: 65536)",
-    )
-    parser.add_argument(
-        "--procs", type=int, default=None,
-        help="simulated processors / native workers (default: backend's)",
-    )
-    parser.add_argument(
-        "--distribution", default="gauss",
-        help="key distribution (default: gauss)",
-    )
-    parser.add_argument(
-        "--verbose-trace", action="store_true",
-        help="include per-message and per-DES-process events",
-    )
-    parser.add_argument(
-        "--out", "--trace-out", dest="out", default="trace.json",
-        help="output path (default: trace.json)",
-    )
-    args = parser.parse_args(argv)
+    unknown = [e for e in wanted if e not in EXPERIMENTS]
+    if unknown:
+        return _unknown_experiments(unknown)
 
+    recorder = MemoryRecorder() if args.trace_out else None
+    runner = ExperimentRunner(
+        cache=False if (args.no_cache or args.trace_out) else None,
+        parallel=args.parallel,
+        backend=args.backend,
+    )
+    collected = []
+    with use_recorder(recorder):
+        for exp_id in wanted:
+            exp = EXPERIMENTS[exp_id]
+            result = exp.run(runner, **(exp.small if args.small else {}))
+            results = result if isinstance(result, tuple) else (result,)
+            for r in results:
+                collected.append(r)
+                print()
+                print(r.text)
+    if args.json:
+        from .report.emit import write_results_json
+
+        write_results_json(
+            args.json,
+            collected,
+            meta={"experiments": wanted, "small": args.small},
+        )
+        print(f"\n{len(collected)} experiment results -> {args.json}",
+              file=sys.stderr)
+    if recorder is not None:
+        write_chrome_trace(args.trace_out, recorder)
+        print(
+            f"\n{len(recorder.events)} trace events -> {args.trace_out}",
+            file=sys.stderr,
+        )
+    return 0
+
+
+def _unknown_experiments(unknown: list[str]) -> int:
+    print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
+    print(f"choose from: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+    return 2
+
+
+def _trace(args: argparse.Namespace) -> int:
     from .core.api import sort
     from .data import generate
 
     n_procs = args.procs
     if args.backend == "sim" and n_procs is None:
         n_procs = 16
-    gen_procs = n_procs if args.backend == "sim" else 1
-    keys = generate(args.distribution, args.size, gen_procs or 1)
+    gen_procs = (n_procs if args.backend == "sim" else None) or 1
+    if args.size <= 0 or args.size % gen_procs:
+        args.error(
+            f"--size {args.size} is not a positive multiple of the "
+            f"{gen_procs} processor(s) the keys are generated for"
+        )
+    keys = generate(args.distribution, args.size, gen_procs)
     recorder = MemoryRecorder(verbose=args.verbose_trace)
     result = sort(
         keys,
@@ -139,45 +114,7 @@ def _trace_main(argv: list[str]) -> int:
     return 0
 
 
-def _check_main(argv: list[str]) -> int:
-    """The ``check`` subcommand: sanitized differential verification."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro check",
-        description="Run every model x algorithm x distribution through "
-        "both backends under the runtime sanitizer and compare each "
-        "result against np.sort.  Exit 0 iff every invariant held.",
-    )
-    parser.add_argument(
-        "--small", action="store_true",
-        help="reduced grid: 3 distributions, 2K keys (seconds, not minutes)",
-    )
-    parser.add_argument(
-        "--no-native", action="store_true",
-        help="skip the native (real host processes) backend",
-    )
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="run the simulated grid points across N worker processes",
-    )
-    parser.add_argument(
-        "--backend", choices=["all", "sim", "native", "predict"],
-        default="all",
-        help="restrict the sweep: 'predict' cross-validates the analytic "
-        "predictor against the simulated grid on the same keys "
-        "(default: all)",
-    )
-    parser.add_argument(
-        "--machine", metavar="NAME", default=None,
-        help="restrict the sweep to one machine-zoo member "
-        "(origin2000, multicore, bsp, ap1000; see docs/MACHINES.md)",
-    )
-    parser.add_argument(
-        "--workload", metavar="KIND", default=None,
-        help="restrict the sweep to one workload kind "
-        "(u32, u64, f64, payload, dupheavy, antisample)",
-    )
-    args = parser.parse_args(argv)
-
+def _check(args: argparse.Namespace) -> int:
     from .verify import run_check
 
     return run_check(
@@ -201,65 +138,14 @@ def _parse_size(text: str) -> int:
         ) from None
 
 
-def _predict_main(argv: list[str]) -> int:
-    """The ``predict`` subcommand: analytic prediction, no simulation."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro predict",
-        description="Predict sort performance analytically (the "
-        "calibrated 'predict' backend) -- milliseconds per cell, no "
-        "discrete-event simulation, no key array at paper scale.",
-    )
-    parser.add_argument(
-        "--algorithm", choices=["radix", "sample"], default="radix"
-    )
-    parser.add_argument(
-        "--model", default="shmem",
-        help="programming model (default: shmem); ignored with --sweep",
-    )
-    parser.add_argument(
-        "--size", default="256M",
-        help="labeled key count: a paper label like 256M or an integer "
-        "(default: 256M)",
-    )
-    parser.add_argument(
-        "--procs", type=int, default=64,
-        help="processor count (default: 64)",
-    )
-    parser.add_argument(
-        "--radix", type=int, default=None,
-        help="radix-digit width (default: the algorithm's tuned choice)",
-    )
-    parser.add_argument(
-        "--distribution", default="gauss",
-        help="key-distribution family (default: gauss)",
-    )
-    parser.add_argument(
-        "--calibration", metavar="PATH", default=None,
-        help="calibration artifact to apply (default: the active one -- "
-        "$REPRO_CALIBRATION, the user cache, or the packaged default)",
-    )
-    parser.add_argument(
-        "--uncalibrated", action="store_true",
-        help="disable calibration (raw closed-form predictions)",
-    )
-    parser.add_argument(
-        "--sweep", action="store_true",
-        help="predict every model x both algorithms at this size/procs "
-        "and print one table (the paper-scale sweep)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the predictions as machine-readable JSON",
-    )
-    args = parser.parse_args(argv)
-
+def _predict(args: argparse.Namespace) -> int:
     import time as _time
 
     import numpy as np
 
     from .core.api import sort
     from .predict import PredictedBackend, load_calibration
-    from .verify.differential import RADIX_MODELS, SAMPLE_MODELS
+    from .verify.differential import ALGORITHM_MODELS
 
     if args.uncalibrated:
         backend = PredictedBackend(calibration=False)
@@ -272,13 +158,7 @@ def _predict_main(argv: list[str]) -> int:
     n = _parse_size(args.size)
 
     cells = (
-        [
-            (alg, model)
-            for alg, models in (
-                ("radix", RADIX_MODELS), ("sample", SAMPLE_MODELS)
-            )
-            for model in models
-        ]
+        [(alg, model) for alg, models in ALGORITHM_MODELS for model in models]
         if args.sweep
         else [(args.algorithm, args.model)]
     )
@@ -335,29 +215,7 @@ def _predict_main(argv: list[str]) -> int:
     return 0
 
 
-def _calibrate_main(argv: list[str]) -> int:
-    """The ``calibrate`` subcommand: fit the predictor to the simulator."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro calibrate",
-        description="Fit the analytic predictor's per-(algorithm, model) "
-        "exchange overhead factors against simulated grid cells and "
-        "persist the calibration artifact with its error bands.",
-    )
-    parser.add_argument(
-        "--small", action="store_true",
-        help="reduced fitting grid (seconds, not minutes)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="artifact path (default: the user cache, "
-        "$REPRO_CACHE_DIR/calibration.json)",
-    )
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="compute the simulated reference cells across N workers",
-    )
-    args = parser.parse_args(argv)
-
+def _calibrate(args: argparse.Namespace) -> int:
     from .predict import default_calibration_path, fit_calibration
 
     cal = fit_calibration(small=args.small, parallel=args.parallel)
@@ -380,40 +238,7 @@ def _calibrate_main(argv: list[str]) -> int:
     return 0
 
 
-def _chaos_main(argv: list[str]) -> int:
-    """The ``chaos`` subcommand: seeded fault-injection matrix."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Run the deterministic chaos matrix: inject seeded "
-        "faults (worker crash/hang/slowdown, shared-memory and cache "
-        "failures, simulated message delay/drop) across both backends "
-        "and assert every sort equals np.sort with every fault "
-        "recovered.  Exit 0 iff all scenarios pass.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="fault-schedule seed; the same seed replays the identical "
-        "schedule (default: 0)",
-    )
-    parser.add_argument(
-        "--small", action="store_true",
-        help="reduced key counts (seconds, not minutes)",
-    )
-    parser.add_argument(
-        "--soak", type=int, default=1, metavar="N",
-        help="repeat the matrix N times with derived seeds (default: 1)",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="also write a Chrome-trace JSON including the fault track",
-    )
-    parser.add_argument(
-        "--scenario", metavar="NAME", default=None,
-        help="run only the named scenario (e.g. serve-traffic); the "
-        "fault-kind coverage floor applies to full runs only",
-    )
-    args = parser.parse_args(argv)
-
+def _chaos(args: argparse.Namespace) -> int:
     from .faults import run_chaos
 
     return run_chaos(
@@ -422,54 +247,8 @@ def _chaos_main(argv: list[str]) -> int:
     )
 
 
-def _serve_main(argv: list[str]) -> int:
-    """The ``serve`` subcommand: run the sort job server until stopped."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description="Serve sort jobs over TCP on the resilient native "
-        "worker pool with a preallocated shared-memory arena (zero "
-        "per-job segment create/attach at steady state).  Runs until "
-        "Ctrl-C or a client 'shutdown' op; see docs/SERVE.md.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default: 0 = pick a free port and print it)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="pool width (default: $REPRO_WORKERS or the CPU count)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=8,
-        help="admission cap on queued+running jobs (default: 8)",
-    )
-    parser.add_argument(
-        "--data-slab-mb", type=int, default=8,
-        help="data-slab size; bounds the largest job (default: 8 MiB)",
-    )
-    parser.add_argument(
-        "--deadline-s", type=float, default=30.0,
-        help="default per-job deadline (default: 30)",
-    )
-    parser.add_argument(
-        "--max-frame-mb", type=int, default=64,
-        help="per-frame wire cap; FrameTooLarge rejections report it and "
-        "streaming jobs chunk under it (default: 64 MiB)",
-    )
-    parser.add_argument(
-        "--max-streams", type=int, default=2,
-        help="concurrent streaming sessions (default: 2)",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="write a Chrome-trace JSON (serve.job spans on the serve "
-        "track) on shutdown",
-    )
-    args = parser.parse_args(argv)
-
+def _serve(args: argparse.Namespace) -> int:
     import asyncio
-    import signal
 
     from .serve import ServeServer
 
@@ -484,21 +263,7 @@ def _serve_main(argv: list[str]) -> int:
         max_frame=args.max_frame_mb << 20,
         max_streams=args.max_streams,
     )
-
-    async def _amain() -> None:
-        await server.start()
-        print(f"serving on {server.host}:{server.port} "
-              f"({server.engine.pool.n_workers} workers, "
-              f"queue depth {server.queue_depth})", flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, server.request_stop)
-        try:
-            await server._stop_event.wait()
-        finally:
-            await server.aclose()
-
-    asyncio.run(_amain())
+    asyncio.run(server.serve_until_stopped())
     if recorder is not None:
         write_chrome_trace(args.trace_out, recorder)
         print(f"{len(recorder.events)} trace events -> {args.trace_out}",
@@ -506,45 +271,9 @@ def _serve_main(argv: list[str]) -> int:
     return 0
 
 
-def _loadgen_main(argv: list[str]) -> int:
-    """The ``loadgen`` subcommand: drive a server, verify, measure."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro loadgen",
-        description="Generate concurrent sort jobs against a repro.serve "
-        "endpoint, verify every result against np.sort, and report "
-        "jobs/sec with p50/p99 latency.  Exit 0 iff every completed job "
-        "was correct and no client errored.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=None,
-        help="server port (omit with --spawn-server)",
-    )
-    parser.add_argument(
-        "--spawn-server", action="store_true",
-        help="run a server in-process for the duration of the test",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent client threads (default: 4)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=10.0, metavar="S",
-        help="seconds of load (default: 10)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="spawned server's pool width (with --spawn-server)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=8,
-        help="spawned server's admission cap (with --spawn-server)",
-    )
-    args = parser.parse_args(argv)
-
+def _loadgen(args: argparse.Namespace) -> int:
     if args.port is None and not args.spawn_server:
-        parser.error("need --port or --spawn-server")
+        args.error("need --port or --spawn-server")
 
     from contextlib import nullcontext
 
@@ -590,24 +319,7 @@ def _loadgen_main(argv: list[str]) -> int:
     return 0 if loadgen_ok(metrics) else 1
 
 
-def _cache_main(argv: list[str]) -> int:
-    """The ``cache`` subcommand: stats / clear / gc for the disk cache."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro cache",
-        description="Inspect or manage the persistent experiment result "
-        "cache (default ~/.cache/repro, override with REPRO_CACHE_DIR).",
-    )
-    parser.add_argument("action", choices=["stats", "clear", "gc"])
-    parser.add_argument(
-        "--dir", metavar="PATH", default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--max-age-days", type=float, default=None, metavar="D",
-        help="gc only: additionally remove entries older than D days",
-    )
-    args = parser.parse_args(argv)
-
+def _cache(args: argparse.Namespace) -> int:
     from .core.gridcache import GridCache, format_stats
 
     cache = GridCache(args.dir)
@@ -627,66 +339,7 @@ def _cache_main(argv: list[str]) -> int:
     return 0
 
 
-def _stream_main(argv: list[str]) -> int:
-    """The ``stream`` subcommand: out-of-core sort / top-k over a file
-    or a generated distribution (docs/STREAM.md)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro stream",
-        description="Externally sort (or take the top-k of) a key stream "
-        "that need not fit the chunk budget: chunked ingest, sorted spill "
-        "runs (each chunk sorted as the native planner says), "
-        "fault-tolerant k-way merge.",
-    )
-    parser.add_argument(
-        "mode", choices=["sort", "topk"],
-        help="'sort': full external sort; 'topk': bounded-memory largest-k",
-    )
-    parser.add_argument(
-        "--input", metavar="PATH", default=None,
-        help="raw little-endian key file to ingest (default: generate)",
-    )
-    parser.add_argument(
-        "--dtype", default="<i8",
-        choices=["<i4", "<i8", "<u4", "<u8"],
-        help="key dtype of the input stream (default: <i8)",
-    )
-    parser.add_argument(
-        "--size", type=int, default=1 << 20,
-        help="generated keys when no --input (default: 1Mi)",
-    )
-    parser.add_argument(
-        "--distribution", default="random",
-        help="generated key distribution (default: random)",
-    )
-    parser.add_argument("--seed", type=int, default=1234)
-    parser.add_argument(
-        "--chunk-keys", type=int, default=None,
-        help="keys per in-memory chunk / spill run (default: 4Mi, or "
-        "size/8 for generated input so runs and a merge are exercised)",
-    )
-    parser.add_argument(
-        "--fan-in", type=int, default=None,
-        help="max runs merged per pass (default: 16)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="native pool width for planned chunk sorts and merge passes "
-        "(default: auto)",
-    )
-    parser.add_argument(
-        "--k", type=int, default=100,
-        help="topk only: how many largest keys to keep (default: 100)",
-    )
-    parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="sort only: write the sorted keys as raw bytes here",
-    )
-    parser.add_argument(
-        "--no-verify", action="store_true",
-        help="sort only: skip the streaming order/conservation checks",
-    )
-    args = parser.parse_args(argv)
-
+def _stream(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .stream import DEFAULT_FAN_IN, external_sort, stream_topk
@@ -755,45 +408,24 @@ def _stream_main(argv: list[str]) -> int:
     return 0
 
 
-#: The one dispatch table: subcommand -> (entry point, ``list`` line).
-#: Anything else on the command line is an experiment id, ``list`` or ``all``.
-SUBCOMMANDS = {
-    "trace": (_trace_main, "run one sort on a backend and export its trace"),
-    "predict": (_predict_main, "analytic performance prediction (no simulation)"),
-    "calibrate": (_calibrate_main, "fit the analytic predictor against the simulator"),
-    "check": (_check_main, "sanitized differential verification of every backend"),
-    "cache": (_cache_main, "stats / clear / gc for the persistent result cache"),
-    "chaos": (_chaos_main, "seeded fault-injection matrix over both backends"),
-    "serve": (_serve_main, "TCP sort-job server on the resilient native pool"),
-    "loadgen": (_loadgen_main, "load/latency harness for a repro.serve endpoint"),
-    "stream": (_stream_main, "out-of-core sort / top-k over a key stream"),
-    "tune": (_tune_main, "measure this host's native sort crossover for the planner"),
-}
+def _tune(args: argparse.Namespace) -> int:
+    from .native.plan import default_table_path
+    from .native.tune import format_table, sweep
+
+    table = sweep(quick=args.quick)
+    out = table.save(default_table_path())
+    print(format_table(table))
+    print(f"native plan table ({table.p} workers) -> {out}")
+    return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] in SUBCOMMANDS:
-        return SUBCOMMANDS[argv[0]][0](argv[1:])
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate tables/figures from Shan & Singh (SC 1999).",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help="experiment ids (see 'list'), 'list' / 'all', or 'trace' "
-        "(see 'python -m repro trace --help')",
-    )
+def _grid_options(parser: argparse.ArgumentParser) -> None:
+    """The options every experiment id (and ``all``) takes."""
     parser.add_argument(
         "--small", action="store_true", help="reduced grid (much faster)"
     )
     parser.add_argument(
-        "--backend",
-        choices=["sim", "predict"],
-        default="sim",
+        "--backend", choices=["sim", "predict"], default="sim",
         help="execution substrate for experiment grid cells: 'sim' (the "
         "discrete-event simulation) or 'predict' (the calibrated "
         "analytic model; milliseconds per cell, bypasses the cache and "
@@ -801,89 +433,413 @@ def main(argv: list[str] | None = None) -> int:
         "backend",
     )
     parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
+        "--trace-out", metavar="PATH", default=None,
         help="also record a structured trace of every simulated run and "
         "write it as Chrome-trace JSON (chrome://tracing / Perfetto); "
         "implies --no-cache (a cached cell would run no simulation to "
         "trace)",
     )
     parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
+        "--json", metavar="PATH", default=None,
         help="also write every experiment's numbers as machine-readable "
         "JSON (diff against benchmarks/BENCH_0.json)",
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
+        "--parallel", type=int, default=None, metavar="N",
         help="compute grid cells missing from the cache across N worker "
         "processes (default: serial)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
+        "--no-cache", action="store_true",
         help="ignore the persistent disk cache (results are neither read "
         "from nor written to $REPRO_CACHE_DIR / ~/.cache/repro)",
     )
-    args = parser.parse_args(argv)
 
-    if args.experiments == ["list"]:
-        for exp_id, exp in EXPERIMENTS.items():
-            doc = (exp.run.__doc__ or "").strip().splitlines()[0]
-            print(f"{exp_id:<14} {doc}")
-        for name, (_, summary) in SUBCOMMANDS.items():
-            print(f"{name:<14} {summary}")
+
+def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
+    """The one argparse tree: every experiment id, ``all``, ``list`` and
+    every subcommand, each registered once with its handler.  Returns
+    the root parser and its subcommand action."""
+    root = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Regenerate tables/figures from Shan & Singh (SC 1999).",
+    )
+    commands = root.add_subparsers(
+        dest="command", required=True, metavar="<command>",
+        title="commands",
+        description="an experiment id (more ids may follow it), 'all' "
+        "(every experiment), 'list' (this table), or a subcommand",
+    )
+
+    def command(name, run, **kwargs) -> argparse.ArgumentParser:
+        # A command registered with ``help`` is listed, by root --help
+        # and by ``list`` alike; ``error`` lets its handler reject input
+        # the way argparse does.
+        kwargs.setdefault("description", kwargs.get("help"))
+        sub = commands.add_parser(name, **kwargs)
+        sub.set_defaults(run=run, error=sub.error)
+        return sub
+
+    def list_commands(args: argparse.Namespace) -> int:
+        # argparse keeps each listed command here, in registration order.
+        for choice in commands._choices_actions:
+            print(f"{choice.dest:<14} {choice.help}")
         return 0
 
-    wanted = (
-        list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
-    )
-    unknown = [e for e in wanted if e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"choose from: {', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-
-    recorder = MemoryRecorder() if args.trace_out else None
-    runner = ExperimentRunner(
-        cache=False if (args.no_cache or args.trace_out) else None,
-        parallel=args.parallel,
-        backend=args.backend,
-    )
-    from .trace import use_recorder
-
-    collected = []
-    with use_recorder(recorder):
-        for exp_id in wanted:
-            exp = EXPERIMENTS[exp_id]
-            result = exp.run(runner, **(exp.small if args.small else {}))
-            results = result if isinstance(result, tuple) else (result,)
-            for r in results:
-                collected.append(r)
-                print()
-                print(r.text)
-    if args.json:
-        from .report.emit import write_results_json
-
-        write_results_json(
-            args.json,
-            collected,
-            meta={"experiments": wanted, "small": args.small},
+    for exp_id, exp in EXPERIMENTS.items():
+        sub = command(
+            exp_id, _experiments,
+            help=(exp.run.__doc__ or "").strip().splitlines()[0],
         )
-        print(f"\n{len(collected)} experiment results -> {args.json}",
-              file=sys.stderr)
-    if recorder is not None:
-        write_chrome_trace(args.trace_out, recorder)
-        print(
-            f"\n{len(recorder.events)} trace events -> {args.trace_out}",
-            file=sys.stderr,
+        sub.add_argument(
+            "more", nargs="*", metavar="EXPERIMENT",
+            help="further experiment ids to run in the same pass",
         )
-    return 0
+        _grid_options(sub)
+    _grid_options(command("all", _experiments, description="Run every experiment."))
+    command("list", list_commands, description="List every experiment and subcommand.")
+
+    p = command(
+        "trace", _trace, help="run one sort on a backend and export its trace",
+        description="Run one sort on a chosen backend and write a "
+        "Chrome-trace JSON (chrome://tracing / Perfetto).",
+    )
+    p.add_argument(
+        "--backend", choices=["sim", "native"], default="sim",
+        help="execution substrate (default: sim)",
+    )
+    p.add_argument("--algorithm", choices=["radix", "sample"], default="radix")
+    p.add_argument(
+        "--model", default="shmem",
+        help="programming model, sim backend only (default: shmem)",
+    )
+    p.add_argument(
+        "--size", type=int, default=1 << 16,
+        help="number of keys (default: 65536)",
+    )
+    p.add_argument(
+        "--procs", type=int, default=None,
+        help="simulated processors / native workers (default: backend's)",
+    )
+    p.add_argument(
+        "--distribution", choices=DISTRIBUTIONS, default="gauss",
+        metavar="NAME", help="key distribution: %(choices)s (default: gauss)",
+    )
+    p.add_argument(
+        "--verbose-trace", action="store_true",
+        help="include per-message and per-DES-process events",
+    )
+    p.add_argument(
+        "--out", "--trace-out", dest="out", default="trace.json",
+        help="output path (default: trace.json)",
+    )
+
+    p = command(
+        "predict", _predict, help="analytic performance prediction (no simulation)",
+        description="Predict sort performance analytically (the "
+        "calibrated 'predict' backend) -- milliseconds per cell, no "
+        "discrete-event simulation, no key array at paper scale.",
+    )
+    p.add_argument("--algorithm", choices=["radix", "sample"], default="radix")
+    p.add_argument(
+        "--model", default="shmem",
+        help="programming model (default: shmem); ignored with --sweep",
+    )
+    p.add_argument(
+        "--size", default="256M",
+        help="labeled key count: a paper label like 256M or an integer "
+        "(default: 256M)",
+    )
+    p.add_argument(
+        "--procs", type=int, default=64,
+        help="processor count (default: 64)",
+    )
+    p.add_argument(
+        "--radix", type=int, default=None,
+        help="radix-digit width (default: the algorithm's tuned choice)",
+    )
+    p.add_argument(
+        "--distribution", choices=DISTRIBUTIONS, default="gauss",
+        metavar="NAME",
+        help="key-distribution family: %(choices)s (default: gauss)",
+    )
+    p.add_argument(
+        "--calibration", metavar="PATH", default=None,
+        help="calibration artifact to apply (default: the active one -- "
+        "$REPRO_CALIBRATION, the user cache, or the packaged default)",
+    )
+    p.add_argument(
+        "--uncalibrated", action="store_true",
+        help="disable calibration (raw closed-form predictions)",
+    )
+    p.add_argument(
+        "--sweep", action="store_true",
+        help="predict every model x both algorithms at this size/procs "
+        "and print one table (the paper-scale sweep)",
+    )
+    p.add_argument(
+        "--json", metavar="PATH", default=None,
+        help="also write the predictions as machine-readable JSON",
+    )
+
+    p = command(
+        "calibrate", _calibrate,
+        help="fit the analytic predictor against the simulator",
+        description="Fit the analytic predictor's per-(algorithm, model) "
+        "exchange overhead factors against simulated grid cells and "
+        "persist the calibration artifact with its error bands.",
+    )
+    p.add_argument(
+        "--small", action="store_true",
+        help="reduced fitting grid (seconds, not minutes)",
+    )
+    p.add_argument(
+        "--out", metavar="PATH", default=None,
+        help="artifact path (default: the user cache, "
+        "$REPRO_CACHE_DIR/calibration.json)",
+    )
+    p.add_argument(
+        "--parallel", type=int, default=None, metavar="N",
+        help="compute the simulated reference cells across N workers",
+    )
+
+    p = command(
+        "check", _check, help="sanitized differential verification of every backend",
+        description="Run every model x algorithm x distribution through "
+        "both backends under the runtime sanitizer and compare each "
+        "result against np.sort.  Exit 0 iff every invariant held.",
+    )
+    p.add_argument(
+        "--small", action="store_true",
+        help="reduced grid: 3 distributions, 2K keys (seconds, not minutes)",
+    )
+    p.add_argument(
+        "--no-native", action="store_true",
+        help="skip the native (real host processes) backend",
+    )
+    p.add_argument(
+        "--parallel", type=int, default=None, metavar="N",
+        help="run the simulated grid points across N worker processes",
+    )
+    p.add_argument(
+        "--backend", choices=["all", "sim", "native", "predict"],
+        default="all",
+        help="restrict the sweep: 'predict' cross-validates the analytic "
+        "predictor against the simulated grid on the same keys "
+        "(default: all)",
+    )
+    p.add_argument(
+        "--machine", metavar="NAME", choices=MACHINES, default=None,
+        help="restrict the sweep to one machine-zoo member "
+        "(%(choices)s; see docs/MACHINES.md)",
+    )
+    p.add_argument(
+        "--workload", metavar="KIND", choices=WORKLOAD_KINDS, default=None,
+        help="restrict the sweep to one workload kind (%(choices)s)",
+    )
+
+    p = command(
+        "cache", _cache, help="stats / clear / gc for the persistent result cache",
+        description="Inspect or manage the persistent experiment result "
+        "cache (default ~/.cache/repro, override with REPRO_CACHE_DIR).",
+    )
+    p.add_argument("action", choices=["stats", "clear", "gc"])
+    p.add_argument(
+        "--dir", metavar="PATH", default=None,
+        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
+    p.add_argument(
+        "--max-age-days", type=float, default=None, metavar="D",
+        help="gc only: additionally remove entries older than D days",
+    )
+
+    p = command(
+        "chaos", _chaos, help="seeded fault-injection matrix over both backends",
+        description="Run the deterministic chaos matrix: inject seeded "
+        "faults (worker crash/hang/slowdown, shared-memory and cache "
+        "failures, simulated message delay/drop) across both backends "
+        "and assert every sort equals np.sort with every fault "
+        "recovered.  Exit 0 iff all scenarios pass.",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="fault-schedule seed; the same seed replays the identical "
+        "schedule (default: 0)",
+    )
+    p.add_argument(
+        "--small", action="store_true",
+        help="reduced key counts (seconds, not minutes)",
+    )
+    p.add_argument(
+        "--soak", type=int, default=1, metavar="N",
+        help="repeat the matrix N times with derived seeds (default: 1)",
+    )
+    p.add_argument(
+        "--trace-out", metavar="PATH", default=None,
+        help="also write a Chrome-trace JSON including the fault track",
+    )
+    p.add_argument(
+        "--scenario", metavar="NAME", default=None,
+        help="run only the named scenario (a name a full run prints); the "
+        "fault-kind coverage floor applies to full runs only",
+    )
+
+    p = command(
+        "serve", _serve, help="TCP sort-job server on the resilient native pool",
+        description="Serve sort jobs over TCP on the resilient native "
+        "worker pool with a preallocated shared-memory arena (zero "
+        "per-job segment create/attach at steady state).  Runs until "
+        "Ctrl-C or a client 'shutdown' op; see docs/SERVE.md.",
+    )
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument(
+        "--port", type=int, default=0,
+        help="TCP port (default: 0 = pick a free port and print it)",
+    )
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="pool width (default: $REPRO_WORKERS or the CPU count)",
+    )
+    p.add_argument(
+        "--queue-depth", type=int, default=8,
+        help="admission cap on queued+running jobs (default: 8)",
+    )
+    p.add_argument(
+        "--data-slab-mb", type=int, default=8,
+        help="data-slab size; bounds the largest job (default: 8 MiB)",
+    )
+    p.add_argument(
+        "--deadline-s", type=float, default=30.0,
+        help="default per-job deadline (default: 30)",
+    )
+    p.add_argument(
+        "--max-frame-mb", type=int, default=64,
+        help="per-frame wire cap; FrameTooLarge rejections report it and "
+        "streaming jobs chunk under it (default: 64 MiB)",
+    )
+    p.add_argument(
+        "--max-streams", type=int, default=2,
+        help="concurrent streaming sessions (default: 2)",
+    )
+    p.add_argument(
+        "--trace-out", metavar="PATH", default=None,
+        help="write a Chrome-trace JSON (serve.job spans on the serve "
+        "track) on shutdown",
+    )
+
+    p = command(
+        "loadgen", _loadgen, help="load/latency harness for a repro.serve endpoint",
+        description="Generate concurrent sort jobs against a repro.serve "
+        "endpoint, verify every result against np.sort, and report "
+        "jobs/sec with p50/p99 latency.  Exit 0 iff every completed job "
+        "was correct and no client errored.",
+    )
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument(
+        "--port", type=int, default=None,
+        help="server port (omit with --spawn-server)",
+    )
+    p.add_argument(
+        "--spawn-server", action="store_true",
+        help="run a server in-process for the duration of the test",
+    )
+    p.add_argument(
+        "--clients", type=int, default=4,
+        help="concurrent client threads (default: 4)",
+    )
+    p.add_argument(
+        "--duration", type=float, default=10.0, metavar="S",
+        help="seconds of load (default: 10)",
+    )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="spawned server's pool width (with --spawn-server)",
+    )
+    p.add_argument(
+        "--queue-depth", type=int, default=8,
+        help="spawned server's admission cap (with --spawn-server)",
+    )
+
+    p = command(
+        "stream", _stream, help="out-of-core sort / top-k over a key stream",
+        description="Externally sort (or take the top-k of) a key stream "
+        "that need not fit the chunk budget: chunked ingest, sorted spill "
+        "runs (each chunk sorted as the native planner says), "
+        "fault-tolerant k-way merge.",
+    )
+    p.add_argument(
+        "mode", choices=["sort", "topk"],
+        help="'sort': full external sort; 'topk': bounded-memory largest-k",
+    )
+    p.add_argument(
+        "--input", metavar="PATH", default=None,
+        help="raw little-endian key file to ingest (default: generate)",
+    )
+    p.add_argument(
+        "--dtype", default="<i8",
+        choices=["<i4", "<i8", "<u4", "<u8"],
+        help="key dtype of the input stream (default: <i8)",
+    )
+    p.add_argument(
+        "--size", type=int, default=1 << 20,
+        help="generated keys when no --input (default: 1Mi)",
+    )
+    p.add_argument(
+        "--distribution", choices=DISTRIBUTIONS, default="random",
+        metavar="NAME",
+        help="generated key distribution: %(choices)s (default: random)",
+    )
+    p.add_argument("--seed", type=int, default=1234)
+    p.add_argument(
+        "--chunk-keys", type=int, default=None,
+        help="keys per in-memory chunk / spill run (default: 4Mi, or "
+        "size/8 for generated input so runs and a merge are exercised)",
+    )
+    p.add_argument(
+        "--fan-in", type=int, default=None,
+        help="max runs merged per pass (default: 16)",
+    )
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="native pool width for planned chunk sorts and merge passes "
+        "(default: auto)",
+    )
+    p.add_argument(
+        "--k", type=int, default=100,
+        help="topk only: how many largest keys to keep (default: 100)",
+    )
+    p.add_argument(
+        "--out", metavar="PATH", default=None,
+        help="sort only: write the sorted keys as raw bytes here",
+    )
+    p.add_argument(
+        "--no-verify", action="store_true",
+        help="sort only: skip the streaming order/conservation checks",
+    )
+
+    p = command(
+        "tune", _tune, help="measure this host's native sort crossover for the planner",
+        description="Measure where sequential np.sort, native sample sort "
+        "and native radix sort (at several digit widths) cross over on "
+        "this host, and persist the table the native planner answers "
+        "unpinned sorts from: native_plan.json in the user cache "
+        "($REPRO_CACHE_DIR) (docs/PERF.md, 'Crossover').",
+    )
+    p.add_argument(
+        "--quick", action="store_true",
+        help="three sizes, one key class, two repetitions (seconds)",
+    )
+    return root, commands
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and not argv[0].startswith("-") and argv[0] not in commands.choices:
+        return _unknown_experiments(argv[:1])
+    args = parser.parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

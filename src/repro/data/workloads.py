@@ -169,7 +169,7 @@ WORKLOAD_KINDS = {
 }
 
 #: Kinds beyond the paper's uint32 keys (the widened matrix).
-NEW_WORKLOAD_KINDS = ("u64", "f64", "payload", "dupheavy", "antisample")
+NEW_WORKLOAD_KINDS = tuple(k for k in WORKLOAD_KINDS if k != "u32")
 
 
 def make_workload(

@@ -27,12 +27,12 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
 from ..trace import MemoryRecorder, use_recorder, write_chrome_trace
-from ..verify.context import use_sanitizer
+from ..verify.context import current_sanitizer, use_sanitizer
 from ..verify.sanitizer import Sanitizer
 from .context import use_fault_plan
 from .plan import FaultPlan, FaultStats
@@ -72,120 +72,102 @@ def _assert_sorted(out: np.ndarray, keys: np.ndarray, where: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Native pool scenarios
+# Shared runners: one sort under one fault plan
 # ----------------------------------------------------------------------
-def _run_native(
-    plan: FaultPlan,
-    algorithm: str,
-    keys: np.ndarray,
-    *,
-    n_workers: int = 4,
-    phase_timeout_s: float = 10.0,
-) -> str:
-    from ..native import WorkerPool, parallel_sort
-
-    with use_fault_plan(plan):
-        with WorkerPool(
-            n_workers, supervise=True, phase_timeout_s=phase_timeout_s
-        ) as pool:
-            out = parallel_sort(keys, algorithm, pool=pool)
-            _assert_sorted(out, keys, f"native/{algorithm}")
-            detail = (
-                f"{pool.phase_failures} phase failure(s) absorbed, "
-                f"{pool.n_workers}/{n_workers} workers at end"
-            )
-    return detail
+def _require_fired(stats: FaultStats, *sites: str) -> None:
+    for site in sites:
+        if stats.injected.get(site, 0) < 1:
+            raise ChaosError(f"the scripted {site} never fired")
 
 
-def _native_storm(
-    name: str, algorithm: str, plan_seed: int, keys_seed: int, small: bool
-) -> ScenarioResult:
-    """Seeded crash/slowdown/attach-failure storm under one native sort."""
-    plan = FaultPlan(
-        plan_seed,
-        {
-            "pool.worker.crash": 0.10,
-            "pool.worker.slow": 0.15,
-            "shm.attach": 0.10,
-            "shm.create": 0.15,
-        },
-        slow_s=0.01,
-        max_per_site=2,
-    )
-    keys = _keys(keys_seed, 20_000 if small else 200_000)
-    t0 = time.perf_counter()
-    detail = _run_native(plan, algorithm, keys)
-    return ScenarioResult(name, plan.stats(), time.perf_counter() - t0, detail)
+@dataclass(frozen=True)
+class _NativeSort:
+    """One native sort on a supervised 4-worker pool under ``plan(seed)``."""
+
+    plan: Callable[[int], FaultPlan]
+    algorithm: str
+    keys_offset: int
+    full_n: int
+    phase_timeout_s: float = 10.0
+    must_fire: tuple[str, ...] = ()
+
+    def __call__(self, seed: int, small: bool) -> tuple[FaultStats, str]:
+        from ..native import WorkerPool, parallel_sort
+
+        plan = self.plan(seed)
+        keys = _keys(seed + self.keys_offset, 20_000 if small else self.full_n)
+        n_workers = 4
+        with use_fault_plan(plan):
+            with WorkerPool(
+                n_workers, supervise=True, phase_timeout_s=self.phase_timeout_s
+            ) as pool:
+                out = parallel_sort(keys, self.algorithm, pool=pool)
+                _assert_sorted(out, keys, f"native/{self.algorithm}")
+                detail = (
+                    f"{pool.phase_failures} phase failure(s) absorbed, "
+                    f"{pool.n_workers}/{n_workers} workers at end"
+                )
+        stats = plan.stats()
+        _require_fired(stats, *self.must_fire)
+        return stats, detail
 
 
-def _scenario_native_radix(seed: int, small: bool) -> ScenarioResult:
-    """The seeded storm under radix sort."""
-    return _native_storm("native-radix", "radix", seed, seed + 101, small)
+@dataclass(frozen=True)
+class _SimSort:
+    """Simulated MPI sorts under ``plan(seed)``; with ``report_sanitizer``
+    they run under a fresh sanitizer whose counts become the detail."""
+
+    plan: Callable[[int], FaultPlan]
+    algorithms: tuple[str, ...]
+    keys_offset: int
+    full_n: int
+    n_procs: int
+    report_sanitizer: bool = False
+
+    def __call__(self, seed: int, small: bool) -> tuple[FaultStats, str]:
+        from ..backend import get_backend
+        from ..backend.base import SortJob
+
+        plan = self.plan(seed)
+        keys = _keys(seed + self.keys_offset, 2_048 if small else self.full_n)
+        backend = get_backend("sim")
+        san = Sanitizer() if self.report_sanitizer else current_sanitizer()
+        with use_sanitizer(san), use_fault_plan(plan):
+            for algorithm in self.algorithms:
+                job = SortJob(
+                    keys, algorithm=algorithm, model="mpi", n_procs=self.n_procs
+                )
+                _assert_sorted(backend.run(job).sorted_keys, keys, f"sim/{algorithm}")
+        detail = (
+            f"sanitizer saw {sum(san.recoverable.values())} recoverable events, "
+            f"{sum(san.checks.values())} checks"
+            if self.report_sanitizer
+            else ""
+        )
+        return plan.stats(), detail
 
 
-def _scenario_native_sample(seed: int, small: bool) -> ScenarioResult:
-    """The seeded storm under sample sort."""
-    return _native_storm("native-sample", "sample", seed + 1, seed + 202, small)
-
-
-def _scenario_scripted_pool(seed: int, small: bool) -> ScenarioResult:
-    """Pinned worker crash + straggler + attach failure (every seed)."""
-    plan = FaultPlan.scripted(
-        {
-            "pool.worker.crash": [0],
-            "pool.worker.slow": [1],
-            "shm.attach": [2],
-        },
-        seed,
-        slow_s=0.01,
-    )
-    keys = _keys(seed + 303, 20_000 if small else 100_000)
-    t0 = time.perf_counter()
-    detail = _run_native(plan, "sample", keys)
-    return ScenarioResult(
-        "scripted-pool", plan.stats(), time.perf_counter() - t0, detail
-    )
-
-
-def _scenario_hang_timeout(seed: int, small: bool) -> ScenarioResult:
-    """Pinned worker hang; the supervised phase timeout must fire."""
-    plan = FaultPlan.scripted(
-        {"pool.worker.hang": [0]}, seed, hang_s=30.0
-    )
-    keys = _keys(seed + 404, 20_000 if small else 100_000)
-    t0 = time.perf_counter()
-    detail = _run_native(plan, "radix", keys, phase_timeout_s=0.75)
-    if plan.stats().injected.get("pool.worker.hang", 0) != 1:
-        raise ChaosError("hang-timeout: the scripted hang never fired")
-    return ScenarioResult(
-        "hang-timeout", plan.stats(), time.perf_counter() - t0, detail
-    )
-
-
-def _scenario_shm_alloc(seed: int, small: bool) -> ScenarioResult:
+# ----------------------------------------------------------------------
+# Shared-memory and cache scenarios
+# ----------------------------------------------------------------------
+def _shm_alloc(seed: int, small: bool) -> tuple[FaultStats, str]:
     """Pinned back-to-back creation failures; robust allocation retries."""
     del small
     from ..native import shm
 
     plan = FaultPlan.scripted({"shm.create": [0, 1]}, seed)
-    t0 = time.perf_counter()
     with use_fault_plan(plan):
         sa = shm.allocate(1024, retries=3, backoff_s=0.001)
         try:
             sa.array[:] = 7
             if int(sa.array.sum()) != 7 * 1024:
-                raise ChaosError("shm-alloc: allocated array not writable")
+                raise ChaosError("allocated array not writable")
         finally:
             sa.close()
-    return ScenarioResult(
-        "shm-alloc", plan.stats(), time.perf_counter() - t0, "2 ENOSPC retried"
-    )
+    return plan.stats(), "2 ENOSPC retried"
 
 
-# ----------------------------------------------------------------------
-# Cache and simulated-channel scenarios
-# ----------------------------------------------------------------------
-def _scenario_cache(seed: int, small: bool) -> ScenarioResult:
+def _cache_degrade(seed: int, small: bool) -> tuple[FaultStats, str]:
     """Pinned cache corruption + store errors; every read degrades to a
     recompute and every failed store is dropped, never raised."""
     del small
@@ -197,91 +179,39 @@ def _scenario_cache(seed: int, small: bool) -> ScenarioResult:
     plan = FaultPlan.scripted(
         {"cache.corrupt": [1], "cache.enospc": [1], "cache.eacces": [1]}, seed
     )
-    t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
         cache = GridCache(root)
         key = {"cell": "chaos", "seed": seed}
         with use_fault_plan(plan):
             if cache.get("run", key) is not None:  # probe 0: cold miss
-                raise ChaosError("cache: cold read returned a payload")
+                raise ChaosError("cold read returned a payload")
             if not cache.put("run", key, {"v": 1}):  # enospc probe 0: ok
-                raise ChaosError("cache: first store unexpectedly failed")
+                raise ChaosError("first store unexpectedly failed")
             if cache.get("run", key) != {"v": 1}:  # corrupt probe 0: ok
-                raise ChaosError("cache: clean read missed")
+                raise ChaosError("clean read missed")
             if cache.get("run", key) is not None:  # corrupt probe 1: fires
-                raise ChaosError("cache: injected corruption did not degrade")
+                raise ChaosError("injected corruption did not degrade")
             # The entry itself must survive an injected-corrupt read.
             if cache.get("run", key) != {"v": 1}:
-                raise ChaosError("cache: entry lost after injected corruption")
+                raise ChaosError("entry lost after injected corruption")
             if cache.put("run", key, {"v": 2}):  # enospc probe 1: fires
-                raise ChaosError("cache: injected ENOSPC store succeeded")
+                raise ChaosError("injected ENOSPC store succeeded")
             if cache.put("run", key, {"v": 3}):  # eacces probe 1: fires
-                raise ChaosError("cache: injected EACCES store succeeded")
+                raise ChaosError("injected EACCES store succeeded")
             if not cache.put("run", key, {"v": 4}):  # both past script: ok
-                raise ChaosError("cache: post-fault store failed")
+                raise ChaosError("post-fault store failed")
             if cache.get("run", key) != {"v": 4}:
-                raise ChaosError("cache: final read missed")
+                raise ChaosError("final read missed")
         detail = (
             f"{cache.stats.errors} degraded ops, {cache.stats.stores} stores"
         )
-    return ScenarioResult(
-        "cache-degrade", plan.stats(), time.perf_counter() - t0, detail
-    )
-
-
-def _scenario_sim_channels(seed: int, small: bool) -> ScenarioResult:
-    """Message delay/drop in the simulated MPI channels; the sort result
-    and the sanitizer's invariants must both survive."""
-    from ..backend import get_backend
-    from ..backend.base import SortJob
-
-    plan = FaultPlan(
-        seed + 2,
-        {"channel.delay": 0.05, "channel.drop": 0.02},
-        max_per_site=64,
-    )
-    keys = _keys(seed + 505, 2_048 if small else 16_384)
-    t0 = time.perf_counter()
-    backend = get_backend("sim")
-    san = Sanitizer()
-    with use_sanitizer(san), use_fault_plan(plan):
-        for algorithm in ("radix", "sample"):
-            job = SortJob(keys, algorithm=algorithm, model="mpi", n_procs=8)
-            res = backend.run(job)
-            _assert_sorted(res.sorted_keys, keys, f"sim/{algorithm}")
-    detail = (
-        f"sanitizer saw {sum(san.recoverable.values())} recoverable events, "
-        f"{sum(san.checks.values())} checks"
-    )
-    return ScenarioResult(
-        "sim-channels", plan.stats(), time.perf_counter() - t0, detail
-    )
-
-
-def _scenario_scripted_channels(seed: int, small: bool) -> ScenarioResult:
-    """Pinned delay + drop on the first two messages (every seed)."""
-    from ..backend import get_backend
-    from ..backend.base import SortJob
-
-    plan = FaultPlan.scripted(
-        {"channel.drop": [0], "channel.delay": [1]}, seed
-    )
-    keys = _keys(seed + 606, 2_048 if small else 8_192)
-    t0 = time.perf_counter()
-    with use_fault_plan(plan):
-        res = get_backend("sim").run(
-            SortJob(keys, algorithm="radix", model="mpi", n_procs=4)
-        )
-        _assert_sorted(res.sorted_keys, keys, "sim/radix(scripted)")
-    return ScenarioResult(
-        "scripted-channels", plan.stats(), time.perf_counter() - t0
-    )
+    return plan.stats(), detail
 
 
 # ----------------------------------------------------------------------
 # Job-server scenario
 # ----------------------------------------------------------------------
-def _scenario_serve_traffic(seed: int, small: bool) -> ScenarioResult:
+def _serve_traffic(seed: int, small: bool) -> tuple[FaultStats, str]:
     """Worker crashes mid-traffic under the sort job server.
 
     A scripted plan kills pool workers while concurrent jobs flow through
@@ -305,7 +235,6 @@ def _scenario_serve_traffic(seed: int, small: bool) -> ScenarioResult:
     rng = np.random.default_rng(seed + 707)
     accepted: dict[str, np.ndarray] = {}
     busy = 0
-    t0 = time.perf_counter()
     with server_in_thread(
         n_workers=2,
         queue_depth=2,
@@ -324,13 +253,11 @@ def _scenario_serve_traffic(seed: int, small: bool) -> ScenarioResult:
                 except ServeRejected as rej:
                     if rej.code != "busy":
                         raise ChaosError(
-                            f"serve-traffic: burst rejected with "
-                            f"{rej.code!r}, expected 'busy'"
+                            f"burst rejected with {rej.code!r}, expected 'busy'"
                         ) from None
                     if rej.retry_after_s is None:
                         raise ChaosError(
-                            "serve-traffic: busy rejection carried no "
-                            "retry_after_s hint"
+                            "busy rejection carried no retry_after_s hint"
                         ) from None
                     busy += 1
                     time.sleep(min(rej.retry_after_s, 0.2))
@@ -338,20 +265,18 @@ def _scenario_serve_traffic(seed: int, small: bool) -> ScenarioResult:
                 accepted[job_id] = keys
             if busy == 0:
                 raise ChaosError(
-                    "serve-traffic: 12-job burst against a depth-2 queue "
-                    "produced no busy rejection"
+                    "12-job burst against a depth-2 queue produced no busy "
+                    "rejection"
                 )
             if len(accepted) < 3:
-                raise ChaosError(
-                    f"serve-traffic: only {len(accepted)} job(s) accepted"
-                )
+                raise ChaosError(f"only {len(accepted)} job(s) accepted")
             # Every accepted job must finish and sort correctly -- the
             # crashes land on the pool underneath these very jobs.
             for job_id, keys in accepted.items():
                 status = client.wait(job_id, timeout_s=120.0)
                 if status.get("status") != "done":
                     raise ChaosError(
-                        f"serve-traffic: accepted job {job_id} ended "
+                        f"accepted job {job_id} ended "
                         f"{status.get('status')!r} "
                         f"({status.get('error')}: {status.get('message')})"
                     )
@@ -360,21 +285,18 @@ def _scenario_serve_traffic(seed: int, small: bool) -> ScenarioResult:
                 )
             failures_absorbed = server.engine.pool.phase_failures
     stats = plan.stats()
-    if stats.injected.get("pool.worker.crash", 0) < 1:
-        raise ChaosError("serve-traffic: the scripted crashes never fired")
+    _require_fired(stats, "pool.worker.crash")
     detail = (
         f"{len(accepted)} job(s) verified, {busy} busy rejection(s), "
         f"{failures_absorbed} phase failure(s) absorbed"
     )
-    return ScenarioResult(
-        "serve-traffic", stats, time.perf_counter() - t0, detail
-    )
+    return stats, detail
 
 
 # ----------------------------------------------------------------------
 # Out-of-core stream scenario
 # ----------------------------------------------------------------------
-def _scenario_stream_merge(seed: int, small: bool) -> ScenarioResult:
+def _stream_merge(seed: int, small: bool) -> tuple[FaultStats, str]:
     """Worker kill mid-merge plus the full spill fault family.
 
     An external sort is driven over a shared supervised pool with a
@@ -410,7 +332,6 @@ def _scenario_stream_merge(seed: int, small: bool) -> ScenarioResult:
         },
         seed,
     )
-    t0 = time.perf_counter()
     blocks: list[np.ndarray] = []
     with use_fault_plan(plan):
         with WorkerPool(p, supervise=True, phase_timeout_s=10.0) as pool:
@@ -430,50 +351,92 @@ def _scenario_stream_merge(seed: int, small: bool) -> ScenarioResult:
     out = (
         np.concatenate(blocks) if blocks else np.empty(0, dtype=keys.dtype)
     )
-    _assert_sorted(out, keys, "stream-merge")
+    _assert_sorted(out, keys, "merged output")
     stats = plan.stats()
     if stats.injected.get("pool.worker.crash", 0) < 1:
         raise ChaosError(
-            "stream-merge: the scripted mid-merge crash never fired "
+            "the scripted mid-merge crash never fired "
             f"(crash probes seen: {plan.probes('pool.worker.crash')}, "
             f"scripted index {crash_idx})"
         )
     if not merge_faults:
         raise ChaosError(
-            "stream-merge: no absorbed failure was attributed to a "
-            "stream.merge phase in the pool fault log"
+            "no absorbed failure was attributed to a stream.merge phase in "
+            "the pool fault log"
         )
-    for site in ("spill.enospc", "spill.short_write", "spill.corrupt"):
-        if stats.injected.get(site, 0) < 1:
-            raise ChaosError(f"stream-merge: scripted {site} never fired")
+    _require_fired(stats, "spill.enospc", "spill.short_write", "spill.corrupt")
     if result.merge_passes < 1:
-        raise ChaosError("stream-merge: the merge never went multi-pass")
+        raise ChaosError("the merge never went multi-pass")
     detail = (
         f"{result.runs} runs, {result.merge_passes} merge pass(es), "
         f"{len(merge_faults)} merge-phase failure(s) absorbed, "
         f"verified={result.verified}"
     )
-    return ScenarioResult(
-        "stream-merge", stats, time.perf_counter() - t0, detail
-    )
+    return stats, detail
 
 
-SCENARIOS: tuple[Callable[[int, bool], ScenarioResult], ...] = (
-    _scenario_native_radix,
-    _scenario_native_sample,
-    _scenario_scripted_pool,
-    _scenario_hang_timeout,
-    _scenario_shm_alloc,
-    _scenario_cache,
-    _scenario_sim_channels,
-    _scenario_scripted_channels,
-    _scenario_serve_traffic,
-    _scenario_stream_merge,
+class Scenario(NamedTuple):
+    """One row of the matrix: the name ``--scenario`` takes and every run
+    prints, and ``run(seed, small) -> (fault stats, detail)``, which
+    raises :class:`ChaosError` when the contract breaks."""
+
+    name: str
+    run: Callable[[int, bool], tuple[FaultStats, str]]
+
+
+_STORM = {
+    "pool.worker.crash": 0.10,
+    "pool.worker.slow": 0.15,
+    "shm.attach": 0.10,
+    "shm.create": 0.15,
+}
+
+SCENARIOS: tuple[Scenario, ...] = (
+    # The seeded crash/slowdown/attach-failure storm, under each algorithm.
+    Scenario("native-radix", _NativeSort(
+        lambda seed: FaultPlan(seed, _STORM, slow_s=0.01, max_per_site=2),
+        "radix", keys_offset=101, full_n=200_000,
+    )),
+    Scenario("native-sample", _NativeSort(
+        lambda seed: FaultPlan(seed + 1, _STORM, slow_s=0.01, max_per_site=2),
+        "sample", keys_offset=202, full_n=200_000,
+    )),
+    # Pinned worker crash + straggler + attach failure (every seed).
+    Scenario("scripted-pool", _NativeSort(
+        lambda seed: FaultPlan.scripted(
+            {"pool.worker.crash": [0], "pool.worker.slow": [1], "shm.attach": [2]},
+            seed, slow_s=0.01,
+        ),
+        "sample", keys_offset=303, full_n=100_000,
+    )),
+    # Pinned worker hang; the supervised phase timeout must fire.
+    Scenario("hang-timeout", _NativeSort(
+        lambda seed: FaultPlan.scripted({"pool.worker.hang": [0]}, seed, hang_s=30.0),
+        "radix", keys_offset=404, full_n=100_000,
+        phase_timeout_s=0.75, must_fire=("pool.worker.hang",),
+    )),
+    Scenario("shm-alloc", _shm_alloc),
+    Scenario("cache-degrade", _cache_degrade),
+    # Message delay/drop in the simulated MPI channels; the sort result
+    # and the sanitizer's invariants must both survive.
+    Scenario("sim-channels", _SimSort(
+        lambda seed: FaultPlan(
+            seed + 2, {"channel.delay": 0.05, "channel.drop": 0.02},
+            max_per_site=64,
+        ),
+        ("radix", "sample"), keys_offset=505, full_n=16_384, n_procs=8,
+        report_sanitizer=True,
+    )),
+    # Pinned drop + delay on the first two messages (every seed).
+    Scenario("scripted-channels", _SimSort(
+        lambda seed: FaultPlan.scripted(
+            {"channel.drop": [0], "channel.delay": [1]}, seed
+        ),
+        ("radix",), keys_offset=606, full_n=8_192, n_procs=4,
+    )),
+    Scenario("serve-traffic", _serve_traffic),
+    Scenario("stream-merge", _stream_merge),
 )
-
-
-def _scenario_name(fn: Callable[[int, bool], ScenarioResult]) -> str:
-    return fn.__name__.removeprefix("_scenario_").replace("_", "-")
 
 
 # ----------------------------------------------------------------------
@@ -502,9 +465,9 @@ def run_chaos(
     scenarios = SCENARIOS
     if scenario is not None:
         wanted = scenario.replace("_", "-")
-        scenarios = tuple(s for s in SCENARIOS if _scenario_name(s) == wanted)
+        scenarios = tuple(s for s in SCENARIOS if s.name == wanted)
         if not scenarios:
-            known = ", ".join(_scenario_name(s) for s in SCENARIOS)
+            known = ", ".join(s.name for s in SCENARIOS)
             print(f"unknown scenario {scenario!r}; choose from: {known}",
                   file=out)
             return 2
@@ -519,10 +482,10 @@ def run_chaos(
             if soak > 1:
                 print(f"-- soak round {round_i + 1}/{soak} "
                       f"(seed {round_seed})", file=out)
-            for scenario_fn in scenarios:
-                name = _scenario_name(scenario_fn)
+            for name, run in scenarios:
+                t0 = time.perf_counter()
                 try:
-                    r = scenario_fn(round_seed, small)
+                    stats, detail = run(round_seed, small)
                 except ChaosError as err:
                     failures.append(f"{name}: {err}")
                     print(f"  FAIL {name:<18} {err}", file=out)
@@ -534,6 +497,7 @@ def run_chaos(
                         file=out,
                     )
                     continue
+                r = ScenarioResult(name, stats, time.perf_counter() - t0, detail)
                 injected_total.update(r.stats.injected)
                 recovered_total.update(r.stats.recovered)
                 if not r.stats.all_recovered:

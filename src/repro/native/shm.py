@@ -4,8 +4,8 @@ The GIL makes thread-based shared-memory sorting pointless in Python (the
 very reason this reproduction simulates the paper's machine), so the
 native backend uses *processes* sharing buffers through
 :mod:`multiprocessing.shared_memory`.  :class:`SharedArray` wraps the
-block lifecycle: create, view as ndarray, attach from a worker by name,
-and unlink exactly once.
+block lifecycle: create, view as ndarray, and unlink exactly once;
+workers reach a block by name through :func:`resolve`.
 
 Two fault sites live here (see :mod:`repro.faults` and docs/FAULTS.md):
 ``shm.create`` makes creation raise ENOSPC (the classic full ``/dev/shm``)
@@ -49,8 +49,7 @@ _HAS_TRACK_PARAM = sys.version_info >= (3, 13)
 _ATTACH_LOCK = threading.Lock()
 
 #: Pending injected attach failures in *this* process (armed by the pool's
-#: per-task fault directives; consumed one per :func:`resolve` or
-#: ``SharedArray.attach``).
+#: per-task fault directives; consumed one per :func:`resolve`).
 _fail_attach_count = 0
 
 #: Process-local lifetime counters: successful creations and *fresh*
@@ -188,31 +187,23 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 
 
 class SharedArray:
-    """A NumPy array backed by a named shared-memory block."""
+    """A NumPy array backed by a shared-memory block this process
+    creates, and unlinks on :meth:`close`."""
 
     def __init__(
         self,
         shape: tuple[int, ...] | int,
         dtype: np.dtype | type = np.int64,
         name: str | None = None,
-        create: bool = True,
     ):
-        global _create_count, _attach_count
+        global _create_count
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(self.shape)) * self.dtype.itemsize)
-        if create:
-            _maybe_injected_create_failure()
-            self._shm = shared_memory.SharedMemory(create=True, size=nbytes, name=name)
-            self._owner = True
-            _create_count += 1
-        else:
-            if name is None:
-                raise ValueError("attaching requires a block name")
-            _consume_injected_attach_failure()
-            self._shm = _attach_untracked(name)
-            _attach_count += 1
-            self._owner = False
+        _maybe_injected_create_failure()
+        self._shm = shared_memory.SharedMemory(create=True, size=nbytes, name=name)
+        self._owner = True
+        _create_count += 1
         self.array: np.ndarray = np.ndarray(
             self.shape, dtype=self.dtype, buffer=self._shm.buf
         )
@@ -221,23 +212,8 @@ class SharedArray:
     def name(self) -> str:
         return self._shm.name
 
-    @classmethod
-    def attach(
-        cls, name: str, shape: tuple[int, ...] | int, dtype: np.dtype | type
-    ) -> "SharedArray":
-        """A private, uncached attachment to an existing block (pool tasks
-        use :func:`resolve` instead)."""
-        return cls(shape, dtype, name=name, create=False)
-
-    @classmethod
-    def from_array(cls, source: np.ndarray) -> "SharedArray":
-        """Create a shared copy of ``source``."""
-        sa = cls(source.shape, source.dtype)
-        sa.array[...] = source
-        return sa
-
     def close(self) -> None:
-        """Detach; the owner also unlinks the block."""
+        """Detach and unlink the block; safe to call twice."""
         # Drop the ndarray view first: SharedMemory.close() refuses while
         # exported buffers exist.
         self.array = None  # type: ignore[assignment]

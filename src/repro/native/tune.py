@@ -15,14 +15,13 @@ sort that creates and faults the slabs in), and best-of-N discards it.
 
 from __future__ import annotations
 
-import argparse
 import time
 from typing import Callable
 
 import numpy as np
 
 from . import parallel_radix_sort, parallel_sample_sort
-from .plan import PlanTable, default_table_path, host_fingerprint
+from .plan import PlanTable, host_fingerprint
 from .pool import WorkerPool, default_workers
 
 #: Swept sizes, as log2 n.
@@ -97,25 +96,3 @@ def format_table(table: PlanTable) -> str:
                 )
             )
     return "\n".join(lines)
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro tune",
-        description="Measure where sequential np.sort, native sample sort "
-        "and native radix sort (at several digit widths) cross over on "
-        "this host, and persist the table the native planner answers "
-        "unpinned sorts from: native_plan.json in the user cache "
-        "($REPRO_CACHE_DIR) (docs/PERF.md, 'Crossover').",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="three sizes, one key class, two repetitions (seconds)",
-    )
-    args = parser.parse_args(argv)
-
-    table = sweep(quick=args.quick)
-    out = table.save(default_table_path())
-    print(format_table(table))
-    print(f"native plan table ({table.p} workers) -> {out}")
-    return 0

@@ -37,10 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ..backend.simulated import DEFAULT_RADIX
 from ..core.experiment import ExperimentRunner, RunSpec
 from ..core.gridcache import default_cache_dir
 from ..smp.perf import PerfReport
-from ..verify.differential import RADIX_MODELS, SAMPLE_MODELS
+from ..verify.differential import ALGORITHM_MODELS
 from ..sorts.program import drive, measure
 from .driver import CATEGORIES, PredictTeam
 
@@ -199,16 +200,13 @@ def calibration_grid(small: bool = False) -> list[RunSpec]:
         sizes_p = [(1 << 20, 16), (1 << 22, 64)]
         dists = ["random", "gauss", "zero"]
     specs: list[RunSpec] = []
-    for algorithm, models, radix in (
-        ("radix", RADIX_MODELS, 8),
-        ("sample", SAMPLE_MODELS, 11),
-    ):
+    for algorithm, models in ALGORITHM_MODELS:
         for model in models:
             for n, p in sizes_p:
                 for dist in dists:
                     specs.append(
                         RunSpec(
-                            algorithm, model, n, p, radix,
+                            algorithm, model, n, p, DEFAULT_RADIX[algorithm],
                             distribution=dist, max_actual=1 << 16,
                         )
                     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..backend.simulated import DEFAULT_RADIX
 from ..core.experiment import (
     PROC_COUNTS,
     SIZE_ORDER,
@@ -39,10 +40,9 @@ from ..core.experiment import (
 from ..data.distributions import PAPER_ORDER
 from ..machine.zoo import MACHINES, get_machine
 from ..verify.differential import (
+    ALGORITHM_MODELS,
     ALL_WORKLOADS,
     PREDICT_ERROR_GATE,
-    RADIX_MODELS,
-    SAMPLE_MODELS,
     machine_model,
 )
 from .figures import bar_chart, breakdown_panel, grouped_series, per_proc_strip
@@ -409,13 +409,13 @@ def tables2_and_3(
     sizes = sizes or SIZE_ORDER
     procs = procs or PROC_COUNTS
     radix_choices = radix_choices or [7, 8, 11, 12]
-    radix_models = radix_models or RADIX_MODELS
-    sample_models = sample_models or SAMPLE_MODELS
+    chosen = {"radix": radix_models, "sample": sample_models}
+    grid = [(alg, chosen[alg] or models) for alg, models in ALGORITHM_MODELS]
 
     runner.run_many(
         [
             RunSpec(algorithm, m, SIZES[label], p, r)
-            for algorithm, models in (("radix", radix_models), ("sample", sample_models))
+            for algorithm, models in grid
             for label in sizes
             for p in procs
             for m in models
@@ -427,7 +427,7 @@ def tables2_and_3(
         "radix": {},
         "sample": {},
     }
-    for algorithm, models in (("radix", radix_models), ("sample", sample_models)):
+    for algorithm, models in grid:
         for label in sizes:
             best_time[algorithm][label] = {}
             best_combo[algorithm][label] = {}
@@ -558,14 +558,12 @@ def predict_compare(
 
     sizes = sizes or ["1M", "16M"]
     procs = procs or [16, 64]
-    combos = [("radix", m, 8) for m in RADIX_MODELS] + [
-        ("sample", m, 11) for m in SAMPLE_MODELS
-    ]
     specs = [
-        RunSpec(alg, m, SIZES[label], p, r)
+        RunSpec(alg, m, SIZES[label], p, DEFAULT_RADIX[alg])
         for label in sizes
         for p in procs
-        for alg, m, r in combos
+        for alg, models in ALGORITHM_MODELS
+        for m in models
     ]
     t0 = time.perf_counter()
     runner.run_many(specs)

@@ -24,6 +24,7 @@ caller.
 from __future__ import annotations
 
 import asyncio
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -187,8 +188,17 @@ class ServeServer:
         loop.call_soon_threadsafe(ev.set)
 
     async def serve_until_stopped(self) -> None:
-        """``start`` + block until ``request_stop``/shutdown op + close."""
+        """``start``, print ``serving on <host>:<port> (...)`` (where
+        callers read the port), serve until SIGINT/SIGTERM,
+        ``request_stop`` or a shutdown op, close.  Main thread only."""
         await self.start()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, self.request_stop)
+        assert self.engine is not None
+        print(f"serving on {self.host}:{self.port} "
+              f"({self.engine.pool.n_workers} workers, "
+              f"queue depth {self.queue_depth})", flush=True)
         try:
             assert self._stop_event is not None
             await self._stop_event.wait()

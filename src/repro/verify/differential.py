@@ -54,6 +54,8 @@ from typing import IO
 
 import numpy as np
 
+from ..data.workloads import NEW_WORKLOAD_KINDS, WORKLOAD_KINDS
+from ..machine.zoo import MACHINES
 from .context import current_sanitizer, use_sanitizer
 from .errors import VerifyError
 from .invariants import check_trace_events
@@ -63,6 +65,8 @@ from .sanitizer import Sanitizer
 #: variant -- its distribution phase is already chunk-contiguous).
 RADIX_MODELS = ("ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem")
 SAMPLE_MODELS = ("ccsas", "mpi-new", "mpi-sgi", "shmem")
+#: The grid's algorithm -> models pairing, in cell order.
+ALGORITHM_MODELS = (("radix", RADIX_MODELS), ("sample", SAMPLE_MODELS))
 
 #: ``--small`` keeps one distribution per communication regime: random
 #: traffic (gauss), heavy duplication (zero), all-remote movement.
@@ -71,12 +75,12 @@ SMALL_DISTRIBUTIONS = ("gauss", "zero", "remote")
 #: The machine-zoo members beyond the paper's Origin2000, each paired
 #: with a programming model its transports support (the AP1000 has no
 #: remote loads, so only message passing runs there).
-NEW_MACHINES = ("multicore", "bsp", "ap1000")
-ALL_MACHINES = ("origin2000",) + NEW_MACHINES
+NEW_MACHINES = tuple(m for m in MACHINES if m != "origin2000")
+ALL_MACHINES = tuple(MACHINES)
 
 #: Workload kinds beyond the paper's uint32 keys (repro.data.workloads).
-NEW_WORKLOADS = ("u64", "f64", "payload", "dupheavy", "antisample")
-ALL_WORKLOADS = ("u32",) + NEW_WORKLOADS
+NEW_WORKLOADS = NEW_WORKLOAD_KINDS
+ALL_WORKLOADS = tuple(WORKLOAD_KINDS)
 
 #: Host worker processes for the native runs (small arrays; fork cost
 #: dominates real sorting here).
@@ -179,10 +183,9 @@ def default_grid(
     dists = SMALL_DISTRIBUTIONS if small else tuple(PAPER_ORDER)
     cases = []
     for dist in dists:
-        for model in RADIX_MODELS:
-            cases.append(CheckCase("sim", "radix", dist, n, p, model))
-        for model in SAMPLE_MODELS:
-            cases.append(CheckCase("sim", "sample", dist, n, p, model))
+        for algorithm, models in ALGORITHM_MODELS:
+            for model in models:
+                cases.append(CheckCase("sim", algorithm, dist, n, p, model))
         if native:
             for algorithm in ("radix", "sample"):
                 cases.append(CheckCase("native", algorithm, dist, n, p))

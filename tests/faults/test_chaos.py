@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from repro.faults import FaultPlan
-from repro.faults.chaos import MIN_FAULT_KINDS, SCENARIOS, run_chaos
+from repro.faults import FaultPlan, FaultStats
+from repro.faults import chaos
+from repro.faults.chaos import MIN_FAULT_KINDS, SCENARIOS, Scenario, run_chaos
 
 pytestmark = pytest.mark.chaos
 
@@ -71,6 +72,28 @@ class TestChaosCli:
             main(["chaos", "--help"])
         assert e.value.code == 0
         assert "fault" in capsys.readouterr().out.lower()
+
+    def test_every_printed_name_is_accepted(self, capsys, monkeypatch):
+        """The name a run prints is the name ``--scenario`` takes, and an
+        unknown name is answered with exactly the table's names."""
+        from repro.__main__ import main
+
+        def passes(seed, small):
+            return FaultStats(), ""
+
+        names = [s.name for s in SCENARIOS]
+        monkeypatch.setattr(
+            chaos, "SCENARIOS", tuple(Scenario(n, passes) for n in names)
+        )
+        main(["chaos", "--small"])  # fails the coverage floor; prints all
+        printed = re.findall(r"^  ok   (\S+)", capsys.readouterr().out, re.M)
+        assert printed == names
+        for name in printed:
+            assert main(["chaos", "--small", "--scenario", name]) == 0
+        capsys.readouterr()
+        assert main(["chaos", "--scenario", "cache"]) == 2
+        known = capsys.readouterr().out.rpartition("choose from: ")[2]
+        assert known.strip().split(", ") == names
 
 
 class TestPlanReplayEndToEnd:

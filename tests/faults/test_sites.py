@@ -33,16 +33,17 @@ class TestShmAllocation:
 
     def test_injected_attach_failure_consumed_once(self):
         src = np.arange(32, dtype=np.int64)
-        with shm.SharedArray.from_array(src) as sa:
+        with shm.SharedArray(32) as sa:
+            sa.array[:] = src
+            handle = (sa.name, (32,), "<i8")
             shm.fail_next_attach()
             with pytest.raises(OSError, match="injected shm.attach"):
-                shm.SharedArray.attach(sa.name, (32,), np.int64)
+                shm.resolve(handle)
             # The armed failure is spent; the next attach succeeds.
-            view = shm.SharedArray.attach(sa.name, (32,), np.int64)
             try:
-                assert np.array_equal(view.array, src)
+                assert np.array_equal(shm.resolve(handle), src)
             finally:
-                view.close()
+                shm.forget(sa.name)
 
 
 class TestCacheDegrade:

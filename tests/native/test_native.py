@@ -14,6 +14,7 @@ from repro.native import (
     parallel_radix_sort,
     parallel_sample_sort,
     parallel_sort,
+    shm,
 )
 from repro.native.pool import default_start_method, default_workers
 from repro.trace import MemoryRecorder, use_recorder
@@ -38,21 +39,22 @@ def _one_over(x):
 
 class TestSharedArray:
     def test_roundtrip(self):
+        """A worker's view of a block (``shm.resolve`` of its handle)
+        shares memory with the owner's array."""
         src = np.arange(100, dtype=np.int32)
-        with SharedArray.from_array(src) as sa:
-            assert np.array_equal(sa.array, src)
-            with SharedArray.attach(sa.name, (100,), np.int32) as view:
-                view.array[0] = 42
+        with SharedArray(100, np.int32) as sa:
+            sa.array[:] = src
+            view = shm.resolve((sa.name, (100,), "<i4"))
+            assert np.array_equal(view, src)
+            view[0] = 42
+            del view
+            shm.forget(sa.name)
             assert sa.array[0] == 42
 
     def test_double_close_safe(self):
         sa = SharedArray(10)
         sa.close()
         sa.close()
-
-    def test_attach_requires_name(self):
-        with pytest.raises(ValueError):
-            SharedArray(10, create=False)
 
 
 class TestAttachTracking:
@@ -66,15 +68,16 @@ class TestAttachTracking:
         from multiprocessing import resource_tracker
 
         original = resource_tracker.register
-        src = np.arange(256, dtype=np.int64)
         errors = []
-        with SharedArray.from_array(src) as sa:
+        with SharedArray(256) as sa:
+            sa.array[:] = np.arange(256)
+
             def attach_loop():
                 try:
                     for _ in range(40):
-                        view = SharedArray.attach(sa.name, (256,), np.int64)
-                        assert view.array[0] == 0
-                        view.close()
+                        mapping = shm._attach_untracked(sa.name)
+                        assert mapping.buf[0] == 0
+                        mapping.close()
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
 
@@ -101,12 +104,11 @@ class TestAttachTracking:
             registered.append((name, rtype))
             return original(name, rtype)
 
-        src = np.arange(16, dtype=np.int64)
-        with SharedArray.from_array(src) as sa:
+        with SharedArray(16) as sa:
             resource_tracker.register = spy
             try:
-                view = SharedArray.attach(sa.name, (16,), np.int64)
-                view.close()
+                shm.resolve((sa.name, (16,), "<i8"))
+                shm.forget(sa.name)
             finally:
                 resource_tracker.register = original
         assert registered == []

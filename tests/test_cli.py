@@ -2,21 +2,110 @@
 
 import inspect
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.__main__ import SUBCOMMANDS, main
+import repro
+from repro.__main__ import _parser, main
 from repro.report.experiments import EXPERIMENTS
+
+#: ``python -m repro list``'s subcommand lines, word for word.
+SUBCOMMAND_LINES = [
+    "trace          run one sort on a backend and export its trace",
+    "predict        analytic performance prediction (no simulation)",
+    "calibrate      fit the analytic predictor against the simulator",
+    "check          sanitized differential verification of every backend",
+    "cache          stats / clear / gc for the persistent result cache",
+    "chaos          seeded fault-injection matrix over both backends",
+    "serve          TCP sort-job server on the resilient native pool",
+    "loadgen        load/latency harness for a repro.serve endpoint",
+    "stream         out-of-core sort / top-k over a key stream",
+    "tune           measure this host's native sort crossover for the planner",
+]
+SUBCOMMANDS = [line.split()[0] for line in SUBCOMMAND_LINES]
+
+#: Every name the one argparse tree registers: experiment ids, ``all``,
+#: ``list`` and the subcommands.
+COMMANDS = list(_parser()[1].choices)
 
 
 class TestCLI:
     def test_list(self, capsys):
-        """Every experiment id and every subcommand is listed, once."""
+        """Every experiment id and then every subcommand is listed, once,
+        each with its one-line summary."""
         assert main(["list"]) == 0
+        experiments = [
+            f"{exp_id:<14} {exp.run.__doc__.strip().splitlines()[0]}"
+            for exp_id, exp in EXPERIMENTS.items()
+        ]
         out = capsys.readouterr().out
-        listed = [line.split()[0] for line in out.splitlines()]
+        assert out.splitlines() == experiments + SUBCOMMAND_LINES
+
+    def test_registry(self):
+        assert COMMANDS == [*EXPERIMENTS, "all", "list", *SUBCOMMANDS]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_help(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            f"usage: python -m repro {name} "
+        )
+
+    def test_root_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^    (\S+)", capsys.readouterr().out, re.M)
         assert listed == [*EXPERIMENTS, *SUBCOMMANDS]
-        assert {"check", "serve", "loadgen", "stream", "tune"} <= set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--machine", "foo"],
+            ["check", "--workload", "nope"],
+            ["trace", "--distribution", "nope"],
+            ["predict", "--distribution", "nope"],
+            ["stream", "sort", "--distribution", "nope"],
+            ["trace", "--size", "1000", "--procs", "16"],
+            ["loadgen"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: python -m repro {argv[0]} ")
+        assert f"python -m repro {argv[0]}: error: " in err
+
+    def test_serve_announces_its_port(self):
+        """The first line ``python -m repro serve`` prints carries the
+        bound port where scripts parse it (``:(\\d+) ``), and SIGTERM
+        stops the server cleanly."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2"],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            line = server.stdout.readline()
+            assert line.startswith("serving on 127.0.0.1:"), line
+            assert int(re.search(r":(\d+) ", line).group(1)) > 0
+        finally:
+            server.terminate()
+            code = server.wait(30)
+            server.stdout.close()
+        assert code == 0
 
     def test_stream_sort_prints_the_chunk_plan(self, capsys):
         assert main(["stream", "sort", "--size", "20000", "--workers", "1"]) == 0
