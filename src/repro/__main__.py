@@ -144,8 +144,8 @@ def _predict(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .core.api import sort
+    from .core.experiment import ALGORITHM_MODELS
     from .predict import PredictedBackend, load_calibration
-    from .verify.differential import ALGORITHM_MODELS
 
     if args.uncalibrated:
         backend = PredictedBackend(calibration=False)
@@ -487,10 +487,7 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         return 0
 
     for exp_id, exp in EXPERIMENTS.items():
-        sub = command(
-            exp_id, _experiments,
-            help=(exp.run.__doc__ or "").strip().splitlines()[0],
-        )
+        sub = command(exp_id, _experiments, help=exp.help)
         sub.add_argument(
             "more", nargs="*", metavar="EXPERIMENT",
             help="further experiment ids to run in the same pass",

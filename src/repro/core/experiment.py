@@ -15,9 +15,10 @@ invocation:
   fingerprint of the package source, so stale results are never served.
 
 :meth:`ExperimentRunner.run_many` additionally fans independent grid
-cells out over a ``ProcessPoolExecutor`` (workers share the disk cache;
-the parent merges results into the memo), emitting one
-:mod:`repro.trace` span per cell for progress monitoring.
+cells out over worker processes (:func:`fan_out`, the package's one
+process fan-out; workers share the disk cache and the parent merges
+results into the memo), emitting one :mod:`repro.trace` span per cell
+for progress monitoring.
 
 Labeled-vs-actual sizing: the functional arrays run at the largest
 power-of-two fraction of the labeled size not exceeding ``max_actual``
@@ -30,7 +31,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +60,19 @@ SIZES: dict[str, int] = {
 }
 SIZE_ORDER = ["1M", "4M", "16M", "64M", "256M"]
 PROC_COUNTS = [16, 32, 64]
+
+#: Models per algorithm (the paper's grid; sample sort has no CC-SAS-NEW
+#: variant -- its distribution phase is already chunk-contiguous).
+RADIX_MODELS = ("ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem")
+SAMPLE_MODELS = ("ccsas", "mpi-new", "mpi-sgi", "shmem")
+#: The grid's algorithm -> models pairing, in cell order.
+ALGORITHM_MODELS = (("radix", RADIX_MODELS), ("sample", SAMPLE_MODELS))
+
+
+def machine_model(machine: str) -> str:
+    """A programming model whose transports ``machine`` supports (the
+    AP1000 has no remote loads, so only message passing runs there)."""
+    return "mpi-new" if machine == "ap1000" else "shmem"
 
 
 def paper_page_bytes(n_labeled: int) -> int:
@@ -187,6 +201,23 @@ def _outcome_valid(outcome: object) -> bool:
     )
 
 
+def _keys_id(spec: RunSpec) -> tuple:
+    return (spec.distribution, spec.n_actual, spec.n_procs, spec.radix, spec.seed)
+
+
+def spec_keys(spec: RunSpec, memo: dict[tuple, np.ndarray]) -> np.ndarray:
+    """The cell's functional key array, generated once per ``memo`` entry
+    (cells differing only in algorithm or model share it)."""
+    key_id = _keys_id(spec)
+    keys = memo.get(key_id)
+    if keys is None:
+        keys = memo[key_id] = generate(
+            spec.distribution, spec.n_actual, spec.n_procs,
+            radix=spec.radix, seed=spec.seed,
+        )
+    return keys
+
+
 def _load_or_compute(
     spec: RunSpec,
     costs: CostModel,
@@ -198,10 +229,9 @@ def _load_or_compute(
     """One grid cell, from the disk cache or by running it.
 
     A valid cached payload is returned as is (an invalid one is dropped
-    from the cache); otherwise the cell runs on keys generated once per
-    ``keys_memo`` entry and is published to the cache -- or, with
-    ``compute=False``, the miss is reported as ``None`` for the caller
-    to schedule.
+    from the cache); otherwise the cell runs on :func:`spec_keys` and is
+    published to the cache -- or, with ``compute=False``, the miss is
+    reported as ``None`` for the caller to schedule.
     """
     if cache is not None:
         material = _run_key_material(spec, costs)
@@ -212,17 +242,28 @@ def _load_or_compute(
             cache.invalidate("run", material)
     if not compute:
         return None
-    key_id = (spec.distribution, spec.n_actual, spec.n_procs, spec.radix, spec.seed)
-    keys = keys_memo.get(key_id)
-    if keys is None:
-        keys = keys_memo[key_id] = generate(
-            spec.distribution, spec.n_actual, spec.n_procs,
-            radix=spec.radix, seed=spec.seed,
-        )
-    outcome = _compute_outcome(spec, costs, keys, backend)
+    outcome = _compute_outcome(spec, costs, spec_keys(spec, keys_memo), backend)
     if cache is not None:
         cache.put("run", material, outcome)
     return outcome
+
+
+def fan_out(
+    fn: Callable, items: Sequence, workers: int, chunksize: int = 1
+) -> Iterator:
+    """``map(fn, items)`` over ``workers`` processes started the native
+    pool's way; yields results in ``items`` order.  Every sweep that
+    computes cells in worker processes (grid cells, ``repro check``
+    cases) goes through here."""
+    import concurrent.futures as cf
+    import multiprocessing as mp
+
+    if not items:
+        return
+    ctx = mp.get_context(default_start_method())
+    workers = min(workers, len(items))
+    with cf.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        yield from pool.map(fn, items, chunksize=chunksize)
 
 
 #: Per-worker-process memo of generated key arrays, shared across the
@@ -326,6 +367,10 @@ class ExperimentRunner:
         return result
 
     # ------------------------------------------------------------------
+    def keys(self, spec: RunSpec) -> np.ndarray:
+        """The functional key array ``spec`` runs on (the runner's memo)."""
+        return spec_keys(spec, self._keys)
+
     def run(self, spec: RunSpec) -> SortOutcome:
         hit = self._runs.get(spec)
         if hit is None:
@@ -354,17 +399,12 @@ class ExperimentRunner:
         parallel = self.parallel if parallel is None else parallel
         if self._predicted:
             parallel = 1  # predicted cells are cheaper than a fork
-        pending: list[RunSpec] = []
-        seen: set[RunSpec] = set()
-        for spec in spec_list:
-            if spec not in self._runs and spec not in seen:
-                seen.add(spec)
-                pending.append(spec)
-
         rec = current_recorder()
         # Serve what the disk cache already has (cheap, no processes).
         misses: list[RunSpec] = []
-        for spec in pending:
+        for spec in dict.fromkeys(spec_list):
+            if spec in self._runs:
+                continue
             t0 = time.perf_counter()
             cached = _load_or_compute(
                 spec, self.costs, self.cache, self._keys, compute=False
@@ -375,51 +415,37 @@ class ExperimentRunner:
             else:
                 misses.append(spec)
 
-        if misses:
-            n_workers = min(parallel or 1, len(misses))
-            if n_workers > 1:
-                self._run_parallel(misses, n_workers, rec)
-            else:
-                for spec in misses:
-                    t0 = time.perf_counter()
-                    self.run(spec)
-                    self._emit_cell_span(rec, spec, t0, source="computed")
+        if (parallel or 1) > 1 and len(misses) > 1:
+            self._run_parallel(misses, parallel, rec)
+        else:
+            for spec in misses:
+                t0 = time.perf_counter()
+                self.run(spec)
+                self._emit_cell_span(rec, spec, t0, source="computed")
         return [self._runs[spec] for spec in spec_list]
 
     def _run_parallel(self, specs: Sequence[RunSpec], n_workers: int, rec) -> None:
-        import concurrent.futures as cf
-        import itertools
-        import multiprocessing as mp
+        import functools
 
         cache_root = str(self.cache.root) if self.cache is not None else None
-        ctx = mp.get_context(default_start_method())
         # Cells sharing a generated key array (same distribution / size /
         # p / radix / seed, e.g. the five models of one Table 2 column)
         # are grouped into adjacent chunks so one worker's key memo
         # serves the whole group.
         ordered = sorted(
-            specs,
-            key=lambda s: (
-                s.distribution, s.n_actual, s.n_procs, s.radix, s.seed,
-                s.algorithm, s.model,
-            ),
+            specs, key=lambda s: (*_keys_id(s), s.algorithm, s.model)
         )
         chunksize = max(1, -(-len(ordered) // (n_workers * 2)))
-        with cf.ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
+        worker = functools.partial(
+            _grid_worker, costs=self.costs, cache_root=cache_root
+        )
+        t_prev = time.perf_counter()
+        for spec, outcome in zip(
+            ordered, fan_out(worker, ordered, n_workers, chunksize)
+        ):
+            self._runs[spec] = outcome
+            self._emit_cell_span(rec, spec, t_prev, source="worker")
             t_prev = time.perf_counter()
-            for spec, outcome in zip(
-                ordered,
-                pool.map(
-                    _grid_worker,
-                    ordered,
-                    itertools.repeat(self.costs),
-                    itertools.repeat(cache_root),
-                    chunksize=chunksize,
-                ),
-            ):
-                self._runs[spec] = outcome
-                self._emit_cell_span(rec, spec, t_prev, source="worker")
-                t_prev = time.perf_counter()
 
     @staticmethod
     def _emit_cell_span(rec, spec: RunSpec, t0: float, source: str) -> None:
@@ -437,12 +463,12 @@ class ExperimentRunner:
         )
 
     # ------------------------------------------------------------------
-    def speedup(self, spec: RunSpec, baseline_radix: int = 8) -> float:
+    def speedup(self, spec: RunSpec) -> float:
         """Speedup vs. the shared sequential radix-sort baseline at the
         same labeled size, distribution and functional sizing (the
         paper's methodology)."""
         seq = self.sequential(
-            spec.n_labeled, radix=baseline_radix, distribution=spec.distribution,
+            spec.n_labeled, distribution=spec.distribution,
             seed=spec.seed, max_actual=spec.max_actual,
             floor=spec.n_procs * spec.n_procs,
         )
@@ -451,16 +477,11 @@ class ExperimentRunner:
     def best_over_radix(
         self, spec: RunSpec, radix_choices: list[int]
     ) -> tuple[SortOutcome, int]:
-        """The fastest outcome over a set of radix sizes (Tables 2/3)."""
-        self.run_many([replace(spec, radix=r) for r in radix_choices])
-        best: SortOutcome | None = None
-        best_r = radix_choices[0]
-        for r in radix_choices:
-            out = self.run(replace(spec, radix=r))
-            if best is None or out.time_ns < best.time_ns:
-                best, best_r = out, r
-        assert best is not None
-        return best, best_r
+        """The fastest outcome over a set of radix sizes (Tables 2/3); the
+        first of equally fast radices wins."""
+        outcomes = self.run_many([replace(spec, radix=r) for r in radix_choices])
+        best = min(range(len(outcomes)), key=lambda i: outcomes[i].time_ns)
+        return outcomes[best], radix_choices[best]
 
     def clear(self) -> None:
         """Forget the in-process memo (the disk cache is unaffected;

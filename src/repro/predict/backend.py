@@ -34,6 +34,7 @@ from ..backend.base import (
     infer_key_bits,
     prepare_workload,
 )
+from ..backend.simulated import DEFAULT_RADIX
 from ..sorts.program import measure
 from ..sorts.radix import default_machine
 from ..trace import TraceRecorder, use_recorder
@@ -45,9 +46,6 @@ from .calibration import (
     load_calibration,
 )
 from .driver import predict_outcome
-
-#: Same per-algorithm defaults as the simulated backend.
-DEFAULT_RADIX = {"radix": 8, "sample": 11}
 
 
 class PredictedBackend(Backend):

@@ -13,10 +13,9 @@ the gap to the simulated totals:
 
 summed over the grid, clamped to [0.1, 10].  The factors scale only
 exchange-phase outcomes (everything else is bit-identical already), and
-the fitted artifact records per-(algorithm, model) error bands --
-median and 95th-percentile absolute relative error of total time over
-the calibration cells -- which ``repro check --backend predict`` states
-and enforces.
+the fitted artifact records per-(algorithm, model) error bands over the
+calibration cells (:func:`error_band`, the one definition ``repro check
+--backend predict`` and ``predict_compare`` gate with too).
 
 Artifact resolution order for :func:`load_calibration`:
 
@@ -32,16 +31,22 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..backend.simulated import DEFAULT_RADIX
-from ..core.experiment import ExperimentRunner, RunSpec
+from ..core.experiment import (
+    ALGORITHM_MODELS,
+    ExperimentRunner,
+    RunSpec,
+    _spec_machine,
+)
 from ..core.gridcache import default_cache_dir
+from ..data.distributions import KEY_BITS
 from ..smp.perf import PerfReport
-from ..verify.differential import ALGORITHM_MODELS
 from ..sorts.program import drive, measure
 from .driver import CATEGORIES, PredictTeam
 
@@ -52,6 +57,23 @@ CALIBRATION_VERSION = 1
 #: nothing about the BSP/multicore/AP1000 zoo members -- predicting them
 #: with Origin2000 factors would be a silent mis-prediction.
 CALIBRATED_KINDS = ("ccdsm",)
+
+#: The predictor's gate: ``repro check --backend predict`` and the
+#: ``predict_compare`` experiment fail when the median absolute relative
+#: error of predicted vs. simulated total time exceeds this fraction.
+PREDICT_ERROR_GATE = 0.15
+
+
+def error_band(rels) -> dict:
+    """Absolute relative errors summarised: the true median, the
+    nearest-rank 95th percentile, the max and the count."""
+    ordered = sorted(rels)
+    return {
+        "median_abs_rel": float(statistics.median(ordered)),
+        "p95_abs_rel": float(ordered[max(0, round(0.95 * len(ordered)) - 1)]),
+        "max_abs_rel": float(ordered[-1]),
+        "n_cells": len(ordered),
+    }
 
 
 class UncalibratedMachineError(ValueError):
@@ -116,6 +138,7 @@ class Calibration:
     #: ``"radix/shmem" -> {"BUSY": f, "LMEM": f, "RMEM": f, "SYNC": f}``
     factors: dict[str, dict[str, float]] = field(default_factory=dict)
     #: ``"radix/shmem" -> {"median_abs_rel": e, "p95_abs_rel": e, "cells": k}``
+    #: (:func:`error_band` over the group's calibration cells)
     error: dict[str, dict[str, float]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -199,33 +222,25 @@ def calibration_grid(small: bool = False) -> list[RunSpec]:
     else:
         sizes_p = [(1 << 20, 16), (1 << 22, 64)]
         dists = ["random", "gauss", "zero"]
-    specs: list[RunSpec] = []
-    for algorithm, models in ALGORITHM_MODELS:
-        for model in models:
-            for n, p in sizes_p:
-                for dist in dists:
-                    specs.append(
-                        RunSpec(
-                            algorithm, model, n, p, DEFAULT_RADIX[algorithm],
-                            distribution=dist, max_actual=1 << 16,
-                        )
-                    )
-    return specs
+    return [
+        RunSpec(
+            algorithm, model, n, p, DEFAULT_RADIX[algorithm],
+            distribution=dist, max_actual=1 << 16,
+        )
+        for algorithm, models in ALGORITHM_MODELS
+        for model in models
+        for n, p in sizes_p
+        for dist in dists
+    ]
 
 
 def _predict_cell(
-    runner: ExperimentRunner,
-    spec: RunSpec,
-    keys: np.ndarray,
-    factors: dict[str, float] | None,
+    runner: ExperimentRunner, spec: RunSpec, factors: dict[str, float] | None
 ) -> PredictTeam:
     """Predict one grid cell from the very key array the simulator saw
     (workload statistics exact; only the exchange closed form differs)."""
-    from ..core.experiment import _spec_machine
-    from ..data.distributions import KEY_BITS
-
     stats, _ = measure(
-        keys, spec.algorithm, spec.n_procs, spec.radix,
+        runner.keys(spec), spec.algorithm, spec.n_procs, spec.radix,
         n_labeled=spec.n_labeled, key_bits=KEY_BITS,
     )
     team = PredictTeam(
@@ -244,49 +259,25 @@ def fit_calibration(
 ) -> Calibration:
     """Fit per-(algorithm, model) exchange factors against simulated
     cells, then re-predict with the factors to state the error bands."""
-    from ..data.distributions import generate
-
     specs = specs if specs is not None else calibration_grid(small=small)
     runner = runner or ExperimentRunner(parallel=parallel)
-    runner.run_many(specs, parallel=parallel)
-
-    keys_memo: dict[tuple, np.ndarray] = {}
-
-    def cell_keys(spec: RunSpec) -> np.ndarray:
-        key_id = (
-            spec.distribution, spec.n_actual, spec.n_procs, spec.radix, spec.seed
-        )
-        keys = keys_memo.get(key_id)
-        if keys is None:
-            keys = generate(
-                spec.distribution, spec.n_actual, spec.n_procs,
-                radix=spec.radix, seed=spec.seed,
-            )
-            keys_memo[key_id] = keys
-        return keys
+    sims = runner.run_many(specs, parallel=parallel)
 
     # Pass 1: uncalibrated predictions; accumulate totals per group.
     groups: dict[str, dict[str, dict[str, float]]] = {}
-    cells: dict[str, list[tuple[RunSpec, float]]] = {}
-    for spec in specs:
-        sim = runner.run(spec)
-        team = _predict_cell(runner, spec, cell_keys(spec), factors=None)
-        key = f"{spec.algorithm}/{spec.model}"
+    for spec, sim in zip(specs, sims):
+        team = _predict_cell(runner, spec, factors=None)
         acc = groups.setdefault(
-            key,
-            {
-                "sim": {c: 0.0 for c in CATEGORIES},
-                "pred": {c: 0.0 for c in CATEGORIES},
-                "exch": {c: 0.0 for c in CATEGORIES},
-            },
+            f"{spec.algorithm}/{spec.model}",
+            {p: dict.fromkeys(CATEGORIES, 0.0) for p in ("sim", "pred", "exch")},
         )
-        sim_tot = report_totals(sim.report)
-        pred_tot = report_totals(team.report())
-        for c in CATEGORIES:
-            acc["sim"][c] += sim_tot[c]
-            acc["pred"][c] += pred_tot[c]
-            acc["exch"][c] += team.exchange_raw[c]
-        cells.setdefault(key, []).append((spec, sim.time_ns))
+        for part, totals in (
+            ("sim", report_totals(sim.report)),
+            ("pred", report_totals(team.report())),
+            ("exch", team.exchange_raw),
+        ):
+            for c in CATEGORIES:
+                acc[part][c] += totals[c]
 
     factors: dict[str, dict[str, float]] = {}
     for key, acc in groups.items():
@@ -303,20 +294,18 @@ def fit_calibration(
         factors[key] = fs
 
     # Pass 2: per-cell error bands with the factors applied.
-    error: dict[str, dict[str, float]] = {}
-    for key, cell_list in cells.items():
-        algorithm, model = key.split("/")
-        rels = []
-        for spec, sim_ns in cell_list:
-            team = _predict_cell(
-                runner, spec, cell_keys(spec), factors=factors[key]
-            )
-            pred_ns = float(team.elapsed_ns)
-            rels.append(abs(pred_ns - sim_ns) / sim_ns)
+    rels: dict[str, list[float]] = {}
+    for spec, sim in zip(specs, sims):
+        key = f"{spec.algorithm}/{spec.model}"
+        pred_ns = float(_predict_cell(runner, spec, factors[key]).elapsed_ns)
+        rels.setdefault(key, []).append(abs(pred_ns - sim.time_ns) / sim.time_ns)
+    error = {}
+    for key, group_rels in rels.items():
+        band = error_band(group_rels)
         error[key] = {
-            "median_abs_rel": float(np.median(rels)),
-            "p95_abs_rel": float(np.percentile(rels, 95)),
-            "cells": float(len(rels)),
+            "median_abs_rel": band["median_abs_rel"],
+            "p95_abs_rel": band["p95_abs_rel"],
+            "cells": float(band["n_cells"]),
         }
 
     return Calibration(

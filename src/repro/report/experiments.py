@@ -1,23 +1,25 @@
 """One experiment harness per table/figure of the paper's evaluation.
 
-Every function takes an :class:`~repro.core.experiment.ExperimentRunner`
-(results are memoized across harnesses) plus optional grid restrictions,
-and returns an :class:`ExperimentResult` whose ``data`` holds the numbers
-and whose ``text`` renders them the way the paper presents them.  The
-CLI prints ``text``; ``tests/integration/test_paper_shapes.py`` asserts
-the paper's shapes on the same grid cells.
+:data:`EXPERIMENTS` is the one registry: each :class:`Experiment` row
+names its harness and fixes the harness's parameters (a figure's
+algorithm, models, title and claim), so the ten figures run on four
+harnesses.  A harness takes an
+:class:`~repro.core.experiment.ExperimentRunner` (results are memoized
+across harnesses) plus optional grid restrictions, and returns an
+:class:`ExperimentResult` whose ``data`` holds the numbers and whose
+``text`` renders them the way the paper presents them.  The CLI prints
+``text``; ``tests/integration/test_paper_shapes.py`` asserts the paper's
+shapes on the same grid cells.  Everything here is deterministic
+simulator/predictor output, drift-diffed against a checked-in baseline
+by ``benchmarks/compare.py``; wall-clock numbers live in
+``benchmarks/ledger`` only.
 
-:data:`EXPERIMENTS` is the one registry (see :class:`Experiment`).
-Everything here is deterministic simulator/predictor output, drift-diffed
-against a checked-in baseline by ``benchmarks/compare.py``; wall-clock
-numbers live in ``benchmarks/ledger`` only.
-
-Each harness first enumerates every grid cell it will read and hands the
-whole batch to :meth:`~repro.core.experiment.ExperimentRunner.run_many`,
-so cells are served from the persistent disk cache and -- when the
-runner was built with ``parallel=N`` (CLI ``--parallel``) -- cache
-misses are computed concurrently in worker processes.  The rendering
-loops below then hit the warm in-process memo.
+Each harness builds every cell it reads once, as a list of
+:class:`~repro.core.experiment.RunSpec`, and reads the outcomes
+:meth:`~repro.core.experiment.ExperimentRunner.run_many` returns in that
+order; ``run_many`` serves cells from the persistent disk cache and --
+when the runner was built with ``parallel=N`` (CLI ``--parallel``) --
+computes misses concurrently in worker processes.
 
 Paper reference values (Tables 1 and 2) are included for side-by-side
 comparison; figures are referenced by their qualitative claims (see
@@ -26,11 +28,12 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from ..backend.simulated import DEFAULT_RADIX
 from ..core.experiment import (
+    ALGORITHM_MODELS,
     PROC_COUNTS,
     SIZE_ORDER,
     SIZES,
@@ -38,14 +41,10 @@ from ..core.experiment import (
     RunSpec,
 )
 from ..data.distributions import PAPER_ORDER
-from ..machine.zoo import MACHINES, get_machine
-from ..verify.differential import (
-    ALGORITHM_MODELS,
-    ALL_WORKLOADS,
-    PREDICT_ERROR_GATE,
-    machine_model,
-)
-from .figures import bar_chart, breakdown_panel, grouped_series, per_proc_strip
+from ..data.workloads import WORKLOAD_KINDS
+from ..machine.zoo import MACHINES
+from ..predict.calibration import PREDICT_ERROR_GATE, error_band
+from .figures import breakdown_panel, grouped_series, per_proc_strip
 from .tables import format_table
 
 #: Paper Table 1: sequential radix-sort time (microseconds), Gauss keys.
@@ -108,9 +107,6 @@ class ExperimentResult:
     text: str
     paper_reference: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text
-
 
 # ----------------------------------------------------------------------
 # Table 1
@@ -118,7 +114,6 @@ class ExperimentResult:
 def table1(
     runner: ExperimentRunner, sizes: list[str] | None = None
 ) -> ExperimentResult:
-    """Sequential radix-sort times (paper Table 1)."""
     sizes = sizes or SIZE_ORDER
     rows = []
     data = {}
@@ -141,127 +136,50 @@ def table1(
 
 
 # ----------------------------------------------------------------------
-# Speedup figures (1, 2, 3, 7)
+# Figures: every figure runs its algorithm at the simulator's standard
+# radix (DEFAULT_RADIX) unless radix is the figure's axis.
 # ----------------------------------------------------------------------
-def _speedup_figure(
-    runner, exp_id, description, algorithm, models, radix, sizes, procs,
-    title, claim,
+def speedup_figure(
+    runner: ExperimentRunner, number: int, description: str, algorithm: str,
+    models: tuple[str, ...], title: str, claim: str,
+    sizes: list[str] | None = None, procs: list[int] | None = None,
 ) -> ExperimentResult:
+    """Speedup per model at each size/processor count (Figs 1-3, 7)."""
     sizes = sizes or SIZE_ORDER
     procs = procs or PROC_COUNTS
-    cells = {
-        f"{label}/{p}p": {
-            m: RunSpec(algorithm, m, SIZES[label], p, radix) for m in models
-        }
-        for label in sizes
-        for p in procs
-    }
-    runner.run_many([spec for row in cells.values() for spec in row.values()])
-    grid = {
-        key: {m: runner.speedup(spec) for m, spec in row.items()}
-        for key, row in cells.items()
-    }
+    radix = DEFAULT_RADIX[algorithm]
+    specs = [
+        RunSpec(algorithm, m, SIZES[label], p, radix)
+        for label in sizes for p in procs for m in models
+    ]
+    runner.run_many(specs)
+    grid: dict[str, dict[str, float]] = {}
+    for spec in specs:
+        cell = grid.setdefault(f"{spec.size_label()}/{spec.n_procs}p", {})
+        cell[spec.model] = runner.speedup(spec)
+    title = f"Figure {number}: {title}"
     return ExperimentResult(
-        exp_id, description, grid, grouped_series(grid, title), {"claim": claim}
+        f"fig{number}", description, grid, grouped_series(grid, title),
+        {"claim": claim},
     )
 
 
-def figure1(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    procs: list[int] | None = None,
+def breakdown_figure(
+    runner: ExperimentRunner, number: int, algorithm: str,
+    models: tuple[str, ...], claim: str, size: str = "64M", n_procs: int = 64,
 ) -> ExperimentResult:
-    """Radix speedups under the two MPI implementations (paper Figure 1)."""
-    return _speedup_figure(
-        runner, "fig1", "radix MPI SGI vs NEW", "radix",
-        ["mpi-sgi", "mpi-new"], 8, sizes, procs,
-        "Figure 1: radix sort, MPI SGI vs NEW (speedup)",
-        "NEW outperforms SGI, increasingly so at higher p",
+    """Per-processor BUSY/LMEM/RMEM/SYNC per model (Figs 4, 8)."""
+    radix = DEFAULT_RADIX[algorithm]
+    outcomes = runner.run_many(
+        [RunSpec(algorithm, m, SIZES[size], n_procs, radix) for m in models]
     )
-
-
-def figure2(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    procs: list[int] | None = None,
-) -> ExperimentResult:
-    """Sample-sort speedups under the two MPI implementations (Figure 2)."""
-    return _speedup_figure(
-        runner, "fig2", "sample MPI SGI vs NEW", "sample",
-        ["mpi-sgi", "mpi-new"], 11, sizes, procs,
-        "Figure 2: sample sort, MPI SGI vs NEW (speedup)",
-        "gap smaller than radix (fewer messages, more compute)",
-    )
-
-
-def figure3(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    procs: list[int] | None = None,
-) -> ExperimentResult:
-    """Radix speedups: SHMEM / CC-SAS / MPI / CC-SAS-NEW (Figure 3)."""
-    return _speedup_figure(
-        runner, "fig3", "radix speedups by model", "radix",
-        ["shmem", "ccsas", "mpi-new", "ccsas-new"], 8, sizes, procs,
-        "Figure 3: radix sort speedups by model",
-        "SHMEM best except 1M at high p where CC-SAS wins; "
-        "original CC-SAS collapses at large sizes; superlinear >=16M",
-    )
-
-
-def figure7(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    procs: list[int] | None = None,
-) -> ExperimentResult:
-    """Sample-sort speedups: SHMEM / CC-SAS / MPI (Figure 7)."""
-    return _speedup_figure(
-        runner, "fig7", "sample speedups by model", "sample",
-        ["shmem", "ccsas", "mpi-new"], 11, sizes, procs,
-        "Figure 7: sample sort speedups by model",
-        "CC-SAS best small; CC-SAS ~ SHMEM large; MPI behind",
-    )
-
-
-# ----------------------------------------------------------------------
-# Breakdown figures (4, 8)
-# ----------------------------------------------------------------------
-def figure4(
-    runner: ExperimentRunner,
-    size: str = "64M",
-    n_procs: int = 64,
-) -> ExperimentResult:
-    """Per-processor time breakdown for radix sort (Figure 4)."""
-    return _breakdown_figure(
-        runner, 4, "radix", ["ccsas", "ccsas-new", "mpi-new", "shmem"], 8,
-        size, n_procs, "CC-SAS dominated by MEM; MPI SYNC > SHMEM SYNC",
-    )
-
-
-def figure8(
-    runner: ExperimentRunner,
-    size: str = "64M",
-    n_procs: int = 64,
-) -> ExperimentResult:
-    """Per-processor time breakdown for sample sort (Figure 8)."""
-    return _breakdown_figure(
-        runner, 8, "sample", ["ccsas", "mpi-new", "shmem"], 11, size, n_procs,
-        "BUSY much larger than radix (two local sorts); models closer together",
-    )
-
-
-def _breakdown_figure(
-    runner, number, algorithm, models, radix, size, n_procs, claim
-) -> ExperimentResult:
-    specs = {m: RunSpec(algorithm, m, SIZES[size], n_procs, radix) for m in models}
-    runner.run_many(list(specs.values()))
     panels = {}
     text_parts = [
         f"Figure {number}: {algorithm} sort ({size}) breakdown on "
         f"{n_procs} processors"
     ]
-    for m, spec in specs.items():
-        rep = runner.run(spec).report
+    for m, outcome in zip(models, outcomes):
+        rep = outcome.report
         means = rep.category_means_ns()
         per_proc = [c.total_ns for c in rep.counters]
         panels[m] = {
@@ -277,121 +195,37 @@ def _breakdown_figure(
     )
 
 
-# ----------------------------------------------------------------------
-# Distribution figures (5, 9)
-# ----------------------------------------------------------------------
-def figure5(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    n_procs: int = 64,
-    distributions: list[str] | None = None,
+def relative_figure(
+    runner: ExperimentRunner, number: int, algorithm: str, model: str,
+    axis: str, values, title: str, claim: str,
+    sizes: list[str] | None = None, n_procs: int = 64,
 ) -> ExperimentResult:
-    """Radix relative times across key distributions, SHMEM (Figure 5)."""
-    return _distribution_figure(
-        runner, "fig5", "radix", "shmem", 8, sizes, n_procs, distributions,
-        "Figure 5: radix/SHMEM relative time by key distribution",
-        {"claim": "local best; others similar; remote gains at 256M"},
-    )
-
-
-def figure9(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    n_procs: int = 64,
-    distributions: list[str] | None = None,
-) -> ExperimentResult:
-    """Sample relative times across key distributions, CC-SAS (Figure 9)."""
-    return _distribution_figure(
-        runner, "fig9", "sample", "ccsas", 11, sizes, n_procs, distributions,
-        "Figure 9: sample/CC-SAS relative time by key distribution",
-        {"claim": "locality-favorable distributions gain from 64M up"},
-    )
-
-
-def _distribution_figure(
-    runner, exp_id, algorithm, model, radix, sizes, n_procs, distributions,
-    title, claim,
-) -> ExperimentResult:
+    """Time at each ``values`` point along one :class:`RunSpec` ``axis``
+    (``"distribution"`` or ``"radix"``), relative to the standard cell's
+    point on that axis (gauss keys, the standard radix), per size
+    (Figs 5/9 and 6/10)."""
     sizes = sizes or SIZE_ORDER
-    distributions = distributions or PAPER_ORDER
-    runner.run_many(
-        [
-            RunSpec(algorithm, model, SIZES[label], n_procs, radix, d)
-            for label in sizes
-            for d in dict.fromkeys(["gauss", *distributions])
-        ]
+    name = (lambda r: f"r={r}") if axis == "radix" else str
+    standard = {"distribution": "gauss", "radix": DEFAULT_RADIX[algorithm]}
+    base = standard[axis]
+    points = list(dict.fromkeys([base, *values]))
+    times = (
+        outcome.time_ns
+        for outcome in runner.run_many(
+            RunSpec(algorithm, model, SIZES[label], n_procs,
+                    **{**standard, axis: v})
+            for label in sizes for v in points
+        )
     )
     grid: dict[str, dict[str, float]] = {}
     for label in sizes:
-        base = runner.run(
-            RunSpec(algorithm, model, SIZES[label], n_procs, radix, "gauss")
-        ).time_ns
-        grid[label] = {}
-        for d in distributions:
-            t = runner.run(
-                RunSpec(algorithm, model, SIZES[label], n_procs, radix, d)
-            ).time_ns
-            grid[label][d] = t / base
-    text = grouped_series(grid, title, unit="x gauss")
-    return ExperimentResult(exp_id, title, grid, text, claim)
-
-
-# ----------------------------------------------------------------------
-# Radix-size figures (6, 10)
-# ----------------------------------------------------------------------
-def figure6(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    n_procs: int = 64,
-    radix_range: range = range(6, 13),
-) -> ExperimentResult:
-    """Radix-size sweep for radix sort, SHMEM (Figure 6; relative to r=8)."""
-    return _radix_sweep(
-        runner, "fig6", "radix", "shmem", 8, sizes, n_procs, radix_range,
-        "Figure 6: radix sort, effect of radix size (relative to r=8)",
-        {"claim": "optimal radix grows with data set size"},
+        t = {v: next(times) for v in points}
+        grid[label] = {name(v): t[v] / t[base] for v in values}
+    title = f"Figure {number}: {title}"
+    text = grouped_series(grid, title, unit=f"x {name(base)}")
+    return ExperimentResult(
+        f"fig{number}", title, grid, text, {"claim": claim}
     )
-
-
-def figure10(
-    runner: ExperimentRunner,
-    sizes: list[str] | None = None,
-    n_procs: int = 64,
-    radix_range: range = range(6, 13),
-) -> ExperimentResult:
-    """Radix-size sweep for sample sort, CC-SAS (Figure 10; rel. to r=11)."""
-    return _radix_sweep(
-        runner, "fig10", "sample", "ccsas", 11, sizes, n_procs, radix_range,
-        "Figure 10: sample sort, effect of radix size (relative to r=11)",
-        {"claim": "r=11 best up to 64M, 12 at 256M; best/worst < 2"},
-    )
-
-
-def _radix_sweep(
-    runner, exp_id, algorithm, model, base_radix, sizes, n_procs, radix_range,
-    title, claim,
-) -> ExperimentResult:
-    sizes = sizes or SIZE_ORDER
-    runner.run_many(
-        [
-            RunSpec(algorithm, model, SIZES[label], n_procs, r)
-            for label in sizes
-            for r in dict.fromkeys([base_radix, *radix_range])
-        ]
-    )
-    grid: dict[str, dict[str, float]] = {}
-    for label in sizes:
-        base = runner.run(
-            RunSpec(algorithm, model, SIZES[label], n_procs, base_radix)
-        ).time_ns
-        grid[label] = {}
-        for r in radix_range:
-            t = runner.run(
-                RunSpec(algorithm, model, SIZES[label], n_procs, r)
-            ).time_ns
-            grid[label][f"r={r}"] = t / base
-    text = grouped_series(grid, title, unit=f"x r={base_radix}")
-    return ExperimentResult(exp_id, title, grid, text, claim)
 
 
 # ----------------------------------------------------------------------
@@ -405,44 +239,33 @@ def tables2_and_3(
     radix_models: list[str] | None = None,
     sample_models: list[str] | None = None,
 ) -> tuple[ExperimentResult, ExperimentResult]:
-    """Best times (Table 2) and best model+radix combos (Table 3)."""
     sizes = sizes or SIZE_ORDER
     procs = procs or PROC_COUNTS
     radix_choices = radix_choices or [7, 8, 11, 12]
     chosen = {"radix": radix_models, "sample": sample_models}
-    grid = [(alg, chosen[alg] or models) for alg, models in ALGORITHM_MODELS]
-
+    cells = [
+        RunSpec(alg, m, SIZES[label], p, radix_choices[0])
+        for alg, models in ALGORITHM_MODELS
+        for label in sizes
+        for p in procs
+        for m in chosen[alg] or models
+    ]
     runner.run_many(
-        [
-            RunSpec(algorithm, m, SIZES[label], p, r)
-            for algorithm, models in grid
-            for label in sizes
-            for p in procs
-            for m in models
-            for r in radix_choices
-        ]
+        [replace(spec, radix=r) for spec in cells for r in radix_choices]
     )
-    best_time: dict[str, dict[str, dict[int, float]]] = {"radix": {}, "sample": {}}
-    best_combo: dict[str, dict[str, dict[int, tuple[str, int]]]] = {
-        "radix": {},
-        "sample": {},
-    }
-    for algorithm, models in grid:
-        for label in sizes:
-            best_time[algorithm][label] = {}
-            best_combo[algorithm][label] = {}
-            for p in procs:
-                cell_best = None
-                cell_combo = None
-                for m in models:
-                    for r in radix_choices:
-                        t = runner.run(
-                            RunSpec(algorithm, m, SIZES[label], p, r)
-                        ).time_ns
-                        if cell_best is None or t < cell_best:
-                            cell_best, cell_combo = t, (m, r)
-                best_time[algorithm][label][p] = cell_best / 1e3  # us
-                best_combo[algorithm][label][p] = cell_combo
+    # Per (algorithm, size, p): the fastest model at its best radix; the
+    # first model in grid order wins a tie.
+    best: dict[tuple, tuple[float, tuple[str, int]]] = {}
+    for spec in cells:
+        outcome, r = runner.best_over_radix(spec, radix_choices)
+        key = (spec.algorithm, spec.size_label(), spec.n_procs)
+        if key not in best or outcome.time_ns < best[key][0]:
+            best[key] = (outcome.time_ns, (spec.model, r))
+    best_time: dict[str, dict] = {"radix": {}, "sample": {}}
+    best_combo: dict[str, dict] = {"radix": {}, "sample": {}}
+    for (alg, label, p), (t, combo) in best.items():
+        best_time[alg].setdefault(label, {})[p] = t / 1e3  # us
+        best_combo[alg].setdefault(label, {})[p] = combo
 
     rows2, rows3 = [], []
     for label in sizes:
@@ -485,35 +308,29 @@ def summary(
     sizes: list[str] | None = None,
     procs: list[int] | None = None,
 ) -> ExperimentResult:
-    """The paper's closing comparison: per grid cell, which *algorithm x
-    model* combination wins (at each algorithm's best standard radix)."""
     sizes = sizes or SIZE_ORDER
     procs = procs or PROC_COUNTS
+    # Each algorithm at its standard radix; on a tie the earlier combo wins.
     combos = [
-        ("radix", "ccsas", 8),
-        ("radix", "shmem", 8),
-        ("radix", "mpi-new", 8),
-        ("sample", "ccsas", 11),
-        ("sample", "shmem", 11),
-        ("sample", "mpi-new", 11),
+        (alg, m, r)
+        for alg, r in DEFAULT_RADIX.items()
+        for m in ("ccsas", "shmem", "mpi-new")
     ]
-    runner.run_many(
-        [
+    outcomes = iter(
+        runner.run_many(
             RunSpec(alg, m, SIZES[label], p, r)
             for label in sizes
             for p in procs
             for alg, m, r in combos
-        ]
+        )
     )
     data: dict[str, dict] = {}
     rows = []
     for label in sizes:
         for p in procs:
-            cell = {}
-            for alg, m, r in combos:
-                cell[f"{alg}/{m}"] = runner.run(
-                    RunSpec(alg, m, SIZES[label], p, r)
-                ).time_ns
+            cell = {
+                f"{alg}/{m}": next(outcomes).time_ns for alg, m, _ in combos
+            }
             winner = min(cell, key=cell.get)
             keys_per_proc = SIZES[label] // p
             data[f"{label}/{p}p"] = {
@@ -544,15 +361,13 @@ def predict_compare(
     sizes: list[str] | None = None,
     procs: list[int] | None = None,
 ) -> ExperimentResult:
-    """Predicted vs. simulated totals per grid cell, plus sweep latency.
-
-    Runs every algorithm x model at each size/processor count on both the
-    simulated backend (via ``runner``, so cells come from the shared
+    """Runs every algorithm x model at each size/processor count on both
+    the simulated backend (via ``runner``, so cells come from the shared
     cache/memo) and the analytic ``predict`` backend, and reports the
-    per-cell relative error band alongside the wall-clock cost of each
-    sweep.  ``benchmarks/BENCH_1.json`` pins this result; CI regenerates
-    it, drift-diffs the simulated/predicted times and runs
-    :func:`gate_predict_compare`.
+    per-cell relative error band (:func:`error_band`) alongside the
+    wall-clock cost of each sweep.  ``benchmarks/BENCH_1.json`` pins this
+    result; CI regenerates it, drift-diffs the simulated/predicted times
+    and runs :func:`gate_predict_compare`.
     """
     import time
 
@@ -566,20 +381,19 @@ def predict_compare(
         for m in models
     ]
     t0 = time.perf_counter()
-    runner.run_many(specs)
+    sims = runner.run_many(specs)
     sim_wall_s = time.perf_counter() - t0
 
     predictor = ExperimentRunner(costs=runner.costs, backend="predict")
     t0 = time.perf_counter()
-    predictor.run_many(specs)
+    preds = predictor.run_many(specs)
     predict_wall_s = time.perf_counter() - t0
 
     cells: dict[str, dict[str, float]] = {}
     rels: list[float] = []
     rows = []
-    for spec in specs:
-        sim_ns = runner.run(spec).time_ns
-        pred_ns = predictor.run(spec).time_ns
+    for spec, sim, pred in zip(specs, sims, preds):
+        sim_ns, pred_ns = sim.time_ns, pred.time_ns
         rel = (pred_ns - sim_ns) / sim_ns
         rels.append(abs(rel))
         label = (
@@ -593,15 +407,7 @@ def predict_compare(
             [label, f"{sim_ns / 1e6:,.1f}", f"{pred_ns / 1e6:,.1f}",
              f"{rel:+.2%}"]
         )
-    rels_sorted = sorted(rels)
-    band = {
-        "median_abs_rel": rels_sorted[len(rels_sorted) // 2],
-        "p95_abs_rel": rels_sorted[
-            max(0, int(round(0.95 * len(rels_sorted))) - 1)
-        ],
-        "max_abs_rel": rels_sorted[-1],
-        "n_cells": len(rels_sorted),
-    }
+    band = error_band(rels)
     data = {
         "cells": cells,
         "band": band,
@@ -634,7 +440,7 @@ def predict_compare(
 
 def gate_predict_compare(data: dict) -> list[str]:
     """The predictor's absolute gate: median error band within
-    :data:`~repro.verify.differential.PREDICT_ERROR_GATE` (the bound
+    :data:`~repro.predict.calibration.PREDICT_ERROR_GATE` (the bound
     ``repro check --backend predict`` enforces) and the analytic sweep
     within :data:`PREDICT_SWEEP_BUDGET_S`."""
     failures = []
@@ -666,59 +472,48 @@ def machine_zoo(
     machines: list[str] | None = None,
     workloads: list[str] | None = None,
 ) -> ExperimentResult:
-    """Machine-zoo x workload sweep on the simulator (BENCH_5).
-
-    Runs every machine-zoo member (docs/MACHINES.md) against every
+    """Runs every machine-zoo member (docs/MACHINES.md) against every
     workload kind (u32 plus the widened matrix) under both algorithms,
-    verifying each cell's output against ``np.sort``/``np.argsort`` and
-    recording the simulated total time and the BUSY/LMEM/RMEM/SYNC
-    split.  ``benchmarks/BENCH_5.json`` pins the ``--small`` result:
+    through ``repro check``'s case runner: each cell's output is held
+    against ``np.sort``/``np.argsort``, and a cell that fails the check
+    is recorded as ``verified: 0`` (with no time) instead of stopping
+    the sweep.  ``benchmarks/BENCH_5.json`` pins the ``--small`` result:
     every number here is deterministic simulator output, so
     ``benchmarks/compare.py`` drift-diffs it like BENCH_0 (a lost cell,
     a flipped ``verified`` or a moved time all show as drift).
     """
-    del runner
-    from ..core.api import sort
-    from ..data.workloads import (
-        Workload, make_workload, reference_sort, workloads_equal,
-    )
+    del runner  # the cells run through the check path, not the grid cache
+    from ..verify.differential import _case_workload, _run_case, zoo_cases
+    from ..verify.errors import VerifyError
+
     machines = machines or list(MACHINES)
-    workloads = workloads or list(ALL_WORKLOADS)
+    workloads = workloads or list(WORKLOAD_KINDS)
 
     cells: dict[str, dict[str, float | int]] = {}
     rows = []
-    for machine_name in machines:
-        machine = (
-            None if machine_name == "origin2000"
-            else get_machine(machine_name, n_procs=p)
+    for case in zoo_cases(n, p, machines, workloads):
+        try:
+            result = _run_case(case, "sim", *_case_workload(case))
+        except VerifyError:
+            result = None
+        verified = int(result is not None)
+        time_ns = result.time_ns if verified else 0.0
+        means = result.report.category_means_ns() if verified else {}
+        cells[f"{case.machine}/{case.workload}/{case.algorithm}"] = {
+            "machine": case.machine,
+            "workload": case.workload,
+            "algorithm": case.algorithm,
+            "model": case.model,
+            "time_ns": time_ns,
+            "category_means_ns": means,
+            "verified": verified,
+        }
+        rows.append(
+            [f"{case.machine}/{case.workload}", case.algorithm, case.model,
+             f"{time_ns / 1e6:,.2f}",
+             f"{means.get('RMEM', 0.0) / 1e6:,.2f}",
+             "yes" if verified else "NO"]
         )
-        model = machine_model(machine_name)
-        for kind in workloads:
-            w = make_workload(kind, n, p, seed=1)
-            expect = reference_sort(w)
-            for algorithm in ("radix", "sample"):
-                result = sort(
-                    w.keys, algorithm=algorithm, model=model, n_procs=p,
-                    machine=machine, payload=w.payload,
-                )
-                got = Workload(kind, result.sorted_keys, result.payload)
-                verified = int(workloads_equal(got, expect))
-                means = result.report.category_means_ns()
-                cells[f"{machine_name}/{kind}/{algorithm}"] = {
-                    "machine": machine_name,
-                    "workload": kind,
-                    "algorithm": algorithm,
-                    "model": model,
-                    "time_ns": result.time_ns,
-                    "category_means_ns": means,
-                    "verified": verified,
-                }
-                rows.append(
-                    [f"{machine_name}/{kind}", algorithm, model,
-                     f"{result.time_ns / 1e6:,.2f}",
-                     f"{means.get('RMEM', 0.0) / 1e6:,.2f}",
-                     "yes" if verified else "NO"]
-                )
     summary = {
         "n_cells": len(cells),
         "all_verified": int(all(c["verified"] for c in cells.values())),
@@ -757,40 +552,141 @@ def machine_zoo(
 class Experiment:
     """One registry record.
 
-    ``run(runner, **kwargs)`` is the harness; ``small`` its ``--small``
+    ``run(runner, **kwargs)`` calls ``harness`` with the record's
+    ``params`` updated by ``kwargs`` (grid restrictions); ``help`` is its
+    one-line summary (``python -m repro list``); ``small`` its ``--small``
     keyword arguments; ``gate(data)`` returns the failure messages of the
     result's absolute invariants (``None`` for results that are only
     drift-diffed).
     """
 
-    run: Callable[..., object]
+    harness: Callable[..., object]
+    help: str
+    params: dict = field(default_factory=dict)
     small: dict = field(default_factory=dict)
     gate: Callable[[dict], list[str]] | None = None
+
+    def run(self, runner: ExperimentRunner, **kwargs):
+        return self.harness(runner, **{**self.params, **kwargs})
 
 
 _SMALL_CORNERS = dict(sizes=["1M", "64M"], procs=[16, 64])
 _SMALL_EXTREMES = dict(sizes=["1M", "256M"])
 
+
 #: Registry: experiment id -> :class:`Experiment`.
 EXPERIMENTS: dict[str, Experiment] = {
-    "summary": Experiment(summary, _SMALL_CORNERS),
-    "table1": Experiment(table1, dict(sizes=["1M", "16M"])),
-    "fig1": Experiment(figure1, _SMALL_CORNERS),
-    "fig2": Experiment(figure2, _SMALL_CORNERS),
-    "fig3": Experiment(figure3, _SMALL_CORNERS),
-    "fig4": Experiment(figure4),
-    "fig5": Experiment(figure5, _SMALL_EXTREMES),
-    "fig6": Experiment(figure6, _SMALL_EXTREMES),
-    "fig7": Experiment(figure7, _SMALL_CORNERS),
-    "fig8": Experiment(figure8),
-    "fig9": Experiment(figure9, _SMALL_EXTREMES),
-    "fig10": Experiment(figure10, _SMALL_EXTREMES),
+    "summary": Experiment(
+        summary,
+        "The paper's closing comparison: the best algorithm x model per cell.",
+        small=_SMALL_CORNERS,
+    ),
+    "table1": Experiment(
+        table1, "Sequential radix-sort times (paper Table 1).",
+        small=dict(sizes=["1M", "16M"]),
+    ),
+    "fig1": Experiment(
+        speedup_figure,
+        "Radix speedups under the two MPI implementations (paper Figure 1).",
+        dict(number=1, description="radix MPI SGI vs NEW", algorithm="radix",
+             models=("mpi-sgi", "mpi-new"),
+             title="radix sort, MPI SGI vs NEW (speedup)",
+             claim="NEW outperforms SGI, increasingly so at higher p"),
+        _SMALL_CORNERS,
+    ),
+    "fig2": Experiment(
+        speedup_figure,
+        "Sample-sort speedups under the two MPI implementations (Figure 2).",
+        dict(number=2, description="sample MPI SGI vs NEW", algorithm="sample",
+             models=("mpi-sgi", "mpi-new"),
+             title="sample sort, MPI SGI vs NEW (speedup)",
+             claim="gap smaller than radix (fewer messages, more compute)"),
+        _SMALL_CORNERS,
+    ),
+    "fig3": Experiment(
+        speedup_figure,
+        "Radix speedups: SHMEM / CC-SAS / MPI / CC-SAS-NEW (Figure 3).",
+        dict(number=3, description="radix speedups by model",
+             algorithm="radix",
+             models=("shmem", "ccsas", "mpi-new", "ccsas-new"),
+             title="radix sort speedups by model",
+             claim="SHMEM best except 1M at high p where CC-SAS wins; "
+             "original CC-SAS collapses at large sizes; superlinear >=16M"),
+        _SMALL_CORNERS,
+    ),
+    "fig4": Experiment(
+        breakdown_figure,
+        "Per-processor time breakdown for radix sort (Figure 4).",
+        dict(number=4, algorithm="radix",
+             models=("ccsas", "ccsas-new", "mpi-new", "shmem"),
+             claim="CC-SAS dominated by MEM; MPI SYNC > SHMEM SYNC"),
+    ),
+    "fig5": Experiment(
+        relative_figure,
+        "Radix relative times across key distributions, SHMEM (Figure 5).",
+        dict(number=5, algorithm="radix", model="shmem", axis="distribution",
+             values=PAPER_ORDER,
+             title="radix/SHMEM relative time by key distribution",
+             claim="local best; others similar; remote gains at 256M"),
+        _SMALL_EXTREMES,
+    ),
+    "fig6": Experiment(
+        relative_figure,
+        "Radix-size sweep for radix sort, SHMEM (Figure 6; relative to r=8).",
+        dict(number=6, algorithm="radix", model="shmem", axis="radix",
+             values=range(6, 13),
+             title="radix sort, effect of radix size (relative to r=8)",
+             claim="optimal radix grows with data set size"),
+        _SMALL_EXTREMES,
+    ),
+    "fig7": Experiment(
+        speedup_figure,
+        "Sample-sort speedups: SHMEM / CC-SAS / MPI (Figure 7).",
+        dict(number=7, description="sample speedups by model",
+             algorithm="sample", models=("shmem", "ccsas", "mpi-new"),
+             title="sample sort speedups by model",
+             claim="CC-SAS best small; CC-SAS ~ SHMEM large; MPI behind"),
+        _SMALL_CORNERS,
+    ),
+    "fig8": Experiment(
+        breakdown_figure,
+        "Per-processor time breakdown for sample sort (Figure 8).",
+        dict(number=8, algorithm="sample",
+             models=("ccsas", "mpi-new", "shmem"),
+             claim="BUSY much larger than radix (two local sorts); "
+             "models closer together"),
+    ),
+    "fig9": Experiment(
+        relative_figure,
+        "Sample relative times across key distributions, CC-SAS (Figure 9).",
+        dict(number=9, algorithm="sample", model="ccsas", axis="distribution",
+             values=PAPER_ORDER,
+             title="sample/CC-SAS relative time by key distribution",
+             claim="locality-favorable distributions gain from 64M up"),
+        _SMALL_EXTREMES,
+    ),
+    "fig10": Experiment(
+        relative_figure,
+        "Radix-size sweep for sample sort, CC-SAS (Figure 10; rel. to r=11).",
+        dict(number=10, algorithm="sample", model="ccsas", axis="radix",
+             values=range(6, 13),
+             title="sample sort, effect of radix size (relative to r=11)",
+             claim="r=11 best up to 64M, 12 at 256M; best/worst < 2"),
+        _SMALL_EXTREMES,
+    ),
     "tables2_and_3": Experiment(
-        tables2_and_3, dict(_SMALL_CORNERS, radix_choices=[8, 11])
+        tables2_and_3,
+        "Best times (Table 2) and best model+radix combos (Table 3).",
+        small=dict(_SMALL_CORNERS, radix_choices=[8, 11]),
     ),
     "predict_compare": Experiment(
-        predict_compare, dict(sizes=["1M"], procs=[16]),
-        gate=gate_predict_compare,
+        predict_compare,
+        "Predicted vs. simulated totals per grid cell, plus sweep latency.",
+        small=dict(sizes=["1M"], procs=[16]), gate=gate_predict_compare,
     ),
-    "machine_zoo": Experiment(machine_zoo, dict(n=16 * 128, p=16)),
+    "machine_zoo": Experiment(
+        machine_zoo,
+        "Machine-zoo x workload sweep on the simulator (BENCH_5).",
+        small=dict(n=16 * 128, p=16),
+    ),
 }

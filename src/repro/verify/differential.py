@@ -17,7 +17,7 @@ oracle ``np.sort``/``np.argsort``:
   a failure.
 
 Two orthogonal axes widen the sweep beyond the paper's grid
-(ISSUE/docs/MACHINES.md):
+(docs/MACHINES.md):
 
 - **machine**: every zoo member (:mod:`repro.machine.zoo`) runs the full
   workload matrix on the simulated backend, and machines the analytic
@@ -36,9 +36,15 @@ cross-validates the analytic predictor: every simulated grid point on a
 calibrated machine is re-predicted *on the same keys*, the predicted
 report must satisfy the same structural invariants (sorted output,
 shape, accounting identity), and the per-cell relative error of total
-time against the simulation is aggregated -- the sweep fails if the
-median absolute relative error over the paper's u32 workload exceeds
-:data:`PREDICT_ERROR_GATE`.
+time against the simulation is aggregated
+(:func:`~repro.predict.calibration.error_band`) -- the sweep fails if
+the median absolute relative error over the paper's u32 workload
+exceeds :data:`~repro.predict.calibration.PREDICT_ERROR_GATE`.
+
+Every case runs through :func:`check_case` (timed, its error caught
+into a :class:`CaseResult`); ``--parallel`` computes the simulated cases
+in worker processes (:func:`~repro.core.experiment.fan_out`) and prints
+them in the same loop as a serial sweep.
 
 Exposed as ``python -m repro check [--small] [--backend all|sim|native|predict]
 [--machine NAME] [--workload KIND]``.
@@ -46,7 +52,6 @@ Exposed as ``python -m repro check [--small] [--backend all|sim|native|predict]
 
 from __future__ import annotations
 
-import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -54,27 +59,21 @@ from typing import IO
 
 import numpy as np
 
+from ..core.experiment import ALGORITHM_MODELS, fan_out, machine_model
 from ..data.workloads import NEW_WORKLOAD_KINDS, WORKLOAD_KINDS
 from ..machine.zoo import MACHINES
+from ..predict.calibration import PREDICT_ERROR_GATE, error_band
 from .context import current_sanitizer, use_sanitizer
 from .errors import VerifyError
 from .invariants import check_trace_events
 from .sanitizer import Sanitizer
 
-#: Models per algorithm (the paper's grid; sample sort has no CC-SAS-NEW
-#: variant -- its distribution phase is already chunk-contiguous).
-RADIX_MODELS = ("ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem")
-SAMPLE_MODELS = ("ccsas", "mpi-new", "mpi-sgi", "shmem")
-#: The grid's algorithm -> models pairing, in cell order.
-ALGORITHM_MODELS = (("radix", RADIX_MODELS), ("sample", SAMPLE_MODELS))
-
 #: ``--small`` keeps one distribution per communication regime: random
 #: traffic (gauss), heavy duplication (zero), all-remote movement.
 SMALL_DISTRIBUTIONS = ("gauss", "zero", "remote")
 
-#: The machine-zoo members beyond the paper's Origin2000, each paired
-#: with a programming model its transports support (the AP1000 has no
-#: remote loads, so only message passing runs there).
+#: The machine-zoo members beyond the paper's Origin2000 (each runs on
+#: :func:`~repro.core.experiment.machine_model`).
 NEW_MACHINES = tuple(m for m in MACHINES if m != "origin2000")
 ALL_MACHINES = tuple(MACHINES)
 
@@ -85,11 +84,6 @@ ALL_WORKLOADS = tuple(WORKLOAD_KINDS)
 #: Host worker processes for the native runs (small arrays; fork cost
 #: dominates real sorting here).
 NATIVE_WORKERS = 2
-
-#: Differential gate for the analytic predictor: the sweep fails if the
-#: median absolute relative error of predicted vs. simulated total time
-#: over the paper's u32 workload exceeds this fraction.
-PREDICT_ERROR_GATE = 0.15
 
 #: Backend selections for :func:`run_check`.
 CHECK_BACKENDS = ("all", "sim", "native", "predict")
@@ -120,11 +114,6 @@ REQUIRED_AXIS_COVERAGE = tuple(
         "axis.negative.UncalibratedMachineError",
     ]
 )
-
-
-def machine_model(machine: str) -> str:
-    """A programming model whose transports ``machine`` supports."""
-    return "mpi-new" if machine == "ap1000" else "shmem"
 
 
 @dataclass(frozen=True)
@@ -167,6 +156,24 @@ class CaseResult:
     ok: bool
     wall_s: float
     error: str | None = None
+    #: The run's simulated/predicted total; 0 for negative or failed cells.
+    time_ns: float = 0.0
+
+
+def zoo_cases(
+    n: int, p: int, machines=NEW_MACHINES, workloads=ALL_WORKLOADS
+) -> list[CheckCase]:
+    """Every machine x workload kind x algorithm on the simulator, each
+    machine on a model its transports support."""
+    return [
+        CheckCase(
+            "sim", algorithm, "gauss", n, p, machine_model(machine),
+            machine=machine, workload=workload,
+        )
+        for machine in machines
+        for workload in workloads
+        for algorithm in ("radix", "sample")
+    ]
 
 
 def default_grid(
@@ -181,44 +188,28 @@ def default_grid(
 
     n, p = (16 * 128, 16) if small else (16 * 512, 16)
     dists = SMALL_DISTRIBUTIONS if small else tuple(PAPER_ORDER)
+    hosted = ("radix", "sample") if native else ()
     cases = []
     for dist in dists:
-        for algorithm, models in ALGORITHM_MODELS:
-            for model in models:
-                cases.append(CheckCase("sim", algorithm, dist, n, p, model))
-        if native:
-            for algorithm in ("radix", "sample"):
-                cases.append(CheckCase("native", algorithm, dist, n, p))
+        cases += [
+            CheckCase("sim", algorithm, dist, n, p, model)
+            for algorithm, models in ALGORITHM_MODELS for model in models
+        ]
+        cases += [CheckCase("native", alg, dist, n, p) for alg in hosted]
 
     # Machine zoo x workload matrix: every new machine sorts every
     # workload kind (u32 included) under both algorithms.
-    for machine in NEW_MACHINES:
-        model = machine_model(machine)
-        for workload in ALL_WORKLOADS:
-            for algorithm in ("radix", "sample"):
-                cases.append(
-                    CheckCase(
-                        "sim", algorithm, "gauss", n, p, model,
-                        machine=machine, workload=workload,
-                    )
-                )
+    cases += zoo_cases(n, p)
 
     # Widened workloads on the paper's machine and on the host.
     for workload in NEW_WORKLOADS:
         for algorithm in ("radix", "sample"):
-            cases.append(
-                CheckCase(
-                    "sim", algorithm, "gauss", n, p, "shmem",
-                    workload=workload,
-                )
+            sim = CheckCase(
+                "sim", algorithm, "gauss", n, p, "shmem", workload=workload
             )
+            cases.append(sim)
             if native:
-                cases.append(
-                    CheckCase(
-                        "native", algorithm, "gauss", n, p,
-                        workload=workload,
-                    )
-                )
+                cases.append(replace(sim, backend="native", model=None))
 
     # Negative cells: shared-address transports cannot run on the
     # AP1000, and the predictor must refuse machines it was never
@@ -229,13 +220,13 @@ def default_grid(
             machine="ap1000", expect_error="UnsupportedTransportError",
         )
     )
-    for machine in NEW_MACHINES:
-        cases.append(
-            CheckCase(
-                "predict", "radix", "gauss", n, p, machine_model(machine),
-                machine=machine, expect_error="UncalibratedMachineError",
-            )
+    cases += [
+        CheckCase(
+            "predict", "radix", "gauss", n, p, machine_model(machine),
+            machine=machine, expect_error="UncalibratedMachineError",
         )
+        for machine in NEW_MACHINES
+    ]
     return cases
 
 
@@ -358,56 +349,49 @@ def _traced_probes(san: Sanitizer, n: int, p: int, native_backend) -> None:
         san.checks["trace.track-monotone"] += 1
 
 
-def _sim_case_worker(
-    case: CheckCase,
-) -> tuple[bool, float, str | None, dict, float]:
-    """Subprocess body for one simulated grid point under ``--parallel``:
-    runs the case under a private sanitizer and ships the coverage
-    counters (and the simulated total time, for the predictor's
-    cross-validation) back for the parent to merge."""
-    san = Sanitizer()
+def check_case(
+    case: CheckCase, oracles: dict[tuple, tuple], backend=None
+) -> CaseResult:
+    """Run one grid point against its oracle (generated once per
+    ``oracles`` entry: workload kind, distribution, n, p), timed; an
+    error fails the case, not the sweep.  ``backend`` overrides
+    ``case.backend`` (the native cells pass the sweep's pooled backend)."""
+    key = (case.workload, case.distribution, case.n, case.p)
+    if key not in oracles:
+        oracles[key] = _case_workload(case)
+    workload, reference = oracles[key]
     t0 = time.perf_counter()
-    error = None
-    time_ns = 0.0
+    try:
+        result = _run_case(case, backend or case.backend, workload, reference)
+    except Exception as exc:  # noqa: BLE001 - report, don't abort
+        error = f"{type(exc).__name__}: {exc}"
+        return CaseResult(case, False, time.perf_counter() - t0, error)
+    time_ns = result.time_ns if result is not None else 0.0
+    return CaseResult(case, True, time.perf_counter() - t0, time_ns=time_ns)
+
+
+def _check_in_worker(case: CheckCase) -> tuple[CaseResult, dict]:
+    """``--parallel`` body: one case under a private sanitizer, whose
+    coverage counters go back to the parent with the result."""
+    san = Sanitizer()
     with use_sanitizer(san):
-        try:
-            workload, reference = _case_workload(case)
-            result = _run_case(case, "sim", workload, reference)
-            if result is not None:
-                time_ns = result.time_ns
-        except Exception as exc:  # noqa: BLE001 - report, don't abort
-            error = f"{type(exc).__name__}: {exc}"
-    return error is None, time.perf_counter() - t0, error, dict(san.checks), time_ns
+        result = check_case(case, {})
+    return result, dict(san.checks)
 
 
-def _map_sim_cases_parallel(
-    cases: list[CheckCase], parallel: int, san: Sanitizer
-) -> dict[CheckCase, tuple[bool, float, str | None, float]]:
-    """Fan the simulated grid points out over worker processes, merging
-    each worker's coverage counters into ``san``."""
-    import concurrent.futures as cf
-    import multiprocessing as mp
-
-    from ..native.pool import default_start_method
-
-    sim_cases = [c for c in cases if c.backend == "sim"]
-    if not sim_cases:
-        return {}
-    ctx = mp.get_context(default_start_method())
-    done: dict[CheckCase, tuple[bool, float, str | None, float]] = {}
-    workers = min(parallel, len(sim_cases))
-    with cf.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        for case, (ok, wall, error, checks, time_ns) in zip(
-            sim_cases, pool.map(_sim_case_worker, sim_cases)
-        ):
-            done[case] = (ok, wall, error, time_ns)
-            san.checks.update(checks)
-    return done
+def _print_case(result: CaseResult, out: IO[str], note: str = "") -> None:
+    status = "ok" if result.ok else "FAIL"
+    print(
+        f"  {result.case.label:<46} {status} ({result.wall_s * 1e3:.0f} ms)"
+        f"{note}",
+        file=out,
+    )
+    if result.error is not None:
+        print(f"    {result.error}", file=out)
 
 
 def _predict_sweep(
-    sim_cases: list[CheckCase],
-    sim_times: dict[CheckCase, float],
+    sim_results: list[CaseResult],
     oracles: dict[tuple, tuple],
     results: list[CaseResult],
     out: IO[str],
@@ -421,41 +405,21 @@ def _predict_sweep(
     verified functionally and structurally but do not move the gate.
     """
     rel_errors: list[float] = []
-    for case in sim_cases:
+    gateable = False
+    for sim in sim_results:
+        case = sim.case
         if case.machine != "origin2000" or case.expect_error:
             continue  # the predictor rejects uncalibrated machines
-        key = (case.workload, case.distribution, case.n, case.p)
-        if key not in oracles:
-            oracles[key] = _case_workload(case)
-        workload, reference = oracles[key]
-        pcase = replace(case, backend="predict")
-        t0 = time.perf_counter()
-        error = None
+        gateable = gateable or case.workload == "u32"
+        result = check_case(replace(case, backend="predict"), oracles)
         note = ""
-        try:
-            result = _run_case(pcase, "predict", workload, reference)
-            sim_ns = sim_times.get(case, 0.0)
-            if result is not None and sim_ns > 0 and case.workload == "u32":
-                rel = (result.time_ns - sim_ns) / sim_ns
-                rel_errors.append(abs(rel))
-                note = f" rel={rel:+.1%}"
-        except Exception as exc:  # noqa: BLE001 - report, don't abort
-            error = f"{type(exc).__name__}: {exc}"
-        wall = time.perf_counter() - t0
-        results.append(CaseResult(pcase, error is None, wall, error))
-        status = "ok" if error is None else "FAIL"
-        print(
-            f"  {pcase.label:<46} {status} ({wall * 1e3:.0f} ms){note}",
-            file=out,
-        )
-        if error is not None:
-            print(f"    {error}", file=out)
+        if result.ok and sim.time_ns > 0 and case.workload == "u32":
+            rel = (result.time_ns - sim.time_ns) / sim.time_ns
+            rel_errors.append(abs(rel))
+            note = f" rel={rel:+.1%}"
+        results.append(result)
+        _print_case(result, out, note)
 
-    gateable = [
-        c for c in sim_cases
-        if c.machine == "origin2000" and not c.expect_error
-        and c.workload == "u32"
-    ]
     if not gateable:
         # A filtered sweep (--machine/--workload) can exclude every u32
         # origin2000 cell; with nothing to fit the band against, there
@@ -468,8 +432,8 @@ def _predict_sweep(
             CaseResult(gate_case, False, 0.0, "no simulated times to compare")
         )
         return
-    median = statistics.median(rel_errors)
-    p95 = sorted(rel_errors)[max(0, int(round(0.95 * len(rel_errors))) - 1)]
+    band = error_band(rel_errors)
+    median = band["median_abs_rel"]
     ok = median <= PREDICT_ERROR_GATE
     error = (
         None
@@ -478,9 +442,9 @@ def _predict_sweep(
     )
     results.append(CaseResult(gate_case, ok, 0.0, error))
     print(
-        f"  predict error band: median {median:.2%}, p95 {p95:.2%} over "
-        f"{len(rel_errors)} u32 cells (gate {PREDICT_ERROR_GATE:.0%}) "
-        f"{'ok' if ok else 'FAIL'}",
+        f"  predict error band: median {median:.2%}, "
+        f"p95 {band['p95_abs_rel']:.2%} over {band['n_cells']} u32 cells "
+        f"(gate {PREDICT_ERROR_GATE:.0%}) {'ok' if ok else 'FAIL'}",
         file=out,
     )
 
@@ -533,28 +497,23 @@ def run_check(
         raise ValueError(
             f"unknown backend {backend!r}; choose from {CHECK_BACKENDS}"
         )
-    if machine is not None and machine not in ALL_MACHINES:
-        raise ValueError(
-            f"unknown machine {machine!r}; choose from {ALL_MACHINES}"
-        )
-    if workload is not None and workload not in ALL_WORKLOADS:
-        raise ValueError(
-            f"unknown workload {workload!r}; choose from {ALL_WORKLOADS}"
-        )
+    for axis, value, choices in (
+        ("machine", machine, ALL_MACHINES), ("workload", workload, ALL_WORKLOADS)
+    ):
+        if value is not None and value not in choices:
+            raise ValueError(f"unknown {axis} {value!r}; choose from {choices}")
     out = stream if stream is not None else sys.stdout
     native = native and backend in ("all", "native")
     with_sim = backend in ("all", "sim", "predict")
     with_predict = backend in ("all", "predict")
     filtered = machine is not None or workload is not None
-    cases = default_grid(small=small, native=native)
-    if not with_sim:
-        cases = [c for c in cases if c.backend != "sim"]
-    if not with_predict:
-        cases = [c for c in cases if c.backend != "predict"]
-    if machine is not None:
-        cases = [c for c in cases if c.machine == machine]
-    if workload is not None:
-        cases = [c for c in cases if c.workload == workload]
+    cases = [
+        c for c in default_grid(small=small, native=native)
+        if (with_sim or c.backend != "sim")
+        and (with_predict or c.backend != "predict")
+        and machine in (None, c.machine)
+        and workload in (None, c.workload)
+    ]
     if not cases:
         print("repro check: nothing to run for this selection", file=out)
         return 1
@@ -562,11 +521,13 @@ def run_check(
     results: list[CaseResult] = []
     #: (workload kind, distribution, n, p) -> (input, reference).
     oracles: dict[tuple, tuple] = {}
-    sim_times: dict[CheckCase, float] = {}
 
-    precomputed: dict[CheckCase, tuple[bool, float, str | None, float]] = {}
+    # Simulated cases fan out first: the worker processes are gone before
+    # the native pool starts its own.
+    fanned = None
     if parallel is not None and parallel > 1:
-        precomputed = _map_sim_cases_parallel(cases, parallel, san)
+        sims = [c for c in cases if c.backend == "sim"]
+        fanned = iter(list(fan_out(_check_in_worker, sims, parallel)))
 
     pool = None
     native_backend = None
@@ -578,40 +539,19 @@ def run_check(
     try:
         with use_sanitizer(san):
             for case in cases:
-                if case in precomputed:
-                    ok, wall, error, time_ns = precomputed[case]
-                    if time_ns > 0:
-                        sim_times[case] = time_ns
+                if case.backend == "sim" and fanned is not None:
+                    result, checks = next(fanned)
+                    san.checks.update(checks)
+                elif case.backend == "native":
+                    result = check_case(case, oracles, native_backend)
                 else:
-                    key = (case.workload, case.distribution, case.n, case.p)
-                    if key not in oracles:
-                        oracles[key] = _case_workload(case)
-                    workload_cell, reference = oracles[key]
-                    run_backend = (
-                        native_backend
-                        if case.backend == "native"
-                        else case.backend
-                    )
-                    t0 = time.perf_counter()
-                    error = None
-                    try:
-                        result = _run_case(
-                            case, run_backend, workload_cell, reference
-                        )
-                        if case.backend == "sim" and result is not None:
-                            sim_times[case] = result.time_ns
-                    except Exception as exc:  # noqa: BLE001 - report, don't abort
-                        error = f"{type(exc).__name__}: {exc}"
-                    wall = time.perf_counter() - t0
-                results.append(CaseResult(case, error is None, wall, error))
-                status = "ok" if error is None else "FAIL"
-                print(f"  {case.label:<46} {status} ({wall * 1e3:.0f} ms)", file=out)
-                if error is not None:
-                    print(f"    {error}", file=out)
+                    result = check_case(case, oracles)
+                results.append(result)
+                _print_case(result, out)
             if with_predict:
                 _predict_sweep(
-                    [c for c in cases if c.backend == "sim"],
-                    sim_times, oracles, results, out,
+                    [r for r in results if r.case.backend == "sim"],
+                    oracles, results, out,
                 )
             try:
                 _traced_probes(san, cases[0].n, cases[0].p, native_backend)

@@ -5,8 +5,8 @@ import pytest
 
 import repro
 from repro import MemoryRecorder, SortResult, sequential_baseline, sort
+from repro.core.experiment import RADIX_MODELS, SAMPLE_MODELS
 from repro.data import generate
-from repro.verify.differential import RADIX_MODELS, SAMPLE_MODELS
 
 
 class TestSort:

@@ -135,7 +135,7 @@ class TestGridPlumbing:
         """One end-to-end sort per zoo member: output equals np.sort."""
         from repro.core.api import sort
         from repro.data import generate
-        from repro.verify.differential import machine_model
+        from repro.core.experiment import machine_model
 
         keys = generate("gauss", 512, 8)
         machine = None if name == "origin2000" else get_machine(name, n_procs=8)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.backend import SortJob, get_backend
+from repro.core.experiment import RADIX_MODELS, SAMPLE_MODELS
 from repro.data import generate
 from repro.predict import PredictedBackend
 from repro.verify import Sanitizer, use_sanitizer
-from repro.verify.differential import RADIX_MODELS, SAMPLE_MODELS
 
 N, P = 16 * 128, 16
 

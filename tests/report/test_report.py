@@ -11,15 +11,7 @@ from repro.report import (
     grouped_series,
     per_proc_strip,
 )
-from repro.report.experiments import (
-    figure1,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    table1,
-    tables2_and_3,
-)
+from repro.report.experiments import table1, tables2_and_3
 
 
 class TestTables:
@@ -85,30 +77,32 @@ class TestHarnesses:
         assert "paper" in res.text
 
     def test_figure1(self, runner):
-        res = figure1(runner, **SMALL)
+        res = EXPERIMENTS["fig1"].run(runner, **SMALL)
         cell = res.data["1M/16p"]
         assert cell["mpi-new"] > cell["mpi-sgi"]
         assert "Figure 1" in res.text
 
     def test_figure3(self, runner):
-        res = figure3(runner, **SMALL)
+        res = EXPERIMENTS["fig3"].run(runner, **SMALL)
         assert set(res.data["1M/16p"]) == {"shmem", "ccsas", "mpi-new", "ccsas-new"}
 
     def test_figure4(self, runner):
-        res = figure4(runner, size="1M", n_procs=16)
+        res = EXPERIMENTS["fig4"].run(runner, size="1M", n_procs=16)
         assert set(res.data) == {"ccsas", "ccsas-new", "mpi-new", "shmem"}
         for panel in res.data.values():
             assert panel["total_ns"] > 0
             assert len(panel["per_proc_total_ns"]) == 16
 
     def test_figure5(self, runner):
-        res = figure5(runner, sizes=["1M"], n_procs=16,
-                      distributions=["gauss", "local"])
+        res = EXPERIMENTS["fig5"].run(runner, sizes=["1M"], n_procs=16,
+                                      values=["gauss", "local"])
         assert res.data["1M"]["gauss"] == pytest.approx(1.0)
         assert res.data["1M"]["local"] < 1.0
 
     def test_figure6(self, runner):
-        res = figure6(runner, sizes=["1M"], n_procs=16, radix_range=range(7, 9))
+        res = EXPERIMENTS["fig6"].run(
+            runner, sizes=["1M"], n_procs=16, values=range(7, 9)
+        )
         assert res.data["1M"]["r=8"] == pytest.approx(1.0)
 
     def test_tables2_and_3(self, runner):
@@ -120,6 +114,74 @@ class TestHarnesses:
         assert t3.data["radix"]["1M"][16] == ("shmem", 8) or \
             t3.data["radix"]["1M"][16] == ("shmem", 11)
         assert "Table 2" in t2.text and "Table 3" in t3.text
+
+    def test_predict_compare_reports_the_true_median(self, runner):
+        """An even cell count has two middle errors; the band's median is
+        their mean (the one :func:`error_band` definition), not the upper
+        one."""
+        import statistics
+
+        res = EXPERIMENTS["predict_compare"].run(
+            runner, sizes=["1M"], procs=[16, 64]
+        )
+        rels = sorted(abs(c["rel_err"]) for c in res.data["cells"].values())
+        assert len(rels) % 2 == 0
+        assert res.data["band"]["median_abs_rel"] == statistics.median(rels)
+        assert res.data["band"]["n_cells"] == len(rels)
+
+
+class TestMachineZoo:
+    def test_a_bad_cell_is_flagged_and_the_sweep_finishes(self, monkeypatch):
+        """A cell whose output is wrong fails the check path's
+        comparison; the zoo records it as ``verified: 0`` and goes on."""
+        import dataclasses
+
+        import repro.core.api as api
+        from repro.report.experiments import machine_zoo
+
+        real_sort = api.sort
+
+        def corrupting_sort(keys, **kwargs):
+            result = real_sort(keys, **kwargs)
+            if kwargs["machine"] is not None and kwargs["algorithm"] == "sample":
+                return dataclasses.replace(
+                    result, sorted_keys=result.sorted_keys[::-1].copy()
+                )
+            return result
+
+        monkeypatch.setattr(api, "sort", corrupting_sort)
+        res = machine_zoo(
+            None, n=16 * 64, p=16, machines=["origin2000", "bsp"],
+            workloads=["u32"],
+        )
+        verified = {k: c["verified"] for k, c in res.data["cells"].items()}
+        assert verified == {
+            "origin2000/u32/radix": 1,
+            "origin2000/u32/sample": 1,
+            "bsp/u32/radix": 1,
+            "bsp/u32/sample": 0,
+        }
+        assert res.data["summary"]["all_verified"] == 0
+        assert "all verified: NO" in res.text
+
+
+class TestErrorBand:
+    def test_even_count(self):
+        from repro.predict.calibration import error_band
+
+        assert error_band([0.4, 0.1, 0.3, 0.2]) == {
+            "median_abs_rel": pytest.approx(0.25),
+            "p95_abs_rel": 0.4,
+            "max_abs_rel": 0.4,
+            "n_cells": 4,
+        }
+
+    def test_nearest_rank_p95(self):
+        from repro.predict.calibration import error_band
+
+        band = error_band([i / 100 for i in range(1, 41)])
+        assert band["p95_abs_rel"] == 0.38  # rank round(0.95 * 40) = 38
+        assert band["median_abs_rel"] == pytest.approx(0.205)
 
 
 class TestProfile:

@@ -40,7 +40,7 @@ class TestCLI:
         each with its one-line summary."""
         assert main(["list"]) == 0
         experiments = [
-            f"{exp_id:<14} {exp.run.__doc__.strip().splitlines()[0]}"
+            f"{exp_id:<14} {exp.help}"
             for exp_id, exp in EXPERIMENTS.items()
         ]
         out = capsys.readouterr().out
@@ -116,10 +116,12 @@ class TestCLI:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_small_grid_covers_all_experiments(self):
-        """Every record's ``--small`` kwargs are parameters of its harness."""
+        """Every record's ``--small`` kwargs (and fixed ``params``) are
+        parameters of its harness."""
         for exp_id, exp in EXPERIMENTS.items():
-            params = inspect.signature(exp.run).parameters
+            params = inspect.signature(exp.harness).parameters
             assert set(exp.small) <= set(params), exp_id
+            assert set(exp.params) <= set(params), exp_id
 
     def test_run_table1_small(self, capsys):
         assert main(["table1", "--small"]) == 0

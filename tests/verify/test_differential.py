@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from repro.core.experiment import RADIX_MODELS, SAMPLE_MODELS
 from repro.verify import VerifyError, default_grid, run_check
 from repro.verify import differential
 
@@ -18,9 +19,9 @@ def test_default_grid_small_covers_models_and_backends():
     for dist in dists:
         sub = [c for c in cases if c.distribution == dist]
         assert {c.model for c in sub if c.algorithm == "radix" and c.backend == "sim"} \
-            == set(differential.RADIX_MODELS)
+            == set(RADIX_MODELS)
         assert {c.model for c in sub if c.algorithm == "sample" and c.backend == "sim"} \
-            == set(differential.SAMPLE_MODELS)
+            == set(SAMPLE_MODELS)
         assert {c.algorithm for c in sub if c.backend == "native"} \
             == {"radix", "sample"}
 
@@ -60,6 +61,24 @@ def test_run_check_small_sim_only_passes():
     text = out.getvalue()
     assert "0 failed" in text
     assert "COVERAGE FAILURE" not in text
+
+
+def test_serial_and_parallel_sweeps_agree():
+    """``--parallel 2`` computes the simulated cases in worker processes
+    and merges their coverage; it must print what a serial sweep prints
+    (case lines, coverage lines, check total), milliseconds aside."""
+    import re
+
+    outputs = []
+    for parallel in (None, 2):
+        out = io.StringIO()
+        assert run_check(
+            small=True, native=False, stream=out, parallel=parallel
+        ) == 0
+        outputs.append(re.sub(r" \(\d+ ms\)", "", out.getvalue()))
+    serial, parallel = outputs
+    assert serial == parallel
+    assert "sanitizer evaluated" in serial and "coverage machine:" in serial
 
 
 def test_run_check_reports_coverage_failure(monkeypatch):
