@@ -8,7 +8,7 @@ for the protocol, admission codes and operational model.
 Layering::
 
     protocol   framing + key codecs (sync and asyncio transports)
-    admission  backpressure verdicts with retry_after_s hints
+    admission  backpressure verdicts (Refused) with retry_after_s hints
     results    bounded job-record store with completion events
     engine     persistent WorkerPool, its arena reserved; one job at a time
     server     asyncio endpoint, queue, deadlines, drain/shutdown
@@ -18,7 +18,7 @@ Layering::
 """
 
 from ..native.arena import Arena, ArenaExhausted, JobTooLarge, SlabView
-from .admission import AdmissionController, Rejection
+from .admission import AdmissionController
 from .client import ServeClient, ServeError, ServeRejected
 from .engine import EngineOutcome, SortEngine
 from .loadgen import loadgen_ok, run_loadgen
@@ -28,6 +28,7 @@ from .protocol import (
     FrameTooLarge,
     FrameTruncated,
     ProtocolError,
+    Refused,
     decode_keys,
     encode_keys,
     pack_frame,
@@ -49,7 +50,7 @@ __all__ = [
     "JobTooLarge",
     "MAX_FRAME",
     "ProtocolError",
-    "Rejection",
+    "Refused",
     "ResultStore",
     "ServeClient",
     "ServeError",

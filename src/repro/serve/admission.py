@@ -12,7 +12,8 @@ decide what happens to sort number seventeen).
 Codes (mirrored in docs/SERVE.md):
 
 ``busy``       the queue is at ``queue_depth``; retry after the hint
-``too-large``  the job's buffers exceed the arena's largest slab
+``too-large``  the job's buffers exceed the arena's largest slab, or its
+               result would not fit one reply frame
 ``bad-radix``  the radix digit width would overflow a meta slab
 ``draining``   the server is completing in-flight work and takes no more
 """
@@ -25,32 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..native.plan import widest_radix
+from .protocol import MAX_FRAME, Refused, frame_keys
 
 
 @dataclass
 class AdmissionStats:
     accepted: int = 0
     rejected: dict[str, int] = field(default_factory=dict)
-
-    def note_reject(self, code: str) -> None:
-        self.rejected[code] = self.rejected.get(code, 0) + 1
-
-    @property
-    def total_rejected(self) -> int:
-        return sum(self.rejected.values())
-
-
-@dataclass(frozen=True)
-class Rejection:
-    code: str
-    message: str
-    retry_after_s: float | None = None
-
-    def to_header(self) -> dict:
-        header = {"ok": False, "error": self.code, "message": self.message}
-        if self.retry_after_s is not None:
-            header["retry_after_s"] = round(self.retry_after_s, 4)
-        return header
 
 
 class AdmissionController:
@@ -100,33 +82,44 @@ class AdmissionController:
         radix: int | None,
         queue_len: int,
         draining: bool,
-    ) -> Rejection | None:
-        """``None`` = admit; otherwise the structured rejection."""
+        max_frame: int = MAX_FRAME,
+    ) -> Refused | None:
+        """``None`` = admit; otherwise the structured rejection.  A job
+        is at most :func:`~.protocol.frame_keys` long, so its result
+        always fits one ``max_frame`` reply."""
         if draining:
-            verdict = Rejection("draining", "server is draining; submit elsewhere")
+            verdict = Refused("draining", "server is draining; submit elsewhere")
         elif n_keys * dtype.itemsize > self.max_job_bytes:
-            verdict = Rejection(
+            verdict = Refused(
                 "too-large",
                 f"{n_keys} x {dtype.str} keys need "
                 f"{n_keys * dtype.itemsize} bytes; the arena's data slabs "
                 f"hold {self.max_job_bytes}",
             )
+        elif n_keys > frame_keys(max_frame, dtype.itemsize):
+            verdict = Refused(
+                "too-large",
+                f"{n_keys} x {dtype.str} keys would not come back in one "
+                f"{max_frame}-byte frame (at most "
+                f"{frame_keys(max_frame, dtype.itemsize)} keys)",
+            )
         elif radix is not None and radix > widest_radix(
             self.meta_slab_bytes, self.n_workers
         ):
-            verdict = Rejection(
+            verdict = Refused(
                 "bad-radix",
                 f"radix {radix} needs a {self.n_workers}x{1 << radix} "
                 f"histogram, over the {self.meta_slab_bytes}-byte meta slab",
             )
         elif queue_len >= self.queue_depth:
-            verdict = Rejection(
+            verdict = Refused(
                 "busy",
                 f"queue is at its {self.queue_depth}-job cap",
-                retry_after_s=self.retry_after_s(queue_len),
+                retry_after_s=round(self.retry_after_s(queue_len), 4),
             )
         else:
             self.stats.accepted += 1
             return None
-        self.stats.note_reject(verdict.code)
+        rejected = self.stats.rejected
+        rejected[verdict.code] = rejected.get(verdict.code, 0) + 1
         return verdict

@@ -22,6 +22,7 @@ from .protocol import (
     ProtocolError,
     decode_keys,
     encode_keys,
+    frame_keys,
     read_frame_sync,
     write_frame_sync,
 )
@@ -184,16 +185,11 @@ class ServeClient:
         reply, _ = self._call(header)
         return reply["stream_id"]
 
-    def _push_frame_keys(self, itemsize: int) -> int:
-        """How many keys fit one push frame under the cap (with slack
-        for the JSON header)."""
-        return max(1, (self.max_frame - 65536) // itemsize)
-
     def stream_push(self, stream_id: str, keys: np.ndarray) -> dict[str, Any]:
         """Push keys into a stream, slicing into frames under the cap;
         returns the final push reply (ingest progress)."""
         keys = np.ascontiguousarray(keys)
-        per_frame = self._push_frame_keys(keys.dtype.itemsize)
+        per_frame = frame_keys(self.max_frame, keys.dtype.itemsize)
         reply: dict[str, Any] = {}
         for lo in range(0, max(1, len(keys)), per_frame):  # empty: one frame
             fields, payload = encode_keys(keys[lo : lo + per_frame])

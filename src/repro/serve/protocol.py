@@ -21,12 +21,14 @@ no transport ever holds a whole pending frame; a payload of up to
 send.  :func:`pack_frame` / :func:`parse_header` / :func:`unpack_body`
 are the whole-buffer forms of the same codec.
 
-Framing errors are typed: :class:`FrameTooLarge` (a body beyond
-``max_frame`` is refused before it is read, so a hostile or buggy client
-cannot balloon server memory), :class:`FrameTruncated` (the stream ended
-mid-frame) and :class:`BadMagic` (not this protocol).  Both sync
-(``socket``) and async (``asyncio`` streams) transports share the same
-codec, so the client, server and tests cannot drift apart.
+Every error reply is a :class:`Refused` -- a code, an optional message
+and extra fields, rendered by :meth:`Refused.reply`.  Framing errors are
+its typed subclasses, each naming its code: :class:`FrameTooLarge` (a
+body beyond ``max_frame`` is refused before it is read, so a hostile or
+buggy client cannot balloon server memory), :class:`FrameTruncated` (the
+stream ended mid-frame) and :class:`BadMagic` (not this protocol).  Both
+sync (``socket``) and async (``asyncio`` streams) transports drive the
+same head parser, so the client, server and tests cannot drift apart.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Any, Iterator
+from typing import Any, Generator, Iterator
 
 import numpy as np
 
@@ -55,12 +57,39 @@ _PIECE = 128 << 10
 Buffer = bytes | bytearray | memoryview
 
 
-class ProtocolError(RuntimeError):
-    """Base class for framing failures."""
+class Refused(RuntimeError):
+    """A request the server answers with an error reply instead of doing
+    it: the ``code``, an optional ``message``, and any extra reply
+    ``fields`` (``retry_after_s``, ``cap``, ``stream_id``, a record's
+    public fields).  Handlers raise it; :meth:`reply` is the one place
+    an error reply header is built."""
+
+    def __init__(self, code: str, message: str | None = None, /, **fields: Any):
+        super().__init__(code if message is None else message)
+        self.code = code
+        self.message = message
+        self.fields = fields
+
+    def reply(self) -> dict[str, Any]:
+        header = {**self.fields, "ok": False, "error": self.code}
+        if self.message is not None:
+            header["message"] = self.message
+        return header
+
+
+class ProtocolError(Refused):
+    """Base class for framing failures; each class names its code."""
+
+    code = "protocol-error"
+
+    def __init__(self, message: str, **fields: Any):
+        super().__init__(self.code, message, **fields)
 
 
 class BadMagic(ProtocolError):
     """The stream does not speak this protocol."""
+
+    code = "bad-magic"
 
 
 class FrameTooLarge(ProtocolError):
@@ -72,17 +101,30 @@ class FrameTooLarge(ProtocolError):
     from corruption).
     """
 
-    def __init__(self, message: str, cap: int | None = None):
-        super().__init__(message)
+    code = "frame-too-large"
+
+    def __init__(self, message: str, cap: int):
+        super().__init__(message, cap=cap)
         self.cap = cap
 
 
 class FrameTruncated(ProtocolError):
     """The stream ended mid-frame (peer died or sent a short write)."""
 
+    code = "frame-truncated"
+
 
 class BadRequest(ProtocolError):
     """A well-framed request whose header carries an unusable field."""
+
+    code = "bad-request"
+
+
+def frame_keys(max_frame: int, itemsize: int) -> int:
+    """How many keys of ``itemsize`` bytes one frame under ``max_frame``
+    carries, leaving 64 KiB for its JSON header: the push and fetch
+    block size, and the largest job whose result fits one reply."""
+    return max(1, (max_frame - (64 << 10)) // itemsize)
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +192,16 @@ def _json_header(raw: Buffer) -> dict[str, Any]:
     return header
 
 
+def _head(max_frame: int) -> Generator[int, Buffer, tuple[dict[str, Any], int]]:
+    """One frame's head, parsed sans-I/O: the fixed header, the JSON
+    length, the JSON header.  Yields how many bytes it needs next, is
+    sent exactly those, and returns ``(JSON header, payload length)``.
+    :func:`read_frame_sync` and :func:`read_head` both drive it."""
+    body_len = parse_header((yield _HEADER.size), max_frame)
+    jlen = _json_len((yield min(_JLEN.size, body_len)), body_len)
+    return _json_header((yield jlen)), body_len - _JLEN.size - jlen
+
+
 def unpack_body(body: bytes) -> tuple[dict[str, Any], bytes]:
     """Split a frame body into (JSON header, raw payload)."""
     end = _JLEN.size + _json_len(body[: _JLEN.size], len(body))
@@ -215,10 +267,13 @@ def _recv(sock: socket.socket, n: int) -> memoryview:
 def read_frame_sync(
     sock: socket.socket, max_frame: int = MAX_FRAME
 ) -> tuple[dict[str, Any], memoryview]:
-    body_len = parse_header(_recv(sock, _HEADER.size), max_frame)
-    jlen = _json_len(_recv(sock, min(_JLEN.size, body_len)), body_len)
-    header = _json_header(_recv(sock, jlen))
-    return header, _recv(sock, body_len - _JLEN.size - jlen)
+    parse, got = _head(max_frame), None
+    try:
+        while True:
+            got = _recv(sock, parse.send(got))
+    except StopIteration as head:
+        header, n = head.value
+    return header, _recv(sock, n)
 
 
 def write_frame_sync(
@@ -265,21 +320,19 @@ async def read_head(
 ) -> tuple[dict[str, Any], Body]:
     """Read one frame up to its payload.  ``EOFError`` when the peer
     closed between frames, :class:`FrameTruncated` when inside one."""
-    raw = None
+    parse, got = _head(max_frame), None
     try:
-        raw = await reader.readexactly(_HEADER.size)
-        body_len = parse_header(raw, max_frame)
-        jlen = _json_len(
-            await reader.readexactly(min(_JLEN.size, body_len)), body_len
-        )
-        header = _json_header(await reader.readexactly(jlen))
+        while True:
+            got = await reader.readexactly(parse.send(got))
+    except StopIteration as head:
+        header, n = head.value
     except asyncio.IncompleteReadError as err:
-        if raw is None and not err.partial:
+        if got is None and not err.partial:
             raise EOFError("peer closed between frames") from None
         raise FrameTruncated(
             f"stream closed mid-frame ({len(err.partial)}/{err.expected} bytes)"
         ) from None
-    return header, Body(reader, body_len - _JLEN.size - jlen)
+    return header, Body(reader, n)
 
 
 async def read_frame(

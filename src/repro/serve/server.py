@@ -29,7 +29,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -45,13 +45,15 @@ from .protocol import (
     Buffer,
     FrameTruncated,
     ProtocolError,
+    Refused,
     decode_keys,
     encode_keys,
+    frame_keys,
     key_spec,
     read_head,
     write_frame,
 )
-from .results import TERMINAL, ResultStore
+from .results import TERMINAL, JobRecord, ResultStore
 from .streamjob import StreamSession
 
 #: Sentinel telling the consumer task to exit.
@@ -59,10 +61,8 @@ _STOP = None
 
 ALGORITHMS = ("radix", "sample")
 
-#: Stream ops addressed to an open session (everything but ``stream-open``).
-_SESSION_OPS = (
-    "stream-push", "stream-close", "stream-status", "stream-fetch", "stream-abort",
-)
+#: What an op returns: its reply header, or the header and a payload.
+Reply = dict[str, Any] | tuple[dict[str, Any], Buffer]
 
 
 class ServeServer:
@@ -191,15 +191,24 @@ class ServeServer:
         """``start``, print ``serving on <host>:<port> (...)`` (where
         callers read the port), serve until SIGINT/SIGTERM,
         ``request_stop`` or a shutdown op, close.  Main thread only."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, self.request_stop)
-        assert self.engine is not None
-        print(f"serving on {self.host}:{self.port} "
-              f"({self.engine.pool.n_workers} workers, "
-              f"queue depth {self.queue_depth})", flush=True)
+
+        def started() -> None:
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(sig, self.request_stop)
+            assert self.engine is not None
+            print(f"serving on {self.host}:{self.port} "
+                  f"({self.engine.pool.n_workers} workers, "
+                  f"queue depth {self.queue_depth})", flush=True)
+
+        await self._run(started)
+
+    async def _run(self, started: Callable[[], None]) -> None:
+        """``start``, call ``started()``, serve until a stop is
+        requested, and close -- on every path, a failed start too."""
         try:
+            await self.start()
+            started()
             assert self._stop_event is not None
             await self._stop_event.wait()
         finally:
@@ -266,23 +275,19 @@ class ServeServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            while True:
+            hang_up = False
+            while not hang_up:
+                payload: Buffer = b""
                 try:
                     header, body = await read_head(reader, self.max_frame)
                     try:
-                        reply, out_payload = await self._dispatch(header, body)
+                        reply, payload = await self._dispatch(header, body)
                     except FrameTruncated:
                         raise
-                    except ProtocolError as err:
-                        reply = _error_reply(err)
-                        out_payload = b""
+                    except Refused as err:
+                        reply = err
                     except Exception as err:  # pragma: no cover - defensive
-                        reply = {
-                            "ok": False,
-                            "error": "internal",
-                            "message": f"{type(err).__name__}: {err}",
-                        }
-                        out_payload = b""
+                        reply = Refused("internal", f"{type(err).__name__}: {err}")
                     # A payload no op took (the request was refused on its
                     # header, or carries none it should): drained, dropped.
                     await body.read(keep=False)
@@ -292,9 +297,10 @@ class ServeServer:
                     # The stream cannot be trusted past a framing error
                     # (unread body bytes would desynchronize it): answer
                     # with the typed error, then hang up.
-                    await write_frame(writer, _error_reply(err))
-                    break
-                await write_frame(writer, reply, out_payload, self.max_frame)
+                    reply, payload, hang_up = err, b"", True
+                if isinstance(reply, Refused):
+                    reply = reply.reply()
+                await write_frame(writer, reply, payload, self.max_frame)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -311,52 +317,39 @@ class ServeServer:
         self, header: dict[str, Any], body: Body
     ) -> tuple[dict[str, Any], Buffer]:
         op = header.get("op")
-        if op == "ping":
-            return {"ok": True, "op": "pong"}, b""
-        if op == "submit":
-            return await self._op_submit(header, body), b""
-        if op == "status":
-            return self._op_status(header), b""
-        if op == "wait":
-            return await self._op_wait(header), b""
-        if op == "result":
-            return self._op_result(header)
-        if op == "stats":
-            return {"ok": True, "stats": self.stats()}, b""
-        if op == "stream-open":
-            return self._op_stream_open(header), b""
-        if op in _SESSION_OPS:
-            sess = self._streams.get(str(header.get("stream_id")))
-            if sess is None:
-                return {"ok": False, "error": "unknown-stream"}, b""
-            if op == "stream-push":
-                return await self._op_stream_push(sess, header, body), b""
-            if op == "stream-close":
-                return self._op_stream_close(sess), b""
-            if op == "stream-status":
-                return {"ok": True, **sess.public()}, b""
-            if op == "stream-fetch":
-                return self._op_stream_fetch(sess, header)
-            return self._op_stream_abort(sess), b""
-        if op == "drain":
-            return await self._op_drain(), b""
-        if op == "shutdown":
-            return await self._op_shutdown(), b""
-        return {"ok": False, "error": "bad-op", "message": f"unknown op {op!r}"}, b""
+        handler = self._OPS.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise Refused("bad-op", f"unknown op {op!r}")
+        reply = await handler(self, header, body)
+        return reply if isinstance(reply, tuple) else (reply, b"")
+
+    def _job(self, header: dict[str, Any]) -> JobRecord:
+        rec = self.store.get(str(header.get("job_id")))
+        if rec is None:
+            raise Refused("unknown-job")
+        return rec
+
+    def _stream(self, header: dict[str, Any]) -> StreamSession:
+        sess = self._streams.get(str(header.get("stream_id")))
+        if sess is None:
+            raise Refused("unknown-stream")
+        return sess
 
     # ------------------------------------------------------------------
-    async def _op_submit(self, header: dict[str, Any], body: Body) -> dict[str, Any]:
+    # Ops: each takes (header, body) and returns its reply header -- or
+    # (header, payload) -- or raises Refused.  Declared once, in _OPS.
+    # ------------------------------------------------------------------
+    async def _op_ping(self, header: dict[str, Any], body: Body) -> Reply:
+        return {"ok": True, "op": "pong"}
+
+    async def _op_submit(self, header: dict[str, Any], body: Body) -> Reply:
         """Admit or refuse from the header alone; only an admitted job's
         keys are received (into the array the job then owns)."""
         assert self.admission is not None
         dtype, n_keys = key_spec(header, body.n)
         algorithm = header.get("algorithm")  # absent: the planner decides
         if algorithm is not None and algorithm not in ALGORITHMS:
-            return {
-                "ok": False,
-                "error": "bad-algorithm",
-                "message": f"algorithm must be one of {ALGORITHMS}",
-            }
+            raise Refused("bad-algorithm", f"algorithm must be one of {ALGORITHMS}")
         radix = _number(header, "radix", int)
         deadline_s = _number(header, "deadline_s", float, self.default_deadline_s)
         verdict = self.admission.check(
@@ -365,6 +358,7 @@ class ServeServer:
             radix=radix,
             queue_len=self._queue_len(),
             draining=self.draining,
+            max_frame=self.max_frame,
         )
         if verdict is not None:
             if self._recorder is not None and self._recorder.enabled:
@@ -375,7 +369,7 @@ class ServeServer:
                     pid=PID_SERVE,
                     args={"n_keys": n_keys, "queue_len": self._queue_len()},
                 )
-            return verdict.to_header()
+            raise verdict
         self._receiving += 1
         try:
             keys = decode_keys(header, await body.read())
@@ -392,63 +386,51 @@ class ServeServer:
         self._queue.put_nowait(rec.job_id)
         return {"ok": True, "job_id": rec.job_id, "status": "queued"}
 
-    def _op_status(self, header: dict[str, Any]) -> dict[str, Any]:
-        rec = self.store.get(str(header.get("job_id")))
-        if rec is None:
-            return {"ok": False, "error": "unknown-job"}
-        return {"ok": True, **rec.public()}
+    async def _op_status(self, header: dict[str, Any], body: Body) -> Reply:
+        return {"ok": True, **self._job(header).public()}
 
-    async def _op_wait(self, header: dict[str, Any]) -> dict[str, Any]:
-        job_id = str(header.get("job_id"))
-        rec = self.store.get(job_id)
-        if rec is None:
-            return {"ok": False, "error": "unknown-job"}
+    async def _op_wait(self, header: dict[str, Any], body: Body) -> Reply:
+        rec = self._job(header)
         timeout_s = _number(header, "timeout_s", float, 60.0)
-        ev = self.store.event_for(job_id, asyncio.get_running_loop())
+        ev = self.store.event_for(rec.job_id, asyncio.get_running_loop())
         try:
             await asyncio.wait_for(ev.wait(), timeout=timeout_s)
         except asyncio.TimeoutError:
-            return {**rec.public(), "ok": False, "error": "wait-timeout"}
-        return self._op_status(header)
+            raise Refused("wait-timeout", **rec.public()) from None
+        return await self._op_status(header, body)
 
-    def _op_result(self, header: dict[str, Any]) -> tuple[dict[str, Any], Buffer]:
-        job_id = str(header.get("job_id"))
-        rec = self.store.get(job_id)
-        if rec is None:
-            return {"ok": False, "error": "unknown-job"}, b""
+    async def _op_result(self, header: dict[str, Any], body: Body) -> Reply:
+        rec = self._job(header)
         if rec.status not in TERMINAL:
-            return {**rec.public(), "ok": False, "error": "not-ready"}, b""
+            raise Refused("not-ready", **rec.public())
         if rec.status != "done":
-            return {**rec.public(), "ok": False, "error": rec.error or rec.status}, b""
+            raise Refused(rec.error or rec.status, **rec.public())
         payload = rec.sorted_bytes
         if payload is None:
-            return {**rec.public(), "ok": False, "error": "evicted"}, b""
-        self.store.mark_delivered(job_id)
+            raise Refused("evicted", **rec.public())
+        self.store.mark_delivered(rec.job_id)
         return {"ok": True, **rec.public()}, payload
 
-    # ------------------------------------------------------------------
-    # Streaming jobs (external sorts spanning many frames + pool phases)
-    # ------------------------------------------------------------------
-    def _op_stream_open(self, header: dict[str, Any]) -> dict[str, Any]:
+    async def _op_stats(self, header: dict[str, Any], body: Body) -> Reply:
+        return {"ok": True, "stats": self.stats()}
+
+    # Streaming jobs (external sorts spanning many frames + pool phases):
+    # the session keeps its own phase; the server routes and schedules.
+    async def _op_stream_open(self, header: dict[str, Any], body: Body) -> Reply:
         assert self.engine is not None
         if self.draining:
-            return {
-                "ok": False,
-                "error": "draining",
-                "message": "server is draining; no new streams",
-            }
+            raise Refused("draining", "server is draining; no new streams")
         if len(self._streams) >= self.max_streams:
-            return {
-                "ok": False,
-                "error": "busy",
-                "message": f"{len(self._streams)} stream(s) already open "
+            raise Refused(
+                "busy",
+                f"{len(self._streams)} stream(s) already open "
                 f"(max {self.max_streams})",
-                "retry_after_s": 1.0,
-            }
+                retry_after_s=1.0,
+            )
         try:
             dtype = check_dtype(header.get("dtype", "<i8"), "stream")
         except (TypeError, StreamError) as err:
-            return {"ok": False, "error": "bad-dtype", "message": str(err)}
+            raise Refused("bad-dtype", str(err)) from None
         # The chunk is the only full-width allocation a stream makes on
         # the engine: cap it so a chunk always fits one arena data slab.
         cap_keys = max(4, self.engine.arena.data_bytes // dtype.itemsize)
@@ -459,37 +441,21 @@ class ServeServer:
         self._streams[sess.stream_id] = sess
         return {"ok": True, **sess.public()}
 
-    async def _op_stream_push(
-        self, sess: StreamSession, header: dict[str, Any], body: Body
-    ) -> dict[str, Any]:
+    async def _op_stream_push(self, header: dict[str, Any], body: Body) -> Reply:
         assert self._loop is not None
-        if sess.phase != "ingest":
-            return {
-                "ok": False,
-                "error": "bad-phase",
-                "message": f"stream is {sess.phase}, not accepting keys",
-            }
+        sess = self._stream(header)
+        sess.check_push()
         key_spec(header, body.n)  # refused, if at all, before there is a buffer
         keys = decode_keys(header, await body.read())
-        try:
-            # Chunks the push completes sort now, on the engine lane; the
-            # reply lands only after they spill, which is the stream's
-            # natural backpressure.
-            await self._loop.run_in_executor(
-                self._exec, sess.push_on_engine, keys
-            )
-        except Exception as err:
-            return sess.fail(err)
+        # Chunks the push completes sort now, on the engine lane; the
+        # reply lands only after they spill, which is the stream's
+        # natural backpressure.
+        await self._loop.run_in_executor(self._exec, sess.push_on_engine, keys)
         return {"ok": True, **sess.public()}
 
-    def _op_stream_close(self, sess: StreamSession) -> dict[str, Any]:
-        if sess.phase != "ingest":
-            return {
-                "ok": False,
-                "error": "bad-phase",
-                "message": f"stream is {sess.phase}, already closed",
-            }
-        sess.phase = "merging"
+    async def _op_stream_close(self, header: dict[str, Any], body: Body) -> Reply:
+        sess = self._stream(header)
+        sess.start_merge()
         task = asyncio.create_task(self._finalize_stream(sess))
         self._stream_tasks[sess.stream_id] = task
         return {"ok": True, **sess.public()}
@@ -497,55 +463,38 @@ class ServeServer:
     async def _finalize_stream(self, sess: StreamSession) -> None:
         assert self._loop is not None
         try:
-            await self._loop.run_in_executor(
-                self._exec, sess.finish_on_engine
-            )
-        except Exception as err:
-            sess.fail(err)
-        else:
-            sess.phase = "done"
+            await self._loop.run_in_executor(self._exec, sess.finish_on_engine)
+        except Refused:
+            pass  # the session is failed, and says why
+        finally:
+            self._stream_tasks.pop(sess.stream_id, None)
             if sess.stream_id not in self._streams:
                 # Aborted while merging: nobody will fetch; drop spills.
                 sess.cleanup()
-        finally:
-            self._stream_tasks.pop(sess.stream_id, None)
 
-    def _op_stream_fetch(
-        self, sess: StreamSession, header: dict[str, Any]
-    ) -> tuple[dict[str, Any], Buffer]:
-        if sess.phase == "failed":
-            return {
-                "ok": False,
-                "error": "stream-failed",
-                "message": f"{sess.error}: {sess.message}",
-            }, b""
-        if sess.phase != "done":
-            return {
-                **sess.public(),
-                "ok": False,
-                "error": "not-ready",
-            }, b""
-        # Frame budget: the reply header is tiny, but leave slack so the
-        # fetch frame itself can never trip the cap we enforce on it.
-        cap_keys = max(1, (self.max_frame - 65536) // sess.dtype.itemsize)
+    async def _op_stream_status(self, header: dict[str, Any], body: Body) -> Reply:
+        return {"ok": True, **self._stream(header).public()}
+
+    async def _op_stream_fetch(self, header: dict[str, Any], body: Body) -> Reply:
+        sess = self._stream(header)
+        sess.check_fetch()
+        cap_keys = frame_keys(self.max_frame, sess.dtype.itemsize)
         max_keys = _number(header, "max_keys", int, cap_keys)
-        if max_keys < 1:
+        if max_keys is None or max_keys < 1:
             raise BadRequest(f"header field 'max_keys' must be >= 1, got {max_keys}")
-        try:
-            block, seq = sess.fetch_block(min(cap_keys, max_keys))
-        except StreamError as err:
-            return sess.fail(err), b""
+        block, seq = sess.fetch_block(min(cap_keys, max_keys))
         base = {"ok": True, "stream_id": sess.stream_id, "seq": seq,
                 "dtype": sess.dtype.str}
         if block is None:
             self._streams.pop(sess.stream_id, None)
-            return {**base, "eof": True, "n_keys": 0}, b""
+            return {**base, "eof": True, "n_keys": 0}
         return (
             {**base, "eof": False, "n_keys": int(len(block))},
             encode_keys(block)[1],
         )
 
-    def _op_stream_abort(self, sess: StreamSession) -> dict[str, Any]:
+    async def _op_stream_abort(self, header: dict[str, Any], body: Body) -> Reply:
+        sess = self._stream(header)
         self._streams.pop(sess.stream_id, None)
         if sess.stream_id not in self._stream_tasks:
             # Not merging: safe to drop spills now (a merging session is
@@ -553,18 +502,35 @@ class ServeServer:
             sess.cleanup()
         return {"ok": True, "stream_id": sess.stream_id, "aborted": True}
 
-    async def _op_drain(self) -> dict[str, Any]:
+    async def _op_drain(self, header: dict[str, Any], body: Body) -> Reply:
         self.draining = True
         while self._queue_len() > 0:
             await asyncio.sleep(0.01)
         return {"ok": True, "drained": True, "jobs_run": self.engine.jobs_run}
 
-    async def _op_shutdown(self) -> dict[str, Any]:
-        reply = await self._op_drain()
+    async def _op_shutdown(self, header: dict[str, Any], body: Body) -> Reply:
+        reply = await self._op_drain(header, body)
         assert self._stop_event is not None
         # Let the reply frame flush before serve_until_stopped tears down.
         asyncio.get_running_loop().call_later(0.05, self._stop_event.set)
         return {**reply, "stopping": True}
+
+    _OPS = {
+        "ping": _op_ping,
+        "submit": _op_submit,
+        "status": _op_status,
+        "wait": _op_wait,
+        "result": _op_result,
+        "stats": _op_stats,
+        "stream-open": _op_stream_open,
+        "stream-push": _op_stream_push,
+        "stream-close": _op_stream_close,
+        "stream-status": _op_stream_status,
+        "stream-fetch": _op_stream_fetch,
+        "stream-abort": _op_stream_abort,
+        "drain": _op_drain,
+        "shutdown": _op_shutdown,
+    }
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -603,25 +569,6 @@ def _number(header: dict[str, Any], field: str, cast: type, default=None):
         ) from None
 
 
-def _error_code(err: ProtocolError) -> str:
-    """``FrameTooLarge`` -> ``frame-too-large`` etc."""
-    name = type(err).__name__
-    out = [name[0].lower()]
-    for ch in name[1:]:
-        out.append(f"-{ch.lower()}" if ch.isupper() else ch)
-    return "".join(out)
-
-
-def _error_reply(err: ProtocolError) -> dict[str, Any]:
-    """Structured error header; a ``FrameTooLarge`` carries the
-    configured cap so clients can tell the limit from corruption."""
-    reply = {"ok": False, "error": _error_code(err), "message": str(err)}
-    cap = getattr(err, "cap", None)
-    if cap is not None:
-        reply["cap"] = int(cap)
-    return reply
-
-
 # ----------------------------------------------------------------------
 # Thread-hosted server (tests, loadgen --spawn-server, chaos)
 # ----------------------------------------------------------------------
@@ -635,26 +582,12 @@ def server_in_thread(**kwargs: Any) -> Iterator[ServeServer]:
     started = threading.Event()
     errors: list[BaseException] = []
 
-    async def _amain() -> None:
-        try:
-            await server.start()
-        except BaseException as err:
-            errors.append(err)
-            await server.aclose()
-            return
-        finally:
-            started.set()
-        try:
-            assert server._stop_event is not None
-            await server._stop_event.wait()
-        finally:
-            await server.aclose()
-
     def _runner() -> None:
         try:
-            asyncio.run(_amain())
-        except BaseException as err:  # pragma: no cover - defensive
+            asyncio.run(server._run(started.set))
+        except BaseException as err:
             errors.append(err)
+        finally:
             started.set()
 
     thread = threading.Thread(target=_runner, name="serve-loop", daemon=True)

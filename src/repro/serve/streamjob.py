@@ -12,7 +12,10 @@ same run formation, merge passes, verified final merge, key conservation
 and spill retry :func:`~repro.stream.external_sort` runs -- whose chunk
 sort is the engine's arena-leased sort, plus the wire-facing state:
 the phase, the re-blocking of pushed frames into chunks, and the fetch
-cursor over the output run.
+cursor over the output run.  The session owns its phase machine
+(``ingest -> merging -> done | failed``): it refuses, as a
+:class:`~.protocol.Refused`, every op its phase does not take, and an
+error in its engine work or its fetch fails it.
 
 The heavy work (chunk sorts, merge passes) runs on the server's
 single-lane engine executor, interleaved with regular jobs -- a stream
@@ -25,13 +28,15 @@ from __future__ import annotations
 
 import os
 import uuid
-from typing import TYPE_CHECKING, Any
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from ..stream.external import ExternalSorter
 from ..stream.ingest import Reblocker
-from ..stream.runfile import RunReader, spill_run
+from ..stream.runfile import RunReader, StreamError, spill_run
+from .protocol import Refused
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SortEngine
@@ -80,6 +85,42 @@ class StreamSession:
         self._fetched = Reblocker()
 
     # ------------------------------------------------------------------
+    # The phase machine (loop thread)
+    # ------------------------------------------------------------------
+    def check_push(self) -> None:
+        if self.phase != "ingest":
+            raise Refused("bad-phase", f"stream is {self.phase}, not accepting keys")
+
+    def start_merge(self) -> None:
+        """``ingest -> merging``; the server then schedules
+        :meth:`finish_on_engine`."""
+        if self.phase != "ingest":
+            raise Refused("bad-phase", f"stream is {self.phase}, already closed")
+        self.phase = "merging"
+
+    def check_fetch(self) -> None:
+        if self.phase == "failed":
+            raise Refused("stream-failed", f"{self.error}: {self.message}")
+        if self.phase != "done":
+            raise Refused("not-ready", **self.public())
+
+    @contextmanager
+    def _failing(self, kind: type[Exception] = Exception) -> Iterator[None]:
+        """A ``kind`` error in the block fails the session (``-> failed``,
+        spills dropped) and is raised as its ``stream-failed`` refusal."""
+        try:
+            yield
+        except kind as err:
+            self.phase = "failed"
+            self.error = type(err).__name__
+            self.message = str(err)
+            self.cleanup()
+            raise Refused(
+                "stream-failed", f"{self.error}: {self.message}",
+                stream_id=self.stream_id,
+            ) from err
+
+    # ------------------------------------------------------------------
     # Engine-thread bodies
     # ------------------------------------------------------------------
     def push_on_engine(self, keys: np.ndarray) -> None:
@@ -88,23 +129,26 @@ class StreamSession:
         next chunk's sort, and the last one is on disk before this
         returns: the engine's fault plan and recorder, installed only
         around the body, must cover every spill."""
-        self.keys_ingested += len(keys)
-        self._pushed.push(np.ascontiguousarray(keys, dtype=self.dtype))
-        with self.engine.ambient():
-            for chunk in self._pushed.full_blocks(self.chunk_keys):
-                self.sorter.add(chunk)
-            self.sorter.io.wait()
+        with self._failing():
+            self.keys_ingested += len(keys)
+            self._pushed.push(np.ascontiguousarray(keys, dtype=self.dtype))
+            with self.engine.ambient():
+                for chunk in self._pushed.full_blocks(self.chunk_keys):
+                    self.sorter.add(chunk)
+                self.sorter.io.wait()
 
     def finish_on_engine(self) -> None:
         """Spill the final partial chunk, then merge every run into the
-        output run -- rewritten whole on ``ENOSPC``, like any spill."""
-        with self.engine.ambient():
+        output run -- rewritten whole on ``ENOSPC``, like any spill --
+        and go ``done``."""
+        with self._failing(), self.engine.ambient():
             if self._pushed.pending:
                 self.sorter.add(self._pushed.take(self._pushed.pending))
             spill_run(
                 self._out_path, self.dtype, STREAM_FRAME_KEYS,
                 lambda writer: self.sorter.finish(writer.write),
             )
+        self.phase = "done"
 
     # ------------------------------------------------------------------
     # Fetch (loop thread: sequential frame-sized reads of the output)
@@ -112,36 +156,21 @@ class StreamSession:
     def fetch_block(self, max_keys: int) -> tuple[np.ndarray | None, int]:
         """The next output block of at most ``max_keys`` keys, with its
         sequence number; ``(None, seq)`` at EOF, which cleans the session
-        up (the server pops it).  Only for a ``done`` session: the
-        server answers every other phase itself."""
-        if self._fetch_reader is None:
-            self._fetch_reader = RunReader(self._out_path)
-        while self._fetched.pending < max_keys:
-            frame = self._fetch_reader.next_frame()
-            if frame is None:
-                break
-            self._fetched.push(frame)
-        seq = self._fetch_seq
-        if not self._fetched.pending:
-            self.cleanup()
-            return None, seq
-        self._fetch_seq += 1
-        return self._fetched.take(max_keys), seq
-
-    # ------------------------------------------------------------------
-    def fail(self, err: Exception) -> dict[str, Any]:
-        """Mark the session failed and drop its spills; returns the
-        ``stream-failed`` error reply."""
-        self.phase = "failed"
-        self.error = type(err).__name__
-        self.message = str(err)
-        self.cleanup()
-        return {
-            "ok": False,
-            "error": "stream-failed",
-            "message": f"{self.error}: {self.message}",
-            "stream_id": self.stream_id,
-        }
+        up (the server pops it).  Only after :meth:`check_fetch`."""
+        with self._failing(StreamError):
+            if self._fetch_reader is None:
+                self._fetch_reader = RunReader(self._out_path)
+            while self._fetched.pending < max_keys:
+                frame = self._fetch_reader.next_frame()
+                if frame is None:
+                    break
+                self._fetched.push(frame)
+            seq = self._fetch_seq
+            if not self._fetched.pending:
+                self.cleanup()
+                return None, seq
+            self._fetch_seq += 1
+            return self._fetched.take(max_keys), seq
 
     def cleanup(self) -> None:
         """Drop spill state; idempotent, runs on every exit path."""

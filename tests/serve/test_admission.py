@@ -31,9 +31,9 @@ class TestVerdicts:
         ctrl = make(queue_depth=2)
         verdict = ctrl.check(1000, I64, None, queue_len=2, draining=False)
         assert verdict is not None and verdict.code == "busy"
-        assert verdict.retry_after_s is not None and verdict.retry_after_s > 0
-        assert verdict.to_header()["error"] == "busy"
-        assert "retry_after_s" in verdict.to_header()
+        assert verdict.fields["retry_after_s"] > 0
+        assert verdict.reply()["error"] == "busy"
+        assert "retry_after_s" in verdict.reply()
         assert ctrl.stats.rejected == {"busy": 1}
 
     def test_below_capacity_admits(self):
@@ -44,7 +44,7 @@ class TestVerdicts:
         ctrl = make(max_job_bytes=1 << 10)
         verdict = ctrl.check(1000, I64, None, queue_len=0, draining=False)
         assert verdict is not None and verdict.code == "too-large"
-        assert verdict.retry_after_s is None  # not a load problem
+        assert "retry_after_s" not in verdict.fields  # not a load problem
 
     def test_bad_radix(self):
         ctrl = make(n_workers=4, meta_slab_bytes=1 << 12)

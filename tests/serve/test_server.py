@@ -228,6 +228,21 @@ class TestWireErrors:
             assert header["error"] == "frame-too-large"
             assert sock.recv(1) == b""
 
+    def test_a_result_that_cannot_fit_one_frame_is_refused_at_submit(self):
+        """131,063 int64 keys are a 1,048,574-byte submit body, under a
+        1 MiB cap, but their result reply (keys plus the job record) is
+        not: admitted, the job would finish and never be fetched.
+        Admission refuses it as ``too-large`` on its header, and takes
+        the largest job whose result fits (the cap less 64 KiB)."""
+        with server_in_thread(n_workers=2, max_frame=1 << 20) as server:
+            with ServeClient(port=server.port) as client:
+                with pytest.raises(ServeRejected) as exc:
+                    client.submit(_keys(80, 131_063), "sample")
+                assert exc.value.code == "too-large"
+                keys = _keys(81, ((1 << 20) - (64 << 10)) // 8)
+                assert np.array_equal(client.sort(keys, "sample"), np.sort(keys))
+                assert client.stats()["admission"]["rejected"] == {"too-large": 1}
+
 
 def _rss_bytes() -> int:
     with open("/proc/self/statm") as f:

@@ -14,7 +14,7 @@ from repro.serve import (
     ServeError,
     server_in_thread,
 )
-from repro.serve.protocol import encode_keys
+from repro.serve.protocol import encode_keys, frame_keys
 from repro.stream import external_sort
 
 
@@ -118,7 +118,7 @@ class TestFrameCap:
         ) as server:
             with ServeClient(port=server.port, max_frame=1 << 20) as client:
                 keys = _keys(6, 500_000)  # 4 MB >> the 1 MiB cap
-                assert client._push_frame_keys(8) < len(keys)
+                assert frame_keys(client.max_frame, 8) < len(keys)
                 out = client.stream_sort(keys, chunk_keys=120_000)
                 assert np.array_equal(out, np.sort(keys))
 
@@ -275,6 +275,19 @@ class TestHeaderValidation:
         stream_id, _ = _done_stream(client, keys, chunk_keys=10_000)
         with pytest.raises(ServeError) as excinfo:
             client.stream_fetch(stream_id, max_keys=max_keys)
+        assert excinfo.value.code == "bad-request"
+        assert "max_keys" in str(excinfo.value)
+        assert np.array_equal(_drain(client, stream_id), np.sort(keys))
+
+    def test_null_max_keys_is_bad_request(self, client):
+        """A null ``max_keys`` is no number either: a ``bad-request``
+        naming the field, not an ``internal`` ``TypeError``."""
+        keys = _keys(25, 5_000)
+        stream_id, _ = _done_stream(client, keys)
+        with pytest.raises(ServeError) as excinfo:
+            client._call(
+                {"op": "stream-fetch", "stream_id": stream_id, "max_keys": None}
+            )
         assert excinfo.value.code == "bad-request"
         assert "max_keys" in str(excinfo.value)
         assert np.array_equal(_drain(client, stream_id), np.sort(keys))
