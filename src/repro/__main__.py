@@ -409,13 +409,12 @@ def _stream(args: argparse.Namespace) -> int:
 
 
 def _tune(args: argparse.Namespace) -> int:
-    from .native.plan import default_table_path
-    from .native.tune import format_table, sweep
+    from .native.plan import default_model_path
+    from .native.tune import tune
 
-    table = sweep(quick=args.quick)
-    out = table.save(default_table_path())
-    print(format_table(table))
-    print(f"native plan table ({table.p} workers) -> {out}")
+    out = default_model_path()
+    tune(out)
+    print(f"native plan model -> {out}")
     return 0
 
 
@@ -815,17 +814,12 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         help="sort only: skip the streaming order/conservation checks",
     )
 
-    p = command(
-        "tune", _tune, help="measure this host's native sort crossover for the planner",
-        description="Measure where sequential np.sort, native sample sort "
-        "and native radix sort (at several digit widths) cross over on "
-        "this host, and persist the table the native planner answers "
-        "unpinned sorts from: native_plan.json in the user cache "
-        "($REPRO_CACHE_DIR) (docs/PERF.md, 'Crossover').",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="three sizes, one key class, two repetitions (seconds)",
+    command(
+        "tune", _tune, help="probe this host's cost constants for the native planner",
+        description="Probe this host's sort, copy, phase and kernel costs, print "
+        "predicted beside measured times on a small grid, and save the model "
+        "the native planner prices unpinned sorts with to native_plan.json in "
+        "the user cache ($REPRO_CACHE_DIR) (docs/PERF.md, 'Crossover').",
     )
     return root, commands
 

@@ -99,8 +99,8 @@ def parallel_sort(
     :func:`run_plan`.
 
     ``algorithm=None`` lets the planner decide (:mod:`repro.native.plan`:
-    ``sequential``, ``sample`` or ``radix``, from this host's measured
-    table when ``python -m repro tune`` has written one); naming
+    ``sequential``, ``sample`` or ``radix``, priced by this host's model
+    when ``python -m repro tune`` has written one); naming
     ``"radix"`` (non-negative integers only) or ``"sample"`` (any
     sortable dtype) pins it.  ``radix`` pins the radix sort's digit
     width.

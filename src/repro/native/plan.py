@@ -1,30 +1,24 @@
 """The planner: the one place that decides how an unpinned sort runs.
 
 Shan & Singh's Tables 2/3 and radix-size sweeps (Figs 6/10) show the
-winning algorithm flipping with data-set size and processor count, and
-on a small host the winner is often neither of the paper's algorithms
-but one sequential ``np.sort``: the parallel path pays a copy into
-shared memory, a result copy and a dispatch/barrier floor per phase
-before it sorts anything.  :func:`plan` therefore answers with one of
-``sequential`` / ``sample`` / ``radix``, a worker width and a digit
-width, and every dispatcher (:func:`repro.native.parallel_sort`, the
-serve engine, the external sort's run formation) asks it instead of
-carrying a default of its own.
+winner flipping with data-set size and processor count, and on a small
+host it is often one sequential ``np.sort``: the parallel path pays a
+copy into shared memory, a result copy and a dispatch/barrier floor per
+phase before it sorts anything.  :func:`plan` answers ``sequential`` /
+``sample`` / ``radix`` with a worker width and a digit width, and every
+dispatcher (:func:`repro.native.parallel_sort`, the serve engine, the
+external sort's run formation) asks it.  A pinned algorithm is never
+overridden: the plan then owns only the width cap (at least four keys
+per worker; a width of 1 means "no pool, no segment").
 
-A caller that names an algorithm is never overridden: for a pinned
-algorithm the plan owns only the degenerate width cap (at least four
-keys per worker; a width of 1 means "no pool, no segment").
-
-The unpinned answer is *measured* when ``python -m repro tune`` has
-written ``native_plan.json`` for this host (:func:`load_table`: explicit
-path -> ``<cache dir>/native_plan.json``, ``$REPRO_CACHE_DIR`` aware);
-the table is used for the pool width it was swept at.  Without one the
-built-in rule answers ``sequential``, always: no cell measured so far
-has a parallel sort clearly ahead of ``np.sort`` (docs/PERF.md,
-"Crossover" and "Sample sort in two phases"), so a parallel answer is
-never guessed, only measured.  Radix is planned only for non-negative
-keys of a *signed* integer dtype -- the kernel is a signed-int64 path
--- of at most 63 bits.
+An unpinned sort is priced by this host's :class:`HostModel`, which
+``python -m repro tune`` probes into ``native_plan.json``
+(:func:`load_model`): the cheapest of ``sample`` and ``radix`` at every
+eligible digit width runs if it beats ``np.sort`` by more than the
+model's measured error.  Without a model the answer is ``sequential``,
+always -- a parallel answer is never guessed (docs/PERF.md,
+"Crossover").  Radix is planned only for non-negative keys of a *signed*
+integer dtype (the kernel is a signed-int64 path) of at most 63 bits.
 """
 
 from __future__ import annotations
@@ -35,12 +29,13 @@ import os
 import re
 import warnings
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from ..sorts.common import n_passes
-from .kernels import NUMPY_KERNEL
+from .kernels import BLOCK_ELEMS, NUMPY_KERNEL
 
 ALGORITHMS = ("sequential", "sample", "radix")
 
@@ -50,20 +45,6 @@ DEFAULT_RADIX = 11
 
 #: Pool phases of one sample sort: local sort, merge.
 SAMPLE_PHASES = 2
-
-#: 6: the host fingerprint no longer names a kernel (there is one).  A
-#: version-5 table's timings hold, but its host carries that name; a
-#: version-4 table was swept on the four-phase sample sort, which reads
-#: it too slow (version 3: the r = 11 radix candidates ~10 % too slow, on
-#: the stable-argsort grouping; version 2: every parallel candidate
-#: ~0.6 ms per phase too slow, through ``multiprocessing.Pool``); an
-#: older table is ignored (one warning) until ``python -m repro tune`` is
-#: re-run.
-TABLE_VERSION = 6
-TABLE_NAME = "native_plan.json"
-
-#: Names a table cell may time: an algorithm, radix with its digit width.
-_CANDIDATE = re.compile(r"sequential|sample|radix([1-9]|1[0-9]|20)")
 
 
 @dataclass(frozen=True)
@@ -128,21 +109,18 @@ def measure_key_bits(keys: np.ndarray) -> int:
 
 
 # ----------------------------------------------------------------------
-# The measured table
+# The host model
 # ----------------------------------------------------------------------
 def host_fingerprint() -> dict:
-    """What a measured table is only valid for: this CPU, this core
-    count and this NumPy (``np.sort`` is the baseline)."""
-    model = "unknown"
+    """What a host model is only valid for: this CPU, this core count
+    and this NumPy (``np.sort`` is the baseline)."""
     try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                model = line.split(":", 1)[1].strip()
-                break
+        cpuinfo = Path("/proc/cpuinfo").read_text()
     except OSError:
-        pass
+        cpuinfo = ""
+    cpu = re.search(r"^model name\s*:(.*)$", cpuinfo, re.M)
     return {
-        "cpu_model": model,
+        "cpu_model": cpu[1].strip() if cpu else "unknown",
         "cpu_count": os.cpu_count(),
         "machine": os.uname().machine,
         "numpy": np.__version__,
@@ -150,107 +128,77 @@ def host_fingerprint() -> dict:
 
 
 @dataclass(frozen=True)
-class PlanTable:
-    """``tune``'s sweep: best-of-N milliseconds per candidate
-    (``sequential``, ``sample``, ``radix<r>``) for every swept
-    ``(itemsize, key_bits, log2 n)`` cell, on a pool of ``p`` workers."""
+class HostModel:
+    """What each term of a sort costs on one host, as ``tune`` probed it
+    (docs/PERF.md, "Crossover"); nanoseconds, ``B`` the key bytes.  The
+    field set is ``native_plan.json``'s schema."""
 
-    p: int
-    #: ``(itemsize, key_bits) -> {log2 n -> {candidate -> ms}}``
-    cells: dict[tuple[int, int], dict[int, dict[str, float]]]
+    #: ``np.sort`` of ``n`` keys costs ``sort_ns * B * log2 n``.
+    sort_ns: float
+    #: Keys into a warm slab, and the result copy out into fresh pages,
+    #: per byte.
+    copy_in_ns: float
+    copy_out_ns: float
+    #: Each pool phase of a sort too small to do work: dispatch, barrier
+    #: and the parent's share between phases.
+    floor_ns: float
+    #: Sample sort's merge: two sorted runs copied and timsorted, per key.
+    merge_ns: float
+    #: One radix pass: histogram and scatter per key, and each bucket
+    #: per block of keys a worker walks (``_np_scatter``'s per-run work).
+    histogram_ns: float
+    scatter_ns: float
+    bucket_ns: float
+    #: Median ``|predicted / measured - 1|`` over ``tune``'s grid.
+    residual: float
     host: dict
 
-    def best(
-        self, n: int, key_bits: int, dtype: np.dtype, max_radix: int = 20
-    ) -> tuple[str, int | None] | None:
-        """Fastest eligible candidate as ``(algorithm, radix)`` for the
-        nearest swept cell (radix only for :func:`radix_eligible` keys,
-        at digit widths up to ``max_radix``); ``None`` when no cell
-        covers the keys.  Below the smallest swept size nothing was
-        measured and nothing parallel is worth its floor:
-        ``sequential``."""
-        widths = sorted(
-            b for size, b in self.cells if size == dtype.itemsize
-        )
-        if not widths:
-            return None
-        if not radix_eligible(dtype, key_bits):
-            max_radix = 0
-        bits = next((b for b in widths if b >= key_bits), widths[-1])
-        by_size = self.cells[dtype.itemsize, bits]
-        lg = min(round(math.log2(n)), max(by_size))
-        if lg < min(by_size):
-            return "sequential", None
-        timed = {
-            name: ms
-            for name, ms in by_size[min(by_size, key=lambda s: abs(s - lg))].items()
-            if not name.startswith("radix")
-            or int(name.removeprefix("radix")) <= max_radix
-        }
-        name = min(timed, key=timed.get)
-        if name.startswith("radix"):
-            return "radix", int(name.removeprefix("radix"))
-        return name, None
+    def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            number = type(value) in (int, float) and 0 <= value < math.inf
+            if name != "host" and not number:
+                raise ValueError(f"{name} must be a non-negative number")
 
-    def to_json(self) -> dict:
-        return {
-            "version": TABLE_VERSION,
-            "host": self.host,
-            "p": self.p,
-            "cells": [
-                {"itemsize": size, "key_bits": bits, "log2n": lg, "ms": ms}
-                for (size, bits), by_size in sorted(self.cells.items())
-                for lg, ms in sorted(by_size.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PlanTable":
-        if doc.get("version") != TABLE_VERSION:
-            raise ValueError(
-                f"schema version {doc.get('version')!r}, expected {TABLE_VERSION}"
-            )
-        if doc.get("host") != host_fingerprint():
-            raise ValueError("measured on another host")
-        cells: dict[tuple[int, int], dict[int, dict[str, float]]] = {}
-        for cell in doc["cells"]:
-            ms = {str(k): float(v) for k, v in cell["ms"].items()}
-            if "sequential" not in ms:
-                raise ValueError("cell without a sequential baseline")
-            for name in ms:
-                if not _CANDIDATE.fullmatch(name):
-                    raise ValueError(f"unknown candidate {name!r}")
-            cells.setdefault(
-                (int(cell["itemsize"]), int(cell["key_bits"])), {}
-            )[int(cell["log2n"])] = ms
-        return cls(p=int(doc["p"]), cells=cells, host=doc["host"])
-
-    def save(self, path: str | os.PathLike) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n")
-        return path
+    def seconds(self, plan: Plan, n: int, key_bits: int, itemsize: int) -> float:
+        """Predicted wall time of ``plan`` on ``n`` keys: work, copies
+        and one floor per phase (a BSP superstep's ``L``), the work split
+        over at most ``cpu_count`` workers."""
+        nbytes = n * itemsize
+        phases = plan.phases(key_bits)
+        if not phases:
+            return self.sort_ns * nbytes * math.log2(max(n, 2)) * 1e-9
+        p = min(plan.width, self.host.get("cpu_count") or plan.width)
+        per = n / p
+        ns = (self.copy_in_ns + self.copy_out_ns) * nbytes + self.floor_ns * phases
+        if plan.algorithm == "sample":
+            ns += self.sort_ns * per * itemsize * math.log2(per)
+            ns += self.merge_ns * per * math.log2(p)
+        else:
+            blocks = math.ceil(per / BLOCK_ELEMS)
+            per_pass = (self.histogram_ns + self.scatter_ns) * per
+            ns += phases // 2 * (per_pass + self.bucket_ns * (1 << plan.radix) * blocks)
+        return ns * 1e-9
 
 
-def default_table_path() -> Path:
-    """Where ``tune`` writes and :func:`load_table` looks."""
+def default_model_path() -> Path:
+    """Where ``tune`` writes and :func:`load_model` looks."""
     from ..core.gridcache import default_cache_dir  # core imports native
 
-    return default_cache_dir() / TABLE_NAME
+    return default_cache_dir() / "native_plan.json"
 
 
-#: One-entry memo of the last file state read: ``(path, mtime, size)``
-#: -> table.  Keyed on the file's state, so a fresh ``tune`` is picked up
-#: and a bad file warns once, not once per sort.
-_loaded: tuple[tuple[str, int, int], PlanTable | None] | None = None
+#: One-entry memo of the last file state read, ``(path, mtime, size)`` ->
+#: model: a fresh ``tune`` is picked up, a bad file warns once per state.
+_loaded: tuple[tuple[str, int, int], HostModel | None] | None = None
 
 
-def load_table(path: str | os.PathLike | None = None) -> PlanTable | None:
-    """The measured table for this host, or ``None`` (every unpinned
-    plan is then ``sequential``).  An artifact that is corrupt, of another schema version or
-    from another host is ignored with one warning."""
+def load_model(path: str | os.PathLike | None = None) -> HostModel | None:
+    """The host model at ``path`` (default ``<cache dir>/native_plan.json``,
+    ``$REPRO_CACHE_DIR`` aware), or ``None``: every unpinned plan is then
+    ``sequential``.  An artifact that is corrupt, that ``HostModel(**doc)``
+    refuses, or from another host is ignored with one warning."""
     global _loaded
-    path = Path(path) if path is not None else default_table_path()
+    path = Path(path) if path is not None else default_model_path()
     try:
         st = path.stat()
     except OSError:
@@ -259,17 +207,19 @@ def load_table(path: str | os.PathLike | None = None) -> PlanTable | None:
     if _loaded is not None and _loaded[0] == state:
         return _loaded[1]
     try:
-        table = PlanTable.from_json(json.loads(path.read_text()))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        model = HostModel(**json.loads(path.read_text()))
+        if model.host != host_fingerprint():
+            raise ValueError("measured on another host")
+    except (OSError, ValueError, TypeError) as err:
         warnings.warn(
             f"ignoring native plan artifact {path}: {err}; unpinned sorts "
             "plan sequential (re-run `python -m repro tune`)",
             RuntimeWarning,
             stacklevel=2,
         )
-        table = None
-    _loaded = (state, table)
-    return table
+        model = None
+    _loaded = (state, model)
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -290,18 +240,24 @@ def plan(
     slabs hold only so wide a histogram)."""
     dtype = np.dtype(dtype)
     width = max(1, min(p, n // 4))
-    radix = None
     if algorithm is None:
-        table = load_table() if width > 1 else None
-        found = None
-        if table is not None and table.p == p:
-            found = table.best(n, key_bits, dtype, max_radix)
-        algorithm, radix = found or ("sequential", None)
-    elif algorithm not in ALGORITHMS:
+        model = load_model() if width > 1 else None
+        if model is None:
+            return SEQUENTIAL
+        # Widest digit first: a tie goes to the fewest passes.
+        widths = range(min(max_radix, 20), 0, -1)
+        if not radix_eligible(dtype, key_bits):
+            widths = range(0)
+        candidates = [Plan("sample", width), *(Plan("radix", width, r) for r in widths)]
+        price = partial(model.seconds, n=n, key_bits=key_bits, itemsize=dtype.itemsize)
+        best = min(candidates, key=price)
+        wins = price(best) < (1 - model.residual) * price(SEQUENTIAL)
+        return best if wins else SEQUENTIAL
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    elif algorithm == "radix":
-        radix = DEFAULT_RADIX
-    return SEQUENTIAL if algorithm == "sequential" else Plan(algorithm, width, radix)
+    if algorithm == "sequential":
+        return SEQUENTIAL
+    return Plan(algorithm, width, DEFAULT_RADIX if algorithm == "radix" else None)
 
 
 def plan_keys(
@@ -315,16 +271,14 @@ def plan_keys(
     width of a radix answer, ``max_radix`` caps a planned one.
     Measuring ``key_bits`` costs a pass over the keys, so it is paid
     only when the answer can depend on it: when radix would win on the
-    narrowest keys."""
+    narrowest keys (a radix price never falls as the keys widen)."""
     n, dtype = len(keys), keys.dtype
     if algorithm is not None:
         chosen = plan(n, p, full_bits(dtype), dtype, algorithm)
     else:
         chosen = plan(n, p, 1, dtype, max_radix=max_radix)
         if chosen.algorithm == "radix":
-            chosen = plan(
-                n, p, measure_key_bits(keys), dtype, max_radix=max_radix
-            )
+            chosen = plan(n, p, measure_key_bits(keys), dtype, max_radix=max_radix)
     if radix is not None and chosen.algorithm == "radix":
         chosen = replace(chosen, radix=radix)
     return chosen

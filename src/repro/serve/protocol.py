@@ -186,7 +186,12 @@ def _json_len(raw: Buffer, body_len: int) -> int:
 
 
 def _json_header(raw: Buffer) -> dict[str, Any]:
-    header = json.loads(bytes(raw))
+    try:
+        header = json.loads(bytes(raw))
+    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, too deep
+        raise ProtocolError(
+            f"frame header is not JSON ({type(err).__name__})"
+        ) from None
     if not isinstance(header, dict):
         raise ProtocolError("frame header must be a JSON object")
     return header

@@ -5,7 +5,7 @@ the shared-memory arena; this subsystem opens the workload class beyond
 it.  :func:`external_sort` sorts streams of any size in bounded memory
 -- chunks are sorted as the native planner says (one ``np.sort``, or the
 supervised :class:`~repro.native.pool.WorkerPool` where this host's
-measured table says it wins), spilled as framed, checksummed run files, and k-way merged (multi-pass under a fan-in cap,
+model prices it cheaper), spilled as framed, checksummed run files, and k-way merged (multi-pass under a fan-in cap,
 intermediate passes as supervised pool phases).  :func:`stream_topk`
 is the continuous-mode operator: a bounded top-k over an unbounded
 stream.  See ``docs/STREAM.md``.

@@ -183,47 +183,42 @@ def sanitizer():
 
 
 @pytest.fixture
-def plan_table(monkeypatch, tmp_path):
-    """Install a measured native plan table for this host.
+def host_model(monkeypatch, tmp_path):
+    """Install a native host model for this host.
 
-    Yields ``install(winner, p=2, **overrides)``: writes a
-    ``native_plan.json`` (into a private ``REPRO_CACHE_DIR``) in which
-    ``winner`` -- ``"sequential"``, ``"sample"`` or ``"radix<r>"`` -- is
-    the fastest candidate of every cell (4- and 8-byte keys, n from 8 to
-    4 Mi), swept at ``p`` workers; ``overrides`` replace top-level
-    fields (``version=``, ``host=``).  Returns the artifact's path.
+    Yields ``install(preset, **fields)``: writes a ``native_plan.json``
+    (into a private ``REPRO_CACHE_DIR``) whose constants make ``preset``
+    the plan of every unpinned sort that may take it -- ``"sequential"``,
+    ``"sample"``, or ``"radix"`` at the widest digit width allowed (keys
+    radix may not touch then plan ``sequential``); ``fields`` replace or
+    add document fields (``host=``, ``residual=``, a key the model does
+    not have).  Returns the artifact's path.
     """
     import json
     import os
 
-    from repro.native.plan import TABLE_NAME, TABLE_VERSION, host_fingerprint
+    from repro.native.plan import default_model_path, host_fingerprint
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     installs: list[str] = []
-    names = ("sequential", "sample", "radix8", "radix11", "radix16")
+    presets = {
+        "sequential": {"sort_ns": 0.0},  # nothing beats a free np.sort
+        "sample": {"histogram_ns": 1e9},
+        "radix": {"sort_ns": 1e3, "merge_ns": 1e9},  # fewest passes wins
+    }
 
-    def install(winner: str, p: int = 2, **overrides):
-        assert winner in names
+    def install(preset: str, **fields):
         doc = {
-            "version": TABLE_VERSION,
-            "host": host_fingerprint(),
-            "p": p,
-            "cells": [
-                {
-                    "itemsize": itemsize, "key_bits": bits, "log2n": lg,
-                    "ms": {n: 1.0 if n == winner else 10.0 for n in names},
-                }
-                for itemsize, widths in ((4, (16, 31)), (8, (16, 31, 63)))
-                for bits in widths
-                for lg in range(3, 23)
-            ],
-            **overrides,
+            "sort_ns": 1.0, "copy_in_ns": 0.0, "copy_out_ns": 0.0,
+            "floor_ns": 0.0, "merge_ns": 0.0, "histogram_ns": 1.0,
+            "scatter_ns": 1.0, "bucket_ns": 0.0, "residual": 0.0,
+            "host": host_fingerprint(), **presets[preset], **fields,
         }
-        path = tmp_path / TABLE_NAME
+        path = default_model_path()  # in tmp_path: REPRO_CACHE_DIR
         path.write_text(json.dumps(doc))
         # The loader memoizes on (mtime, size); two installs inside one
         # timestamp tick must still read as different files.
-        installs.append(winner)
+        installs.append(preset)
         os.utime(path, ns=(len(installs), len(installs)))
         return path
 

@@ -91,9 +91,9 @@ class TestSameRejections:
         assert pool.arena.in_use() == engine.arena.in_use() == 0
 
     def test_unpinned_digit_width_is_checked_when_radix_is_planned(
-        self, plan_table, pool
+        self, host_model, pool
     ):
-        plan_table("radix11")
+        host_model("radix")
         with pytest.raises(ValueError, match=r"^radix must be in \[1, 20\]$"):
             parallel_sort(_keys(4096), pool=pool, radix=21)
 
@@ -194,10 +194,15 @@ class TestPhaseCount:
 
     @pytest.mark.parametrize("winner", ["sample", "radix8", "sequential"])
     def test_planned_sorts_and_external_chunks(
-        self, winner, plan_table, pool, engine, tmp_path
+        self, winner, host_model, pool, engine, tmp_path
     ):
-        plan_table(winner)
-        keys = _keys(8_000, bits=20)
+        if winner == "radix8":
+            # 16-bit keys: a per-bucket cost makes two passes of 256
+            # buckets the cheapest radix at every size sorted here.
+            host_model("radix", bucket_ns=1.0)
+        else:
+            host_model(winner)
+        keys = _keys(8_000, bits=16)
         name, _, width = winner.partition("radix")
         chosen = (
             Plan("radix", 2, int(width)) if width

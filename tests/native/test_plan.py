@@ -1,11 +1,13 @@
-"""The planner: what an unpinned sort runs as, with and without a
-measured table; what a pinned one keeps; which keys radix may touch;
-and which artifacts the loader refuses."""
+"""The planner: what an unpinned sort runs as, with and without a host
+model; what a pinned one keeps; which keys radix may touch; and which
+artifacts the loader refuses."""
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,10 +16,14 @@ from hypothesis import strategies as st
 
 from repro.native import Plan, WorkerPool, parallel_sort, plan, plan_keys
 from repro.native.plan import (
+    ALGORITHMS,
     DEFAULT_RADIX,
-    PlanTable,
-    default_table_path,
-    load_table,
+    SEQUENTIAL,
+    HostModel,
+    default_model_path,
+    full_bits,
+    host_fingerprint,
+    load_model,
     measure_key_bits,
 )
 
@@ -41,10 +47,25 @@ class TestNoTable:
         assert plan(n, p, 31, dtype) == Plan("sequential", 1)
 
 
+#: Host models named by the plan they win: a preset, plus a per-bucket
+#: cost that makes one digit width the cheapest for 2**18 31-bit keys on
+#: two workers (8 bits: four passes of 256 buckets beat three of 2048;
+#: 16 bits: two passes of 65536 beat three of 2048).
+WINNERS = {
+    "sequential": ("sequential", {}),
+    "sample": ("sample", {}),
+    "radix8": ("radix", {"bucket_ns": 20.0}),
+    "radix16": ("radix", {"bucket_ns": 0.1}),
+}
+
+
 class TestMeasuredTable:
+    """A host model on disk: the cheapest candidate it prices is planned."""
+
     @pytest.mark.parametrize("winner", ["sequential", "sample", "radix8", "radix16"])
-    def test_fastest_candidate_is_planned(self, plan_table, winner):
-        plan_table(winner)
+    def test_fastest_candidate_is_planned(self, host_model, winner):
+        preset, constants = WINNERS[winner]
+        host_model(preset, **constants)
         got = plan(1 << 18, 2, 31, "<i8")
         if winner == "sequential":
             assert got == Plan("sequential", 1)
@@ -53,23 +74,20 @@ class TestMeasuredTable:
         else:
             assert got == Plan("radix", 2, int(winner.removeprefix("radix")))
 
-    def test_table_is_for_the_width_it_was_swept_at(self, plan_table):
-        plan_table("sample", p=2)
-        assert plan(1 << 18, 2, 31, "<i8").algorithm == "sample"
-        assert plan(1 << 18, 4, 31, "<i8").algorithm == "sequential"  # unmeasured
+    def test_the_model_speaks_for_any_width(self, host_model):
+        host_model("sample")
+        assert plan(1 << 18, 4, 31, "<i8") == Plan("sample", 4)
+        assert plan(1 << 18, 64, 31, "<i8") == Plan("sample", 64)
+        assert plan(1 << 4, 64, 31, "<i8") == Plan("sample", 4)
 
-    def test_nearest_cell_and_the_unswept_floor(self, plan_table):
-        path = plan_table("sequential")
-        doc = json.loads(path.read_text())
-        for cell in doc["cells"]:
-            if cell["log2n"] >= 20:
-                cell["ms"]["sample"] = 0.5
-        doc["cells"] = [c for c in doc["cells"] if c["log2n"] >= 14]
-        path.write_text(json.dumps(doc))
-        assert plan(1 << 13, 2, 31, "<i8").algorithm == "sequential"  # unswept
-        assert plan(1 << 19, 2, 31, "<i8").algorithm == "sequential"
-        assert plan((1 << 20) - 5, 2, 31, "<i8").algorithm == "sample"
-        assert plan(1 << 25, 2, 31, "<i8").algorithm == "sample"  # last cell
+    def test_a_parallel_plan_must_win_by_the_residual(self, host_model):
+        """The sample preset prices sample sort at about half of
+        ``np.sort`` on two workers: a residual past that margin plans
+        ``sequential``."""
+        host_model("sample", residual=0.4)
+        assert plan(1 << 18, 2, 31, "<i8") == Plan("sample", 2)
+        host_model("sample", residual=0.6)
+        assert plan(1 << 18, 2, 31, "<i8") == SEQUENTIAL
 
     @pytest.mark.parametrize(
         "dtype, key_bits",
@@ -84,33 +102,31 @@ class TestMeasuredTable:
         ],
     )
     def test_radix_is_never_planned_for_ineligible_keys(
-        self, plan_table, dtype, key_bits
+        self, host_model, dtype, key_bits
     ):
-        plan_table("radix11")
+        host_model("radix")
         assert plan(1 << 18, 2, key_bits, dtype).algorithm != "radix"
 
     @pytest.mark.parametrize("dtype, key_bits", [("<i8", 63), ("<i4", 31)])
-    def test_radix_is_planned_for_eligible_keys(self, plan_table, dtype, key_bits):
-        plan_table("radix11")
-        assert plan(1 << 18, 2, key_bits, dtype) == Plan("radix", 2, 11)
+    def test_radix_is_planned_for_eligible_keys(self, host_model, dtype, key_bits):
+        host_model("radix")
+        assert plan(1 << 18, 2, key_bits, dtype) == Plan("radix", 2, 20)
 
-    def test_max_radix_caps_a_planned_digit_width(self, plan_table):
-        """The fastest radix *that fits*: wider candidates drop out, and
-        the next-fastest candidate of any kind answers."""
-        path = plan_table("radix16")
-        doc = json.loads(path.read_text())
-        for cell in doc["cells"]:
-            cell["ms"]["radix8"] = 5.0  # second to radix16
-        path.write_text(json.dumps(doc))
-        assert plan(1 << 18, 2, 31, "<i8") == Plan("radix", 2, 16)
-        assert plan(1 << 18, 2, 31, "<i8", max_radix=15) == Plan("radix", 2, 8)
-        assert plan(1 << 18, 2, 31, "<i8", max_radix=7).algorithm != "radix"
+    def test_max_radix_caps_a_planned_digit_width(self, host_model):
+        """The cheapest radix *that fits*: wider digits drop out, and
+        with no width left the next-cheapest candidate of any kind
+        answers."""
+        host_model("radix")
+        assert plan(1 << 18, 2, 31, "<i8", max_radix=15) == Plan("radix", 2, 15)
+        assert plan(1 << 18, 2, 31, "<i8", max_radix=7) == Plan("radix", 2, 7)
+        assert plan(1 << 18, 2, 31, "<i8", max_radix=0).algorithm != "radix"
+        assert plan(1 << 18, 2, 31, "<i8", max_radix=-1).algorithm != "radix"
         assert plan(1 << 18, 2, 31, "<i8", "radix", max_radix=7).radix == 11
 
-    def test_plan_keys_measures_the_sign(self, plan_table):
-        plan_table("radix11")
+    def test_plan_keys_measures_the_sign(self, host_model):
+        host_model("radix")
         keys = np.arange(4096, dtype=np.int64)
-        assert plan_keys(keys, 2).algorithm == "radix"
+        assert plan_keys(keys, 2) == Plan("radix", 2, 20)
         keys[17] = -1
         assert plan_keys(keys, 2).algorithm == "sequential"
         assert measure_key_bits(keys) == 64
@@ -122,10 +138,11 @@ class TestPinned:
     @pytest.mark.parametrize("winner", [None, "sequential", "sample", "radix16"])
     @pytest.mark.parametrize("algorithm", ["radix", "sample", "sequential"])
     def test_pinned_algorithm_is_never_overridden(
-        self, plan_table, winner, algorithm
+        self, host_model, winner, algorithm
     ):
         if winner is not None:
-            plan_table(winner)
+            preset, constants = WINNERS[winner]
+            host_model(preset, **constants)
         for n in (100, 1 << 16, 1 << 23):
             got = plan(n, 2, 31, "<i8", algorithm)
             assert got.algorithm == algorithm
@@ -156,75 +173,220 @@ class TestPinned:
 
 
 class TestLoader:
-    def test_no_artifact(self, plan_table):
-        assert load_table() is None  # the fixture's fresh cache dir is empty
+    def test_no_artifact(self, host_model):
+        assert load_model() is None  # the fixture's fresh cache dir is empty
 
-    def test_resolves_the_cache_dir_artifact(self, plan_table, tmp_path):
-        path = plan_table("sample")
-        assert default_table_path() == path
-        table = load_table()
-        assert isinstance(table, PlanTable) and table.p == 2
-        assert load_table(path) is table  # memoized on the file's state
+    def test_resolves_the_cache_dir_artifact(self, host_model, tmp_path):
+        path = host_model("sample")
+        assert default_model_path() == path
+        model = load_model()
+        assert isinstance(model, HostModel) and model.merge_ns == 0.0
+        assert load_model(path) is model  # memoized on the file's state
+
+    def test_memo_picks_up_a_fresh_artifact(self, host_model):
+        host_model("sample")
+        assert plan(1 << 18, 2, 31, "<i8") == Plan("sample", 2)
+        host_model("radix")
+        assert plan(1 << 18, 2, 31, "<i8") == Plan("radix", 2, 20)
 
     @pytest.mark.parametrize(
         "overrides, why",
         [
-            ({"version": 0}, "schema version"),
-            ({"host": {"cpu_model": "some other machine"}}, "another host"),
-            ({"cells": [{"itemsize": 8, "key_bits": 31, "log2n": 18}]}, "ms"),
-            # Swept before the pool owned its slabs: parallel cells too slow.
-            ({"version": 1}, "schema version"),
-            # Swept through multiprocessing.Pool: ~0.6 ms per phase too slow.
-            ({"version": 2}, "schema version"),
-            # Swept on the argsort-grouping kernel: radix ~10 % too slow.
-            ({"version": 3}, "schema version"),
-            # Swept on the four-phase sample sort: sample too slow.
-            ({"version": 4}, "schema version"),
-            # Its host named the one native kernel.
-            ({"version": 5}, "schema version"),
+            # The swept table this model replaced, at each of its schema
+            # versions: a document HostModel(**doc) refuses.
+            pytest.param({"version": 0}, "unexpected keyword argument 'version'",
+                         id="overrides0-schema version"),
+            pytest.param({"host": {"cpu_model": "some other machine"}},
+                         "another host", id="overrides1-another host"),
+            pytest.param({"cells": [{"itemsize": 8, "key_bits": 31, "log2n": 18}]},
+                         "unexpected keyword argument 'cells'", id="overrides2-ms"),
+            *(
+                pytest.param({"version": v}, "unexpected keyword argument 'version'",
+                             id=f"overrides{v + 2}-schema version")
+                for v in range(1, 6)
+            ),
+            # Constants the model refuses.
+            ({"residual": -0.5}, "residual must be a non-negative number"),
+            ({"sort_ns": "fast"}, "sort_ns must be a non-negative number"),
+            ({"floor_ns": math.inf}, "floor_ns must be a non-negative number"),
+            ({"bucket_ns": None}, "bucket_ns must be a non-negative number"),
+            ({"width": 2}, "unexpected keyword argument 'width'"),
         ],
     )
     def test_bad_artifact_is_ignored_with_one_warning(
-        self, plan_table, overrides, why
+        self, host_model, overrides, why
     ):
-        path = plan_table("sample", **overrides)
+        path = host_model("sample", **overrides)
         with pytest.warns(RuntimeWarning, match=why) as caught:
-            assert load_table() is None
+            assert load_model() is None
             assert plan(1 << 18, 2, 31, "<i8").algorithm == "sequential"
             assert plan(1 << 20, 2, 31, "<i8").algorithm == "sequential"
         assert len(caught) == 1, [str(w.message) for w in caught]
         assert str(path) in str(caught[0].message)
 
-    def test_corrupt_file_is_ignored(self, plan_table):
-        path = plan_table("sample")
+    def test_a_missing_constant_is_refused(self, host_model):
+        path = host_model("sample")
+        doc = json.loads(path.read_text())
+        del doc["merge_ns"]
+        path.write_text(json.dumps(doc))
+        with pytest.warns(RuntimeWarning, match="merge_ns"):
+            assert plan(1 << 18, 2, 31, "<i8").algorithm == "sequential"
+
+    def test_corrupt_file_is_ignored(self, host_model):
+        path = host_model("sample")
         path.write_text(path.read_text()[:100])
         with pytest.warns(RuntimeWarning, match="ignoring native plan artifact"):
             assert plan(1 << 18, 2, 31, "<i8").algorithm == "sequential"
 
     def test_explicit_path_that_does_not_exist(self, tmp_path):
-        assert load_table(tmp_path / "nope.json") is None
+        assert load_model(tmp_path / "nope.json") is None
 
-    def test_tune_quick_round_trips_through_the_loader(
-        self, plan_table, capsys, monkeypatch
+    def test_tune_round_trips_through_the_loader(
+        self, host_model, capsys, monkeypatch
     ):
-        """``tune --quick`` writes into the cache dir; the loader accepts
-        what it wrote and the planner answers from it."""
+        """``tune`` writes into the cache dir; the loader accepts what it
+        wrote and the planner answers from it."""
         from repro.__main__ import main
-        from repro.native.tune import QUICK_SIZES
 
         monkeypatch.setenv("REPRO_WORKERS", "2")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the fresh artifact must load clean
-            assert main(["tune", "--quick"]) == 0
-            table = load_table()
-        assert table is not None and table.p == 2
-        assert sorted(table.cells[8, 31]) == list(QUICK_SIZES)
-        assert PlanTable.from_json(table.to_json()).cells == table.cells
-        assert str(default_table_path()) in capsys.readouterr().out
-        cell = table.cells[8, 31][QUICK_SIZES[-1]]
-        best = min(cell, key=cell.get)
-        got = plan(1 << QUICK_SIZES[-1], 2, 31, "<i8")
-        assert (got.algorithm + (str(got.radix) if got.radix else "")) == best
+            assert main(["tune"]) == 0
+            model = load_model()
+        assert model is not None and HostModel(**asdict(model)) == model
+        assert 0 <= model.residual < math.inf and model.sort_ns > 0
+        out = capsys.readouterr().out
+        assert str(default_model_path()) in out
+        assert out.count("radix11") == 4 and "median residual" in out
+        n = 1 << 18
+
+        def price(c: Plan) -> float:
+            return model.seconds(c, n, 31, 8)
+
+        cheapest = min(
+            [Plan("sample", 2), *(Plan("radix", 2, r) for r in range(20, 0, -1))],
+            key=price,
+        )
+        margin = (1 - model.residual) * price(SEQUENTIAL)
+        want = cheapest if price(cheapest) < margin else SEQUENTIAL
+        assert plan(n, 2, 31, "<i8") == want
+
+
+#: Arbitrary constants of a host model: every field but ``host``.
+_CONSTANTS = st.fixed_dictionaries({
+    name: st.floats(0, 1e6) for name in (
+        "sort_ns", "copy_in_ns", "copy_out_ns", "floor_ns", "merge_ns",
+        "histogram_ns", "scatter_ns", "bucket_ns",
+    )
+} | {"residual": st.floats(0, 1)})
+
+#: docs/PERF.md's reference host (2 vCPU): ``np.sort`` 1.40 ns/B at
+#: 2**22 int64 keys, copy-in 0.09 and result copy 0.30 ns/B, a 200 us
+#: phase floor, histogram 2.3 and scatter 14.6 ns/key; the two-run
+#: merge, bucket cost and residual as ``tune`` measured them there.
+REFERENCE = {
+    "sort_ns": 1.40 / 22, "copy_in_ns": 0.09, "copy_out_ns": 0.30,
+    "floor_ns": 200_000.0, "histogram_ns": 2.3, "scatter_ns": 14.6,
+    "merge_ns": 11.3, "bucket_ns": 16.5, "residual": 0.24,
+}
+
+_HYPOTHESIS = settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+_DTYPES = ["<i1", "<i2", "<i4", "<i8", "<u1", "<u4", "<u8", "<f4", "<f8"]
+
+
+class TestModelProperties:
+    @_HYPOTHESIS
+    @given(
+        constants=_CONSTANTS,
+        n=st.integers(8, 1 << 40),
+        width=st.integers(2, 256),
+        radix=st.integers(1, 20),
+        itemsize=st.sampled_from([1, 2, 4, 8]),
+        bits=st.tuples(st.integers(1, 64), st.integers(1, 64)).map(sorted),
+    )
+    def test_radix_never_gets_cheaper_with_wider_keys(
+        self, constants, n, width, radix, itemsize, bits
+    ):
+        """What lets :func:`plan_keys` skip the min/max pass unless radix
+        wins on 1-bit keys."""
+        model = HostModel(**constants, host={"cpu_count": 4})
+        chosen = Plan("radix", width, radix)
+        narrow, wide = (model.seconds(chosen, n, b, itemsize) for b in bits)
+        assert narrow <= wide
+
+    @_HYPOTHESIS
+    @given(
+        constants=_CONSTANTS,
+        n=st.integers(8, 1 << 30),
+        p=st.integers(2, 64),
+        dtype=st.sampled_from(_DTYPES),
+        bits=st.integers(1, 64),
+        max_radix=st.integers(1, 20),
+    )
+    def test_radix_only_for_eligible_keys(
+        self, host_model, constants, n, p, dtype, bits, max_radix
+    ):
+        """With ``np.sort`` and the merge priced out of reach, radix is
+        planned for non-negative keys of a signed dtype, and never for
+        unsigned, float or negative ones (a signed dtype's full width)."""
+        host_model("radix", **{**constants, "sort_ns": 1e9, "merge_ns": 1e9,
+                                "residual": 0.0})
+        dt = np.dtype(dtype)
+        bits = min(bits, full_bits(dt))
+        got = plan(n, p, bits, dt, max_radix=max_radix)
+        eligible = dt.kind == "i" and bits < full_bits(dt)
+        assert (got.algorithm == "radix") == eligible
+        assert got.radix is None or got.radix <= max_radix
+
+    @_HYPOTHESIS
+    @given(
+        constants=_CONSTANTS,
+        n=st.integers(0, 1 << 30),
+        p=st.integers(1, 64),
+        dtype=st.sampled_from(_DTYPES),
+        bits=st.integers(1, 64),
+        algorithm=st.sampled_from([None, *ALGORITHMS]),
+        max_radix=st.integers(-1, 20),
+    )
+    def test_pinned_is_kept_and_width_is_capped(
+        self, host_model, constants, n, p, dtype, bits, algorithm, max_radix
+    ):
+        """Whatever the constants: a pinned algorithm is what runs, and a
+        parallel plan has at least four keys per worker."""
+        host_model("sample", **constants)
+        dt = np.dtype(dtype)
+        got = plan(n, p, min(bits, full_bits(dt)), dt, algorithm, max_radix)
+        if algorithm is not None:
+            assert got.algorithm == algorithm
+        assert got.width == 1 or 2 <= got.width <= min(p, n // 4)
+
+    def test_work_is_split_over_at_most_the_hosts_cpus(self):
+        two, eight = (HostModel(**REFERENCE, host={"cpu_count": c}) for c in (2, 8))
+
+        def price(model: HostModel, width: int) -> float:
+            return model.seconds(Plan("sample", width), 1 << 20, 31, 8)
+
+        assert price(two, 8) == price(two, 2) == price(eight, 2) > price(eight, 8)
+
+    @pytest.mark.parametrize(
+        "dtype", ["<i2", "<i4", "<i8", "<u2", "<u4", "<u8", "<f4", "<f8"]
+    )
+    def test_reference_host_plans_sequential_at_two_workers(
+        self, host_model, dtype
+    ):
+        """The kill criterion as code: under the reference host's
+        constants no n from 2**10 to 2**28 of any key class (the widths
+        the swept table had, and the dtype's full width) plans a
+        parallel sort on two workers."""
+        host_model("sample", **REFERENCE, host={**host_fingerprint(), "cpu_count": 2})
+        dt = np.dtype(dtype)
+        for bits in {b for b in (16, 31, 63) if b < full_bits(dt)} | {full_bits(dt)}:
+            for lg in range(10, 29):
+                assert plan(1 << lg, 2, bits, dt) == SEQUENTIAL, (bits, lg)
 
 
 class TestEveryAnswerSorts:
@@ -236,24 +398,22 @@ class TestEveryAnswerSorts:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        winner=st.sampled_from(
-            [None, "sequential", "sample", "radix8", "radix11", "radix16"]
-        ),
+        preset=st.sampled_from([None, "sequential", "sample", "radix"]),
         dtype=st.sampled_from(DTYPES),
         n=st.integers(0, 4096),
         seed=st.integers(0, 2**32 - 1),
         narrow=st.booleans(),
     )
     def test_parallel_sort_equals_np_sort(
-        self, plan_table, pool2, winner, dtype, n, seed, narrow
+        self, host_model, pool2, preset, dtype, n, seed, narrow
     ):
-        """Whatever the plan answers -- with no table, or from a table
-        won by any candidate -- ``parallel_sort(keys)`` is ``np.sort``,
-        over signed, unsigned, full-range and float keys."""
-        if winner is not None:
-            plan_table(winner)
+        """Whatever the plan answers -- with no model, or from a model
+        that prices any candidate cheapest -- ``parallel_sort(keys)`` is
+        ``np.sort``, over signed, unsigned, full-range and float keys."""
+        if preset is not None:
+            host_model(preset)
         else:
-            plan_table("sequential").unlink()
+            host_model("sequential").unlink()
         rng = np.random.default_rng(seed)
         dt = np.dtype(dtype)
         if dt.kind == "f":
@@ -266,7 +426,7 @@ class TestEveryAnswerSorts:
         assert out.dtype == dt
         assert np.array_equal(out, np.sort(keys))
         chosen = plan_keys(keys, 2)
-        if winner is not None and winner.startswith("radix") and n >= 8:
+        if preset == "radix" and n >= 8:
             eligible = dt.kind == "i" and keys.min() >= 0
             assert (chosen.algorithm == "radix") == eligible
 

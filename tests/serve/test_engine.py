@@ -66,7 +66,7 @@ class TestPlannedJobs:
     """``algorithm=None`` asks the planner; the outcome and the
     ``serve.job`` span say what ran next to what was asked for."""
 
-    def test_outcome_and_span_carry_the_plan(self, plan_table):
+    def test_outcome_and_span_carry_the_plan(self, host_model):
         from repro.native import Plan
         from repro.trace import MemoryRecorder
 
@@ -74,9 +74,9 @@ class TestPlannedJobs:
         keys = np.random.default_rng(31).integers(0, 1 << 20, 8_000)
         with SortEngine(n_workers=2, recorder=recorder) as eng:
             eng.warmup()
-            plan_table("sample").unlink()  # no artifact: sequential
+            host_model("sample").unlink()  # no artifact: sequential
             planned = eng.run("p0", keys)
-            plan_table("sample")
+            host_model("sample")
             measured = eng.run("p1", keys)
             pinned = eng.run("p2", keys, "radix", 8)
         for out in (planned, measured, pinned):
@@ -96,21 +96,23 @@ class TestPlannedJobs:
         assert spans["p2"]["algorithm"] == "radix"
         assert spans["p2"]["plan"] == {"algorithm": "radix", "width": 2, "radix": 8}
 
-    def test_planned_digit_width_must_fit_a_meta_slab(self, plan_table):
-        """A table may prefer 16-bit digits; an engine whose meta slabs
-        cannot hold that histogram matrix asks the planner for the
-        fastest candidate that fits instead of failing the job in the
+    def test_planned_digit_width_must_fit_a_meta_slab(self, host_model):
+        """A model may prefer the widest digits; an engine whose meta
+        slabs cannot hold that histogram matrix asks the planner for the
+        cheapest width that fits instead of failing the job in the
         arena."""
         from repro.native import Plan
+        from repro.native.plan import widest_radix
 
-        plan_table("radix16")
+        host_model("radix")
         keys = np.random.default_rng(32).integers(0, 1 << 20, 8_000)
         with SortEngine(n_workers=2, meta_slab_bytes=256 << 10) as eng:
             eng.warmup()
+            assert widest_radix(eng.arena.meta_bytes, 2) == 14
             out = eng.run("m0", keys)
-            assert out.plan == Plan("sequential", 1)
+            assert out.plan == Plan("radix", 2, 14)
             assert np.array_equal(out.sorted_keys, np.sort(keys))
             assert eng.arena.in_use() == 0
         with SortEngine(n_workers=2) as eng:
             eng.warmup()
-            assert eng.run("m1", keys).plan == Plan("radix", 2, 16)
+            assert eng.run("m1", keys).plan == Plan("radix", 2, 18)

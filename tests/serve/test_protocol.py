@@ -270,6 +270,13 @@ def _wire_async(header, payload) -> bytes:
     return b"".join(sink.writes)
 
 
+#: Frame headers ``json.loads`` refuses: each must be a ProtocolError.
+_NOT_JSON = [
+    (b'{"op": ping}', "JSONDecodeError"),
+    (b'{"op": "\xff"}', "UnicodeDecodeError"),
+    (b"[" * 100_000 + b"]" * 100_000, "RecursionError"),
+]
+_NOT_JSON_IDS = ["invalid", "not-utf-8", "nested"]
 _READERS = pytest.mark.parametrize(
     "read", [_read_sync, _read_async], ids=["sync", "async"]
 )
@@ -351,6 +358,15 @@ class TestStreamedRead:
         body = struct.pack(">I", len(jbytes)) + jbytes
         with pytest.raises(ProtocolError, match="JSON object"):
             read([_HEADER.pack(MAGIC, len(body)) + body])
+
+    @_READERS
+    @pytest.mark.parametrize("jbytes, why", _NOT_JSON, ids=_NOT_JSON_IDS)
+    def test_header_that_is_not_json(self, read, jbytes, why):
+        body = struct.pack(">I", len(jbytes)) + jbytes
+        with pytest.raises(ProtocolError, match=f"not JSON \\({why}\\)"):
+            read([_HEADER.pack(MAGIC, len(body)) + body])
+        with pytest.raises(ProtocolError, match=f"not JSON \\({why}\\)"):
+            unpack_body(body)
 
     @_READERS
     def test_key_length_mismatch_surfaces_at_decode(self, read):

@@ -369,7 +369,7 @@ class TestRunFormationUsesTheArena:
     own dtype (never by radix: its kernels are signed-int64 paths)."""
 
     @pytest.mark.parametrize("dtype", ["<i8", "<u4"])
-    def test_three_runs_create_no_segments(self, plan_table, dtype):
+    def test_three_runs_create_no_segments(self, host_model, dtype):
         from repro.native import shm
         from repro.serve import SortEngine, StreamSession
         from repro.stream import RunReader
@@ -377,8 +377,8 @@ class TestRunFormationUsesTheArena:
         rng = np.random.default_rng(13)
         with SortEngine(n_workers=2) as eng:
             eng.warmup()
-            for winner in ("sequential", "sample", "radix11"):
-                plan_table(winner)
+            for preset in ("sequential", "sample", "radix"):
+                host_model(preset)
                 sess = StreamSession(
                     eng, np.dtype(dtype), chunk_keys=20_000, fan_in=4
                 )
@@ -394,7 +394,7 @@ class TestRunFormationUsesTheArena:
                             assert np.array_equal(run.read_all(), np.sort(chunk))
                     public = sess.public()
                     assert public["runs"] == 3
-                    ran = winner.rstrip("1")
+                    ran = preset
                     if ran == "radix" and dtype == "<u4":
                         ran = "sequential"
                     assert public["chunk_plan"]["algorithm"] == ran

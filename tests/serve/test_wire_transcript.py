@@ -15,6 +15,7 @@ queued behind the first until the lane is released.
 
 from __future__ import annotations
 
+import logging
 import socket
 import struct
 import threading
@@ -87,6 +88,12 @@ def _framing(port: int, raw: bytes, log: list, label: str) -> None:
         reply, _ = read_frame_sync(sock)
         log.append((label, _mask(reply)))
         assert sock.recv(1) == b""  # the server hung up
+
+
+def _header_frame(jbytes: bytes) -> bytes:
+    """One frame whose JSON header is exactly ``jbytes``, valid or not."""
+    body = struct.pack(">I", len(jbytes)) + jbytes
+    return struct.pack(">4sI", MAGIC, len(body)) + body
 
 
 def _drive(server) -> list:
@@ -183,6 +190,12 @@ def _script(server, wire: _Wire, log: list) -> None:
     _framing(server.port, struct.pack(">4sI", b"HTTP", 10), log, "<bad magic>")
     _framing(server.port, struct.pack(">4sI", MAGIC, 8 << 20), log, "<over cap>")
     _framing(server.port, pack_frame({"op": "ping"})[:-2], log, "<cut short>")
+    for label, jbytes in (
+        ("<not json>", b'{"op": ping}'),
+        ("<not utf-8>", b'{"op": "\xff"}'),
+        ("<nested>", b"[" * 100_000 + b"]" * 100_000),
+    ):
+        _framing(server.port, _header_frame(jbytes), log, label)
     call({"op": "shutdown"})
 
 
@@ -333,6 +346,12 @@ TRANSCRIPT = [
                     "cap": _MAX_FRAME}),
     ("<cut short>", {"ok": False, "error": "frame-truncated",
                      "message": "stream closed mid-frame (11/13 bytes)"}),
+    ("<not json>", {"ok": False, "error": "protocol-error",
+                    "message": "frame header is not JSON (JSONDecodeError)"}),
+    ("<not utf-8>", {"ok": False, "error": "protocol-error",
+                     "message": "frame header is not JSON (UnicodeDecodeError)"}),
+    ("<nested>", {"ok": False, "error": "protocol-error",
+                  "message": "frame header is not JSON (RecursionError)"}),
     ("shutdown", {"ok": True, "drained": True, "jobs_run": 3,
                   "stopping": True}),
 ]
@@ -352,17 +371,33 @@ REFUSAL_CODES = {
 
 @pytest.fixture(scope="module")
 def transcript():
-    with server_in_thread(
-        n_workers=2, queue_depth=2, data_slab_bytes=1 << 20,
-        max_frame=_MAX_FRAME, max_streams=1,
-    ) as server:
-        return _drive(server)
+    """The logged exchanges, and what the server's event loop logged at
+    ERROR or above while they ran (an exception no handler caught)."""
+    errors: list[logging.LogRecord] = []
+    catch = logging.Handler(logging.ERROR)
+    catch.emit = errors.append
+    logging.getLogger("asyncio").addHandler(catch)
+    try:
+        with server_in_thread(
+            n_workers=2, queue_depth=2, data_slab_bytes=1 << 20,
+            max_frame=_MAX_FRAME, max_streams=1,
+        ) as server:
+            log = _drive(server)
+    finally:
+        logging.getLogger("asyncio").removeHandler(catch)
+    return log, errors
 
 
 def test_every_reply_header_is_pinned(transcript):
-    assert [op for op, _ in transcript] == [op for op, _ in TRANSCRIPT]
-    for i, (got, want) in enumerate(zip(transcript, TRANSCRIPT)):
+    log, _ = transcript
+    assert [op for op, _ in log] == [op for op, _ in TRANSCRIPT]
+    for i, (got, want) in enumerate(zip(log, TRANSCRIPT)):
         assert got == want, f"exchange {i} ({want[0]})"
+
+
+def test_nothing_is_logged_as_unhandled(transcript):
+    _, errors = transcript
+    assert [r.getMessage() for r in errors] == []
 
 
 def test_every_refusal_code_is_driven():

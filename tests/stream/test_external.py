@@ -162,16 +162,23 @@ class TestCorrectness:
             ("radix11", "<i4", -(1 << 30)),
         ],
     )
-    def test_parallel_chunk_plans(self, plan_table, winner, dtype, lo):
-        """With a measured table that says a parallel sort wins, run
+    def test_parallel_chunk_plans(self, host_model, winner, dtype, lo):
+        """With a host model that prices a parallel sort cheapest, run
         formation runs it on the pool -- and reports the plan it ran."""
         from repro.native import Plan
         from repro.native.pool import WorkerPool
 
-        plan_table(winner)
+        # A per-bucket cost makes the narrowest digit of the fewest
+        # passes the cheapest radix: 11 bits for 33-bit keys (three
+        # passes), 8 bits for 16-bit keys (two).
+        bits = {"sample": 30, "radix11": 33, "radix8": 16}[winner]
+        if winner == "sample":
+            host_model("sample")
+        else:
+            host_model("radix", bucket_ns=1.0)
         dt = np.dtype(dtype)
         keys = np.random.default_rng(17).integers(
-            lo, 1 << 30, size=40_000, dtype=np.int64
+            lo, 1 << bits, size=40_000, dtype=np.int64
         ).astype(dt)
         blocks: list[np.ndarray] = []
         with WorkerPool(2, supervise=True, phase_timeout_s=30.0) as pool:

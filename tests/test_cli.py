@@ -25,7 +25,7 @@ SUBCOMMAND_LINES = [
     "serve          TCP sort-job server on the resilient native pool",
     "loadgen        load/latency harness for a repro.serve endpoint",
     "stream         out-of-core sort / top-k over a key stream",
-    "tune           measure this host's native sort crossover for the planner",
+    "tune           probe this host's cost constants for the native planner",
 ]
 SUBCOMMANDS = [line.split()[0] for line in SUBCOMMAND_LINES]
 
@@ -85,6 +85,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: python -m repro {argv[0]} ")
         assert f"python -m repro {argv[0]}: error: " in err
+
+    def test_tune_has_no_quick_mode(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "tune", "--quick"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert "error: unrecognized arguments: --quick" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_serve_announces_its_port(self):
         """The first line ``python -m repro serve`` prints carries the
