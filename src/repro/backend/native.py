@@ -17,11 +17,11 @@ import time
 
 import numpy as np
 
-from ..faults.context import current_fault_plan
+from ..faults.context import current_fault_plan, fault_window
 from ..native import parallel_sort
 from ..native.pool import PhaseTiming, WorkerPool, POOL_TID
 from ..smp.perf import PerfCounters, PerfReport, PhaseRecord
-from ..trace import PID_NATIVE, TraceRecorder, current_recorder, use_recorder
+from ..trace import PID_NATIVE, TraceRecorder, current_recorder, use_recorder, wall_span
 from ..verify.context import current_sanitizer
 from .base import (
     Backend,
@@ -97,9 +97,7 @@ class NativeBackend(Backend):
         )
         job, workload_plan = prepare_workload(job)
         keys = check_keys(job.keys, job.algorithm)
-        with use_recorder(recorder) as rec:
-            if rec is None:  # pragma: no cover - use_recorder always yields
-                rec = current_recorder()
+        with use_recorder(recorder):
             plan = current_fault_plan()
             pool = self._shared_pool or WorkerPool(
                 job.n_procs,
@@ -109,7 +107,7 @@ class NativeBackend(Backend):
                 supervise=plan is not None,
                 phase_timeout_s=10.0 if plan is not None else None,
             )
-            stats_before = plan.stats() if plan is not None else None
+            job_faults = fault_window()
             first_timing = len(pool.timings)
             t0 = time.perf_counter()
             try:
@@ -124,14 +122,10 @@ class NativeBackend(Backend):
             # would otherwise grow for the whole sweep.
             timings = pool.timings[first_timing:]
             del pool.timings[first_timing:]
-            if rec.enabled:
-                rec.complete(
-                    f"native.{job.algorithm}",
-                    cat="native.sort",
-                    ts_us=t0 * 1e6,
-                    dur_us=(t1 - t0) * 1e6,
-                    pid=PID_NATIVE,
-                    tid=POOL_TID,
+            if current_recorder().enabled:
+                wall_span(
+                    f"native.{job.algorithm}", "native.sort", t0, t1,
+                    pid=PID_NATIVE, tid=POOL_TID,
                     args={"n_keys": len(keys), "n_workers": pool.n_workers},
                 )
         report = report_from_timings(
@@ -152,10 +146,6 @@ class NativeBackend(Backend):
             radix=job.radix,
             trace=self._collect_trace(recorder),
             wall_time_s=t1 - t0,
-            faults=(
-                plan.stats().since(stats_before)
-                if plan is not None and stats_before is not None
-                else None
-            ),
+            faults=job_faults(),
         )
         return finish_workload(result, workload_plan)

@@ -11,7 +11,7 @@ exchange phases) while the job runs under the given recorder.
 
 from __future__ import annotations
 
-from ..faults.context import current_fault_plan
+from ..faults.context import fault_window
 from ..sorts.program import ParallelRadixSort, ParallelSampleSort
 from ..sorts.radix import default_machine
 from ..trace import TraceRecorder, use_recorder
@@ -53,8 +53,7 @@ class SimulatedBackend(Backend):
         machine = job.machine or default_machine(n_procs)
 
         key_bits = job.key_bits if job.key_bits is not None else infer_key_bits(keys)
-        plan = current_fault_plan()
-        stats_before = plan.stats() if plan is not None else None
+        job_faults = fault_window()
         with use_recorder(recorder):
             outcome = sorter.run(
                 keys,
@@ -79,10 +78,6 @@ class SimulatedBackend(Backend):
             radix=outcome.radix,
             trace=self._collect_trace(recorder),
             outcome=outcome,
-            faults=(
-                plan.stats().since(stats_before)
-                if plan is not None and stats_before is not None
-                else None
-            ),
+            faults=job_faults(),
         )
         return finish_workload(result, workload_plan)

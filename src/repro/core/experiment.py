@@ -47,7 +47,7 @@ from ..sorts.sequential import (
     default_sequential_machine,
     sequential_radix_sort,
 )
-from ..trace import PID_GRID, current_recorder
+from ..trace import PID_GRID, current_recorder, wall_span
 from .gridcache import GridCache
 
 #: The paper's labeled data-set sizes.
@@ -153,6 +153,16 @@ class RunSpec:
         if self.machine != "origin2000":
             base += f" @{self.machine}"
         return base
+
+
+def _cell_span(spec: RunSpec, t0: float, source: str) -> None:
+    """One ``grid.cell`` span from ``t0`` to now (label built only when
+    tracing)."""
+    if current_recorder().enabled:
+        wall_span(
+            spec.cell_label(), "grid.cell", t0, pid=PID_GRID,
+            args={"source": source},
+        )
 
 
 def _spec_machine(spec: RunSpec) -> MachineConfig:
@@ -399,7 +409,6 @@ class ExperimentRunner:
         parallel = self.parallel if parallel is None else parallel
         if self._predicted:
             parallel = 1  # predicted cells are cheaper than a fork
-        rec = current_recorder()
         # Serve what the disk cache already has (cheap, no processes).
         misses: list[RunSpec] = []
         for spec in dict.fromkeys(spec_list):
@@ -411,20 +420,20 @@ class ExperimentRunner:
             )
             if cached is not None:
                 self._runs[spec] = cached
-                self._emit_cell_span(rec, spec, t0, source="disk")
+                _cell_span(spec, t0, "disk")
             else:
                 misses.append(spec)
 
         if (parallel or 1) > 1 and len(misses) > 1:
-            self._run_parallel(misses, parallel, rec)
+            self._run_parallel(misses, parallel)
         else:
             for spec in misses:
                 t0 = time.perf_counter()
                 self.run(spec)
-                self._emit_cell_span(rec, spec, t0, source="computed")
+                _cell_span(spec, t0, "computed")
         return [self._runs[spec] for spec in spec_list]
 
-    def _run_parallel(self, specs: Sequence[RunSpec], n_workers: int, rec) -> None:
+    def _run_parallel(self, specs: Sequence[RunSpec], n_workers: int) -> None:
         import functools
 
         cache_root = str(self.cache.root) if self.cache is not None else None
@@ -444,23 +453,8 @@ class ExperimentRunner:
             ordered, fan_out(worker, ordered, n_workers, chunksize)
         ):
             self._runs[spec] = outcome
-            self._emit_cell_span(rec, spec, t_prev, source="worker")
+            _cell_span(spec, t_prev, "worker")
             t_prev = time.perf_counter()
-
-    @staticmethod
-    def _emit_cell_span(rec, spec: RunSpec, t0: float, source: str) -> None:
-        if not rec.enabled:
-            return
-        t1 = time.perf_counter()
-        rec.complete(
-            spec.cell_label(),
-            cat="grid.cell",
-            ts_us=t0 * 1e6,
-            dur_us=(t1 - t0) * 1e6,
-            pid=PID_GRID,
-            tid=0,
-            args={"source": source},
-        )
 
     # ------------------------------------------------------------------
     def speedup(self, spec: RunSpec) -> float:

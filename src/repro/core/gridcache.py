@@ -55,8 +55,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Iterator
 
-from ..faults.context import current_fault_plan
-from ..trace import PID_FAULTS, current_recorder
+from ..faults.context import fire, recovered
 
 #: Bump when the entry framing or payload schema changes; old versions
 #: live in sibling ``v<N>`` directories and are reaped by ``gc``.
@@ -66,28 +65,6 @@ SCHEMA_VERSION = 1
 _MAGIC = b"repro-cache\x01"
 
 _DIGEST_BYTES = 32  # sha256
-
-
-def _maybe_injected_fault(site: str) -> bool:
-    """Probe the ambient fault plan at a cache site (see repro.faults).
-
-    The cache degrades by contract -- a corrupt read is a miss, a failed
-    store is dropped -- so an injected fault here is recovered the moment
-    it fires; the plan's recovery counter is noted immediately.
-    """
-    plan = current_fault_plan()
-    if plan is None or not plan.should(site):
-        return False
-    rec = current_recorder()
-    if rec.enabled:
-        rec.instant(
-            f"fault.{site}",
-            cat="fault.inject",
-            ts_us=time.perf_counter() * 1e6,
-            pid=PID_FAULTS,
-        )
-    plan.note_recovered(site)
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +195,11 @@ class GridCache:
         except OSError:
             self.stats.misses += 1
             return None
-        if _maybe_injected_fault("cache.corrupt"):
+        if fire("cache.corrupt"):
             # Degrade-to-recompute, exactly as a genuinely corrupt frame
-            # would -- but keep the (actually fine) on-disk entry.
+            # would -- but keep the (actually fine) on-disk entry.  The
+            # cache degrades by contract, so the fault is absorbed here.
+            recovered("cache.corrupt")
             self.stats.errors += 1
             self.stats.misses += 1
             return None
@@ -258,12 +237,12 @@ class GridCache:
             self.stats.errors += 1
             return False
         framed = _MAGIC + hashlib.sha256(body).digest() + body
-        if _maybe_injected_fault("cache.enospc") or _maybe_injected_fault(
-            "cache.eacces"
-        ):
-            # Dropped store, exactly as the OSError path below.
-            self.stats.errors += 1
-            return False
+        for site in ("cache.enospc", "cache.eacces"):
+            if fire(site):
+                # Dropped store, exactly as the OSError path below.
+                recovered(site)
+                self.stats.errors += 1
+                return False
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             # Atomic publish: concurrent run_many workers racing on the

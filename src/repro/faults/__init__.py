@@ -10,16 +10,21 @@ every barrier.  This package supplies the missing failure story:
   slowdown in :mod:`repro.native.pool`, shared-memory create/attach
   failures in :mod:`repro.native.shm`, cache corruption and I/O errors
   in :mod:`repro.core.gridcache`, message delay/drop in
-  :mod:`repro.sim.resources`;
+  :mod:`repro.sim.resources`, spill write/read faults in
+  :mod:`repro.stream.runfile`;
 - the recovery machinery those sites exercise: supervised pool phases
   (timeout, bounded retry, dead-worker replacement, graceful shrink),
-  allocation retry, degrade-to-recompute, late retransmit;
+  allocation and spill retry (one ``retry``), degrade-to-recompute,
+  late retransmit;
 - the **chaos harness** (:func:`run_chaos`, exposed as
   ``python -m repro chaos``) -- a seeded fault matrix asserting every
   sort still equals ``np.sort`` with nonzero recovery counters.
 
-Every injected fault and recovery is emitted as a span on the
-``PID_FAULTS`` trace track and counted in ``SortResult.faults``.
+Every site probes through :mod:`repro.faults.context`'s ``fire`` and
+notes what it absorbed with its ``recovered``, so every injected fault
+is a ``fault.<site>`` instant and every recovery a
+``fault.<site>.recovered`` instant on the ``PID_FAULTS`` trace track,
+and both are counted in ``SortResult.faults`` (``fault_window``).
 The site catalogue lives in ``docs/FAULTS.md``.
 """
 
@@ -30,6 +35,7 @@ from .plan import (
     POOL_SITES,
     SHM_SITES,
     SITES,
+    SPILL_SITES,
     FaultEvent,
     FaultPlan,
     FaultStats,
@@ -42,6 +48,7 @@ __all__ = [
     "POOL_SITES",
     "SHM_SITES",
     "SITES",
+    "SPILL_SITES",
     "FaultEvent",
     "FaultPlan",
     "FaultStats",

@@ -157,7 +157,7 @@ def _shm_alloc(seed: int, small: bool) -> tuple[FaultStats, str]:
 
     plan = FaultPlan.scripted({"shm.create": [0, 1]}, seed)
     with use_fault_plan(plan):
-        sa = shm.allocate(1024, retries=3, backoff_s=0.001)
+        sa = shm.allocate(1024)
         try:
             sa.array[:] = 7
             if int(sa.array.sum()) != 7 * 1024:

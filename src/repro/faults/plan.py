@@ -42,6 +42,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .context import current_fault_plan, fire
+
 #: Every injectable site, grouped by subsystem.
 POOL_SITES = ("pool.worker.crash", "pool.worker.hang", "pool.worker.slow")
 SHM_SITES = ("shm.create", "shm.attach")
@@ -239,13 +241,13 @@ class FaultPlan:
 
 
 def pool_directives(
-    plan: FaultPlan | None,
     n_tasks: int,
     *,
     allow_process_faults: bool,
     allow_task_faults: bool = True,
 ) -> tuple[list[tuple[str, float | None] | None], list[str]]:
-    """Per-task fault directives for one pool phase attempt.
+    """Per-task fault directives for one pool phase attempt, drawn from
+    the ambient plan.
 
     All decisions are drawn in the calling (parent) process so the probe
     stream stays deterministic; workers merely execute the directive
@@ -259,19 +261,20 @@ def pool_directives(
     """
     directives: list[tuple[str, float | None] | None] = [None] * n_tasks
     issued: list[str] = []
+    plan = current_fault_plan()
     if plan is None:
         return directives, issued
     for i in range(n_tasks):
-        if allow_process_faults and plan.should("pool.worker.crash"):
+        if allow_process_faults and fire("pool.worker.crash"):
             directives[i] = ("crash", None)
             issued.append("pool.worker.crash")
-        elif allow_process_faults and plan.should("pool.worker.hang"):
+        elif allow_process_faults and fire("pool.worker.hang"):
             directives[i] = ("hang", plan.hang_s)
             issued.append("pool.worker.hang")
-        elif allow_process_faults and plan.should("pool.worker.slow"):
+        elif allow_process_faults and fire("pool.worker.slow"):
             directives[i] = ("slow", plan.slow_s)
             issued.append("pool.worker.slow")
-        elif allow_task_faults and plan.should("shm.attach"):
+        elif allow_task_faults and fire("shm.attach"):
             directives[i] = ("attach-fail", None)
             issued.append("shm.attach")
     return directives, issued

@@ -77,12 +77,6 @@ class ReferenceCache:
         return self.stats
 
     # ------------------------------------------------------------------
-    def contains(self, addr: int) -> bool:
-        line = addr >> self._line_shift
-        set_idx = line % self._n_sets
-        tag = line // self._n_sets
-        return any(entry[0] == tag for entry in self._sets[set_idx])
-
     @property
     def resident_lines(self) -> int:
         return sum(len(ways) for ways in self._sets)

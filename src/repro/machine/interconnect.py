@@ -33,9 +33,6 @@ class TransferTimes:
     max_link_bytes: float
     total_bytes: float
 
-    def phase_ns(self, proc: int) -> float:
-        return float(self.per_proc_ns[proc])
-
 
 class Interconnect:
     """Contention-aware transfer-time model for one machine."""

@@ -166,15 +166,3 @@ class MemorySystem:
             writebacks=cache.writebacks,
             bytes_missed=cache.misses * m.line_bytes,
         )
-
-    # ------------------------------------------------------------------
-    def sequential_read_time(
-        self, n_bytes: int, home: HomeLocation | None = None, resident: bool = False
-    ) -> MemTime:
-        """Convenience: stream ``n_bytes`` once (4-byte elements)."""
-        from .access import SequentialScan
-
-        n = n_bytes // 4
-        return self.pattern_time(
-            SequentialScan(n, 4, is_write=False, resident=resident), home
-        )

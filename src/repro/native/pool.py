@@ -70,9 +70,9 @@ from functools import partial
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Iterable
 
-from ..faults.context import current_fault_plan
+from ..faults.context import recovered
 from ..faults.plan import pool_directives
-from ..trace import PID_FAULTS, PID_NATIVE, current_recorder
+from ..trace import PID_FAULTS, PID_NATIVE, current_recorder, wall_instant, wall_span
 from . import shm
 from .arena import Arena
 
@@ -478,15 +478,9 @@ class WorkerPool:
             "workers": self.n_workers,
         }
         self.fault_log.append(record)
-        rec = current_recorder()
-        if rec.enabled:
-            rec.instant(
-                f"fault.pool.{action}",
-                cat="fault.pool",
-                ts_us=time.perf_counter() * 1e6,
-                pid=PID_FAULTS,
-                args=record,
-            )
+        wall_instant(
+            f"fault.pool.{action}", "fault.pool", pid=PID_FAULTS, args=record
+        )
 
     # ------------------------------------------------------------------
     def run_phase(
@@ -501,8 +495,6 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         tasks = list(tasks)
-        rec = current_recorder()
-        plan = current_fault_plan()
         self._phase_seq += 1
         label = name or f"phase{self._phase_seq}"
         retries = MAX_PHASE_RETRIES if self.supervise else 0
@@ -516,9 +508,11 @@ class WorkerPool:
             # phase of its last chance to complete.
             allow = retries == 0 or attempt < retries
             directives, issued = pool_directives(
-                plan if allow else None,
                 len(tasks),
-                allow_process_faults=self.supervise and self.n_workers > 1,
+                allow_process_faults=(
+                    allow and self.supervise and self.n_workers > 1
+                ),
+                allow_task_faults=allow,
             )
             issued_sites.extend(issued)
             try:
@@ -539,12 +533,9 @@ class WorkerPool:
                 continue
             break
         end = time.perf_counter()
-        if failures and rec.enabled:
-            rec.complete(
-                f"fault.pool.recovered:{label}",
-                cat="fault.recovery",
-                ts_us=begin * 1e6,
-                dur_us=(end - begin) * 1e6,
+        if failures:
+            wall_span(
+                f"fault.pool.recovered:{label}", "fault.recovery", begin, end,
                 pid=PID_FAULTS,
                 args={
                     "attempts": attempt + 1,
@@ -552,11 +543,10 @@ class WorkerPool:
                     "workers": self.n_workers,
                 },
             )
-        if plan is not None:
-            for site in issued_sites:
-                plan.note_recovered(site)
-        if self.collect_timings or rec.enabled:
-            self._record_phase(label, begin, end, raw, slots, rec)
+        for site in issued_sites:
+            recovered(site)
+        if self.collect_timings or current_recorder().enabled:
+            self._record_phase(label, begin, end, raw, slots)
         return [r for r, _t0, _t1, _att in raw]
 
     def _record_phase(
@@ -566,7 +556,6 @@ class WorkerPool:
         end: float,
         raw: list[tuple[Any, float, float, int]],
         slots: list[int],
-        rec,
     ) -> None:
         attaches = [att for _, _t0, _t1, att in raw]
         if attaches:
@@ -580,25 +569,14 @@ class WorkerPool:
         )
         if self.collect_timings:
             self.timings.append(timing)
-        if rec.enabled:
-            rec.complete(
-                label,
-                cat="native.phase",
-                ts_us=begin * 1e6,
-                dur_us=(end - begin) * 1e6,
-                pid=PID_NATIVE,
-                tid=POOL_TID,
-                args={"tasks": len(raw), "attaches": sum(attaches)},
-            )
-            for slot, (t0, t1) in zip(slots, timing.tasks):
-                rec.complete(
-                    label,
-                    cat="native.task",
-                    ts_us=t0 * 1e6,
-                    dur_us=(t1 - t0) * 1e6,
-                    pid=PID_NATIVE,
-                    tid=slot,
-                )
+        if not current_recorder().enabled:
+            return
+        wall_span(
+            label, "native.phase", begin, end, pid=PID_NATIVE, tid=POOL_TID,
+            args={"tasks": len(raw), "attaches": sum(attaches)},
+        )
+        for slot, (t0, t1) in zip(slots, timing.tasks):
+            wall_span(label, "native.task", t0, t1, pid=PID_NATIVE, tid=slot)
 
     # ------------------------------------------------------------------
     def close(self, force: bool = False) -> None:

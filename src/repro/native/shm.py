@@ -11,9 +11,9 @@ Two fault sites live here (see :mod:`repro.faults` and docs/FAULTS.md):
 ``shm.create`` makes creation raise ENOSPC (the classic full ``/dev/shm``)
 and ``shm.attach`` makes the next attach in this process raise EACCES.
 :func:`allocate` is the resilient allocation front door (the arena
-creates every slab through it): bounded retry with backoff, so a
-transient creation failure degrades to a short stall instead of a failed
-sort.
+creates every slab through it): the one bounded retry with backoff
+(:func:`repro.faults.context.retry`), so a transient creation failure
+degrades to a short stall instead of a failed sort.
 
 Every successful create and every *fresh* attach bumps a process-local
 counter (:func:`create_count` / :func:`attach_count`), which is how a
@@ -31,13 +31,11 @@ from __future__ import annotations
 import errno
 import sys
 import threading
-import time
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..faults.context import current_fault_plan
-from ..trace import PID_FAULTS, current_recorder
+from ..faults.context import fire, retry
 
 #: Python 3.13+ grows ``SharedMemory(..., track=...)``; older versions
 #: need the resource-tracker registration suppressed by monkey-patch.
@@ -145,22 +143,6 @@ def _consume_injected_attach_failure() -> None:
         )
 
 
-def _maybe_injected_create_failure() -> None:
-    plan = current_fault_plan()
-    if plan is not None and plan.should("shm.create"):
-        rec = current_recorder()
-        if rec.enabled:
-            rec.instant(
-                "fault.shm.create",
-                cat="fault.inject",
-                ts_us=time.perf_counter() * 1e6,
-                pid=PID_FAULTS,
-            )
-        raise OSError(
-            errno.ENOSPC, "injected shm.create failure (repro.faults)"
-        )
-
-
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     """Attach without registering with the resource tracker.
 
@@ -200,7 +182,8 @@ class SharedArray:
         self.shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self.dtype = np.dtype(dtype)
         nbytes = max(1, int(np.prod(self.shape)) * self.dtype.itemsize)
-        _maybe_injected_create_failure()
+        if fire("shm.create"):
+            raise OSError(errno.ENOSPC, "injected shm.create failure (repro.faults)")
         self._shm = shared_memory.SharedMemory(create=True, size=nbytes, name=name)
         self._owner = True
         _create_count += 1
@@ -243,35 +226,10 @@ def allocate(
     dtype: np.dtype | type = np.int64,
     *,
     name: str | None = None,
-    retries: int = 2,
-    backoff_s: float = 0.005,
 ) -> SharedArray:
     """Create a :class:`SharedArray`, retrying transient OS failures
-    (full ``/dev/shm``, injected ``shm.create`` faults) with backoff.
-    ``name`` pins the block name (the arena uses a recognizable
-    ``repro_slab_*`` prefix so leaks are attributable)."""
-    failures = 0
-    for attempt in range(retries + 1):
-        try:
-            sa = SharedArray(shape, dtype, name=name)
-        except OSError:
-            failures += 1
-            if attempt == retries:
-                raise
-            time.sleep(backoff_s * (2.0**attempt))
-            continue
-        if failures:
-            plan = current_fault_plan()
-            if plan is not None:
-                plan.note_recovered("shm.create", failures)
-            rec = current_recorder()
-            if rec.enabled:
-                rec.instant(
-                    "fault.shm.create.recovered",
-                    cat="fault.recovery",
-                    ts_us=time.perf_counter() * 1e6,
-                    pid=PID_FAULTS,
-                    args={"retries": failures},
-                )
-        return sa
-    raise AssertionError("unreachable")  # pragma: no cover
+    (full ``/dev/shm``, injected ``shm.create`` faults) under the one
+    :func:`~repro.faults.context.retry` policy.  ``name`` pins the block name
+    (the arena uses a recognizable ``repro_slab_*`` prefix so leaks are
+    attributable)."""
+    return retry(lambda: SharedArray(shape, dtype, name=name), "shm.create")

@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator
 
 import numpy as np
 
-from ..faults.context import use_fault_plan
+from ..faults.context import fault_window, use_fault_plan
 from ..faults.plan import FaultPlan
 from ..native import Plan, plan_keys, run_plan, shm
 from ..native.plan import widest_radix
 from ..native.pool import WorkerPool, default_workers
-from ..trace import PID_SERVE, TraceRecorder, current_recorder, use_recorder
+from ..trace import PID_SERVE, TraceRecorder, current_recorder, use_recorder, wall_span
 
 
 @dataclass(frozen=True)
@@ -141,23 +141,17 @@ class SortEngine:
         if self._closed:
             raise RuntimeError("engine is closed")
         creates_before = shm.create_count()
-        stats_before = self._plan.stats() if self._plan is not None else None
         failures_before = self.pool.phase_failures
         t0 = time.perf_counter()
         with self.ambient():
+            job_faults = fault_window()
             out, chosen = self.sort(keys, algorithm, radix)
             t1 = time.perf_counter()
             attaches = self.pool.drain_attaches()
             creates = shm.create_count() - creates_before
-            rec = current_recorder()
-            if rec.enabled:
-                rec.complete(
-                    "serve.job",
-                    cat="serve.job",
-                    ts_us=t0 * 1e6,
-                    dur_us=(t1 - t0) * 1e6,
-                    pid=PID_SERVE,
-                    tid=0,
+            if current_recorder().enabled:
+                wall_span(
+                    "serve.job", "serve.job", t0, t1, pid=PID_SERVE,
                     args={
                         "job_id": job_id,
                         "algorithm": algorithm,
@@ -170,16 +164,10 @@ class SortEngine:
                         ),
                     },
                 )
+            delta = job_faults()
         self.jobs_run += 1
         self.steady_shm_creates += creates
         self.steady_shm_attaches += attaches
-        faults = None
-        if self._plan is not None and stats_before is not None:
-            delta = self._plan.stats().since(stats_before)
-            faults = {
-                "injected": dict(delta.injected),
-                "recovered": dict(delta.recovered),
-            }
         return EngineOutcome(
             sorted_keys=out,
             plan=chosen,
@@ -187,7 +175,8 @@ class SortEngine:
             shm_creates=creates,
             shm_attaches=attaches,
             phase_failures=self.pool.phase_failures - failures_before,
-            faults=faults,
+            # Only the engine's own plan is reported, never an outer one.
+            faults=None if self._plan is None else asdict(delta),
         )
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..faults.plan import FaultPlan
-from ..trace import PID_SERVE, TraceRecorder
+from ..trace import PID_SERVE, TraceRecorder, wall_instant
 from .admission import AdmissionController
 from .engine import SortEngine
 from ..stream.runfile import StreamError, check_dtype
@@ -361,13 +361,11 @@ class ServeServer:
             max_frame=self.max_frame,
         )
         if verdict is not None:
-            if self._recorder is not None and self._recorder.enabled:
-                self._recorder.instant(
-                    f"serve.reject.{verdict.code}",
-                    cat="serve.reject",
-                    ts_us=time.perf_counter() * 1e6,
-                    pid=PID_SERVE,
+            if self._recorder is not None:
+                wall_instant(
+                    f"serve.reject.{verdict.code}", "serve.reject", pid=PID_SERVE,
                     args={"n_keys": n_keys, "queue_len": self._queue_len()},
+                    recorder=self._recorder,
                 )
             raise verdict
         self._receiving += 1

@@ -12,8 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from ..faults.context import current_fault_plan
-from ..trace import PID_FAULTS, current_recorder
+from ..faults.context import current_fault_plan, fire, recovered
 from .engine import Event, SimError, Simulator
 
 
@@ -118,33 +117,33 @@ class Channel:
         plan = current_fault_plan()
         site = None
         if plan is not None:
-            if plan.should("channel.drop"):
-                site, extra_ns = "channel.drop", plan.drop_retransmit_ns
-            elif plan.should("channel.delay"):
-                site, extra_ns = "channel.delay", plan.channel_delay_ns
-        if site is None or extra_ns <= 0:
+            now_us = (self.sim.trace_offset_ns + self.sim.now) / 1e3
+            for site, extra_ns in (
+                ("channel.drop", plan.drop_retransmit_ns),
+                ("channel.delay", plan.channel_delay_ns),
+            ):
+                args = {"channel": self.name, "extra_ns": extra_ns}
+                if fire(site, ts_us=now_us, args=args):
+                    break
+            else:
+                site = None
+        if site is None:
             self._deposit(ev, item)
             return ev
-        rec = current_recorder()
-        if rec.enabled:
-            rec.instant(
-                f"fault.{site}",
-                cat="fault.inject",
-                ts_us=(self.sim.trace_offset_ns + self.sim.now) / 1e3,
-                pid=PID_FAULTS,
-                args={"channel": self.name, "extra_ns": extra_ns},
-            )
         if san is not None:
             san.on_recoverable(
                 site,
                 f"channel {self.name!r}: message deferred {extra_ns:g}ns",
             )
 
-        def _deliver(_ignored: Any, _site: str = site) -> None:
+        def _deliver(_ignored: Any = None, _site: str = site) -> None:
             self._deposit(ev, item)
-            plan.note_recovered(_site)
+            recovered(_site, ts_us=(self.sim.trace_offset_ns + self.sim.now) / 1e3)
 
-        self.sim.timeout(extra_ns).add_callback(_deliver)
+        if extra_ns > 0:
+            self.sim.timeout(extra_ns).add_callback(_deliver)
+        else:  # no extra latency: deposited at once, as with no fault
+            _deliver()
         return ev
 
     def _deposit(self, ev: Event, item: Any) -> None:

@@ -44,11 +44,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..faults.context import current_fault_plan
+from ..faults.context import fault_window
 from ..faults.plan import FaultStats
 from ..native import Plan, plan_keys, run_plan
 from ..native.pool import WorkerPool, workers_available
-from ..trace import PID_STREAM, current_recorder
+from ..trace import PID_STREAM, current_recorder, wall_span
 from ..verify.context import current_sanitizer
 from .ingest import iter_chunks
 from .merge import DEFAULT_FAN_IN, merge_iter, reduce_runs
@@ -133,8 +133,7 @@ class ExternalSorter:
         self.frame_keys = frame_keys
         self.pool = pool
         self._span_args = dict(span_args or {})
-        self._plan = current_fault_plan()
-        self._faults_before = None if self._plan is None else self._plan.stats()
+        self._faults = fault_window()
         self._t0 = self._t_idle = time.perf_counter()
         self.ingested = 0
         self.run_paths: list[str] = []
@@ -145,17 +144,6 @@ class ExternalSorter:
             dir=os.fspath(workdir) if workdir is not None else None,
         )
 
-    def _span(self, rec, name: str, cat: str, t0: float, args: dict, tid: int = 0):
-        rec.complete(
-            name,
-            cat=cat,
-            ts_us=t0 * 1e6,
-            dur_us=(time.perf_counter() - t0) * 1e6,
-            pid=PID_STREAM,
-            tid=tid,
-            args={**self._span_args, **args},
-        )
-
     def add(self, chunk: np.ndarray) -> None:
         """Ingest one chunk: sort it, and spill it as a run behind the
         caller's next step (once the previous run's spill is done).
@@ -164,24 +152,24 @@ class ExternalSorter:
         the previous :meth:`add` returned), ``stream.run`` the sort, and
         ``stream.spill`` -- on the I/O thread -- the spill.
         """
-        rec = current_recorder()
         res = self.result
         self.dtype = chunk.dtype
         self.ingested += len(chunk)
-        if rec.enabled:
-            self._span(
-                rec, "stream.ingest", "stream.ingest", self._t_idle,
-                {"keys": len(chunk), "bytes": int(chunk.nbytes)},
+        tracing = current_recorder().enabled
+        if tracing:
+            wall_span(
+                "stream.ingest", "stream.ingest", self._t_idle, pid=PID_STREAM,
+                args={**self._span_args, "keys": len(chunk), "bytes": chunk.nbytes},
             )
         t_run = time.perf_counter()
         sorted_chunk, chosen = self._sort(chunk)
         res.sort_s += time.perf_counter() - t_run
         if res.chunk_plan is None:
             res.chunk_plan = chosen
-        if rec.enabled:
-            self._span(
-                rec, "stream.run", "stream.run", t_run,
-                {"keys": len(sorted_chunk)}, tid=res.runs,
+        if tracing:
+            wall_span(
+                "stream.run", "stream.run", t_run, pid=PID_STREAM, tid=res.runs,
+                args={**self._span_args, "keys": len(sorted_chunk)},
             )
         path = os.path.join(self.workdir, f"repro_run_{res.runs:04d}.run")
         self.io.behind(self._spill, path, sorted_chunk, res.runs)
@@ -194,11 +182,10 @@ class ExternalSorter:
         t0 = time.perf_counter()
         spilled = write_run(path, keys, frame_keys=self.frame_keys)
         self.result.bytes_spilled += spilled
-        rec = current_recorder()
-        if rec.enabled:
-            self._span(
-                rec, "stream.spill", "stream.run", t0,
-                {"keys": len(keys), "bytes_spilled": spilled}, tid=index,
+        if current_recorder().enabled:
+            wall_span(
+                "stream.spill", "stream.run", t0, pid=PID_STREAM, tid=index,
+                args={**self._span_args, "keys": len(keys), "bytes_spilled": spilled},
             )
 
     def finish(
@@ -217,7 +204,6 @@ class ExternalSorter:
         over, like the served output run on ``ENOSPC``): the passes
         already made are kept and only the final pass reruns.
         """
-        rec = current_recorder()
         res = self.result
         res.dtype = self.dtype.str
         self.io.wait()  # every run is sealed before its footer is read
@@ -256,16 +242,16 @@ class ExternalSorter:
                 prev_last = block[-1]
             emit(block)
         res.bytes_merge_read += final_read
-        if rec.enabled:
-            self._span(
-                rec, "stream.merge.final", "stream.merge", t_final,
-                {
-                    "fan_in": len(self.run_paths),
-                    "runs_in": len(self.run_paths),
-                    "bytes_read": final_read,
-                    "keys": merged,
-                },
-            )
+        wall_span(
+            "stream.merge.final", "stream.merge", t_final, pid=PID_STREAM,
+            args={
+                **self._span_args,
+                "fan_in": len(self.run_paths),
+                "runs_in": len(self.run_paths),
+                "bytes_read": final_read,
+                "keys": merged,
+            },
+        )
 
         san = current_sanitizer()
         if san is not None:
@@ -281,8 +267,7 @@ class ExternalSorter:
         res.verified = bool(verify)
         res.io_wait_s = self.io.wait_s
         res.elapsed_s = time.perf_counter() - self._t0
-        if self._plan is not None:
-            res.faults = self._plan.stats().since(self._faults_before)
+        res.faults = self._faults() or res.faults
         return res
 
     def close(self) -> None:

@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..trace import PID_STREAM, current_recorder
+from ..trace import PID_STREAM, wall_span
 from .overlap import IOThread
 from .runfile import RunReader, RunWriter, StreamError, spill_run
 
@@ -214,7 +214,6 @@ def reduce_runs(
     if fan_in < 2:
         raise ValueError("fan_in must be >= 2")
     paths = [os.fspath(p) for p in run_paths]
-    rec = current_recorder()
     passes = 0
     bytes_read = 0
     bytes_written = 0
@@ -245,21 +244,16 @@ def reduce_runs(
         pass_written = sum(w for _r, w in results)
         bytes_read += pass_read
         bytes_written += pass_written
-        if rec.enabled:
-            rec.complete(
-                f"stream.merge.pass{passes}",
-                cat="stream.merge",
-                ts_us=begin * 1e6,
-                dur_us=(time.perf_counter() - begin) * 1e6,
-                pid=PID_STREAM,
-                args={
-                    "fan_in": fan_in,
-                    "runs_in": len(paths),
-                    "runs_out": len(outs) + len(passthrough),
-                    "bytes_read": pass_read,
-                    "bytes_written": pass_written,
-                },
-            )
+        wall_span(
+            f"stream.merge.pass{passes}", "stream.merge", begin, pid=PID_STREAM,
+            args={
+                "fan_in": fan_in,
+                "runs_in": len(paths),
+                "runs_out": len(outs) + len(passthrough),
+                "bytes_read": pass_read,
+                "bytes_written": pass_written,
+            },
+        )
         for group in groups:
             for p in group:
                 try:

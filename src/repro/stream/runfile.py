@@ -44,13 +44,12 @@ import errno
 import json
 import os
 import struct
-import time
 import zlib
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from ..faults.context import current_fault_plan
+from ..faults.context import fire, recovered, retry
 
 MAGIC = b"RRUN"
 VERSION = 1
@@ -99,15 +98,13 @@ def _write_all(f, payload: np.ndarray) -> None:
     the same loop a raw ``os.write`` spill path would need for real
     partial writes on pipes/near-full disks.
     """
-    plan = current_fault_plan()
-    if plan is not None and len(payload) > 1 and plan.should("spill.short_write"):
+    if len(payload) > 1 and fire("spill.short_write"):
         cut = len(payload) // 2
         f.write(payload[:cut])
-        written = cut
-        f.write(payload[written:])
-        plan.note_recovered("spill.short_write")
-        return
-    f.write(payload)
+        f.write(payload[cut:])
+        recovered("spill.short_write")
+    else:
+        f.write(payload)
 
 
 class RunWriter:
@@ -148,10 +145,9 @@ class RunWriter:
         if self._closed:
             raise StreamError("run writer is closed")
         keys = np.ascontiguousarray(keys, dtype=self.dtype)
-        plan = current_fault_plan()
         for lo in range(0, len(keys), self.frame_keys):
             frame = keys[lo : lo + self.frame_keys]
-            if plan is not None and plan.should("spill.enospc"):
+            if fire("spill.enospc"):
                 raise OSError(errno.ENOSPC, "injected: no space left on device")
             payload = frame.view(np.uint8)  # no copy: the CRC and the write read it
             self._file.write(_U32.pack(len(frame)))
@@ -263,11 +259,9 @@ class RunReader:
         payload = arr.view(np.uint8)
         start = self._file.tell()
         self._read_into(payload)
-        plan = current_fault_plan()
-        injected = False
-        if plan is not None and n_keys > 0 and plan.should("spill.corrupt"):
+        injected = n_keys > 0 and fire("spill.corrupt")
+        if injected:
             payload[0] ^= 0x40  # flip a bit in the in-memory copy only
-            injected = True
         if zlib.crc32(payload) != crc:
             # Re-read once: an in-flight corruption (or the injected bit
             # flip) is gone on the second read; real on-disk rot is not.
@@ -277,8 +271,8 @@ class RunReader:
                 raise RunCorrupt(
                     f"{self.path}: frame CRC mismatch at offset {start}"
                 )
-            if injected and plan is not None:
-                plan.note_recovered("spill.corrupt")
+            if injected:
+                recovered("spill.corrupt")
         self.bytes_read += payload.nbytes
         return arr
 
@@ -357,42 +351,29 @@ def spill_run(
     dtype: np.dtype | type | str,
     frame_keys: int,
     fill: Callable[[RunWriter], _T],
-    *,
-    retries: int = 2,
-    backoff_s: float = 0.005,
 ) -> tuple[_T, int]:
     """Publish one run file whose frames ``fill(writer)`` writes; returns
     ``(fill's result, bytes written)``.
 
-    The one ``ENOSPC`` policy of the spill layer (mirroring the shm
-    allocation retry): the partial ``.tmp`` is deleted, the write backs
-    off and the whole run starts over -- so ``fill`` must be re-runnable.
-    Recovered retries are noted on the ambient fault plan as
-    ``spill.enospc`` recoveries; exhausted retries (and any other error)
-    propagate with no ``.tmp`` left behind.
+    The one ``ENOSPC`` policy of the spill layer (the shm allocation's
+    :func:`~repro.faults.context.retry`): the partial ``.tmp`` is deleted, the
+    write backs off and the whole run starts over -- so ``fill`` must be
+    re-runnable.  Recovered retries are noted as ``spill.enospc``
+    recoveries; exhausted retries (and any other error) propagate with
+    no ``.tmp`` left behind.
     """
-    failures = 0
-    for attempt in range(retries + 1):
+
+    def attempt() -> tuple[_T, int]:
         writer = RunWriter(path, dtype, frame_keys)
         try:
             result = fill(writer)
             writer.close()
-        except OSError as err:
-            writer.abort()
-            if err.errno != errno.ENOSPC or attempt == retries:
-                raise
-            failures += 1
-            time.sleep(backoff_s * (2.0**attempt))
-            continue
         except BaseException:
             writer.abort()
             raise
-        if failures:
-            plan = current_fault_plan()
-            if plan is not None:
-                plan.note_recovered("spill.enospc", failures)
         return result, writer.bytes_written
-    raise AssertionError("unreachable")  # pragma: no cover
+
+    return retry(attempt, "spill.enospc", errno.ENOSPC)
 
 
 def write_run(
@@ -400,14 +381,11 @@ def write_run(
     keys: np.ndarray,
     *,
     frame_keys: int = DEFAULT_FRAME_KEYS,
-    retries: int = 2,
-    backoff_s: float = 0.005,
 ) -> int:
     """Spill one sorted array as a run file through :func:`spill_run`
     (the whole run is rewritten on ``ENOSPC``); returns the bytes
     written."""
     _, written = spill_run(
-        path, keys.dtype, frame_keys, lambda writer: writer.write(keys),
-        retries=retries, backoff_s=backoff_s,
+        path, keys.dtype, frame_keys, lambda writer: writer.write(keys)
     )
     return written

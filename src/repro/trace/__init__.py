@@ -27,6 +27,8 @@ from .recorder import (
     TraceRecorder,
     current_recorder,
     use_recorder,
+    wall_instant,
+    wall_span,
 )
 from .chrome import to_chrome_trace, write_chrome_trace
 
@@ -48,5 +50,7 @@ __all__ = [
     "current_recorder",
     "to_chrome_trace",
     "use_recorder",
+    "wall_instant",
+    "wall_span",
     "write_chrome_trace",
 ]

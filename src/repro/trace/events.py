@@ -22,9 +22,11 @@ PID_NATIVE = 1
 #: (host wall-clock time; one span per grid cell, serial or parallel).
 PID_GRID = 2
 #: Track-group for injected faults and the recoveries that absorb them
-#: (``repro.faults``): injection instants, phase-retry/shrink instants,
-#: and recovery spans.  Timestamps are host wall-clock for native sites
-#: and virtual time for simulated channel sites.
+#: (``repro.faults``): one ``fault.<site>`` instant per fired probe and
+#: one ``fault.<site>.recovered`` instant per recovery, plus the pool's
+#: ``fault.pool.{retry,shrink}`` instants and ``fault.pool.recovered:``
+#: phase spans.  Timestamps are host wall-clock, except virtual time for
+#: the simulated channel sites.
 PID_FAULTS = 3
 #: Track-group for the sort job server (``repro.serve``): one span per
 #: accepted job (queue wait + execution, with shared-memory create/attach

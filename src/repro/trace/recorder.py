@@ -3,9 +3,13 @@
 The default recorder is a null object whose methods are no-ops and whose
 ``enabled`` flag is ``False``; instrumented code guards every emission
 with ``if rec.enabled`` so that tracing costs one attribute check when
-off.  High-volume instrumentation (per-message DES events, per-process
-spans) additionally checks ``rec.verbose`` so that default traces stay at
-phase granularity.
+off.  Host-side code measures ``time.perf_counter()`` seconds and emits
+through :func:`wall_span` / :func:`wall_instant`, which hold that guard
+and the conversion to trace microseconds (a hot call site whose
+arguments cost something to build still checks ``enabled`` first); only
+the simulator's virtual-time sites call the recorder directly.  High-volume
+instrumentation (per-message DES events, per-process spans) additionally
+checks ``rec.verbose`` so that default traces stay at phase granularity.
 
 Recorders are installed ambiently rather than threaded through every call
 signature::
@@ -21,6 +25,7 @@ native backend forks worker processes, and only the parent records.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -137,6 +142,40 @@ _current: TraceRecorder = NULL_RECORDER
 def current_recorder() -> TraceRecorder:
     """The ambiently installed recorder (the null recorder by default)."""
     return _current
+
+
+def wall_span(
+    name: str,
+    cat: str,
+    t0: float,
+    t1: float | None = None,
+    *,
+    pid: int,
+    tid: int = 0,
+    args: dict[str, Any] | None = None,
+) -> None:
+    """Emit a span from ``time.perf_counter()`` seconds ``t0`` to ``t1``
+    (default: now) on the ambient recorder; nothing when it is off."""
+    rec = _current
+    if rec.enabled:
+        end = time.perf_counter() if t1 is None else t1
+        rec.complete(name, cat, t0 * 1e6, (end - t0) * 1e6, pid=pid, tid=tid, args=args)
+
+
+def wall_instant(
+    name: str,
+    cat: str,
+    *,
+    pid: int,
+    tid: int = 0,
+    args: dict[str, Any] | None = None,
+    recorder: TraceRecorder | None = None,
+) -> None:
+    """Emit an instant at ``time.perf_counter()`` now on ``recorder``
+    (default: the ambient one); nothing when it is off."""
+    rec = _current if recorder is None else recorder
+    if rec.enabled:
+        rec.instant(name, cat, time.perf_counter() * 1e6, pid=pid, tid=tid, args=args)
 
 
 @contextmanager

@@ -145,35 +145,30 @@ class TestAmbientContext:
 
 class TestPoolDirectives:
     def test_no_plan_no_directives(self):
-        directives, issued = pool_directives(
-            None, 4, allow_process_faults=True
-        )
+        directives, issued = pool_directives(4, allow_process_faults=True)
         assert directives == [None] * 4
         assert issued == []
 
     def test_process_faults_gated(self):
         plan = FaultPlan(0, {"pool.worker.crash": 1.0})
-        directives, issued = pool_directives(
-            plan, 4, allow_process_faults=False
-        )
+        with use_fault_plan(plan):
+            directives, issued = pool_directives(4, allow_process_faults=False)
         assert directives == [None] * 4
         assert issued == []
         assert plan.probes("pool.worker.crash") == 0  # never even probed
 
     def test_crash_directive_issued(self):
         plan = FaultPlan(0, {"pool.worker.crash": 1.0}, max_per_site=1)
-        directives, issued = pool_directives(
-            plan, 3, allow_process_faults=True
-        )
+        with use_fault_plan(plan):
+            directives, issued = pool_directives(3, allow_process_faults=True)
         assert directives[0] == ("crash", None)
         assert directives[1:] == [None, None]
         assert issued == ["pool.worker.crash"]
 
     def test_attach_fault_allowed_without_process_faults(self):
         plan = FaultPlan.scripted({"shm.attach": [0]})
-        directives, issued = pool_directives(
-            plan, 2, allow_process_faults=False
-        )
+        with use_fault_plan(plan):
+            directives, issued = pool_directives(2, allow_process_faults=False)
         assert directives[0] == ("attach-fail", None)
         assert issued == ["shm.attach"]
 
@@ -181,5 +176,6 @@ class TestPoolDirectives:
         plan = FaultPlan.scripted(
             {"pool.worker.slow": [0]}, slow_s=0.123
         )
-        directives, _ = pool_directives(plan, 1, allow_process_faults=True)
+        with use_fault_plan(plan):
+            directives, _ = pool_directives(1, allow_process_faults=True)
         assert directives[0] == ("slow", 0.123)

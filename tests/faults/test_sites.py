@@ -4,7 +4,8 @@ grid cache's degrade paths, simulated channels, and the backend seam."""
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, use_fault_plan
+from repro.faults import SITES, FaultPlan, use_fault_plan
+from repro.faults.context import RETRIES
 from repro.native import shm
 from repro.sim.engine import Simulator
 from repro.sim.resources import Channel
@@ -16,7 +17,7 @@ class TestShmAllocation:
     def test_create_failure_retried(self):
         plan = FaultPlan.scripted({"shm.create": [0]})
         with use_fault_plan(plan):
-            sa = shm.allocate(128, retries=2, backoff_s=0.001)
+            sa = shm.allocate(128)
             try:
                 sa.array[:] = 1
             finally:
@@ -28,7 +29,8 @@ class TestShmAllocation:
         plan = FaultPlan.scripted({"shm.create": [0, 1, 2]})
         with use_fault_plan(plan):
             with pytest.raises(OSError, match="injected shm.create"):
-                shm.allocate(128, retries=2, backoff_s=0.001)
+                shm.allocate(128)
+        assert plan.injected["shm.create"] == RETRIES + 1
         assert plan.recovered.get("shm.create", 0) == 0
 
     def test_injected_attach_failure_consumed_once(self):
@@ -125,6 +127,12 @@ class TestChannelFaults:
         assert at == pytest.approx(2_000.0)
         assert plan.recovered["channel.drop"] == 1
 
+    def test_zero_latency_fault_is_still_recovered(self):
+        plan = FaultPlan.scripted({"channel.delay": [0]}, channel_delay_ns=0.0)
+        at, item = self._deliver_one(plan)
+        assert (at, item) == (0.0, "msg")
+        assert plan.stats().all_recovered
+
     def test_no_fault_is_immediate(self):
         at, item = self._deliver_one(FaultPlan(0))
         assert (at, item) == (0.0, "msg")
@@ -202,3 +210,95 @@ class TestFaultTrace:
         cats = {e.cat for e in fault_events}
         assert "fault.pool" in cats  # the retry instant
         assert "fault.recovery" in cats  # the recovery span
+
+
+def _pool_sort(tmp_path):
+    from repro.native import parallel_radix_sort
+    from repro.native.pool import WorkerPool
+
+    keys = np.random.default_rng(3).integers(0, 1 << 20, 20_000, dtype=np.int64)
+    with WorkerPool(2, supervise=True, phase_timeout_s=2.0) as pool:
+        assert np.array_equal(parallel_radix_sort(keys, pool=pool), np.sort(keys))
+
+
+def _shm_create(tmp_path):
+    shm.allocate(128).close()
+
+
+def _cache(tmp_path):
+    from repro.core.gridcache import GridCache
+
+    return GridCache(tmp_path / "cache")
+
+
+def _cache_read(tmp_path):
+    cache = _cache(tmp_path)
+    cache.put("run", {"cell": 1}, "payload")
+    assert cache.get("run", {"cell": 1}) is None
+
+
+def _cache_store(tmp_path):
+    assert not _cache(tmp_path).put("run", {"cell": 1}, "payload")
+
+
+def _channel(tmp_path):
+    sim = Simulator()
+    ch = Channel(sim, capacity=4, name="c")
+    ch.put("msg")
+    sim.run()
+    assert sim.idle
+
+
+def _spill_write(tmp_path):
+    from repro.stream import write_run
+
+    write_run(tmp_path / "r.run", np.arange(4096, dtype=np.int64), frame_keys=1024)
+
+
+def _spill_read(tmp_path):
+    from repro.stream import RunReader
+
+    keys = np.arange(4096, dtype=np.int64)
+    _spill_write(tmp_path)
+    with RunReader(tmp_path / "r.run") as reader:
+        assert np.array_equal(reader.read_all(), keys)
+
+
+#: One real code path per fault site, each absorbing the fault it meets.
+_DRIVERS = {
+    "pool.worker.crash": _pool_sort,
+    "pool.worker.hang": _pool_sort,
+    "pool.worker.slow": _pool_sort,
+    "shm.create": _shm_create,
+    "shm.attach": _pool_sort,
+    "cache.corrupt": _cache_read,
+    "cache.enospc": _cache_store,
+    "cache.eacces": _cache_store,
+    "channel.delay": _channel,
+    "channel.drop": _channel,
+    "spill.enospc": _spill_write,
+    "spill.corrupt": _spill_read,
+    "spill.short_write": _spill_write,
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_site_is_on_the_fault_track(site, tmp_path):
+    """Firing a site once puts exactly one ``fault.<site>`` instant and,
+    since the runtime absorbs it, one ``fault.<site>.recovered`` instant
+    on the ``PID_FAULTS`` track."""
+    from repro.trace import PH_INSTANT, PID_FAULTS, MemoryRecorder, use_recorder
+
+    plan = FaultPlan.scripted({site: [0]}, hang_s=30.0)
+    rec = MemoryRecorder()
+    with use_recorder(rec), use_fault_plan(plan):
+        _DRIVERS[site](tmp_path)
+    assert plan.injected[site] == 1
+    assert plan.stats().all_recovered
+    instants = [
+        (e.name, e.cat)
+        for e in rec.events
+        if e.pid == PID_FAULTS and e.ph == PH_INSTANT
+    ]
+    assert instants.count((f"fault.{site}", "fault.inject")) == 1
+    assert instants.count((f"fault.{site}.recovered", "fault.recovery")) == 1

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, use_fault_plan
+from repro.faults.context import RETRIES
 from repro.stream import (
     RunCorrupt,
     RunReader,
@@ -176,8 +177,9 @@ class TestSpillFaults:
         plan = FaultPlan.scripted({"spill.enospc": [0, 1, 2, 3]})
         with use_fault_plan(plan):
             with pytest.raises(OSError) as excinfo:
-                write_run(tmp_path / "never.run", keys, retries=2)
+                write_run(tmp_path / "never.run", keys)
         assert excinfo.value.errno == errno.ENOSPC
+        assert plan.injected["spill.enospc"] == RETRIES + 1
         assert list(tmp_path.iterdir()) == []  # no orphan partials
 
     def test_injected_short_write_absorbed(self, tmp_path):
