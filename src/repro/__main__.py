@@ -342,7 +342,7 @@ def _cache(args: argparse.Namespace) -> int:
 def _stream(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .stream import DEFAULT_FAN_IN, external_sort, stream_topk
+    from .stream import DEFAULT_FAN_IN, external_sort
 
     if args.input is not None:
         source: object = args.input
@@ -354,18 +354,6 @@ def _stream(args: argparse.Namespace) -> int:
         keys = generate(args.distribution, n, 4, seed=max(1, args.seed))
         source = keys.astype(np.dtype(args.dtype))
         n_hint = n
-
-    if args.mode == "topk":
-        chunk = args.chunk_keys or (1 << 20)
-        top = stream_topk(source, args.k, chunk_keys=chunk, dtype=args.dtype)
-        print(
-            f"top-{args.k} of stream ({top.dtype.str}): "
-            f"min={top[0]} max={top[-1]}" if len(top) else "empty stream"
-        )
-        if args.out:
-            np.ascontiguousarray(top).tofile(args.out)
-            print(f"{len(top)} keys -> {args.out}")
-        return 0
 
     chunk = args.chunk_keys
     if chunk is None:
@@ -758,16 +746,12 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     )
 
     p = command(
-        "stream", _stream, help="out-of-core sort / top-k over a key stream",
-        description="Externally sort (or take the top-k of) a key stream "
-        "that need not fit the chunk budget: chunked ingest, sorted spill "
-        "runs (each chunk sorted as the native planner says), "
-        "fault-tolerant k-way merge.",
+        "stream", _stream, help="out-of-core sort of a key stream",
+        description="Externally sort a key stream that need not fit the "
+        "chunk budget: chunked ingest, sorted spill runs (each chunk sorted "
+        "as the native planner says), fault-tolerant k-way merge.",
     )
-    p.add_argument(
-        "mode", choices=["sort", "topk"],
-        help="'sort': full external sort; 'topk': bounded-memory largest-k",
-    )
+    p.add_argument("mode", choices=["sort"], help="'sort': full external sort")
     p.add_argument(
         "--input", metavar="PATH", default=None,
         help="raw little-endian key file to ingest (default: generate)",
@@ -802,16 +786,12 @@ def _parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
         "(default: auto)",
     )
     p.add_argument(
-        "--k", type=int, default=100,
-        help="topk only: how many largest keys to keep (default: 100)",
-    )
-    p.add_argument(
         "--out", metavar="PATH", default=None,
-        help="sort only: write the sorted keys as raw bytes here",
+        help="write the sorted keys as raw bytes here",
     )
     p.add_argument(
         "--no-verify", action="store_true",
-        help="sort only: skip the streaming order/conservation checks",
+        help="skip the streaming order/conservation checks",
     )
 
     command(

@@ -73,10 +73,6 @@ class FaultStats:
         return sum(self.injected.values())
 
     @property
-    def total_recovered(self) -> int:
-        return sum(self.recovered.values())
-
-    @property
     def kinds(self) -> tuple[str, ...]:
         """Distinct sites that injected at least one fault."""
         return tuple(sorted(k for k, v in self.injected.items() if v))

@@ -75,8 +75,3 @@ class ReferenceCache:
         for a in np.asarray(addresses, dtype=np.int64):
             self.access(int(a), is_write)
         return self.stats
-
-    # ------------------------------------------------------------------
-    @property
-    def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)

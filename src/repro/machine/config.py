@@ -198,10 +198,6 @@ class MachineConfig:
     def page_bytes(self) -> int:
         return self.tlb.page_bytes
 
-    @property
-    def ns_per_cycle(self) -> float:
-        return 1000.0 / self.cpu_mhz
-
     def node_of(self, proc: int) -> int:
         """Node index hosting processor ``proc``."""
         if not 0 <= proc < self.n_processors:
@@ -353,10 +349,6 @@ class MachineConfig:
             l2=CacheConfig(8192, 64, 2),
             tlb=TLBConfig(8, 512),
         )
-
-    def with_processors(self, n_processors: int) -> "MachineConfig":
-        """The same machine shrunk/grown to ``n_processors`` processors."""
-        return replace(self, n_processors=n_processors)
 
     def with_placement(self, placement: str) -> "MachineConfig":
         """The same machine under a different page-placement policy."""

@@ -64,28 +64,6 @@ class Hypercube:
         self._check(router)
         return [router ^ (1 << d) for d in range(self.dim)]
 
-    @property
-    def n_links(self) -> int:
-        """Total undirected links: each router has ``dim`` neighbors."""
-        return self.n_routers * self.dim // 2
-
-    @property
-    def bisection_links(self) -> int:
-        """Links crossing the worst-case bisection (= n_routers / 2)."""
-        return max(1, self.n_routers // 2)
-
-    @property
-    def diameter(self) -> int:
-        return self.dim
-
-    def average_hops(self) -> float:
-        """Mean hops between distinct routers (= dim * 2**(dim-1) / (2**dim - 1))."""
-        if self.n_routers == 1:
-            return 0.0
-        total = self.dim * (1 << (self.dim - 1)) * self.n_routers
-        # ``total`` counts ordered pairs including self-pairs (which add 0).
-        return total / (self.n_routers * (self.n_routers - 1))
-
     def _check(self, r: int) -> None:
         if not 0 <= r < self.n_routers:
             raise ValueError(f"router {r} out of range [0, {self.n_routers})")
@@ -99,14 +77,6 @@ def bit_count(x: np.ndarray) -> np.ndarray:
         count += (x & np.uint64(1)).astype(np.int64)
         x >>= np.uint64(1)
     return count
-
-
-def proc_hop_matrix(machine: MachineConfig) -> np.ndarray:
-    """(p, p) matrix of router hops between every processor pair."""
-    cube = Hypercube.for_machine(machine)
-    routers = np.array([machine.router_of(i) for i in range(machine.n_processors)])
-    hop = cube.hop_matrix()
-    return hop[routers[:, None], routers[None, :]]
 
 
 def remote_latency_ns(machine: MachineConfig, src: int, dst: int) -> float:

@@ -593,10 +593,6 @@ class WorkerPool:
             self._closed = True
             self.arena.close()
 
-    def terminate(self) -> None:
-        """Kill workers immediately (``close(force=True)``)."""
-        self.close(force=True)
-
     def __enter__(self) -> "WorkerPool":
         if self._closed:
             raise RuntimeError("pool is closed")

@@ -79,10 +79,6 @@ def enable_attach_cache(on: bool = True) -> None:
     callers still pass it as ``WorkerPool(initializer=...)``."""
 
 
-def attach_cache_size() -> int:
-    return len(_attach_cache)
-
-
 def _slab_key(name: str) -> str:
     return name.rpartition(GENERATION_SEP)[0] or name
 

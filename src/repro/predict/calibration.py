@@ -46,7 +46,6 @@ from ..core.experiment import (
 )
 from ..core.gridcache import default_cache_dir
 from ..data.distributions import KEY_BITS
-from ..smp.perf import PerfReport
 from ..sorts.program import drive, measure
 from .driver import CATEGORIES, PredictTeam
 
@@ -118,16 +117,6 @@ USER_CALIBRATION = "calibration.json"
 PACKAGED_DEFAULT = Path(__file__).with_name("calibration_default.json")
 
 FACTOR_MIN, FACTOR_MAX = 0.1, 10.0
-
-
-def report_totals(report: PerfReport) -> dict[str, float]:
-    """Per-category nanoseconds summed over all processors."""
-    return {
-        "BUSY": float(sum(c.busy_ns for c in report.counters)),
-        "LMEM": float(sum(c.lmem_ns for c in report.counters)),
-        "RMEM": float(sum(c.rmem_ns for c in report.counters)),
-        "SYNC": float(sum(c.sync_ns for c in report.counters)),
-    }
 
 
 @dataclass(frozen=True)
@@ -272,8 +261,8 @@ def fit_calibration(
             {p: dict.fromkeys(CATEGORIES, 0.0) for p in ("sim", "pred", "exch")},
         )
         for part, totals in (
-            ("sim", report_totals(sim.report)),
-            ("pred", report_totals(team.report())),
+            ("sim", dict(zip(CATEGORIES, sim.report.merged().as_tuple()))),
+            ("pred", dict(zip(CATEGORIES, team.report().merged().as_tuple()))),
             ("exch", team.exchange_raw),
         ):
             for c in CATEGORIES:

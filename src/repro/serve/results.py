@@ -121,16 +121,19 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def event_for(self, job_id: str, loop) -> Any:
-        """The job's completion event, created lazily on ``loop``."""
+        """The job's completion event, created lazily on ``loop``.  A job
+        that is finished, evicted or unknown gets a set event, not kept."""
         import asyncio
 
         with self._lock:
             ev = self._events.get(job_id)
-            if ev is None:
-                ev = asyncio.Event()
-                rec = self._records.get(job_id)
-                if rec is not None and rec.status in TERMINAL:
-                    ev.set()
+            if ev is not None:
+                return ev
+            ev = asyncio.Event()
+            rec = self._records.get(job_id)
+            if rec is None or rec.status in TERMINAL:
+                ev.set()
+            else:
                 self._events[job_id] = ev
             return ev
 

@@ -79,10 +79,6 @@ class Resource:
         finally:
             self.release()
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
 
 class Channel:
     """A bounded FIFO message buffer between two parties."""

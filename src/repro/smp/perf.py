@@ -121,10 +121,3 @@ class PerfReport:
         for c in self.counters:
             total.add(c)
         return total
-
-    def phase_summary(self) -> dict[str, float]:
-        """Max-across-processors time per phase name, in ns."""
-        out: dict[str, float] = {}
-        for rec in self.phases:
-            out[rec.name] = out.get(rec.name, 0.0) + rec.max_ns
-        return out

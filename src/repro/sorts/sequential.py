@@ -42,10 +42,6 @@ class SequentialResult:
     def time_us(self) -> float:
         return self.time_ns / 1000.0
 
-    @property
-    def ns_per_key(self) -> float:
-        return self.time_ns / self.n_labeled
-
 
 def default_sequential_machine(page_bytes: int = 16 * 1024) -> MachineConfig:
     """One Origin2000 processor at the machine's default 16 KB page size.

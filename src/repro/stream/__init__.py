@@ -1,14 +1,13 @@
-"""Out-of-core sorting: chunked ingest, spill runs, k-way merge, top-k.
+"""Out-of-core sorting: chunked ingest, spill runs, k-way merge.
 
 The paper's algorithms (and the native pool) assume the key array fits
 the shared-memory arena; this subsystem opens the workload class beyond
 it.  :func:`external_sort` sorts streams of any size in bounded memory
 -- chunks are sorted as the native planner says (one ``np.sort``, or the
 supervised :class:`~repro.native.pool.WorkerPool` where this host's
-model prices it cheaper), spilled as framed, checksummed run files, and k-way merged (multi-pass under a fan-in cap,
-intermediate passes as supervised pool phases).  :func:`stream_topk`
-is the continuous-mode operator: a bounded top-k over an unbounded
-stream.  See ``docs/STREAM.md``.
+model prices it cheaper), spilled as framed, checksummed run files, and
+k-way merged (multi-pass under a fan-in cap, intermediate passes as
+supervised pool phases).  See ``docs/STREAM.md``.
 """
 
 from .external import (
@@ -29,7 +28,6 @@ from .runfile import (
     run_total_keys,
     write_run,
 )
-from .topk import TopK, stream_topk
 
 __all__ = [
     "DEFAULT_CHUNK_KEYS",
@@ -41,7 +39,6 @@ __all__ = [
     "RunWriter",
     "StreamError",
     "StreamResult",
-    "TopK",
     "WORKDIR_PREFIX",
     "external_sort",
     "iter_chunks",
@@ -49,6 +46,5 @@ __all__ = [
     "merge_to_run",
     "reduce_runs",
     "run_total_keys",
-    "stream_topk",
     "write_run",
 ]

@@ -23,7 +23,6 @@ from .events import (
 from .recorder import (
     NULL_RECORDER,
     MemoryRecorder,
-    NullRecorder,
     TraceRecorder,
     current_recorder,
     use_recorder,
@@ -35,7 +34,6 @@ from .chrome import to_chrome_trace, write_chrome_trace
 __all__ = [
     "MemoryRecorder",
     "NULL_RECORDER",
-    "NullRecorder",
     "PH_COMPLETE",
     "PH_COUNTER",
     "PH_INSTANT",

@@ -63,7 +63,3 @@ class TraceEvent:
     pid: int = PID_SIM
     tid: int = 0
     args: Mapping[str, Any] | None = field(default=None, compare=False)
-
-    @property
-    def end_us(self) -> float:
-        return self.ts_us + self.dur_us

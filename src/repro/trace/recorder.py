@@ -90,10 +90,6 @@ class TraceRecorder:
         )
 
 
-class NullRecorder(TraceRecorder):
-    """Explicit alias for the do-nothing default."""
-
-
 class MemoryRecorder(TraceRecorder):
     """Collects events in memory, up to a safety cap.
 
@@ -134,7 +130,7 @@ class MemoryRecorder(TraceRecorder):
 
 
 #: The shared do-nothing instance installed by default.
-NULL_RECORDER = NullRecorder()
+NULL_RECORDER = TraceRecorder()
 
 _current: TraceRecorder = NULL_RECORDER
 

@@ -214,4 +214,4 @@ class TestReferenceCache:
         ref.access(0)
         ref.reset()
         assert ref.stats.accesses == 0
-        assert ref.resident_lines == 0
+        assert not ref.access(0)  # the line is gone: a miss again

@@ -11,7 +11,7 @@ from repro.machine import (
     average_remote_latency_ns,
     remote_latency_ns,
 )
-from repro.machine.topology import bit_count, proc_hop_matrix
+from repro.machine.topology import bit_count
 
 
 class TestHypercube:
@@ -19,9 +19,8 @@ class TestHypercube:
         cube = Hypercube.for_machine(MachineConfig())
         assert cube.dim == 4
         assert cube.n_routers == 16
-        assert cube.diameter == 4
-        assert cube.n_links == 32
-        assert cube.bisection_links == 8
+        assert cube.hop_matrix().max() == 4  # diameter
+        assert sum(len(cube.neighbors(r)) for r in range(16)) == 2 * 32  # links
 
     def test_hops_is_hamming_distance(self):
         cube = Hypercube(4)
@@ -57,12 +56,12 @@ class TestHypercube:
         mat = cube.hop_matrix()
         n = cube.n_routers
         brute = mat.sum() / (n * (n - 1))
-        assert cube.average_hops() == pytest.approx(brute)
+        assert brute == pytest.approx(cube.dim * 2 ** (cube.dim - 1) / (n - 1))
 
     def test_zero_dim_cube(self):
         cube = Hypercube(0)
         assert cube.n_routers == 1
-        assert cube.average_hops() == 0.0
+        assert cube.hop_matrix().tolist() == [[0]]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -104,12 +103,6 @@ class TestLatencies:
         m = MachineConfig()
         # proc 2 is node 1, same router 0 as proc 0: remote but 0 hops.
         assert remote_latency_ns(m, 0, 2) == pytest.approx(313.0 + 297.0)
-
-    def test_proc_hop_matrix_shape(self):
-        m = MachineConfig.tiny()
-        mat = proc_hop_matrix(m)
-        assert mat.shape == (4, 4)
-        assert np.all(np.diag(mat) == 0)
 
     def test_single_node_machine_average(self):
         m = MachineConfig(

@@ -203,7 +203,7 @@ class TestWorkerPool:
     def test_terminate_reaps_workers(self):
         p = WorkerPool(2)
         pids = p.worker_pids
-        p.terminate()
+        p.close(force=True)
         assert p._closed and p.worker_pids == ()
         _assert_reaped(pids)
 

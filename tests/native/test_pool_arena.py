@@ -60,7 +60,7 @@ def _traffic(pool: WorkerPool, sort, keys: np.ndarray) -> tuple[int, int]:
 
 
 def _cache_size(_task) -> int:
-    return shm.attach_cache_size()
+    return len(shm._attach_cache)
 
 
 def _fresh_attaches(handles) -> int:

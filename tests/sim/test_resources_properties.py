@@ -45,7 +45,7 @@ def test_resource_schedules_grant_fifo_within_capacity(capacity, jobs):
 
     assert not san.violations
     assert sorted(grant_order) == list(range(len(jobs)))
-    assert res.in_use == 0 and res.queue_length == 0
+    assert res.in_use == 0 and not res._waiters
     assert res.total_acquisitions == len(jobs)
     # The sanitizer audited every grant and release.
     assert san.checks["resource.fifo-grant"] == len(jobs)

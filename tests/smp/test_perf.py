@@ -1,9 +1,8 @@
 """PerfCounters / PerfReport accounting tests."""
 
-import numpy as np
 import pytest
 
-from repro.smp import CATEGORIES, PerfCounters, PerfReport, PhaseRecord
+from repro.smp import CATEGORIES, PerfCounters, PerfReport
 
 
 class TestPerfCounters:
@@ -63,11 +62,3 @@ class TestPerfReport:
         merged = self._report().merged()
         assert merged.busy_ns == 180
 
-    def test_phase_summary_accumulates_same_names(self):
-        rep = self._report()
-        rep.phases.append(PhaseRecord("p", np.array([1.0, 2.0])))
-        rep.phases.append(PhaseRecord("p", np.array([3.0, 1.0])))
-        rep.phases.append(PhaseRecord("q", np.array([5.0, 0.0])))
-        summary = rep.phase_summary()
-        assert summary["p"] == 5.0
-        assert summary["q"] == 5.0

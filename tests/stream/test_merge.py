@@ -88,7 +88,7 @@ class TestMergeToRun:
         plan = FaultPlan.scripted({"spill.enospc": [0]})
         with use_fault_plan(plan):
             merge_to_run(paths, out, frame_keys=512, dtype=np.dtype(np.int64))
-        assert plan.stats().total_recovered == 1
+        assert plan.stats().recovered == {"spill.enospc": 1}
         with RunReader(out) as reader:
             assert np.array_equal(reader.read_all(), np.sort(everything))
         assert not os.path.exists(out + ".tmp")

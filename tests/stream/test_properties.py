@@ -2,9 +2,9 @@
 
 For random chunk sizes, fan-in limits, frame sizes, and every paper
 distribution (plus a duplicate-heavy one), the external sort must equal
-``np.sort`` of the concatenated input and top-k must equal
-``np.sort(...)[-k:]`` -- regardless of how the input was framed into
-chunks, how many spill runs formed, or how many merge passes ran.
+``np.sort`` of the concatenated input -- regardless of how the input was
+framed into chunks, how many spill runs formed, or how many merge passes
+ran.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.distributions import PAPER_ORDER, generate
-from repro.stream import external_sort, stream_topk
+from repro.stream import external_sort
 
 N = 4_096  # keys per example: divisible by p=4 as the generators need
 
@@ -87,18 +87,3 @@ class TestExternalSortProperty:
             on_block=blocks.append,
         )
         assert np.array_equal(np.concatenate(blocks), np.sort(keys))
-
-
-class TestTopKProperty:
-    @common
-    @given(
-        dist=st.sampled_from(DISTRIBUTIONS),
-        seed=st.integers(min_value=1, max_value=1_000),
-        chunk_keys=st.integers(min_value=200, max_value=3_000),
-        k=st.integers(min_value=1, max_value=5_000),
-    )
-    def test_equals_sorted_tail(self, dist, seed, chunk_keys, k):
-        keys = _example_keys(dist, seed)
-        top = stream_topk(keys, k, chunk_keys=chunk_keys)
-        expect = np.sort(keys)[-k:] if k <= N else np.sort(keys)
-        assert np.array_equal(top, expect)

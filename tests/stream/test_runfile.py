@@ -166,7 +166,7 @@ class TestSpillFaults:
             write_run(tmp_path / "r.run", keys, frame_keys=1024)
         stats = plan.stats()
         assert stats.total_injected == 1
-        assert stats.total_recovered == 1
+        assert stats.recovered == {"spill.enospc": 1}
         with RunReader(tmp_path / "r.run") as reader:
             assert np.array_equal(reader.read_all(), keys)
         # The retried attempt left no partial .tmp behind.
@@ -189,7 +189,7 @@ class TestSpillFaults:
             write_run(tmp_path / "s.run", keys, frame_keys=1024)
         stats = plan.stats()
         assert stats.total_injected == 1
-        assert stats.total_recovered == 1
+        assert stats.recovered == {"spill.short_write": 1}
         with RunReader(tmp_path / "s.run") as reader:
             assert np.array_equal(reader.read_all(), keys)
 
@@ -203,4 +203,4 @@ class TestSpillFaults:
         assert np.array_equal(got, keys)
         stats = plan.stats()
         assert stats.total_injected == 1
-        assert stats.total_recovered == 1
+        assert stats.recovered == {"spill.corrupt": 1}

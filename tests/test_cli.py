@@ -24,7 +24,7 @@ SUBCOMMAND_LINES = [
     "chaos          seeded fault-injection matrix over both backends",
     "serve          TCP sort-job server on the resilient native pool",
     "loadgen        load/latency harness for a repro.serve endpoint",
-    "stream         out-of-core sort / top-k over a key stream",
+    "stream         out-of-core sort of a key stream",
     "tune           probe this host's cost constants for the native planner",
 ]
 SUBCOMMANDS = [line.split()[0] for line in SUBCOMMAND_LINES]
@@ -96,6 +96,23 @@ class TestCLI:
         assert done.returncode == 2
         assert "error: unrecognized arguments: --quick" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_stream_has_no_topk_mode(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "stream", "topk"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2
+        assert "argument mode: invalid choice: 'topk'" in done.stderr
+        assert "Traceback" not in done.stderr
+        helped = subprocess.run(
+            [sys.executable, "-m", "repro", "stream", "--help"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert helped.returncode == 0
+        assert "top-k" not in helped.stdout and "topk" not in helped.stdout
 
     def test_serve_announces_its_port(self):
         """The first line ``python -m repro serve`` prints carries the

@@ -7,7 +7,6 @@ import pytest
 from repro.trace import (
     NULL_RECORDER,
     MemoryRecorder,
-    NullRecorder,
     PID_NATIVE,
     PID_SIM,
     TraceEvent,
@@ -50,7 +49,7 @@ class TestRecorders:
         assert len(rec) == 3
         assert rec.by_cat("sim.msg") == [rec.events[1]]
         assert rec.by_name("phase")[0].dur_us == 2.0
-        assert rec.events[0].end_us == 3.0
+        assert (rec.events[0].ts_us, rec.events[0].dur_us) == (1.0, 2.0)
 
     def test_memory_recorder_cap_drops(self):
         rec = MemoryRecorder(max_events=2)
@@ -68,7 +67,7 @@ class TestRecorders:
     def test_verbose_flag(self):
         assert not MemoryRecorder().verbose
         assert MemoryRecorder(verbose=True).verbose
-        assert not NullRecorder().enabled
+        assert not NULL_RECORDER.enabled
 
 
 class TestChromeExport:
