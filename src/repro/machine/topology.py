@@ -35,12 +35,6 @@ class Hypercube:
         self._check(b)
         return int(a ^ b).bit_count()
 
-    def hop_matrix(self) -> np.ndarray:
-        """(n_routers, n_routers) matrix of hop counts."""
-        idx = np.arange(self.n_routers)
-        xor = idx[:, None] ^ idx[None, :]
-        return bit_count(xor)
-
     def route(self, a: int, b: int) -> list[int]:
         """Dimension-ordered route from ``a`` to ``b``, inclusive."""
         self._check(a)
@@ -67,16 +61,6 @@ class Hypercube:
     def _check(self, r: int) -> None:
         if not 0 <= r < self.n_routers:
             raise ValueError(f"router {r} out of range [0, {self.n_routers})")
-
-
-def bit_count(x: np.ndarray) -> np.ndarray:
-    """Vectorized popcount for non-negative integer arrays."""
-    x = np.asarray(x, dtype=np.uint64)
-    count = np.zeros(x.shape, dtype=np.int64)
-    while np.any(x):
-        count += (x & np.uint64(1)).astype(np.int64)
-        x >>= np.uint64(1)
-    return count
 
 
 def remote_latency_ns(machine: MachineConfig, src: int, dst: int) -> float:

@@ -9,9 +9,10 @@ Layering::
 
     protocol   framing + key codecs (sync and asyncio transports)
     admission  backpressure verdicts (Refused) with retry_after_s hints
-    results    bounded job-record store with completion events
+    results    bounded job-record store
     engine     persistent WorkerPool, its arena reserved; one job at a time
-    server     asyncio endpoint, queue, deadlines, drain/shutdown
+    server     asyncio endpoint, one engine lane (its queue), deadlines,
+               drain/shutdown
     streamjob  streaming job sessions (external sorts over frames)
     client     blocking request/response client
     loadgen    N-client correctness-checking load generator

@@ -28,6 +28,9 @@ import numpy as np
 from ..native.plan import widest_radix
 from .protocol import MAX_FRAME, Refused, frame_keys
 
+#: The shortest ``retry_after_s`` hint a rejection carries.
+MIN_RETRY_AFTER_S = 0.05
+
 
 @dataclass
 class AdmissionStats:
@@ -46,7 +49,6 @@ class AdmissionController:
         max_job_bytes: int,
         meta_slab_bytes: int,
         n_workers: int,
-        min_retry_after_s: float = 0.05,
     ):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
@@ -54,7 +56,6 @@ class AdmissionController:
         self.max_job_bytes = max_job_bytes
         self.meta_slab_bytes = meta_slab_bytes
         self.n_workers = n_workers
-        self.min_retry_after_s = min_retry_after_s
         self.stats = AdmissionStats()
         self._lock = threading.Lock()
         self._ewma_job_s: float | None = None
@@ -72,7 +73,7 @@ class AdmissionController:
         half the queue ahead of it to drain."""
         with self._lock:
             est = self._ewma_job_s if self._ewma_job_s is not None else 0.05
-        return max(self.min_retry_after_s, est * max(1, queue_len) / 2.0)
+        return max(MIN_RETRY_AFTER_S, est * max(1, queue_len) / 2.0)
 
     # ------------------------------------------------------------------
     def check(

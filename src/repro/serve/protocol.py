@@ -340,14 +340,6 @@ async def read_head(
     return header, Body(reader, n)
 
 
-async def read_frame(
-    reader: asyncio.StreamReader, max_frame: int = MAX_FRAME
-) -> tuple[dict[str, Any], memoryview]:
-    """Read one whole frame (head, then payload)."""
-    header, body = await read_head(reader, max_frame)
-    return header, await body.read()
-
-
 async def write_frame(
     writer: asyncio.StreamWriter,
     header: dict[str, Any],

@@ -1,12 +1,12 @@
-"""Bounded results store with per-job lifecycle and completion events.
+"""Bounded results store with per-job lifecycle.
 
 One :class:`JobRecord` tracks a job from submit to pickup:
 ``queued -> running -> done | failed | expired`` (plus ``evicted`` once
-the bounded store reclaims its bytes).  The store is written by the
-asyncio loop and the engine thread and read by every connection handler,
-so mutation is lock-guarded; completion flips an ``asyncio.Event`` the
-server's blocking ``wait`` op awaits (created lazily on the loop so the
-store itself stays loop-agnostic for tests).
+the bounded store reclaims its bytes).  The queue is the server's engine
+lane, so ``running`` (and ``started_s``) is stamped on the engine thread
+when the lane reaches the job, and the terminal status on the asyncio
+loop; every connection handler reads, so mutation is lock-guarded.  A
+blocking ``wait`` awaits the job's task in the server, not the store.
 
 Capacity is bounded two ways -- record count and stored result bytes --
 and eviction prefers delivered results, then the oldest finished ones;
@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Terminal statuses (the done-event is set when one is reached).
+#: Terminal statuses.
 TERMINAL = ("done", "failed", "expired")
 
 
@@ -95,7 +95,6 @@ class ResultStore:
         self.max_result_bytes = max_result_bytes
         self._lock = threading.Lock()
         self._records: dict[str, JobRecord] = {}  # insertion-ordered
-        self._events: dict[str, Any] = {}
         self._seq = 0
         self.evicted = 0
         #: Result bytes the records hold: kept by ``set_done`` and eviction,
@@ -115,42 +114,16 @@ class ResultStore:
         with self._lock:
             return self._records.get(job_id)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
     # ------------------------------------------------------------------
-    def event_for(self, job_id: str, loop) -> Any:
-        """The job's completion event, created lazily on ``loop``.  A job
-        that is finished, evicted or unknown gets a set event, not kept."""
-        import asyncio
-
-        with self._lock:
-            ev = self._events.get(job_id)
-            if ev is not None:
-                return ev
-            ev = asyncio.Event()
-            rec = self._records.get(job_id)
-            if rec is None or rec.status in TERMINAL:
-                ev.set()
-            else:
-                self._events[job_id] = ev
-            return ev
-
     def _finish_locked(self, rec: JobRecord, status: str) -> None:
         rec.status = status
         rec.finished_s = time.perf_counter()
-        ev = self._events.get(rec.job_id)
-        if ev is not None:
-            ev.set()
 
-    def mark_running(self, job_id: str) -> JobRecord | None:
+    def mark_running(self, job_id: str) -> None:
         with self._lock:
-            rec = self._records.get(job_id)
-            if rec is not None:
-                rec.status = "running"
-                rec.started_s = time.perf_counter()
-            return rec
+            rec = self._records[job_id]
+            rec.status = "running"
+            rec.started_s = time.perf_counter()
 
     def set_done(
         self,
@@ -216,7 +189,6 @@ class ResultStore:
                 if victim is None:
                     break
                 rec = self._records.pop(victim)
-                self._events.pop(victim, None)
                 self.stored_bytes -= len(rec.sorted_bytes or b"")
                 rec.sorted_bytes = None
                 self.evicted += 1

@@ -1,20 +1,22 @@
 """The asyncio sort job server.
 
-Architecture: one asyncio loop handles every connection; accepted jobs
-go through :class:`~.admission.AdmissionController` into a queue drained
-by a single consumer task, which hands each job to the
-:class:`~.engine.SortEngine` on a one-lane thread executor.  Concurrency
-lives in the queue (many clients submit and poll at once), parallelism
-lives inside a job (the engine's worker pool) -- running jobs serially is
-what lets a two-data-slab arena and per-job fault attribution be exact.
+Architecture: one asyncio loop handles every connection, and one engine
+lane -- a one-thread executor -- runs all engine work in arrival order.
+The queue is the lane: a job admitted by
+:class:`~.admission.AdmissionController` is one task that awaits the
+lane, and a stream's chunk sorts and merge are lane work too.
+Concurrency lives on the loop, parallelism inside a job (the engine's
+worker pool) -- running jobs serially is what lets a two-data-slab arena
+and per-job fault attribution be exact.
 
-Per-job deadlines are enforced at dequeue: a job that waited past its
-deadline is expired with a structured ``deadline`` error instead of
-burning pool time on an answer nobody is waiting for.  ``drain`` flips
-admission to reject-with-``draining``, completes in-flight work, and
-resolves once the queue is empty; ``shutdown`` drains and then stops the
-server.  ``close`` is exception-safe: the pool is reaped and every arena
-slab unlinked even when startup or serving fails midway.
+Deadlines and ``running`` are stamped when the lane reaches the job: a
+job that waited past its deadline is expired with a structured
+``deadline`` error instead of burning pool time, and ``queue_wait_s``
+counts every wait behind the lane.  ``drain`` flips admission to
+reject-with-``draining`` and resolves once no job is left; ``shutdown``
+drains and then stops the server.  ``close`` is exception-safe: the pool
+is reaped and every arena slab unlinked even when startup or serving
+fails midway.
 
 For tests and the CLI, :func:`server_in_thread` runs a server on a
 background thread with its own loop and propagates startup errors to the
@@ -36,7 +38,7 @@ import numpy as np
 from ..faults.plan import FaultPlan
 from ..trace import PID_SERVE, TraceRecorder, wall_instant
 from .admission import AdmissionController
-from .engine import SortEngine
+from .engine import EngineOutcome, SortEngine
 from ..stream.runfile import StreamError, check_dtype
 from .protocol import (
     MAX_FRAME,
@@ -55,9 +57,6 @@ from .protocol import (
 )
 from .results import TERMINAL, JobRecord, ResultStore
 from .streamjob import StreamSession
-
-#: Sentinel telling the consumer task to exit.
-_STOP = None
 
 ALGORITHMS = ("radix", "sample")
 
@@ -101,17 +100,16 @@ class ServeServer:
         self.admission: AdmissionController | None = None
         self.draining = False
         self.max_streams = max_streams
-        self._pending_keys: dict[str, np.ndarray] = {}
+        #: One task per admitted job, from submit until its record is
+        #: written: the jobs the lane has not finished.
+        self._jobs: dict[str, asyncio.Task] = {}
         self._streams: dict[str, StreamSession] = {}
         self._stream_tasks: dict[str, asyncio.Task] = {}
-        self._inflight: str | None = None
         #: Submits admitted whose keys are still arriving: they hold a
         #: queue place, so ``busy`` and ``drain`` stay exact.
         self._receiving = 0
         self._exec = ThreadPoolExecutor(1, thread_name_prefix="serve-engine")
-        self._queue: asyncio.Queue = asyncio.Queue()
         self._server: asyncio.AbstractServer | None = None
-        self._consumer: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._closed = False
@@ -137,7 +135,7 @@ class ServeServer:
         self._stop_event = asyncio.Event()
         # Engine construction and warmup run on the engine thread so every
         # pool interaction for the server's lifetime happens on one thread.
-        self.engine = await self._loop.run_in_executor(self._exec, self._make_engine)
+        self.engine = await self._on_lane(self._make_engine)
         self.admission = AdmissionController(
             queue_depth=self.queue_depth,
             max_job_bytes=self.engine.arena.data_bytes,
@@ -146,10 +144,9 @@ class ServeServer:
         )
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._consumer = asyncio.create_task(self._consume())
 
     async def aclose(self) -> None:
-        """Stop listening, finish/stop the consumer, reap pool + arena."""
+        """Stop listening, let the lane finish its work, reap pool + arena."""
         if self._closed:
             return
         self._closed = True
@@ -157,27 +154,19 @@ class ServeServer:
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
-            for task in list(self._stream_tasks.values()):
-                try:
-                    await asyncio.wait_for(task, timeout=120.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError, Exception):
+            tasks = [*self._jobs.values(), *self._stream_tasks.values()]
+            if tasks:
+                # Generous: a hung phase is bounded by the supervised
+                # pool's own timeout + retries.
+                _, late = await asyncio.wait(tasks, timeout=120.0)
+                for task in late:
                     task.cancel()
             for sess in list(self._streams.values()):
                 sess.cleanup()
             self._streams.clear()
-            if self._consumer is not None:
-                await self._queue.put(_STOP)
-                try:
-                    # Generous: a hung phase is bounded by the supervised
-                    # pool's own timeout + retries.
-                    await asyncio.wait_for(self._consumer, timeout=120.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError):
-                    self._consumer.cancel()
         finally:
             if self.engine is not None:
-                await asyncio.get_running_loop().run_in_executor(
-                    self._exec, self.engine.close
-                )
+                await self._on_lane(self.engine.close)
             self._exec.shutdown(wait=True)
 
     def request_stop(self) -> None:
@@ -215,58 +204,51 @@ class ServeServer:
             await self.aclose()
 
     # ------------------------------------------------------------------
-    # Consumer: queue -> engine thread
+    # The engine lane: every engine body, in arrival order
     # ------------------------------------------------------------------
     def _queue_len(self) -> int:
-        inflight = 1 if self._inflight is not None else 0
-        return self._queue.qsize() + inflight + self._receiving
+        return len(self._jobs) + self._receiving
 
-    async def _consume(self) -> None:
-        assert self._loop is not None and self.engine is not None
-        while True:
-            job_id = await self._queue.get()
-            if job_id is _STOP:
+    async def _on_lane(self, fn: Callable[..., Any], *args: Any) -> Any:
+        return await asyncio.get_running_loop().run_in_executor(self._exec, fn, *args)
+
+    def _job_body(self, rec: JobRecord, keys: np.ndarray) -> EngineOutcome | None:
+        """The job's lane body: ``None`` if its deadline passed while it
+        waited, else its outcome, stamped ``running`` as it starts."""
+        if rec.expired_at(time.perf_counter()):
+            return None
+        self.store.mark_running(rec.job_id)
+        return self.engine.run(
+            rec.job_id, keys, rec.algorithm, rec.radix, rec.queue_wait_s
+        )
+
+    async def _job_task(self, rec: JobRecord, keys: np.ndarray) -> None:
+        try:
+            outcome = await self._on_lane(self._job_body, rec, keys)
+        except Exception as err:
+            self.store.set_failed(rec.job_id, type(err).__name__, str(err))
+        else:
+            if outcome is None:
+                self.store.set_expired(rec.job_id)
                 return
-            rec = self.store.get(job_id)
-            keys = self._pending_keys.pop(job_id, None)
-            if rec is None or keys is None:  # pragma: no cover - evict race
-                continue
-            if rec.expired_at(time.perf_counter()):
-                self.store.set_expired(job_id)
-                continue
-            self._inflight = job_id
-            self.store.mark_running(job_id)
-            try:
-                outcome = await self._loop.run_in_executor(
-                    self._exec,
-                    self.engine.run,
-                    job_id,
-                    keys,
-                    rec.algorithm,
-                    rec.radix,
-                    rec.queue_wait_s,
-                )
-            except Exception as err:
-                self.store.set_failed(job_id, type(err).__name__, str(err))
-            else:
-                # As bytes, not as the array: the store keeps a result long
-                # after its job, and an array never freed makes every job's
-                # copy out of the slab land in fresh memory, which numpy
-                # (>= 4 MiB) asks the kernel to back with huge pages --
-                # 20-25 ms of first touch per 6 MB result on a cold host.
-                # Copied once more, the array's block is reused warm.
-                self.store.set_done(
-                    job_id,
-                    outcome.sorted_keys.tobytes(),
-                    plan=outcome.plan.public(),
-                    faults=outcome.faults,
-                    shm_creates=outcome.shm_creates,
-                    shm_attaches=outcome.shm_attaches,
-                )
-                if self.admission is not None:
-                    self.admission.note_job_duration(outcome.wall_s)
-            finally:
-                self._inflight = None
+            # As bytes, not as the array: the store keeps a result long
+            # after its job, and an array never freed makes every job's
+            # copy out of the slab land in fresh memory, which numpy
+            # (>= 4 MiB) asks the kernel to back with huge pages --
+            # 20-25 ms of first touch per 6 MB result on a cold host.
+            # Copied once more, the array's block is reused warm.
+            self.store.set_done(
+                rec.job_id,
+                outcome.sorted_keys.tobytes(),
+                plan=outcome.plan.public(),
+                faults=outcome.faults,
+                shm_creates=outcome.shm_creates,
+                shm_attaches=outcome.shm_attaches,
+            )
+            if self.admission is not None:
+                self.admission.note_job_duration(outcome.wall_s)
+        finally:
+            self._jobs.pop(rec.job_id, None)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -380,8 +362,7 @@ class ServeServer:
             radix=radix,
             deadline_s=deadline_s,
         )
-        self._pending_keys[rec.job_id] = keys
-        self._queue.put_nowait(rec.job_id)
+        self._jobs[rec.job_id] = asyncio.create_task(self._job_task(rec, keys))
         return {"ok": True, "job_id": rec.job_id, "status": "queued"}
 
     async def _op_status(self, header: dict[str, Any], body: Body) -> Reply:
@@ -390,11 +371,12 @@ class ServeServer:
     async def _op_wait(self, header: dict[str, Any], body: Body) -> Reply:
         rec = self._job(header)
         timeout_s = _number(header, "timeout_s", float, 60.0)
-        ev = self.store.event_for(rec.job_id, asyncio.get_running_loop())
-        try:
-            await asyncio.wait_for(ev.wait(), timeout=timeout_s)
-        except asyncio.TimeoutError:
-            raise Refused("wait-timeout", **rec.public()) from None
+        task = self._jobs.get(rec.job_id)  # none: finished or evicted
+        if task is not None:
+            try:
+                await asyncio.wait_for(asyncio.shield(task), timeout=timeout_s)
+            except asyncio.TimeoutError:
+                raise Refused("wait-timeout", **rec.public()) from None
         return await self._op_status(header, body)
 
     async def _op_result(self, header: dict[str, Any], body: Body) -> Reply:
@@ -440,7 +422,6 @@ class ServeServer:
         return {"ok": True, **sess.public()}
 
     async def _op_stream_push(self, header: dict[str, Any], body: Body) -> Reply:
-        assert self._loop is not None
         sess = self._stream(header)
         sess.check_push()
         key_spec(header, body.n)  # refused, if at all, before there is a buffer
@@ -448,7 +429,7 @@ class ServeServer:
         # Chunks the push completes sort now, on the engine lane; the
         # reply lands only after they spill, which is the stream's
         # natural backpressure.
-        await self._loop.run_in_executor(self._exec, sess.push_on_engine, keys)
+        await self._on_lane(sess.push_on_engine, keys)
         return {"ok": True, **sess.public()}
 
     async def _op_stream_close(self, header: dict[str, Any], body: Body) -> Reply:
@@ -459,9 +440,8 @@ class ServeServer:
         return {"ok": True, **sess.public()}
 
     async def _finalize_stream(self, sess: StreamSession) -> None:
-        assert self._loop is not None
         try:
-            await self._loop.run_in_executor(self._exec, sess.finish_on_engine)
+            await self._on_lane(sess.finish_on_engine)
         except Refused:
             pass  # the session is failed, and says why
         finally:

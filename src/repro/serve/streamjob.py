@@ -17,8 +17,8 @@ cursor over the output run.  The session owns its phase machine
 :class:`~.protocol.Refused`, every op its phase does not take, and an
 error in its engine work or its fetch fails it.
 
-The heavy work (chunk sorts, merge passes) runs on the server's
-single-lane engine executor, interleaved with regular jobs -- a stream
+The heavy work (chunk sorts, merge passes) runs on the server's one
+engine lane, interleaved with regular jobs in arrival order -- a stream
 is many short engine occupancies, never one long lock-out.  Spill state
 lives in the sorter's ``repro_stream_*`` workdir, removed when the fetch
 cursor hits EOF, on abort, on failure and on server close.

@@ -118,12 +118,6 @@ class MemoryRecorder(TraceRecorder):
     def __len__(self) -> int:
         return len(self.events)
 
-    def by_cat(self, cat: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.cat == cat]
-
-    def by_name(self, name: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.name == name]
-
     def clear(self) -> None:
         self.events.clear()
         self.n_dropped = 0

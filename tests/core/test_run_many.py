@@ -91,7 +91,7 @@ class TestProgressSpans:
         rec = MemoryRecorder()
         with use_recorder(rec):
             ExperimentRunner(cache=False).run_many(SPECS[:3])
-        cells = rec.by_cat("grid.cell")
+        cells = [e for e in rec.events if e.cat == "grid.cell"]
         assert len(cells) == 3
         assert all(e.pid == PID_GRID for e in cells)
         assert {e.args["source"] for e in cells} == {"computed"}
@@ -101,13 +101,13 @@ class TestProgressSpans:
         rec = MemoryRecorder()
         with use_recorder(rec):
             ExperimentRunner(cache=GridCache(tmp_path)).run_many(SPECS[:2])
-        assert {e.args["source"] for e in rec.by_cat("grid.cell")} == {"disk"}
+        assert {e.args["source"] for e in rec.events if e.cat == "grid.cell"} == {"disk"}
 
     def test_span_source_worker(self):
         rec = MemoryRecorder()
         with use_recorder(rec):
             ExperimentRunner(cache=False).run_many(SPECS[:2], parallel=2)
-        cells = rec.by_cat("grid.cell")
+        cells = [e for e in rec.events if e.cat == "grid.cell"]
         assert len(cells) == 2
         assert {e.args["source"] for e in cells} == {"worker"}
 
@@ -117,13 +117,13 @@ class TestProgressSpans:
         rec = MemoryRecorder()
         with use_recorder(rec):
             runner.run_many(SPECS[:2])
-        assert rec.by_cat("grid.cell") == []
+        assert not any(e.cat == "grid.cell" for e in rec.events)
 
     def test_cell_label_names_span(self):
         rec = MemoryRecorder()
         with use_recorder(rec):
             ExperimentRunner(cache=False).run_many([SPECS[0]])
-        (event,) = rec.by_cat("grid.cell")
+        (event,) = [e for e in rec.events if e.cat == "grid.cell"]
         assert event.name == SPECS[0].cell_label()
         assert "radix/shmem" in event.name
 

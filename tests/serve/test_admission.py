@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import MIN_RETRY_AFTER_S, AdmissionController
 
 
 def make(queue_depth=4, max_job_bytes=8 << 20, meta_slab_bytes=4 << 20,
@@ -79,7 +79,7 @@ class TestVerdicts:
 class TestRetryAfter:
     def test_floor_applies_before_any_job_ran(self):
         ctrl = make()
-        assert ctrl.retry_after_s(1) >= ctrl.min_retry_after_s
+        assert ctrl.retry_after_s(1) >= MIN_RETRY_AFTER_S
 
     def test_hint_scales_with_queue_and_tracks_duration(self):
         ctrl = make()

@@ -26,12 +26,18 @@ from repro.serve.protocol import (
     encode_keys,
     pack_frame,
     parse_header,
-    read_frame,
+    read_head,
     read_frame_sync,
     unpack_body,
     write_frame,
     write_frame_sync,
 )
+
+
+async def _read_frame(reader: asyncio.StreamReader, max_frame: int = MAX_FRAME):
+    """One whole frame, read as the server reads it: head, then body."""
+    header, body = await read_head(reader, max_frame)
+    return header, await body.read()
 
 
 def _unpack_frame(frame: bytes):
@@ -147,7 +153,7 @@ class TestAsyncTransport:
             reader = asyncio.StreamReader()
             reader.feed_data(pack_frame({"op": "status", "job_id": "j1"}))
             reader.feed_eof()
-            return await read_frame(reader)
+            return await _read_frame(reader)
 
         header, payload = self._drain(go())
         assert header == {"op": "status", "job_id": "j1"}
@@ -157,7 +163,7 @@ class TestAsyncTransport:
         async def go():
             reader = asyncio.StreamReader()
             reader.feed_eof()
-            await read_frame(reader)
+            await _read_frame(reader)
 
         with pytest.raises(EOFError):
             self._drain(go())
@@ -168,7 +174,7 @@ class TestAsyncTransport:
             frame = pack_frame({"op": "ping"})
             reader.feed_data(frame[: len(frame) - 1])
             reader.feed_eof()
-            await read_frame(reader)
+            await _read_frame(reader)
 
         with pytest.raises(FrameTruncated):
             self._drain(go())
@@ -216,11 +222,11 @@ def _read_sync(pieces, close=True, max_frame=MAX_FRAME):
 
 
 def _read_async(pieces, close=True, max_frame=MAX_FRAME):
-    """``read_frame`` of a stream fed ``pieces`` one loop turn apart."""
+    """``_read_frame`` of a stream fed ``pieces`` one loop turn apart."""
 
     async def go():
         reader = asyncio.StreamReader()
-        task = asyncio.ensure_future(read_frame(reader, max_frame))
+        task = asyncio.ensure_future(_read_frame(reader, max_frame))
         for piece in pieces:
             reader.feed_data(piece)
             await asyncio.sleep(0)
@@ -452,7 +458,7 @@ class TestLargeFrames:
 
             async def handle(reader, writer):
                 tracemalloc.start()
-                header, body = await read_frame(reader)
+                header, body = await _read_frame(reader)
                 got["peak"] = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
                 got["keys"] = decode_keys(header, body)

@@ -62,22 +62,3 @@ class TestStoredBytes:
         assert store.get(old) is not None and store.get(new) is not None
         assert store.stored_bytes == 140
 
-
-class TestEventFor:
-    """A wait on a job that no longer exists must not hang or leak."""
-
-    def test_unknown_job_gets_a_set_event_that_is_not_kept(self):
-        store = ResultStore()
-        ev = store.event_for("j999999", None)
-        assert ev.is_set()
-        assert store._events == {}
-
-    def test_evicted_job_gets_a_set_event_that_is_not_kept(self):
-        store = ResultStore(max_records=1)
-        gone = _job(store)
-        store.set_done(gone, bytes(8))
-        _job(store)  # over max_records: the finished record is evicted
-        assert store.get(gone) is None
-        ev = store.event_for(gone, None)
-        assert ev.is_set()
-        assert store._events == {}

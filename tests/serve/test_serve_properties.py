@@ -54,7 +54,9 @@ def _make_keys(spec: dict) -> np.ndarray:
 def test_concurrent_batches_sort_and_attribute_correctly(served, batch):
     server, recorder = served
     with ServeClient(port=server.port) as client:
-        seen_before = {e.args["job_id"] for e in recorder.by_cat("serve.job")}
+        seen_before = {
+            e.args["job_id"] for e in recorder.events if e.cat == "serve.job"
+        }
         specs = []
         for spec in batch:
             keys = _make_keys(spec)
@@ -79,8 +81,8 @@ def test_concurrent_batches_sort_and_attribute_correctly(served, batch):
         # Each job produced exactly one serve.job span, tagged with its id.
         new_spans = [
             e
-            for e in recorder.by_cat("serve.job")
-            if e.args["job_id"] not in seen_before
+            for e in recorder.events
+            if e.cat == "serve.job" and e.args["job_id"] not in seen_before
         ]
         span_ids = sorted(e.args["job_id"] for e in new_spans)
         assert span_ids == sorted(j for j, _, _ in specs)

@@ -99,6 +99,42 @@ class TestLifecycle:
         finally:
             client.wait(job_id, timeout_s=60.0)
 
+    def test_queue_wait_counts_the_time_behind_the_lane(self, served, client):
+        """``running`` is stamped when the engine lane reaches the job, so
+        time spent behind other lane work is queue wait, not run time."""
+        server, _ = served
+        gate = threading.Event()
+        server._exec.submit(gate.wait)
+        try:
+            job_id = client.submit(_keys(12, 1_000), "radix")
+            time.sleep(0.25)
+        finally:
+            gate.set()
+        status = client.wait(job_id, timeout_s=60.0)
+        assert status["status"] == "done"
+        assert status["queue_wait_s"] >= 0.2, status
+        assert status["wall_s"] < 0.2, status
+
+    def test_wait_on_an_unknown_job_answers_at_once(self, client):
+        t0 = time.perf_counter()
+        with pytest.raises(ServeError) as exc:
+            client.wait("j999999", timeout_s=5.0)
+        assert exc.value.code == "unknown-job"
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_wait_on_an_evicted_job_answers_at_once(self):
+        with server_in_thread(n_workers=2, max_results=1) as server:
+            with ServeClient(port=server.port) as client:
+                gone = client.submit(_keys(13, 1_000), "radix")
+                assert client.wait(gone, 60.0)["status"] == "done"
+                # Over max_results: the finished record is evicted.
+                client.wait(client.submit(_keys(14, 1_000), "radix"), 60.0)
+                t0 = time.perf_counter()
+                with pytest.raises(ServeError) as exc:
+                    client.wait(gone, timeout_s=5.0)
+                assert exc.value.code == "unknown-job"
+                assert time.perf_counter() - t0 < 1.0
+
     def test_bad_algorithm_is_structured(self, client):
         with pytest.raises(ServeError) as exc:
             client.submit(_keys(9, 100), "bogosort")
@@ -186,13 +222,13 @@ class TestDrain:
 class TestSteadyState:
     def test_jobs_run_with_zero_creates_and_attaches(self, served, client):
         server, recorder = served
-        before = len(recorder.by_cat("serve.job"))
+        before = len([e for e in recorder.events if e.cat == "serve.job"])
         for seed in range(4):
             keys = _keys(seed + 30, 20_000)
             assert np.array_equal(client.sort(keys, "radix"), np.sort(keys))
             keys = _keys(seed + 60, 20_000)
             assert np.array_equal(client.sort(keys, "sample"), np.sort(keys))
-        spans = recorder.by_cat("serve.job")[before:]
+        spans = [e for e in recorder.events if e.cat == "serve.job"][before:]
         assert len(spans) == 8
         for span in spans:
             assert span.args["shm_creates"] == 0, span.args

@@ -8,9 +8,9 @@ timings) masked.  A refactor of the request path must leave this
 transcript unchanged.
 
 To make the phase-dependent replies deterministic, the script holds the
-server's one engine lane with a blocked task: a job then stays
-``running``, a closed stream stays ``merging``, and a second job stays
-queued behind the first until the lane is released.
+server's one engine lane with a blocked task: a closed stream then stays
+``merging`` and a job stays ``queued`` (the lane stamps ``running`` only
+when it reaches the job) until the lane is released.
 """
 
 from __future__ import annotations
@@ -145,12 +145,11 @@ def _script(server, wire: _Wire, log: list) -> None:
         call({"op": "stream-close", "stream_id": s})
         call({"op": "stream-fetch", "stream_id": s})
         b = wire.submit(keys, algorithm="sample")["job_id"]
-        wire.until({"op": "status", "job_id": b}, "status", "running")
         call({"op": "status", "job_id": b})
         call({"op": "result", "job_id": b})
         call({"op": "wait", "job_id": b, "timeout_s": 0.05})
         c = wire.submit(keys, algorithm="radix", deadline_s=0.0)["job_id"]
-        wire.submit(keys, algorithm="radix")  # B running + C queued: busy
+        wire.submit(keys, algorithm="radix")  # B and C queued: busy
     finally:
         gate.set()
     call({"op": "wait", "job_id": b})
@@ -209,6 +208,7 @@ _RUNNING_B = {
     **_STATUS_DONE_A, "status": "running", "algorithm": "sample",
     "plan": None, "wall_s": None,
 }
+_QUEUED_B = {**_RUNNING_B, "status": "queued", "queue_wait_s": None}
 _STREAM = {
     "stream_id": "*", "dtype": "<i8", "chunk_keys": 1000, "fan_in": 2,
     "algorithm": None, "merge_passes": 0,
@@ -282,9 +282,9 @@ TRANSCRIPT = [
     ("stream-fetch", {**_S_PUSHED, "phase": "merging", "ok": False,
                       "error": "not-ready"}),
     ("submit", {"ok": True, "job_id": "*", "status": "queued"}),
-    ("status", {"ok": True, **_RUNNING_B}),
-    ("result", {**_RUNNING_B, "ok": False, "error": "not-ready"}),
-    ("wait", {**_RUNNING_B, "ok": False, "error": "wait-timeout"}),
+    ("status", {"ok": True, **_QUEUED_B}),
+    ("result", {**_QUEUED_B, "ok": False, "error": "not-ready"}),
+    ("wait", {**_QUEUED_B, "ok": False, "error": "wait-timeout"}),
     ("submit", {"ok": True, "job_id": "*", "status": "queued"}),
     ("submit", {"ok": False, "error": "busy",
                 "message": "queue is at its 2-job cap", "retry_after_s": "*"}),

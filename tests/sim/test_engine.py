@@ -302,13 +302,13 @@ class TestTrace:
     def test_causality(self):
         rec = MemoryRecorder(verbose=True)
         sim = self._run_two_processes(rec)
-        spans = rec.by_cat("sim.process")
+        spans = [e for e in rec.events if e.cat == "sim.process"]
         assert [e.name for e in spans] == ["a", "b"]  # completion order
         assert [e.dur_us for e in spans] == [5.0 / 1e3, 7.0 / 1e3]
         for e in spans:
             assert e.ts_us == 0.0
             assert (e.ts_us + e.dur_us) * 1e3 <= sim.now
-        assert len(rec.by_name("a")) == 1
+        assert len([e for e in rec.events if e.name == "a"]) == 1
 
     def test_format_and_disable(self):
         # No recorder installed: the simulator holds the disabled null one.

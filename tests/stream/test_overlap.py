@@ -291,8 +291,8 @@ class TestExternalSortOverlap:
         rec = MemoryRecorder()
         with use_recorder(rec):
             external_sort(_keys(8, 8_000), chunk_keys=2_000, n_workers=1)
-        runs = rec.by_name("stream.run")
-        spills = rec.by_name("stream.spill")
+        runs = [e for e in rec.events if e.name == "stream.run"]
+        spills = [e for e in rec.events if e.name == "stream.spill"]
         assert len(runs) == len(spills) == 4
         assert sorted(e.tid for e in spills) == [0, 1, 2, 3]
         assert all(e.args["bytes_spilled"] > 0 for e in spills)
