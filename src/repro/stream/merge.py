@@ -72,14 +72,10 @@ class _BufferedRun:
         return self.buf[-1]
 
     def take_leq(self, bound) -> list[np.ndarray]:
-        """Take every buffered key ``<= bound`` (refilling across frame
-        boundaries); ``bound=None`` means take everything."""
+        """Take every buffered key ``<= bound``, refilling across frame
+        boundaries."""
         out: list[np.ndarray] = []
         while self.buf is not None:
-            if bound is None:
-                out.append(self.buf[self.pos :])
-                self._refill()
-                continue
             hi = int(np.searchsorted(self.buf, bound, side="right"))
             if hi <= self.pos:
                 break
@@ -91,17 +87,17 @@ class _BufferedRun:
                 break
         return out
 
+    def take_frame(self) -> np.ndarray:
+        """The rest of the buffered frame (a view), then refill."""
+        rest = self.buf[self.pos :]
+        self._refill()
+        return rest
+
 
 def _merge_blocks(runs: list[_BufferedRun]) -> Iterator[np.ndarray]:
     """The core block merge (see module doc)."""
     active = [r for r in runs if not r.exhausted]
-    while active:
-        if len(active) == 1:
-            parts = active[0].take_leq(None)
-            if parts:
-                yield np.concatenate(parts) if len(parts) > 1 else parts[0]
-            active = []
-            continue
+    while len(active) > 1:
         # Safe bound: every unread key of any run is >= that run's
         # buffered tail >= the min tail, so the <=bound prefixes across
         # all runs are exactly the next stretch of the global order.
@@ -122,6 +118,11 @@ def _merge_blocks(runs: list[_BufferedRun]) -> Iterator[np.ndarray]:
             block.sort()
             yield block
         active = [r for r in active if not r.exhausted]
+    # The last run's frames are the rest of the order as they stand:
+    # yield them one by one, uncopied, so no tail block outgrows a frame.
+    for r in active:
+        while not r.exhausted:
+            yield r.take_frame()
 
 
 @contextmanager

@@ -3,7 +3,7 @@ the caller's sorting.
 
 An external sort alternates work that needs the calling thread -- the
 chunk sort, a merge step's block sort -- with I/O that does not: reading
-the next input chunk, a run spill's CRC, write and fsync, reading and
+the next input chunk, a run spill's CRC and write, reading and
 CRC-checking a run's next frame.  Every one of those calls releases the
 GIL (``np.sort`` does too), so an :class:`IOThread` runs the I/O on the
 second core while the caller sorts.  Two shapes cover the whole path:

@@ -20,9 +20,12 @@ footer    ``u32 0`` end marker, ``u64 total_keys``,
 ========  ============================================================
 
 Writers spill to ``<path>.tmp`` and only :func:`os.replace` onto the
-final name after the footer is flushed and fsynced, so a run file that
-*exists* is complete by construction; readers still verify every CRC and
-the footer count because disks lie.
+final name after the footer is flushed, so a run file that *exists* is
+complete by construction -- the rename is atomic against the death of
+the writing process.  There is no fsync: a run is scratch in a workdir
+its sorter deletes, and nothing reads a spill after a restart, so
+surviving an OS crash would buy nothing.  Readers still verify every
+CRC and the footer count because disks lie.
 
 Fault injection (``repro.faults``, parent-side only -- the ambient plan
 is owner-PID-guarded so pool workers never see it):
@@ -157,7 +160,7 @@ class RunWriter:
             self.bytes_written += 8 + payload.nbytes
 
     def close(self) -> str:
-        """Seal the footer, fsync, and atomically publish the run."""
+        """Seal the footer, flush, and atomically publish the run."""
         if self._closed:
             return self.path
         total = _U64.pack(self.total_keys)
@@ -165,7 +168,6 @@ class RunWriter:
         self._file.write(total)
         self._file.write(_U32.pack(zlib.crc32(total)))
         self._file.flush()
-        os.fsync(self._file.fileno())
         self._file.close()
         self._closed = True
         os.replace(self._tmp, self.path)

@@ -7,15 +7,19 @@ import os
 import numpy as np
 import pytest
 
+from repro.data import generate
 from repro.faults import FaultPlan, use_fault_plan
 from repro.stream import (
     RunReader,
+    RunWriter,
+    external_sort,
     merge_iter,
     merge_to_run,
     reduce_runs,
     run_total_keys,
     write_run,
 )
+from repro.stream.overlap import IOThread
 
 
 def _spill_runs(tmp_path, seed: int, n_runs: int, run_len: int = 5_000,
@@ -68,6 +72,115 @@ class TestMergeIter:
         write_run(empty, np.empty(0, np.int64))
         got = np.concatenate(list(merge_iter([empty] + paths)))
         assert np.array_equal(got, np.sort(everything))
+
+
+def _chunk_runs(tmp_path, keys: np.ndarray, n_runs: int, frame_keys: int):
+    """Sort ``keys`` in ``n_runs`` equal chunks, one run file each, as run
+    formation does; returns the paths."""
+    paths = []
+    for i, chunk in enumerate(np.array_split(keys, n_runs)):
+        path = os.path.join(tmp_path, f"run_{i}.run")
+        write_run(path, np.sort(chunk), frame_keys=frame_keys)
+        paths.append(path)
+    return paths
+
+
+def _ascending_by_block(blocks: list[np.ndarray]) -> bool:
+    full = [b for b in blocks if len(b)]
+    return all(np.all(b[1:] >= b[:-1]) for b in full) and all(
+        a[-1] <= b[0] for a, b in zip(full, full[1:])
+    )
+
+
+_CASES = {
+    "all-equal": lambda: np.full(9_000, 7, np.int64),
+    "disjoint": lambda: np.arange(9_000, dtype=np.int64),
+    # 40 distinct values in 512-key frames: ties straddle frame ends.
+    "straddling-duplicates": lambda: np.random.default_rng(11).integers(
+        0, 40, size=9_000, dtype=np.int64
+    ),
+    "empty-runs": lambda: np.empty(0, np.int64),
+    "single-run": lambda: np.random.default_rng(12).integers(
+        0, 1 << 40, size=3_000, dtype=np.int64
+    ),
+}
+
+
+class TestMergeCases:
+    """``merge_iter`` with and without the I/O thread's read-ahead."""
+
+    @pytest.mark.parametrize("read_ahead", [False, True], ids=["inline", "io"])
+    @pytest.mark.parametrize("case", list(_CASES))
+    def test_sorted_union_ascending_by_block(self, tmp_path, case, read_ahead):
+        keys = _CASES[case]()
+        n_runs = 1 if case == "single-run" else 3
+        paths = _chunk_runs(tmp_path, keys, n_runs, frame_keys=512)
+        io = IOThread() if read_ahead else None
+        try:
+            blocks = list(merge_iter(paths, io))
+        finally:
+            if io is not None:
+                io.close()
+        got = np.concatenate(blocks) if blocks else np.empty(0, np.int64)
+        assert np.array_equal(got, np.sort(keys))
+        assert _ascending_by_block(blocks)
+
+
+class TestBoundedBlocks:
+    """No merge block holds more than the live runs' buffered frames --
+    the tail included, where one run is left (it came out whole)."""
+
+    FRAME = 4096
+
+    @pytest.fixture(params=["ascending", "stagger"])
+    def keys(self, request) -> np.ndarray:
+        if request.param == "ascending":
+            return np.arange(400_000, dtype=np.int64)
+        return generate("stagger", 400_000, 4).astype(np.int64)
+
+    def _check(self, blocks: list[np.ndarray], paths) -> None:
+        lasts = []
+        for path in paths:
+            with RunReader(path) as reader:
+                lasts.append(reader.read_all()[-1])
+        assert sum(len(b) for b in blocks) == 400_000
+        for block in blocks:
+            live = sum(last >= block[0] for last in lasts)
+            assert len(block) <= live * self.FRAME, (len(block), live)
+
+    @pytest.mark.parametrize("read_ahead", [False, True], ids=["inline", "io"])
+    def test_merge_iter(self, tmp_path, keys, read_ahead):
+        paths = _chunk_runs(tmp_path, keys, 4, self.FRAME)
+        io = IOThread() if read_ahead else None
+        try:
+            blocks = list(merge_iter(paths, io))
+        finally:
+            if io is not None:
+                io.close()
+        assert _ascending_by_block(blocks)
+        self._check(blocks, paths)
+
+    def test_merge_to_run(self, tmp_path, keys, monkeypatch):
+        paths = _chunk_runs(tmp_path, keys, 4, self.FRAME)
+        written: list[np.ndarray] = []
+        real = RunWriter.write
+
+        def write(writer, block):
+            written.append(np.array(block))
+            real(writer, block)
+
+        monkeypatch.setattr(RunWriter, "write", write)
+        out = os.path.join(tmp_path, "merged.run")
+        merge_to_run(paths, out, frame_keys=self.FRAME, dtype=np.dtype(np.int64))
+        self._check(written, paths)
+
+    def test_external_sort_tail(self):
+        blocks: list[np.ndarray] = []
+        external_sort(
+            np.arange(1_000_000), chunk_keys=100_000, fan_in=16,
+            frame_keys=self.FRAME, n_workers=1, on_block=blocks.append,
+        )
+        assert max(len(b) for b in blocks) <= self.FRAME
 
 
 class TestMergeToRun:

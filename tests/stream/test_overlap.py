@@ -38,8 +38,11 @@ np.random.default_rng(0).integers(0, 1 << 40, size=16 << 18).tofile(src)
 gc.collect()
 before = rss_mib()
 for _ in range(3):
-    external_sort(src, dtype="<i8", chunk_keys=1 << 18, fan_in=4,
-                  n_workers=1, out=out, workdir=os.path.dirname(out))
+    r = external_sort(src, dtype="<i8", chunk_keys=1 << 18, fan_in=4,
+                      n_workers=1, out=out, workdir=os.path.dirname(out))
+    # 16 runs at fan-in 4: one reduce pass, then a final merge of 4 runs
+    # with every frame read ahead on the I/O thread.
+    assert (r.runs, r.merge_passes) == (16, 1), r
 gc.collect()
 print(rss_mib() - before)
 """
@@ -208,6 +211,49 @@ class TestSpillBehind:
         assert {e.site for e in events[0]} == {
             "spill.enospc", "spill.short_write", "spill.corrupt"
         }
+
+
+class TestFinalMerge:
+    def test_emit_error_then_finish_again(self, tmp_path):
+        """An ``emit`` that raises mid-merge settles the read in flight;
+        a second ``finish`` (the served output run's ENOSPC rewrite)
+        still emits every key, on the same threads."""
+        keys = _keys(10, 20_000)
+        sorter = ExternalSorter(_sorted, frame_keys=512, workdir=tmp_path)
+        try:
+            for lo in range(0, len(keys), 5_000):
+                sorter.add(keys[lo : lo + 5_000])
+            seen: list[np.ndarray] = []
+
+            def failing(block):
+                if len(seen) == 3:
+                    raise OSError("sink full")
+                seen.append(block)
+
+            with pytest.raises(OSError, match="sink full"):
+                sorter.finish(failing)
+            blocks: list[np.ndarray] = []
+            result = sorter.finish(blocks.append)
+        finally:
+            sorter.close()
+        assert np.array_equal(np.concatenate(blocks), np.sort(keys))
+        assert result.n_keys == len(keys) and result.verified
+
+    def test_close_leaves_no_stream_thread(self, tmp_path):
+        def stream_threads():
+            return [
+                t for t in threading.enumerate() if t.name.startswith("repro-stream")
+            ]
+
+        sorter = ExternalSorter(_sorted, frame_keys=512, workdir=tmp_path)
+        try:
+            for seed in range(3):
+                sorter.add(_keys(20 + seed, 3_000))
+            sorter.finish(lambda block: None)
+            assert stream_threads()
+        finally:
+            sorter.close()
+        assert stream_threads() == []
 
 
 class TestExternalSortOverlap:

@@ -5,10 +5,16 @@ from __future__ import annotations
 
 import errno
 import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.faults import FaultPlan, use_fault_plan
 from repro.faults.context import RETRIES
 from repro.stream import (
@@ -20,6 +26,29 @@ from repro.stream import (
     run_total_keys,
     write_run,
 )
+
+
+# Spill a run and stop inside its second frame's payload, half of it
+# written and flushed, until the parent kills the process.
+_KILLED_WRITER = """
+import sys, time
+import numpy as np
+from repro.stream import runfile
+
+real, frames = runfile._write_all, []
+
+def gated(f, payload):
+    frames.append(len(payload))
+    if len(frames) == 2:
+        f.write(payload[: len(payload) // 2])
+        f.flush()
+        print("mid-frame", flush=True)
+        time.sleep(60)
+    real(f, payload)
+
+runfile._write_all = gated
+runfile.write_run(sys.argv[1], np.arange(10_000, dtype=np.int64), frame_keys=1024)
+"""
 
 
 def _sorted_keys(seed: int, n: int = 10_000) -> np.ndarray:
@@ -93,6 +122,45 @@ class TestIntegrity:
             f.truncate(size - 37)
         with pytest.raises((RunTruncated, RunCorrupt)):
             with RunReader(path) as reader:
+                reader.read_all()
+
+    def test_truncated_published_run_raises_truncated(self, tmp_path):
+        """With no fsync behind the publish, a run cut short on disk is
+        still caught by its frame lengths, not merged short."""
+        path = tmp_path / "cut.run"
+        write_run(path, _sorted_keys(12), frame_keys=1024)
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) // 2)
+        with pytest.raises(RunTruncated, match="truncated frame payload"):
+            with RunReader(path) as reader:
+                reader.read_all()
+
+    def test_killed_writer_leaves_only_its_tmp(self, tmp_path):
+        """The rename is atomic against the writing process's death: a
+        SIGKILL mid-frame leaves ``<path>.tmp`` and no final path."""
+        script = tmp_path / "writer.py"
+        script.write_text(_KILLED_WRITER)
+        path = tmp_path / "killed.run"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, str(script), str(path)], stdout=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        watchdog = threading.Timer(60, child.kill)  # unblocks readline
+        watchdog.start()
+        try:
+            assert child.stdout.readline().strip() == "mid-frame"
+        finally:
+            watchdog.cancel()
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=10)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "killed.run.tmp", "writer.py"
+        ]
+        with pytest.raises(RunTruncated):
+            with RunReader(tmp_path / "killed.run.tmp") as reader:
                 reader.read_all()
 
     def test_on_disk_bit_flip_detected(self, tmp_path):
