@@ -23,6 +23,20 @@ SPEC_SGI = RunSpec("radix", "mpi-sgi", SIZES["64M"], 64, 8)
 SPEC_NEW = RunSpec("radix", "mpi-new", SIZES["64M"], 64, 8)
 
 
+def _simulate(keys, model, machine):
+    """Radix sort of ``keys`` at 64M labeled keys on 64 simulated
+    processors; ``model`` may be a variant model object."""
+    from repro.backend import SimulatedBackend, SortJob
+    from repro.data.distributions import KEY_BITS
+
+    return SimulatedBackend().run(
+        SortJob(
+            keys, "radix", model, n_procs=64, radix=8, machine=machine,
+            n_labeled=SIZES["64M"], key_bits=KEY_BITS,
+        )
+    )
+
+
 @pytest.fixture(scope="module")
 def baseline():
     return ExperimentRunner(DEFAULT_COSTS)
@@ -116,7 +130,6 @@ def test_variant_mpi_message_strategy(benchmark):
     from repro.data import generate
     from repro.machine import MachineConfig
     from repro.models import MPINewModel
-    from repro.sorts import ParallelRadixSort
 
     machine = MachineConfig.origin2000(n_processors=64, scale=1)
     keys = generate("gauss", 1 << 17, 64)
@@ -124,9 +137,9 @@ def test_variant_mpi_message_strategy(benchmark):
     def run():
         times = {}
         for label, combine in (("per-chunk", False), ("per-dest", True)):
-            out = ParallelRadixSort(
-                MPINewModel(combine_messages=combine), radix=8
-            ).run(keys, n_procs=64, machine=machine, n_labeled=SIZES["64M"])
+            out = _simulate(
+                keys, MPINewModel(combine_messages=combine), machine
+            )
             times[label] = out.time_ns
         return times
 
@@ -141,16 +154,13 @@ def test_variant_shmem_put_vs_get(benchmark):
     from repro.data import generate
     from repro.machine import MachineConfig
     from repro.models import SHMEMModel
-    from repro.sorts import ParallelRadixSort
 
     machine = MachineConfig.origin2000(n_processors=64, scale=1)
     keys = generate("gauss", 1 << 17, 64)
 
     def run():
         return {
-            op: ParallelRadixSort(SHMEMModel(op=op), radix=8)
-            .run(keys, n_procs=64, machine=machine, n_labeled=SIZES["64M"])
-            .time_ns
+            op: _simulate(keys, SHMEMModel(op=op), machine).time_ns
             for op in ("get", "put")
         }
 
@@ -164,7 +174,6 @@ def test_variant_page_placement(benchmark):
     """First-touch partition-local pages vs round-robin striping."""
     from repro.data import generate
     from repro.machine import MachineConfig
-    from repro.sorts import ParallelRadixSort
 
     keys = generate("gauss", 1 << 17, 64)
 
@@ -174,10 +183,7 @@ def test_variant_page_placement(benchmark):
             machine = MachineConfig.origin2000(
                 n_processors=64, scale=1
             ).with_placement(policy)
-            out = ParallelRadixSort("shmem", radix=8).run(
-                keys, n_procs=64, machine=machine, n_labeled=SIZES["64M"]
-            )
-            times[policy] = out.time_ns
+            times[policy] = _simulate(keys, "shmem", machine).time_ns
         return times
 
     times = benchmark.pedantic(run, rounds=1, iterations=1)

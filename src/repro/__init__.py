@@ -26,7 +26,7 @@ Packages:
 - :mod:`repro.models` -- CC-SAS / MPI / SHMEM programming models
 - :mod:`repro.sorts` -- the sorting algorithms
 - :mod:`repro.data` -- the paper's eight key distributions
-- :mod:`repro.backend` -- the unified Backend seam (sim | native)
+- :mod:`repro.backend` -- the unified Backend seam (sim | predict | native)
 - :mod:`repro.trace` -- structured event tracing + Chrome-trace export
 - :mod:`repro.core` -- public API and experiment grid
 - :mod:`repro.report` -- per-table/figure reproduction harnesses
@@ -51,7 +51,7 @@ from .core import (
     sort,
 )
 from .machine import CostModel, MachineConfig
-from .sorts import ParallelRadixSort, ParallelSampleSort, SortOutcome
+from .sorts import SortOutcome
 from .trace import MemoryRecorder, write_chrome_trace
 
 __version__ = "1.0.0"
@@ -63,8 +63,6 @@ __all__ = [
     "MachineConfig",
     "MemoryRecorder",
     "NativeBackend",
-    "ParallelRadixSort",
-    "ParallelSampleSort",
     "RunSpec",
     "SIZES",
     "SimulatedBackend",

@@ -1,6 +1,6 @@
 """Unified execution backends.
 
-One seam over both execution substrates::
+One seam over every execution substrate::
 
     from repro.backend import SortJob, get_backend
 
@@ -11,7 +11,9 @@ One seam over both execution substrates::
 All backends return a :class:`SortResult` with identically sorted keys
 and a :class:`~repro.smp.perf.PerfReport` in the paper's
 BUSY/LMEM/RMEM/SYNC vocabulary; ``get_backend("predict")`` adds the
-calibrated analytic model (milliseconds per job, no DES).  Pass a
+calibrated analytic model (milliseconds per job, no DES).
+:meth:`Backend.run` is the one run path: each backend supplies only its
+``_sort``.  Pass a
 :class:`~repro.trace.MemoryRecorder` to ``run`` to capture a structured
 trace exportable with :func:`repro.trace.write_chrome_trace`.
 """
@@ -23,7 +25,6 @@ from .base import (
     SortResult,
     check_keys,
     infer_key_bits,
-    warn_ignored_fields,
 )
 from .native import NativeBackend, report_from_timings
 from .simulated import DEFAULT_RADIX, SimulatedBackend
@@ -74,5 +75,4 @@ __all__ = [
     "get_backend",
     "infer_key_bits",
     "report_from_timings",
-    "warn_ignored_fields",
 ]

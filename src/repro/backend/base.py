@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,12 +22,15 @@ from ..data.workloads import (
     float_to_sortable_u64,
     sortable_u64_to_float,
 )
+from ..faults.context import fault_window
 from ..faults.plan import FaultStats
 from ..machine.config import MachineConfig
 from ..machine.costs import CostModel, DEFAULT_COSTS
+from ..models import ProgrammingModel
 from ..smp.perf import PerfReport
 from ..sorts.radix import SortOutcome
-from ..trace import MemoryRecorder, TraceEvent, TraceRecorder
+from ..trace import MemoryRecorder, TraceEvent, TraceRecorder, use_recorder
+from ..verify.context import current_sanitizer
 
 ALGORITHMS = ("radix", "sample")
 
@@ -40,27 +43,18 @@ def infer_key_bits(keys: np.ndarray) -> int:
     return max(1, int(keys.max()).bit_length())
 
 
-def check_keys(keys: np.ndarray, algorithm: str) -> np.ndarray:
-    """Shared request validation; returns the keys as a contiguous array."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}"
-        )
+def check_keys(keys: np.ndarray, integer: bool = False) -> np.ndarray:
+    """Shared key validation; returns the keys as a contiguous array.
+    ``integer`` adds what the modeled (simulated and predicted) sorts
+    require: non-negative integer keys."""
     keys = np.ascontiguousarray(keys)
     if keys.ndim != 1:
         raise ValueError("keys must be one-dimensional")
     if len(keys) == 0:
         raise ValueError("keys must be non-empty")
-    return keys
-
-
-def check_integer_keys(keys: np.ndarray, algorithm: str) -> np.ndarray:
-    """:func:`check_keys` plus what the modeled (simulated and predicted)
-    sorts require on top: non-negative integer keys."""
-    keys = check_keys(keys, algorithm)
-    if np.issubdtype(keys.dtype, np.signedinteger) and keys.min() < 0:
+    if integer and np.issubdtype(keys.dtype, np.signedinteger) and keys.min() < 0:
         raise ValueError("keys must be non-negative")
-    if not np.issubdtype(keys.dtype, np.integer):
+    if integer and not np.issubdtype(keys.dtype, np.integer):
         raise TypeError("radix/sample sorting requires integer keys")
     return keys
 
@@ -82,7 +76,8 @@ class SortJob:
                                            set, deriving statistics from
                                            the named family instead)
     algorithm      yes   yes      yes      "radix" or "sample"
-    model          yes   ignored  yes      programming model
+    model          yes   ignored  yes      programming model (a name
+                                           or a model object)
     n_procs        yes   yes      yes      simulated processors / host
                                            worker processes; ``None`` =
                                            backend default (64 / cores)
@@ -98,12 +93,12 @@ class SortJob:
     ============== ===== ======== ======== ==============================
 
     Backends emit a :class:`RuntimeWarning` for fields set to non-default
-    values that they ignore (see :func:`warn_ignored_fields`).
+    values that they ignore (see :attr:`Backend.ignores`).
     """
 
     keys: np.ndarray = field(repr=False)
     algorithm: str = "radix"
-    model: str = "shmem"
+    model: str | ProgrammingModel = "shmem"
     n_procs: int | None = None
     radix: int | None = None
     machine: MachineConfig | None = None
@@ -125,34 +120,9 @@ class SortJob:
     payload: np.ndarray | None = field(default=None, repr=False)
 
 
-#: For each backend, the job fields it ignores, with the default value a
-#: field must differ from before the backend warns about it.
-_FIELD_DEFAULTS = {
-    "model": "shmem",
-    "machine": None,
-    "costs": DEFAULT_COSTS,
-    "n_labeled": None,
-    "key_bits": None,
-    "distribution": None,
-}
-
-
-def warn_ignored_fields(job: SortJob, backend_name: str, fields: tuple[str, ...]) -> None:
-    """Warn (once per call site) about non-default job fields the backend
-    will not honor -- a silently ignored ``machine=`` or ``costs=`` is a
-    misconfigured experiment, not a preference."""
-    ignored = [
-        name
-        for name in fields
-        if getattr(job, name) != _FIELD_DEFAULTS[name]
-    ]
-    if ignored:
-        warnings.warn(
-            f"backend {backend_name!r} ignores SortJob field(s): "
-            + ", ".join(ignored),
-            RuntimeWarning,
-            stacklevel=3,
-        )
+#: The default value a job field must differ from before a backend that
+#: ignores it warns.
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(SortJob)}
 
 
 @dataclass(frozen=True)
@@ -272,25 +242,57 @@ class SortResult:
 
 
 class Backend(abc.ABC):
-    """One execution substrate for :class:`SortJob` requests."""
+    """One execution substrate for :class:`SortJob` requests.
 
-    #: Registry key ("sim", "native").
+    :meth:`run` is the seam, written once for every substrate; a backend
+    supplies only :meth:`_sort`.
+    """
+
+    #: Registry key ("sim", "native", "predict").
     name: str = ""
+    #: Job fields this backend does not honor: setting one to a
+    #: non-default value warns -- a silently ignored ``machine=`` or
+    #: ``costs=`` is a misconfigured experiment, not a preference.
+    ignores: tuple[str, ...] = ()
 
-    @abc.abstractmethod
     def run(
         self, job: SortJob, recorder: TraceRecorder | None = None
     ) -> SortResult:
         """Execute ``job``; record structured events into ``recorder``
         (or the ambient recorder when ``None``)."""
+        # Warn about the fields the *caller* set, before the workload
+        # transform rewrites the job (it sets key_bits itself).
+        ignored = [
+            f for f in self.ignores if getattr(job, f) != _FIELD_DEFAULTS[f]
+        ]
+        if ignored:
+            warnings.warn(
+                f"backend {self.name!r} ignores SortJob field(s): "
+                + ", ".join(ignored),
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        job, workload_plan = prepare_workload(job)
+        if job.algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"unknown algorithm {job.algorithm!r}; choose from {ALGORITHMS}"
+            )
+        job_faults = fault_window()
+        with use_recorder(recorder):
+            result = self._sort(job)
+        san = current_sanitizer()
+        if san is not None:
+            # The paper's accounting identity must hold for every report
+            # that crosses the backend seam.
+            san.on_report(result.report, label=f"{self.name}/{job.algorithm}")
+        trace = tuple(recorder.events) if isinstance(recorder, MemoryRecorder) else ()
+        result = replace(result, trace=trace, faults=job_faults())
+        return finish_workload(result, workload_plan)
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _collect_trace(recorder: TraceRecorder | None) -> tuple[TraceEvent, ...]:
-        """Events captured by ``recorder``, if it keeps any."""
-        if isinstance(recorder, MemoryRecorder):
-            return tuple(recorder.events)
-        return ()
+    @abc.abstractmethod
+    def _sort(self, job: SortJob) -> SortResult:
+        """Sort the seam-normalized ``job`` (integer keys, a known
+        algorithm) on this substrate, under the job's recorder."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

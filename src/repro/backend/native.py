@@ -17,21 +17,12 @@ import time
 
 import numpy as np
 
-from ..faults.context import current_fault_plan, fault_window
+from ..faults.context import current_fault_plan
 from ..native import parallel_sort
 from ..native.pool import PhaseTiming, WorkerPool, POOL_TID
 from ..smp.perf import PerfCounters, PerfReport, PhaseRecord
-from ..trace import PID_NATIVE, TraceRecorder, current_recorder, use_recorder, wall_span
-from ..verify.context import current_sanitizer
-from .base import (
-    Backend,
-    SortJob,
-    SortResult,
-    check_keys,
-    finish_workload,
-    prepare_workload,
-    warn_ignored_fields,
-)
+from ..trace import PID_NATIVE, current_recorder, wall_span
+from .base import Backend, SortJob, SortResult, check_keys
 
 _S_TO_NS = 1e9
 
@@ -79,6 +70,7 @@ class NativeBackend(Backend):
     """Sorts with real processes on the host and reports wall-clock time."""
 
     name = "native"
+    ignores = ("model", "machine", "costs", "n_labeled", "key_bits", "distribution")
 
     def __init__(self, pool: WorkerPool | None = None):
         """An externally supplied ``pool`` amortizes fork startup across
@@ -86,57 +78,39 @@ class NativeBackend(Backend):
         per-phase accounting and is not closed by this backend."""
         self._shared_pool = pool
 
-    def run(
-        self, job: SortJob, recorder: TraceRecorder | None = None
-    ) -> SortResult:
-        # Warn about the fields the *caller* set before the workload seam
-        # rewrites the job (the transform sets key_bits itself).
-        warn_ignored_fields(
-            job, self.name,
-            ("model", "machine", "costs", "n_labeled", "key_bits", "distribution"),
+    def _sort(self, job: SortJob) -> SortResult:
+        keys = check_keys(job.keys)
+        plan = current_fault_plan()
+        pool = self._shared_pool or WorkerPool(
+            job.n_procs,
+            collect_timings=True,
+            # An ambient fault plan arms supervision so injected worker
+            # faults are absorbed instead of fatal.
+            supervise=plan is not None,
+            phase_timeout_s=10.0 if plan is not None else None,
         )
-        job, workload_plan = prepare_workload(job)
-        keys = check_keys(job.keys, job.algorithm)
-        with use_recorder(recorder):
-            plan = current_fault_plan()
-            pool = self._shared_pool or WorkerPool(
-                job.n_procs,
-                collect_timings=True,
-                # An ambient fault plan arms supervision so injected
-                # worker faults are absorbed instead of fatal.
-                supervise=plan is not None,
-                phase_timeout_s=10.0 if plan is not None else None,
+        first_timing = len(pool.timings)
+        t0 = time.perf_counter()
+        try:
+            out = parallel_sort(keys, job.algorithm, pool=pool, radix=job.radix)
+            t1 = time.perf_counter()
+        finally:
+            if self._shared_pool is None:
+                pool.close()
+        # Take this job's records off a shared pool's list, which would
+        # otherwise grow for the whole sweep.
+        timings = pool.timings[first_timing:]
+        del pool.timings[first_timing:]
+        if current_recorder().enabled:
+            wall_span(
+                f"native.{job.algorithm}", "native.sort", t0, t1,
+                pid=PID_NATIVE, tid=POOL_TID,
+                args={"n_keys": len(keys), "n_workers": pool.n_workers},
             )
-            job_faults = fault_window()
-            first_timing = len(pool.timings)
-            t0 = time.perf_counter()
-            try:
-                out = parallel_sort(
-                    keys, job.algorithm, pool=pool, radix=job.radix
-                )
-                t1 = time.perf_counter()
-            finally:
-                if self._shared_pool is None:
-                    pool.close()
-            # Take this job's records off a shared pool's list, which
-            # would otherwise grow for the whole sweep.
-            timings = pool.timings[first_timing:]
-            del pool.timings[first_timing:]
-            if current_recorder().enabled:
-                wall_span(
-                    f"native.{job.algorithm}", "native.sort", t0, t1,
-                    pid=PID_NATIVE, tid=POOL_TID,
-                    args={"n_keys": len(keys), "n_workers": pool.n_workers},
-                )
         report = report_from_timings(
             timings, t1 - t0, label=f"native/{job.algorithm}"
         )
-        san = current_sanitizer()
-        if san is not None:
-            # Same accounting identity as the simulated backend: per
-            # worker, BUSY + SYNC must tile the recorded phase spans.
-            san.on_report(report, label=f"native/{job.algorithm}")
-        result = SortResult(
+        return SortResult(
             sorted_keys=out,
             report=report,
             backend=self.name,
@@ -144,8 +118,5 @@ class NativeBackend(Backend):
             model_name=None,
             n_procs=report.n_procs,
             radix=job.radix,
-            trace=self._collect_trace(recorder),
             wall_time_s=t1 - t0,
-            faults=job_faults(),
         )
-        return finish_workload(result, workload_plan)

@@ -1,14 +1,16 @@
 """Top-level public API.
 
 The main entry point is :func:`sort` -- one call that runs a parallel
-sort on either execution substrate behind the unified
+sort on any execution substrate behind the unified
 :class:`~repro.backend.Backend` seam:
 
 - ``backend="sim"`` sorts on the simulated cache-coherent DSM machine
   under a chosen algorithm/programming model and reports simulated
   per-processor time (the paper's BUSY/LMEM/RMEM/SYNC accounting);
 - ``backend="native"`` sorts for real across host processes and reports
-  measured wall-clock per-worker time in the same report shape.
+  measured wall-clock per-worker time in the same report shape;
+- ``backend="predict"`` prices the simulated sort's phase program in
+  closed form (milliseconds per job).
 
 Pass ``trace=True`` (or a :class:`~repro.trace.TraceRecorder`) to capture
 a structured event trace; export it with
@@ -22,6 +24,7 @@ import numpy as np
 from ..backend import ALGORITHMS, SortJob, SortResult, get_backend, infer_key_bits
 from ..machine.config import MachineConfig
 from ..machine.costs import CostModel, DEFAULT_COSTS
+from ..models import ProgrammingModel
 from ..sorts.sequential import SequentialResult, sequential_radix_sort
 from ..trace import MemoryRecorder, TraceRecorder
 
@@ -37,7 +40,7 @@ def sort(
     algorithm: str = "radix",
     backend: str = "sim",
     *,
-    model: str = "shmem",
+    model: str | ProgrammingModel = "shmem",
     n_procs: int | None = None,
     radix: int | None = None,
     machine: MachineConfig | None = None,
@@ -65,10 +68,13 @@ def sort(
         ``"sim"`` (simulated DSM machine), ``"native"`` (real host
         processes) or ``"predict"`` (calibrated analytic model).
     model:
-        Simulated backend only: ``"ccsas"``, ``"ccsas-new"``,
-        ``"mpi-new"``, ``"mpi-sgi"`` or ``"shmem"``.
+        Simulated and predicted backends: ``"ccsas"``, ``"ccsas-new"``,
+        ``"mpi-new"``, ``"mpi-sgi"`` or ``"shmem"``, or a
+        :class:`~repro.models.ProgrammingModel` instance (a mechanism
+        variant such as ``MPINewModel(combine_messages=True)``).
     n_procs:
-        Simulated processors (16/32/64 in the paper; default 64) or
+        Simulated processors (16/32/64 in the paper; default: the
+        ``machine``'s processor count, else 64) or
         native worker processes (default: all cores, see
         ``REPRO_WORKERS``).
     radix:

@@ -1,13 +1,11 @@
-"""The predicted backend: analytic performance behind the Backend seam.
+"""The predicted backend: the simulated backend with a closed-form team.
 
-Accepts any :class:`~repro.backend.base.SortJob` and returns a
-:class:`~repro.backend.base.SortResult` whose per-phase
-:class:`~repro.smp.perf.PerfReport` uses the same BUSY/LMEM/RMEM/SYNC
-vocabulary (and satisfies the same accounting identity) as the simulated
-backend -- in milliseconds instead of seconds, because the only
-discrete-event component is replaced by closed forms.
-
-Two input modes:
+:class:`PredictedBackend` is :class:`~repro.backend.SimulatedBackend`
+with two overrides.  Its team is a :class:`~repro.predict.PredictTeam`,
+whose executor replaces the only discrete-event component (the MPI/SHMEM
+exchange) with closed forms, so the report keeps the simulator's
+BUSY/LMEM/RMEM/SYNC shape and accounting identity at milliseconds per
+job.  And its statistics may come without keys:
 
 - ``keys`` given: :func:`repro.sorts.measure` -- the simulator's own
   data-plane walk -- sorts the array and measures its workload
@@ -25,33 +23,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend.base import (
-    Backend,
-    SortJob,
-    SortResult,
-    check_integer_keys,
-    finish_workload,
-    infer_key_bits,
-    prepare_workload,
-)
-from ..backend.simulated import DEFAULT_RADIX
-from ..sorts.program import measure
-from ..sorts.radix import default_machine
-from ..trace import TraceRecorder, use_recorder
-from ..verify.context import current_sanitizer
+from ..backend.base import SortJob
+from ..backend.simulated import SimulatedBackend
+from ..data.distributions import KEY_BITS
+from ..machine.config import MachineConfig
+from ..models import ProgrammingModel
+from ..sorts.common import WorkloadStats
 from .analytic import family_stats
 from .calibration import (
     Calibration,
     check_machine_calibrated,
     load_calibration,
 )
-from .driver import predict_outcome
+from .driver import PredictTeam
 
 
-class PredictedBackend(Backend):
+class PredictedBackend(SimulatedBackend):
     """Predicts sort performance analytically."""
 
     name = "predict"
+    ignores = ()
 
     def __init__(self, calibration: Calibration | None | bool = None):
         """``calibration=None`` resolves the active artifact (env var,
@@ -64,67 +55,39 @@ class PredictedBackend(Backend):
         else:
             self.calibration = calibration
 
-    def run(
-        self, job: SortJob, recorder: TraceRecorder | None = None
-    ) -> SortResult:
+    def _measure(
+        self, job: SortJob, p: int, radix: int
+    ) -> tuple[WorkloadStats, np.ndarray]:
+        if len(job.keys):
+            return super()._measure(job, p, radix)
+        if not job.distribution or not job.n_labeled:
+            raise ValueError(
+                "predicted backend needs either non-empty keys or "
+                "distribution= and n_labeled= to derive workload "
+                "statistics from"
+            )
+        key_bits = job.key_bits if job.key_bits is not None else KEY_BITS
+        stats = family_stats(
+            job.distribution, job.algorithm, job.n_labeled, p, radix,
+            key_bits=key_bits,
+        )
+        return stats, job.keys
+
+    def _team(
+        self, job: SortJob, machine: MachineConfig, p: int, model: ProgrammingModel
+    ) -> PredictTeam:
         # The analytic closed forms (and their calibration factors) are
         # fitted on the CC-DSM machine only; reject other zoo members
         # with a typed error instead of mis-predicting silently.
         check_machine_calibrated(job.machine)
-        job, workload_plan = prepare_workload(job)
-        radix = job.radix if job.radix is not None else DEFAULT_RADIX[job.algorithm]
-        n_procs = job.n_procs if job.n_procs is not None else 64
-        machine = job.machine or default_machine(n_procs)
-
-        from_family = len(np.asarray(job.keys)) == 0
-        if from_family:
-            if not job.distribution or not job.n_labeled:
-                raise ValueError(
-                    "predicted backend needs either non-empty keys or "
-                    "distribution= and n_labeled= to derive workload "
-                    "statistics from"
-                )
-            if job.algorithm not in ("radix", "sample"):
-                raise ValueError(f"unknown algorithm {job.algorithm!r}")
-            key_bits = job.key_bits if job.key_bits is not None else 31
-            stats = family_stats(
-                job.distribution, job.algorithm, job.n_labeled, n_procs,
-                radix, key_bits=key_bits,
-            )
-            sorted_keys = np.asarray(job.keys)
-        else:
-            keys = check_integer_keys(job.keys, job.algorithm)
-            key_bits = (
-                job.key_bits if job.key_bits is not None else infer_key_bits(keys)
-            )
-            stats, sorted_keys = measure(
-                keys, job.algorithm, n_procs, radix,
-                n_labeled=job.n_labeled, key_bits=key_bits,
-            )
-
+        # Factors are keyed by the model name the caller gave.
+        name = job.model if isinstance(job.model, str) else model.name
         factors = (
-            self.calibration.factors_for(job.algorithm, job.model)
+            self.calibration.factors_for(job.algorithm, name)
             if self.calibration is not None
             else None
         )
-        with use_recorder(recorder):
-            outcome = predict_outcome(
-                stats, job.model, machine=machine, costs=job.costs,
-                factors=factors, sorted_keys=sorted_keys,
-            )
-        san = current_sanitizer()
-        if san is not None:
-            # The accounting identity holds for predicted reports too.
-            san.on_report(outcome.report, label=f"predict/{job.algorithm}")
-        result = SortResult(
-            sorted_keys=sorted_keys,
-            report=outcome.report,
-            backend=self.name,
-            algorithm=outcome.algorithm,
-            model_name=outcome.model_name,
-            n_procs=outcome.n_procs,
-            radix=outcome.radix,
-            trace=self._collect_trace(recorder),
-            outcome=outcome,
+        return PredictTeam(
+            machine, p, job.costs, label=f"{job.algorithm}/{model.name}",
+            factors=factors,
         )
-        return finish_workload(result, workload_plan)

@@ -18,7 +18,7 @@ from .common import (
     radix_comm_matrices,
     select_samples,
 )
-from .program import ParallelRadixSort, ParallelSampleSort, drive, measure
+from .program import drive, measure
 from .radix import SortOutcome, default_machine
 from .sequential import (
     SequentialResult,
@@ -26,18 +26,10 @@ from .sequential import (
     sequential_radix_sort,
 )
 
-ALGORITHMS = {
-    "radix": ParallelRadixSort,
-    "sample": ParallelSampleSort,
-}
-
 __all__ = [
-    "ALGORITHMS",
     "CommMatrices",
     "ELEM_BYTES",
     "LocalSortStats",
-    "ParallelRadixSort",
-    "ParallelSampleSort",
     "RadixPassStats",
     "SAMPLES_PER_PROC",
     "SequentialResult",

@@ -5,10 +5,10 @@ its data plane once over the actual keys -- sorting them and recording
 the statistics every phase consumes, at labeled size -- and :func:`drive`
 emits the phase sequence those statistics price onto a team.  On a plain
 :class:`~repro.smp.team.Team` that is the simulation
-(:class:`ParallelRadixSort`, :class:`ParallelSampleSort`); on
+(:class:`repro.backend.SimulatedBackend`); on
 :class:`repro.predict.PredictTeam`, whose executor swaps the
 discrete-event exchange for a closed form, the same two calls are the
-analytic prediction.
+analytic prediction (:class:`repro.predict.PredictedBackend`).
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.distributions import KEY_BITS
-from ..machine.config import MachineConfig
-from ..machine.costs import CostModel, DEFAULT_COSTS
 from ..models import ProgrammingModel, get_model
 from ..smp.team import Team
 from .common import WorkloadStats, check_workload, elem_bytes_for, n_passes
-from .radix import SortOutcome, default_machine, drive_radix, measure_radix
+from .radix import SortOutcome, drive_radix, measure_radix
 from .sample import drive_sample, measure_sample
 
 
@@ -75,73 +73,19 @@ def drive(team: Team, model: ProgrammingModel | str, stats: WorkloadStats) -> No
 
 def run_on(
     team: Team,
-    model: ProgrammingModel | str,
+    model: ProgrammingModel,
     stats: WorkloadStats,
     sorted_keys: np.ndarray,
 ) -> SortOutcome:
     """:func:`drive` ``stats`` onto ``team`` and report what it cost."""
-    mdl = get_model(model) if isinstance(model, str) else model
-    drive(team, mdl, stats)
+    drive(team, model, stats)
     return SortOutcome(
         sorted_keys=sorted_keys,
         report=team.report(),
         algorithm=stats.algorithm,
-        model_name=mdl.name,
+        model_name=model.name,
         radix=stats.radix,
         n_labeled=stats.n,
         n_procs=stats.p,
         passes=stats.passes,
     )
-
-
-class _SimulatedSort:
-    """``measure`` the keys, ``drive`` the phases on a simulated team."""
-
-    algorithm = ""
-
-    def __init__(self, model: ProgrammingModel | str, radix: int):
-        self.model = get_model(model) if isinstance(model, str) else model
-        if not 1 <= radix <= 16:
-            raise ValueError("radix must be in [1, 16]")
-        self.radix = radix
-
-    def run(
-        self,
-        keys: np.ndarray,
-        n_procs: int | None = None,
-        machine: MachineConfig | None = None,
-        costs: CostModel = DEFAULT_COSTS,
-        n_labeled: int | None = None,
-        key_bits: int = KEY_BITS,
-    ) -> SortOutcome:
-        if machine is None:
-            machine = default_machine(n_procs or 64)
-        p = n_procs if n_procs is not None else machine.n_processors
-        stats, sorted_keys = measure(
-            keys, self.algorithm, p, self.radix, n_labeled, key_bits
-        )
-        team = Team(machine, p, costs, label=f"{self.algorithm}/{self.model.name}")
-        return run_on(team, self.model, stats, sorted_keys)
-
-
-class ParallelRadixSort(_SimulatedSort):
-    """Radix sort on the simulated machine under one programming model."""
-
-    algorithm = "radix"
-
-    def __init__(self, model: ProgrammingModel | str, radix: int = 8):
-        super().__init__(model, radix)
-
-
-class ParallelSampleSort(_SimulatedSort):
-    """Sample sort on the simulated machine under one programming model.
-
-    ``radix`` is the radix of the *local* radix sorts; the paper finds 11
-    optimal for sample sort (Figure 10) vs. 8 for parallel radix sort,
-    because reducing local passes matters more when communication is cheap.
-    """
-
-    algorithm = "sample"
-
-    def __init__(self, model: ProgrammingModel | str, radix: int = 11):
-        super().__init__(model, radix)

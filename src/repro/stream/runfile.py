@@ -131,6 +131,9 @@ class RunWriter:
         self.frame_keys = int(frame_keys)
         self.total_keys = 0
         self.bytes_written = 0
+        #: Keys carried to the next frame: ``_carry[:_held]``.
+        self._carry = np.empty(self.frame_keys, self.dtype)
+        self._held = 0
         self._tmp = self.path + ".tmp"
         self._file = open(self._tmp, "wb")
         self._closed = False
@@ -144,25 +147,53 @@ class RunWriter:
 
     # ------------------------------------------------------------------
     def write(self, keys: np.ndarray) -> None:
-        """Append sorted keys, re-blocked into ``frame_keys`` frames."""
+        """Append sorted keys, re-blocked into ``frame_keys`` frames.
+
+        Fewer than a frame's worth left over are copied aside (``keys``
+        may sit in a reused read-ahead buffer) and lead the next call's
+        frame, or :meth:`close`'s -- so every frame but the last is full,
+        however the caller blocks its writes.
+        """
         if self._closed:
             raise StreamError("run writer is closed")
         keys = np.ascontiguousarray(keys, dtype=self.dtype)
-        for lo in range(0, len(keys), self.frame_keys):
-            frame = keys[lo : lo + self.frame_keys]
-            if fire("spill.enospc"):
-                raise OSError(errno.ENOSPC, "injected: no space left on device")
-            payload = frame.view(np.uint8)  # no copy: the CRC and the write read it
-            self._file.write(_U32.pack(len(frame)))
-            self._file.write(_U32.pack(zlib.crc32(payload)))
-            _write_all(self._file, payload)
-            self.total_keys += len(frame)
-            self.bytes_written += 8 + payload.nbytes
+        lo = 0
+        if self._held:
+            lo = min(len(keys), self.frame_keys - self._held)
+            if self._held + lo < self.frame_keys:
+                self._carry[self._held : self._held + lo] = keys
+                self._held += lo
+                return
+            self._frame(self._carry[: self._held], keys[:lo])
+        end = len(keys) - (len(keys) - lo) % self.frame_keys
+        for start in range(lo, end, self.frame_keys):
+            self._frame(keys[start : start + self.frame_keys])
+        self._held = len(keys) - end
+        self._carry[: self._held] = keys[end:]
+
+    def _frame(self, *parts: np.ndarray) -> None:
+        """Write one frame whose keys are ``parts`` in order."""
+        if fire("spill.enospc"):
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+        crc = 0
+        for part in parts:
+            crc = zlib.crc32(part.view(np.uint8), crc)
+        n_keys = sum(len(part) for part in parts)
+        self._file.write(_U32.pack(n_keys))
+        self._file.write(_U32.pack(crc))
+        for part in parts:
+            # No copy: the CRC and the write read the caller's memory.
+            _write_all(self._file, part.view(np.uint8))
+        self.total_keys += n_keys
+        self.bytes_written += 8 + n_keys * self.dtype.itemsize
 
     def close(self) -> str:
-        """Seal the footer, flush, and atomically publish the run."""
+        """Write the carried keys, seal the footer, flush, and atomically
+        publish the run."""
         if self._closed:
             return self.path
+        if self._held:
+            self._frame(self._carry[: self._held])
         total = _U64.pack(self.total_keys)
         self._file.write(_U32.pack(0))
         self._file.write(total)

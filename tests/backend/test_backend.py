@@ -36,14 +36,12 @@ class TestRegistry:
 
 class TestValidation:
     def test_check_keys(self):
-        out = check_keys(np.array([3, 1, 2]), "radix")
+        out = check_keys(np.array([3, 1, 2]))
         assert out.flags["C_CONTIGUOUS"]
         with pytest.raises(ValueError):
-            check_keys(np.array([1]), "quick")
+            check_keys(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(ValueError):
-            check_keys(np.zeros((2, 2), dtype=np.int64), "radix")
-        with pytest.raises(ValueError):
-            check_keys(np.empty(0, dtype=np.int64), "radix")
+            check_keys(np.empty(0, dtype=np.int64))
 
     def test_infer_key_bits(self):
         assert infer_key_bits(np.array([0])) == 1

@@ -15,10 +15,11 @@ Three implementation alternatives the paper discusses and decides between:
 import numpy as np
 import pytest
 
+from repro.backend import SimulatedBackend, SortJob
 from repro.data import generate
+from repro.data.distributions import KEY_BITS
 from repro.machine import MachineConfig
 from repro.models import MPINewModel, SHMEMModel
-from repro.sorts import ParallelRadixSort
 
 pytestmark = pytest.mark.integration
 
@@ -29,8 +30,11 @@ SAMPLE = 1 << 16
 def run(model, p=64, n_labeled=N_LAB, machine=None, radix=8):
     machine = machine or MachineConfig.origin2000(n_processors=p, scale=1)
     keys = generate("gauss", SAMPLE, p, radix=radix)
-    return ParallelRadixSort(model, radix=radix).run(
-        keys, n_procs=p, machine=machine, n_labeled=n_labeled
+    return SimulatedBackend().run(
+        SortJob(
+            keys, "radix", model, n_procs=p, radix=radix, machine=machine,
+            n_labeled=n_labeled, key_bits=KEY_BITS,
+        )
     )
 
 

@@ -300,7 +300,7 @@ TRANSCRIPT = [
                 "message": "job exceeded its 0s deadline before a worker "
                            "picked it up"}),
     ("stream-status", {"ok": True, **_S_PUSHED, "phase": "done", "runs": 3,
-                       "merge_passes": 1, "bytes_spilled": 36040,
+                       "merge_passes": 1, "bytes_spilled": 36032,
                        "keys_merged": 2500}),
     ("stream-fetch", {"ok": True, "stream_id": "*", "seq": 0, "eof": False,
                       "n_keys": 1000, "dtype": "<i8"}),

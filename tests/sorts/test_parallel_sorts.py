@@ -5,31 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import SimulatedBackend, SortJob
 from repro.data import generate
+from repro.data.distributions import KEY_BITS
 from repro.machine import MachineConfig
-from repro.sorts import (
-    ParallelRadixSort,
-    ParallelSampleSort,
-    sequential_radix_sort,
-)
+from repro.sorts import sequential_radix_sort
 
 MACHINE16 = MachineConfig.origin2000(n_processors=16, scale=1)
 RADIX_MODELS = ["ccsas", "ccsas-new", "mpi-new", "mpi-sgi", "shmem"]
 SAMPLE_MODELS = ["ccsas", "mpi-new", "mpi-sgi", "shmem"]
 
 
-def run_radix(keys, model, p=16, radix=8, **kw):
+def _run(algorithm, keys, model, p, radix, **kw):
     machine = MachineConfig.origin2000(n_processors=p, scale=1)
-    return ParallelRadixSort(model, radix=radix).run(
-        keys, n_procs=p, machine=machine, **kw
-    )
+    kw.setdefault("key_bits", KEY_BITS)
+    return SimulatedBackend().run(
+        SortJob(keys, algorithm, model, n_procs=p, radix=radix, machine=machine, **kw)
+    ).outcome
+
+
+def run_radix(keys, model, p=16, radix=8, **kw):
+    return _run("radix", keys, model, p, radix, **kw)
 
 
 def run_sample(keys, model, p=16, radix=11, **kw):
-    machine = MachineConfig.origin2000(n_processors=p, scale=1)
-    return ParallelSampleSort(model, radix=radix).run(
-        keys, n_procs=p, machine=machine, **kw
-    )
+    return _run("sample", keys, model, p, radix, **kw)
 
 
 class TestSequential:
@@ -96,7 +96,7 @@ class TestRadixCorrectness:
 
     def test_rejects_bad_radix(self):
         with pytest.raises(ValueError):
-            ParallelRadixSort("shmem", radix=0)
+            run_radix(generate("gauss", 16 * 64, 16), "shmem", radix=0)
 
     def test_rejects_bad_labeled_multiple(self):
         keys = generate("gauss", 16 * 64, 16)

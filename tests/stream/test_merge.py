@@ -224,6 +224,21 @@ class TestReduceRuns:
         remaining = {p for p in os.listdir(tmp_path) if p.endswith(".run")}
         assert remaining == {os.path.basename(p) for p in surviving}
 
+    def test_reduced_runs_hold_full_frames(self, tmp_path):
+        """A merge pass writes blocks of any size; its output still holds
+        ``ceil(keys / frame_keys)`` frames, and only the last is short."""
+        paths, _ = _spill_runs(tmp_path, 10, 8, run_len=3_000)
+        surviving, passes, _, _ = reduce_runs(
+            paths, fan_in=4, workdir=str(tmp_path),
+            frame_keys=512, dtype=np.dtype(np.int64),
+        )
+        assert passes == 1 and len(surviving) == 2
+        for path in surviving:
+            with RunReader(path) as reader:
+                sizes = [len(f) for f in reader.frames()]
+            assert len(sizes) == -(-sum(sizes) // 512)
+            assert all(size == 512 for size in sizes[:-1])
+
     def test_no_pass_needed_under_fan_in(self, tmp_path):
         paths, _ = _spill_runs(tmp_path, 9, 3)
         surviving, passes, bytes_read, bytes_written = reduce_runs(
